@@ -8,7 +8,6 @@ harness plus a CLI front end.
 """
 
 from .linalg import (
-    kron,
     partial_trace,
     partial_transpose,
     hermitian_eigen,
@@ -42,6 +41,7 @@ from .bounds import (
     BoundReport,
     scalar_lower_bound,
     scalar_upper_bound,
+    tripartite_bound,
     ordered_weighted_sum,
     ratio_condition,
     max_admissible_a,
@@ -59,7 +59,6 @@ from .verify import (
 )
 
 __all__ = [
-    "kron",
     "partial_trace",
     "partial_transpose",
     "hermitian_eigen",
@@ -87,6 +86,7 @@ __all__ = [
     "BoundReport",
     "scalar_lower_bound",
     "scalar_upper_bound",
+    "tripartite_bound",
     "ordered_weighted_sum",
     "ratio_condition",
     "max_admissible_a",

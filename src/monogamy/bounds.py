@@ -10,7 +10,6 @@ the weighted monogamy and polygamy evaluators for measure vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -87,14 +86,23 @@ class BoundReport:
     base_relation_assumed: bool = False
 
 
-def _w0(variant: str, x, p: float):
+def _weights(variant: str, x, a, p: float):
+    """(w_small, w_large) of the two-weight form w_small + w_large * t^x.
+
+    Powers use ``**``, so the operands pick the pow: Python floats get the C
+    library's, arrays NumPy's loop (the two differ in the last bit).  The zjz
+    weight p^x always takes NumPy's, returned as a float for scalar x.
+    """
+    if variant == "ours":
+        return (1 + a) ** (x - 1), (1 + 1 / a) ** (x - 1)
     if variant == "jfq":
-        return np.ones_like(np.asarray(x, dtype=float))
-    if variant == "zjz1":
-        return np.power(p, x)
-    if variant == "zjz2":
-        return np.power(0.5, x)
-    raise ValueError(f"unknown variant {variant!r}")
+        w0 = 1.0
+    elif variant in ("zjz1", "zjz2"):
+        w0 = np.power(p if variant == "zjz1" else 0.5, x)
+        w0 = w0 if w0.ndim else float(w0)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return w0, ((1 + a) ** x - w0) / a**x
 
 
 def _check_tax(t, a, variant: str, x, lower: bool):
@@ -116,12 +124,13 @@ def _check_tax(t, a, variant: str, x, lower: bool):
 
 
 def _scalar_bound(t, a, x, variant: str, p: float):
-    if variant == "ours":
-        val = np.power(1 + a, x - 1) + np.power(1 + 1 / a, x - 1) * np.power(t, x)
-    else:
-        w0 = _w0(variant, x, p)
-        val = w0 + (np.power(1 + a, x) - w0) / np.power(a, x) * np.power(t, x)
-    return val if val.ndim else float(val)
+    # 1-d operands keep scalar calls on NumPy's pow loop, like array calls
+    t1, a1, x1 = np.atleast_1d(t, a, x)
+    w_small, w_large = _weights(variant, x1, a1, p)
+    val = w_small + w_large * t1**x1
+    if max(np.ndim(t), np.ndim(a), np.ndim(x), np.ndim(p) if variant == "zjz1" else 0):
+        return val
+    return float(val[0])
 
 
 def scalar_lower_bound(t, x, a, variant: str = "ours", p: float = 0.5):
@@ -163,7 +172,8 @@ def ordered_weighted_sum(values, x: float, a: float) -> float:
 
     ``values`` must already be sorted in descending order; v_(i) is the i-th
     largest.  Under the ratio condition this bounds (sum v_i)^x from below
-    for 0 < x <= 1 and from above for x >= 1.
+    for 0 < x <= 1 and from above for x >= 1; at x = 0 it is the valid lower
+    bound 1 - (a/(1+a))^n.
     """
     v = _check_values(values)
     if np.any(np.diff(v) > 0):
@@ -171,8 +181,8 @@ def ordered_weighted_sum(values, x: float, a: float) -> float:
     x, a = float(x), float(a)
     if a < 1:
         raise ValueError(f"ratio parameter a must be >= 1, got {a}")
-    if x <= 0:
-        raise ValueError(f"exponent ratio x must be positive, got {x}")
+    if x < 0:
+        raise ValueError(f"exponent ratio x must be nonnegative, got {x}")
     n = v.size
     w = (1 + 1 / a) ** (x - 1)
     weights = w ** np.arange(n - 1, -1, -1, dtype=float)
@@ -221,16 +231,12 @@ def _resolve_a(spec: BoundSpec, values: np.ndarray) -> tuple[float, float]:
     return float(min(max(1.0, amax), A_CAP)), amax
 
 
-def _two_term(smaller: float, larger: float, target: float, x: float, a: float,
-              variant: str, p: float) -> float:
-    """Tripartite bound: weighted sum of the two pairwise powers."""
-    if variant == "ours":
-        return float(
-            (1 + a) ** (x - 1) * smaller**target
-            + (1 + 1 / a) ** (x - 1) * larger**target
-        )
-    w0 = float(_w0(variant, x, p))
-    return float(w0 * smaller**target + ((1 + a) ** x - w0) / a**x * larger**target)
+def tripartite_bound(smaller: float, larger: float, target: float, x: float,
+                     a: float, variant: str = "ours", p: float = 0.5) -> float:
+    """Tripartite bound w_small * smaller^target + w_large * larger^target,
+    with the scalar-bound weights of ``variant`` at exponent ratio ``x``."""
+    w_small, w_large = _weights(variant, x, a, p)
+    return float(w_small * smaller**target + w_large * larger**target)
 
 
 def _evaluate(mv: MeasureVector, spec: BoundSpec, strict: bool) -> BoundReport:
@@ -251,14 +257,11 @@ def _evaluate(mv: MeasureVector, spec: BoundSpec, strict: bool) -> BoundReport:
         raise ValueError(
             f"variant {spec.variant!r} is defined for tripartite states only"
         )
-    # alpha = 0 collapses every power to 1 (0^0 taken as 1)
-    measured = 1.0 if x == 0 else float(mv.one_vs_rest**target)
+    # alpha = 0 collapses every power to 1 (0^0 is 1 in Python and NumPy)
+    measured = float(mv.one_vs_rest**target)
     if v.size == 2:
-        bound = _two_term(v[1], v[0], target, x, a, spec.variant, spec.p)
-    elif x == 0:
-        w = (1 + 1 / a) ** (x - 1)
-        weights = w ** np.arange(v.size - 1, -1, -1, dtype=float)
-        bound = float((1 + a) ** (x - 1) * np.sum(weights))
+        bound = tripartite_bound(float(v[1]), float(v[0]), target, x, a,
+                                 spec.variant, spec.p)
     else:
         bound = ordered_weighted_sum(np.power(v, spec.base_exp), x, a)
 

@@ -42,11 +42,6 @@ def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
-
 def partial_trace(rho, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Trace out all subsystems not listed in ``keep``.
 
@@ -109,18 +104,14 @@ def hermitian_eigen(m, atol: float = HERMITICITY_ATOL) -> tuple[np.ndarray, np.n
 
 
 def trace_norm(m) -> float:
-    """Sum of singular values.
-
-    For Hermitian input this is the sum of absolute eigenvalues; otherwise
-    the singular values are obtained from the spectrum of ``m† m``.
-    """
+    """Sum of singular values of a Hermitian matrix: the sum of its absolute
+    eigenvalues.  Non-Hermitian input raises ``ValueError``."""
     m = _as_matrix(m)
     _check_square(m)
-    if np.max(np.abs(m - m.conj().T), initial=0.0) <= HERMITICITY_ATOL:
-        return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
-    gram = m.conj().T @ m
-    s2 = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
-    return float(np.sum(np.sqrt(s2)))
+    asym = np.max(np.abs(m - m.conj().T), initial=0.0)
+    if asym > HERMITICITY_ATOL:
+        raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
+    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
 def psd_sqrt(m, atol: float = HERMITICITY_ATOL) -> np.ndarray:

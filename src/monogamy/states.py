@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -62,12 +62,12 @@ class DensityMatrix:
 
     dims: tuple[int, ...]
     mat: np.ndarray = field(repr=False)
-    check: bool = True
+    check: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check):
         dims = tuple(int(d) for d in self.dims)
         mat = np.asarray(self.mat, dtype=complex)
-        if self.check:
+        if check:
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"density matrix must be square, got {mat.shape}")
             if int(np.prod(dims)) != mat.shape[0]:
@@ -85,7 +85,6 @@ class DensityMatrix:
         mat.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "check", True)
 
     @property
     def n_subsystems(self) -> int:
@@ -144,9 +143,7 @@ def haar_random_pure(dims: Sequence[int], seed: int) -> PureState:
     if not dims:
         raise ValueError("dims must be nonempty")
     rng = np.random.default_rng(int(seed))
-    d = int(np.prod(dims))
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return PureState(dims, v / np.linalg.norm(v))
+    return PureState(dims, haar_random_amps(int(np.prod(dims)), rng))
 
 
 def haar_random_amps(dim: int, rng: np.random.Generator) -> np.ndarray:

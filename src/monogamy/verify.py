@@ -75,14 +75,21 @@ class VerificationReport:
     worst_margin: float = math.inf
     failure_samples: list = field(default_factory=list)
 
-    def record(self, margin: float, tol: float, sample=None):
-        self.total += 1
-        if margin < self.worst_margin:
-            self.worst_margin = margin
-        if margin < -tol:
-            self.failures += 1
-            if len(self.failure_samples) < MAX_FAILURE_SAMPLES:
-                self.failure_samples.append((sample, margin))
+    def record(self, margins, tol: float, describe):
+        """Count an array of margins; those below ``-tol`` are failures.
+
+        ``describe(i)`` names the failing entry ``i`` of ``margins``; it is
+        called for failing entries only.
+        """
+        margins = np.asarray(margins, dtype=float).ravel()
+        self.total += margins.size
+        if not margins.size:
+            return
+        self.worst_margin = min(self.worst_margin, float(margins.min()))
+        bad = np.flatnonzero(margins < -tol)
+        self.failures += bad.size
+        for i in bad[: MAX_FAILURE_SAMPLES - len(self.failure_samples)].tolist():
+            self.failure_samples.append((describe(i), float(margins[i])))
 
     def skip(self):
         self.skipped += 1
@@ -105,19 +112,9 @@ class VerificationReport:
         }
 
 
-def _record_array(report: VerificationReport, margins: np.ndarray, tol, label: str):
-    margins = np.asarray(margins, dtype=float).ravel()
-    report.total += margins.size
-    if margins.size:
-        worst = float(margins.min())
-        report.worst_margin = min(report.worst_margin, worst)
-        bad = margins < -tol if np.isscalar(tol) else margins < -np.asarray(tol).ravel()
-        nbad = int(np.count_nonzero(bad))
-        report.failures += nbad
-        if nbad:
-            idx = np.flatnonzero(bad)[: MAX_FAILURE_SAMPLES - len(report.failure_samples)]
-            for i in idx:
-                report.failure_samples.append((f"{label}[{i}]", float(margins[i])))
+def _indexed(label: str):
+    """Failure descriptor ``label[i]`` for entry i of a sampled family."""
+    return lambda i: f"{label}[{i}]"
 
 
 def verify_scalar(n: int, seed: int = 0, tol: float = 1e-12,
@@ -132,9 +129,6 @@ def verify_scalar(n: int, seed: int = 0, tol: float = 1e-12,
     """
     report = VerificationReport()
     n = int(n)
-    if n == 0:
-        report.worst_margin = math.inf
-        return report
     rng = np.random.default_rng(seed)
 
     a = rng.uniform(1.0, 10.0, n)
@@ -142,6 +136,7 @@ def verify_scalar(n: int, seed: int = 0, tol: float = 1e-12,
     x_lo = rng.uniform(0.0, 1.0, n)
     x_lo[x_lo == 0.0] = 1.0
     x_half = rng.uniform(0.0, 0.5, n)
+    x_half[x_half == 0.0] = 0.5
     x_up = rng.uniform(1.0, 8.0, n)
     x_dom = rng.uniform(1.0, 6.0, n)
     p = rng.uniform(0.5, 1.0, n)
@@ -150,21 +145,20 @@ def verify_scalar(n: int, seed: int = 0, tol: float = 1e-12,
 
     exact_lo = np.power(1 + t, x_lo)
     ours_lo = bounds.scalar_lower_bound(t, x_lo, a)
-    _record_array(report, exact_lo - ours_lo, tol, "scalar-lower")
+    report.record(exact_lo - ours_lo, tol, _indexed("scalar-lower"))
 
     exact_up = np.power(1 + t, x_up)
     ours_up = bounds.scalar_upper_bound(t, x_up, a)
-    _record_array(report, (ours_up - exact_up) / exact_up, rtol, "scalar-upper")
+    report.record((ours_up - exact_up) / exact_up, rtol, _indexed("scalar-upper"))
 
     jfq_lo = bounds.scalar_lower_bound(t, x_lo, a, "jfq")
-    _record_array(report, bounds.scalar_lower_bound(t, x_lo, a) - jfq_lo, tol,
-                  "dominance-lower-jfq")
-    # ours at x in [0, 1/2]: evaluate directly, the x = 0 boundary is benign
-    ours_half = bounds._scalar_bound(t, a, x_half, "ours", 0.5)
+    report.record(bounds.scalar_lower_bound(t, x_lo, a) - jfq_lo, tol,
+                  _indexed("dominance-lower-jfq"))
+    ours_half = bounds.scalar_lower_bound(t, x_half, a)
     zjz1_lo = bounds.scalar_lower_bound(t, x_half, a, "zjz1", p=p)
     zjz2_lo = bounds.scalar_lower_bound(t, x_half, a, "zjz2")
-    _record_array(report, ours_half - zjz1_lo, tol, "dominance-lower-zjz1")
-    _record_array(report, ours_half - zjz2_lo, tol, "dominance-lower-zjz2")
+    report.record(ours_half - zjz1_lo, tol, _indexed("dominance-lower-zjz1"))
+    report.record(ours_half - zjz2_lo, tol, _indexed("dominance-lower-zjz2"))
 
     ours_dom = bounds.scalar_upper_bound(t, x_dom, a)
     exact_dom = np.power(1 + t, x_dom)
@@ -173,8 +167,8 @@ def verify_scalar(n: int, seed: int = 0, tol: float = 1e-12,
         ("dominance-upper-zjz1", "zjz1", q),
         ("dominance-upper-zjz2", "zjz2", 0.5),
     ):
-        other = bounds._scalar_bound(t, a, x_dom, variant, param)
-        _record_array(report, (other - ours_dom) / exact_dom, rtol, name)
+        other = bounds.scalar_upper_bound(t, x_dom, a, variant, p=param)
+        report.record((other - ours_dom) / exact_dom, rtol, _indexed(name))
     return report
 
 
@@ -200,13 +194,15 @@ def verify_monogamy_states(n: int, seed: int = 0, r: float = 2.0,
     rng = np.random.default_rng(seed)
     if alpha_grid is None:
         alpha_grid = default_alpha_grid(r)
+    alphas = [float(alpha) for alpha in alpha_grid]
     dims = (2,) * int(n_qubits)
-    for k in range(int(n)):
+    margins = []
+    for _ in range(int(n)):
         mv = _haar_concurrence_vector(dims, rng)
-        for alpha in alpha_grid:
-            spec = bounds.BoundSpec("monogamy", r, float(alpha))
-            rep = bounds.monogamy_bound(mv, spec)
-            report.record(rep.margin, tol, sample=(k, float(alpha)))
+        for alpha in alphas:
+            spec = bounds.BoundSpec("monogamy", r, alpha)
+            margins.append(bounds.monogamy_bound(mv, spec).margin)
+    report.record(margins, tol, lambda i: (i // len(alphas), alphas[i % len(alphas)]))
     return report
 
 
@@ -221,6 +217,7 @@ def verify_polygamy_states(n: int, seed: int = 0, s: float | None = None,
     """
     report = VerificationReport()
     rng = np.random.default_rng(seed)
+    margins, samples = [], []
     for k in range(int(n)):
         coeffs = np.abs(rng.standard_normal(3))
         coeffs /= np.linalg.norm(coeffs)
@@ -251,7 +248,9 @@ def verify_polygamy_states(n: int, seed: int = 0, s: float | None = None,
             if not rep.ratio_condition_ok:
                 report.skip()
                 continue
-            report.record(rep.margin, tol, sample=(k, s_k, float(beta)))
+            margins.append(rep.margin)
+            samples.append((k, s_k, float(beta)))
+    report.record(margins, tol, samples.__getitem__)
     return report
 
 
@@ -271,9 +270,9 @@ def _example1_cell(alpha: float, r: float) -> tuple[float, float | None, float]:
     v2, v1 = EXAMPLE1_PAIRWISE  # smaller, larger
     a = EXAMPLE1_A
     x = alpha / r
-    z1 = bounds._two_term(v2, v1, alpha, x, a, "jfq", 0.5)
-    z3 = bounds._two_term(v2, v1, alpha, x, a, "ours", 0.5)
-    z2 = bounds._two_term(v2, v1, alpha, x, a, "zjz2", 0.5) if x <= 0.5 else None
+    z1 = bounds.tripartite_bound(v2, v1, alpha, x, a, "jfq")
+    z3 = bounds.tripartite_bound(v2, v1, alpha, x, a, "ours")
+    z2 = bounds.tripartite_bound(v2, v1, alpha, x, a, "zjz2") if x <= 0.5 else None
     return z1, z2, z3
 
 
@@ -282,9 +281,9 @@ def _example2_cell(beta: float, s: float) -> tuple[float, float, float]:
     v2, v1 = EXAMPLE2_PAIRWISE
     a = EXAMPLE2_A
     x = beta / s
-    w1 = bounds._two_term(v2, v1, beta, x, a, "jfq", 0.5)
-    w2 = bounds._two_term(v2, v1, beta, x, a, "zjz2", 0.5)
-    w3 = bounds._two_term(v2, v1, beta, x, a, "ours", 0.5)
+    w1 = bounds.tripartite_bound(v2, v1, beta, x, a, "jfq")
+    w2 = bounds.tripartite_bound(v2, v1, beta, x, a, "zjz2")
+    w3 = bounds.tripartite_bound(v2, v1, beta, x, a, "ours")
     return w1, w2, w3
 
 
@@ -327,16 +326,17 @@ def verify_dominance(example: str, grid: SweepGrid | None = None,
     """
     report = VerificationReport()
     _, rows = dominance_scan(example, grid)
+
+    def check(name, cells, margins):
+        report.record(margins, tol, lambda i: (name, cells[i][0], cells[i][1]))
+
     if example == "example1":
-        for alpha, r, z1, z2, z3 in rows:
-            if alpha == 0:
-                report.skip()
-                continue
-            report.record(z3 - z1, tol, sample=("Z3-Z1", alpha, r))
-            if z2 is not None:
-                report.record(z3 - z2, tol, sample=("Z3-Z2", alpha, r))
+        live = [row for row in rows if row[0] != 0]
+        in_zjz = [row for row in live if row[3] is not None]
+        report.skipped += len(rows) - len(live)
+        check("Z3-Z1", live, [z3 - z1 for _, _, z1, _, z3 in live])
+        check("Z3-Z2", in_zjz, [z3 - z2 for _, _, _, z2, z3 in in_zjz])
     else:
-        for beta, s, w1, w2, w3, d1, d2 in rows:
-            report.record(d1, tol, sample=("W1-W3", beta, s))
-            report.record(d2, tol, sample=("W2-W3", beta, s))
+        check("W1-W3", rows, [row[5] for row in rows])
+        check("W2-W3", rows, [row[6] for row in rows])
     return report

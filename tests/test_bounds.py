@@ -205,6 +205,13 @@ class TestMonogamyBound:
         expected = ordered_weighted_sum(np.array([0.6, 0.3, 0.1]) ** 2, 0.5, rep.a)
         assert abs(rep.bound_value - expected) < 1e-14
 
+    def test_alpha_zero_four_party(self):
+        mv = MeasureVector(MeasureKind.CONCURRENCE, 0.9, (0.6, 0.3, 0.0))
+        rep = monogamy_bound(mv, BoundSpec("monogamy", 2, 0))
+        assert rep.a == 4
+        assert abs(rep.bound_value - (1 - (4 / 5) ** 3)) < 1e-15
+        assert rep.measured_value == 1
+
     def test_tripartite_matches_two_term_formula(self):
         a = 1.3
         rep = monogamy_bound(ex1_mv, BoundSpec("monogamy", 2, 1, a=a))

@@ -1,0 +1,72 @@
+"""Pinned sha256 digests of seeded CLI output.
+
+Any change to a printed digit changes a digest, so these catch refactors that
+are meant to leave output untouched.  Update a digest only together with an
+intended, explained change of output.
+
+The digests were taken with NumPy 2.4 on an x86-64 host with AVX-512.
+NumPy's array pow and the C library's pow may round differently on other
+hosts; the full-precision ``worst_margin`` values of ``verify`` are the most
+likely to move there.
+"""
+
+import hashlib
+
+import pytest
+
+from monogamy.cli import main
+
+EX1 = "schmidt3:0.5,sqrt(6)/6,sqrt(6)/6,0.5,sqrt(6)/6"
+WC = "wclass:1/2,1/2,sqrt(2)/2"
+MONO = "--kind concurrence --mode monogamy --base-exp 2"
+POLY = "--kind screnoa --mode polygamy --base-exp 0.6 --target-exp 1.5"
+
+GOLDEN = {
+    "verify --suite all --n 300 --seed 1":
+        "50a8c30342b65cabc884068a2344ba538e89daddf5b7b652a2588263fa37674d",
+    "repro example1":
+        "f12d95e920de14160ec4703af99a0a19686a19a564d48a218d09d1c49e8cb5ae",
+    "repro example2":
+        "534fe9e599b3052121d7956290172f1f035a8212b54c2675b2c4667b785fb738",
+    f"measure --state {EX1} --kind concurrence":
+        "19f37975228677a307e27d94d73523a5f1c0535b886ba2c6504f5c3275d50787",
+    f"bound --state {EX1} {MONO} --target-exp 0":
+        "5d40a3a83a3ffbe6c236e44e07c33f0df83a96fc9f6dd89be29a3fd0d6b5540b",
+    f"bound --state {EX1} {MONO} --target-exp 1":
+        "cfd54b9751940c586782346a21b0a997813ded36bf641f345903375f9a8d6196",
+    f"bound --state {EX1} {MONO} --target-exp 2":
+        "2f7eba20393686094b578727a713ec2605b8fa5c4085937d0e8da04ba4d499ee",
+    f"bound --state {EX1} {MONO} --target-exp 1 --variant jfq --a 1.22474487":
+        "7be68d266f3f8dfaea4cf43f090eafa99b19fef9603d2c26df25891a2a032a31",
+    "measure --state haar:2x2x2x2:4 --kind concurrence":
+        "388994822d3c937eee5bcccb0c9f4f033ccdf5dc513e1ec2bd112f5a71a88e94",
+    f"bound --state haar:2x2x2x2:4 {MONO} --target-exp 0":
+        "bce9ff6cfeb94c63fca959abb009baef7fd649f7c1e011239726c7871af9b626",
+    f"bound --state haar:2x2x2x2:4 {MONO} --target-exp 1":
+        "b052a7d4c5f595448b1ea2ce1e185bb59681530f727c662248961ecfe83a749e",
+    f"bound --state haar:2x2x2x2:4 {MONO} --target-exp 2":
+        "c1aa9e1fb34a6f008874481a6679c64b7bf2319d33b44606253a5b02874779ae",
+    "measure --state haar:2x2x2x2x2x2:6 --kind concurrence":
+        "ac46d90373877384c8e2c1d157a0c65ed30959a00832fcb94450aabe6c4f6e89",
+    f"bound --state haar:2x2x2x2x2x2:6 {MONO} --target-exp 0":
+        "df1be62000d0286b45c880fbf184c9af776a43b0c58276ca5f16fd727f729e6e",
+    f"bound --state haar:2x2x2x2x2x2:6 {MONO} --target-exp 1":
+        "77a65e86fac530058500aa536a5d761492eb667d2c95b7fe8328092a69a043a1",
+    f"bound --state haar:2x2x2x2x2x2:6 {MONO} --target-exp 2":
+        "7ceeedb4e483446726d097d7670ee146bda132d291a975054c18580b4cb103f9",
+    f"measure --state {WC} --kind screnoa":
+        "b6eb409674e886f9a38fedf8a77e6f409ce341c93c4ef8248ef63ecd46ac5903",
+    f"bound --state {WC} {POLY} --a 1.515716566510398":
+        "a7da2e5cd4b90376e957133ca30d8c2291531d574692783f8e37d2a8179046ca",
+    f"bound --state {WC} {POLY} --variant zjz2":
+        "a7da2e5cd4b90376e957133ca30d8c2291531d574692783f8e37d2a8179046ca",
+    f"bound --state {WC} {POLY} --variant zjz2 --a 1.2":
+        "b03a11647aad602a5ac85fe2f1fd6b662665ba65f99bafe06d8e5f4ec406fedb",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN)
+def test_output_digest(capsys, command):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]

@@ -58,9 +58,7 @@ class TestVerifyScalar:
         x = rng.uniform(0.1, 1.0, 100)
         margins = bounds.scalar_lower_bound(t, x, a) - (1 + t) ** x
         rep = VerificationReport()
-        from monogamy.verify import _record_array
-
-        _record_array(rep, margins, 1e-12, "inverted")
+        rep.record(margins, 1e-12, lambda i: f"inverted[{i}]")
         assert rep.failures > 0
         assert rep.failure_samples
 
@@ -133,10 +131,10 @@ class TestDominance:
 
 def test_report_merge_and_summary():
     a = VerificationReport()
-    a.record(1.0, 1e-9)
-    a.record(-1.0, 1e-9, sample="bad")
+    a.record([1.0], 1e-9, lambda i: "good")
+    a.record([-1.0], 1e-9, lambda i: "bad")
     b = VerificationReport()
-    b.record(-2.0, 1e-9, sample="worse")
+    b.record([-2.0], 1e-9, lambda i: "worse")
     b.skip()
     a.merge(b)
     assert a.summary() == {
@@ -146,3 +144,17 @@ def test_report_merge_and_summary():
         "worst_margin": -2.0,
     }
     assert math.isinf(VerificationReport().worst_margin)
+
+
+def test_record_describes_failing_entries_only():
+    calls = []
+
+    def describe(i):
+        calls.append(i)
+        return f"entry{i}"
+
+    rep = VerificationReport()
+    rep.record(np.array([1.0, -1.0, 0.5, -2.0]), 1e-9, describe)
+    assert calls == [1, 3]
+    assert rep.failure_samples == [("entry1", -1.0), ("entry3", -2.0)]
+    assert (rep.total, rep.failures, rep.worst_margin) == (4, 2, -2.0)
