@@ -47,32 +47,40 @@ class BoundSpec:
     p: float = 0.5
 
     def __post_init__(self):
-        if self.mode not in ("monogamy", "polygamy"):
-            raise ValueError(f"mode must be 'monogamy' or 'polygamy', got {self.mode!r}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        r, e = float(self.base_exp), float(self.target_exp)
-        if self.mode == "monogamy":
-            if r < 2:
-                raise ValueError(f"monogamy base exponent must be >= 2, got {r}")
-            if not 0 <= e <= r:
-                raise ValueError(f"monogamy target exponent must be in [0, {r}], got {e}")
-            if self.variant == "zjz1" and not 0.5 <= self.p <= 1:
-                raise ValueError(f"zjz1 requires 1/2 <= p <= 1, got {self.p}")
-        else:
-            if not 0 < r <= 1:
-                raise ValueError(f"polygamy base exponent must be in (0, 1], got {r}")
-            if e < r:
-                raise ValueError(f"polygamy target exponent must be >= {r}, got {e}")
-            if self.variant == "zjz1" and not 0 < self.p <= 1:
-                raise ValueError(f"zjz1 requires 0 < p <= 1 in polygamy mode, got {self.p}")
-        if self.a is not None and self.a < 1:
-            raise ValueError(f"ratio parameter a must be >= 1, got {self.a}")
+        _check_spec(self.mode, self.base_exp, (float(self.target_exp),), self.a,
+                    self.variant, self.p)
 
     @property
     def x(self) -> float:
         """Exponent ratio alpha/r (monogamy) or beta/s (polygamy)."""
         return float(self.target_exp) / float(self.base_exp)
+
+
+def _check_spec(mode: str, base_exp, targets, a, variant: str, p: float):
+    """Raise ValueError unless each of ``targets`` makes a valid BoundSpec."""
+    if mode not in ("monogamy", "polygamy"):
+        raise ValueError(f"mode must be 'monogamy' or 'polygamy', got {mode!r}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    r = float(base_exp)
+    if mode == "monogamy":
+        if r < 2:
+            raise ValueError(f"monogamy base exponent must be >= 2, got {r}")
+        for e in targets:
+            if not 0 <= e <= r:
+                raise ValueError(f"monogamy target exponent must be in [0, {r}], got {e}")
+        if variant == "zjz1" and not 0.5 <= p <= 1:
+            raise ValueError(f"zjz1 requires 1/2 <= p <= 1, got {p}")
+    else:
+        if not 0 < r <= 1:
+            raise ValueError(f"polygamy base exponent must be in (0, 1], got {r}")
+        for e in targets:
+            if e < r:
+                raise ValueError(f"polygamy target exponent must be >= {r}, got {e}")
+        if variant == "zjz1" and not 0 < p <= 1:
+            raise ValueError(f"zjz1 requires 0 < p <= 1 in polygamy mode, got {p}")
+    if a is not None and a < 1:
+        raise ValueError(f"ratio parameter a must be >= 1, got {a}")
 
 
 @dataclass(frozen=True)
@@ -183,10 +191,13 @@ def ordered_weighted_sum(values, x: float, a: float) -> float:
         raise ValueError(f"ratio parameter a must be >= 1, got {a}")
     if x < 0:
         raise ValueError(f"exponent ratio x must be nonnegative, got {x}")
-    n = v.size
+    return _weighted_sum(v, x, a)
+
+
+def _weighted_sum(v: np.ndarray, x: float, a: float) -> float:
     w = (1 + 1 / a) ** (x - 1)
-    weights = w ** np.arange(n - 1, -1, -1, dtype=float)
-    return float((1 + a) ** (x - 1) * np.sum(weights * np.power(v, x)))
+    weights = w ** np.arange(v.size - 1, -1, -1, dtype=float)
+    return float((1 + a) ** (x - 1) * (weights * np.power(v, x)).sum())
 
 
 def ratio_condition(values, a: float, exponent: float, rtol: float = 1e-12) -> bool:
@@ -224,13 +235,6 @@ def max_admissible_a(values, exponent: float) -> float:
     return float(best)
 
 
-def _resolve_a(spec: BoundSpec, values: np.ndarray) -> tuple[float, float]:
-    amax = max_admissible_a(values, spec.base_exp)
-    if spec.a is not None:
-        return float(spec.a), amax
-    return float(min(max(1.0, amax), A_CAP)), amax
-
-
 def tripartite_bound(smaller: float, larger: float, target: float, x: float,
                      a: float, variant: str = "ours", p: float = 0.5) -> float:
     """Tripartite bound w_small * smaller^target + w_large * larger^target,
@@ -239,47 +243,57 @@ def tripartite_bound(smaller: float, larger: float, target: float, x: float,
     return float(w_small * smaller**target + w_large * larger**target)
 
 
-def _evaluate(mv: MeasureVector, spec: BoundSpec, strict: bool) -> BoundReport:
+def bound_grid(mv: MeasureVector, mode: str, base_exp: float, targets,
+               a: float | None = None, variant: str = "ours", p: float = 0.5,
+               strict: bool = True) -> list[BoundReport]:
+    """Evaluate one weighted bound at each target exponent of a grid.
+
+    ``mode``, ``base_exp``, ``a``, ``variant`` and ``p`` are as in
+    ``BoundSpec``; report ``k`` equals ``monogamy_bound`` (or
+    ``polygamy_bound``) at ``BoundSpec(..., targets[k], ...)``.  The pairwise
+    values are sorted, ``a`` resolved and the ratio condition checked once.
+    """
+    targets = [float(t) for t in targets]
+    _check_spec(mode, base_exp, targets, a, variant, p)
+    r = float(base_exp)
     v = np.sort(np.asarray(mv.pairwise, dtype=float))[::-1]
-    a, amax = _resolve_a(spec, v)
-    ok = ratio_condition(v, a, spec.base_exp)
+    amax = max_admissible_a(v, r)
+    a = float(a) if a is not None else float(min(max(1.0, amax), A_CAP))
+    ok = ratio_condition(v, a, r)
     if strict and not ok:
         raise ValueError(
             f"ratio condition fails at a={a} (max admissible {amax})"
         )
-    x = spec.x
-    target = float(spec.target_exp)
-
-    if spec.mode == "monogamy" and spec.variant in ("zjz1", "zjz2") and x > 0.5:
-        raise ValueError(f"variant {spec.variant!r} requires alpha/r <= 1/2, got {x}")
-
-    if spec.variant != "ours" and v.size != 2:
-        raise ValueError(
-            f"variant {spec.variant!r} is defined for tripartite states only"
-        )
-    # alpha = 0 collapses every power to 1 (0^0 is 1 in Python and NumPy)
-    measured = float(mv.one_vs_rest**target)
-    if v.size == 2:
-        bound = tripartite_bound(float(v[1]), float(v[0]), target, x, a,
-                                 spec.variant, spec.p)
-    else:
-        bound = ordered_weighted_sum(np.power(v, spec.base_exp), x, a)
-
-    if spec.mode == "monogamy":
-        margin = measured - bound
-        assumed = mv.kind not in _VERIFIED_MONOGAMY
-    else:
-        margin = bound - measured
-        assumed = mv.kind not in _VERIFIED_POLYGAMY
-    return BoundReport(
-        bound_value=float(bound),
-        measured_value=measured,
-        margin=float(margin),
-        ratio_condition_ok=ok,
-        max_admissible_a=amax,
-        a=a,
-        base_relation_assumed=assumed,
-    )
+    xs = [t / r for t in targets]
+    # per target, in the order a loop over single-target calls would raise
+    for x in xs:
+        if mode == "monogamy" and variant in ("zjz1", "zjz2") and x > 0.5:
+            raise ValueError(f"variant {variant!r} requires alpha/r <= 1/2, got {x}")
+        if variant != "ours" and v.size != 2:
+            raise ValueError(
+                f"variant {variant!r} is defined for tripartite states only"
+            )
+    lower = mode == "monogamy"
+    assumed = mv.kind not in (_VERIFIED_MONOGAMY if lower else _VERIFIED_POLYGAMY)
+    v_r = np.power(v, r)
+    reports = []
+    for target, x in zip(targets, xs):
+        # alpha = 0 collapses every power to 1 (0^0 is 1 in Python and NumPy)
+        measured = float(mv.one_vs_rest**target)
+        if v.size == 2:
+            bound = tripartite_bound(float(v[1]), float(v[0]), target, x, a, variant, p)
+        else:
+            bound = _weighted_sum(v_r, x, a)
+        reports.append(BoundReport(
+            bound_value=float(bound),
+            measured_value=measured,
+            margin=float(measured - bound if lower else bound - measured),
+            ratio_condition_ok=ok,
+            max_admissible_a=amax,
+            a=a,
+            base_relation_assumed=assumed,
+        ))
+    return reports
 
 
 def monogamy_bound(mv: MeasureVector, spec: BoundSpec, strict: bool = True) -> BoundReport:
@@ -291,11 +305,13 @@ def monogamy_bound(mv: MeasureVector, spec: BoundSpec, strict: bool = True) -> B
     """
     if spec.mode != "monogamy":
         raise ValueError("monogamy_bound needs a spec in monogamy mode")
-    return _evaluate(mv, spec, strict)
+    return bound_grid(mv, spec.mode, spec.base_exp, [spec.target_exp], spec.a,
+                      spec.variant, spec.p, strict)[0]
 
 
 def polygamy_bound(mv: MeasureVector, spec: BoundSpec, strict: bool = True) -> BoundReport:
     """Evaluate the weighted polygamy upper bound; margin is bound - measured."""
     if spec.mode != "polygamy":
         raise ValueError("polygamy_bound needs a spec in polygamy mode")
-    return _evaluate(mv, spec, strict)
+    return bound_grid(mv, spec.mode, spec.base_exp, [spec.target_exp], spec.a,
+                      spec.variant, spec.p, strict)[0]

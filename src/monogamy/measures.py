@@ -8,6 +8,7 @@ mixed states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -15,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .states import DensityMatrix, PureState, reduce_density, to_density
+from .states import DensityMatrix, PureState, check_amplitudes
 
 # Eigenvalues of rho @ rho_tilde above this floor are treated as round-off
 # negatives and clipped before the square root.
@@ -47,7 +48,7 @@ class MeasureVector:
 
     def __post_init__(self):
         vals = (self.one_vs_rest, *self.pairwise)
-        if not all(np.isfinite(v) and v >= 0 for v in vals):
+        if not all(math.isfinite(v) and v >= 0 for v in vals):
             raise ValueError(f"measure values must be finite and nonnegative: {vals}")
         object.__setattr__(self, "pairwise", tuple(float(v) for v in self.pairwise))
         object.__setattr__(self, "one_vs_rest", float(self.one_vs_rest))
@@ -62,47 +63,82 @@ def _check_bipartition(n: int, part_a: Sequence[int]) -> list[int]:
     return part
 
 
+def _concurrence_of_reduced(rho_a: np.ndarray) -> np.ndarray:
+    """sqrt(2 (1 - Tr rho_A^2)) of reduced matrices of shape (..., d, d)."""
+    y = 2.0 * (1.0 - np.trace(rho_a @ rho_a, axis1=-2, axis2=-1).real)
+    return np.sqrt(np.where(y > 0.0, y, 0.0))
+
+
+def _negativity_of_reduced(rho_a: np.ndarray) -> list[float]:
+    """(Tr sqrt(rho_A))^2 - 1 of reduced matrices (..., d, d), flattened."""
+    lam = np.clip(np.linalg.eigvalsh(rho_a), 0.0, None)
+    traces = np.ravel(np.sum(np.sqrt(lam), axis=-1)).tolist()
+    # Python's float pow (the C library's), as on a single value
+    return [max(0.0, t**2 - 1.0) for t in traces]
+
+
+def _reduced(psi: PureState, part_a: Sequence[int]) -> np.ndarray:
+    part = _check_bipartition(psi.n_subsystems, part_a)
+    return linalg.partial_trace(np.outer(psi.amps, psi.amps.conj()), psi.dims, part)
+
+
 def concurrence_pure(psi: PureState, part_a: Sequence[int]) -> float:
     """Pure-state concurrence sqrt(2 (1 - Tr rho_A^2)) across a bipartition."""
-    part = _check_bipartition(psi.n_subsystems, part_a)
-    rho_a = linalg.partial_trace(
-        np.outer(psi.amps, psi.amps.conj()), psi.dims, part
-    )
-    purity = float(np.trace(rho_a @ rho_a).real)
-    return float(np.sqrt(max(0.0, 2.0 * (1.0 - purity))))
+    return float(_concurrence_of_reduced(_reduced(psi, part_a)))
 
 
-def _wootters_mu(rho: DensityMatrix) -> np.ndarray:
-    """Square roots of the eigenvalues of rho @ rho_tilde, descending.
+def _spin_flip_roots(m: np.ndarray) -> np.ndarray:
+    """Square roots of the eigenvalues of rho @ rho_tilde, descending, for
+    two-qubit density matrices of shape (..., 4, 4).
 
     Computed from the similar Hermitian matrix sqrt(rho) rho_tilde sqrt(rho),
     which is much better conditioned than the non-Hermitian product.
     """
-    if rho.dims != (2, 2):
-        raise ValueError(f"expected a two-qubit state, got dims {rho.dims}")
-    m = rho.mat
     rho_tilde = _YY @ m.conj() @ _YY
     s = linalg.psd_sqrt(m)
     ev = np.linalg.eigvalsh(s @ rho_tilde @ s)
-    if ev.min() < _MU_EIG_FLOOR:
+    if ev.min(initial=np.inf) < _MU_EIG_FLOOR:
         raise ValueError(f"spin-flip spectrum has eigenvalue {ev.min():.3e} < 0")
     # round-off residue of structural zeros would blow up to ~1e-8 under the
     # square root; clip relative to the dominant eigenvalue
     ev = np.clip(ev, 0.0, None)
-    ev[ev < 1e-13 * ev.max(initial=0.0)] = 0.0
-    mu = np.sqrt(ev)
-    return np.sort(mu)[::-1]
+    ev[ev < 1e-13 * ev.max(axis=-1, keepdims=True, initial=0.0)] = 0.0
+    return np.sort(np.sqrt(ev), axis=-1)[..., ::-1]
+
+
+def _pair_values(m: np.ndarray, kind: MeasureKind) -> list[float]:
+    """Two-qubit values of ``kind`` on density matrices (..., 4, 4), flattened.
+
+    All four kinds come from the spin-flip roots: concurrence is
+    max(0, mu_1 - mu_2 - mu_3 - mu_4), its assisted value the sum of the
+    roots, and SCREN / SCRENoA their squares, taken with Python's float pow
+    (x * x differs from it in the last bit on about 0.1% of values).
+    """
+    mu = _spin_flip_roots(m)
+    if kind in (MeasureKind.CONCURRENCE, MeasureKind.NEGATIVITY_SCREN):
+        d = mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3]
+        vals = np.ravel(np.where(d > 0.0, d, 0.0)).tolist()
+    else:
+        vals = np.ravel(np.sum(mu, axis=-1)).tolist()
+    if kind in (MeasureKind.NEGATIVITY_SCREN, MeasureKind.SCRENOA):
+        vals = [v**2 for v in vals]
+    return vals
+
+
+def _two_qubit(rho: DensityMatrix) -> np.ndarray:
+    if rho.dims != (2, 2):
+        raise ValueError(f"expected a two-qubit state, got dims {rho.dims}")
+    return rho.mat
 
 
 def concurrence_2q(rho: DensityMatrix) -> float:
     """Two-qubit mixed-state concurrence via the spin-flip closed form."""
-    mu = _wootters_mu(rho)
-    return float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]))
+    return _pair_values(_two_qubit(rho), MeasureKind.CONCURRENCE)[0]
 
 
 def concurrence_assistance_2q(rho: DensityMatrix) -> float:
     """Two-qubit concurrence of assistance: the sum of the spin-flip roots."""
-    return float(np.sum(_wootters_mu(rho)))
+    return _pair_values(_two_qubit(rho), MeasureKind.CONCURRENCE_ASSISTANCE)[0]
 
 
 def negativity(rho: DensityMatrix, part_a: Sequence[int], halved: bool = False) -> float:
@@ -118,10 +154,7 @@ def negativity(rho: DensityMatrix, part_a: Sequence[int], halved: bool = False) 
 
 def negativity_pure(psi: PureState, part_a: Sequence[int]) -> float:
     """Pure-state negativity (Tr sqrt(rho_A))^2 - 1."""
-    part = _check_bipartition(psi.n_subsystems, part_a)
-    rho_a = linalg.partial_trace(np.outer(psi.amps, psi.amps.conj()), psi.dims, part)
-    lam = np.clip(np.linalg.eigvalsh(rho_a), 0.0, None)
-    return float(max(0.0, np.sum(np.sqrt(lam)) ** 2 - 1.0))
+    return _negativity_of_reduced(_reduced(psi, part_a))[0]
 
 
 def scren_pure(psi: PureState, part_a: Sequence[int]) -> float:
@@ -132,42 +165,45 @@ def scren_pure(psi: PureState, part_a: Sequence[int]) -> float:
 def scren_2q(rho: DensityMatrix) -> float:
     """Two-qubit SCREN; pure-state negativity equals concurrence on two
     qubits, so the convex-roof optimum is the squared concurrence."""
-    return concurrence_2q(rho) ** 2
+    return _pair_values(_two_qubit(rho), MeasureKind.NEGATIVITY_SCREN)[0]
 
 
 def screnoa_2q(rho: DensityMatrix) -> float:
     """Two-qubit SCRENoA: squared concurrence of assistance (the assisted
     convex-roof optima of negativity and concurrence coincide on two qubits)."""
-    return concurrence_assistance_2q(rho) ** 2
+    return _pair_values(_two_qubit(rho), MeasureKind.SCRENOA)[0]
 
 
-_PAIRWISE = {
-    MeasureKind.CONCURRENCE: concurrence_2q,
-    MeasureKind.NEGATIVITY_SCREN: scren_2q,
-    MeasureKind.SCRENOA: screnoa_2q,
-    MeasureKind.CONCURRENCE_ASSISTANCE: concurrence_assistance_2q,
-}
+def measure_vectors(amps, dims: Sequence[int], kind: MeasureKind | str) -> list[MeasureVector]:
+    """Measure vectors of a stack of n-qubit pure states, 3 <= n <= 6.
 
-
-def _one_vs_rest(psi: PureState, kind: MeasureKind) -> float:
-    rest = list(range(1, psi.n_subsystems))
+    ``amps`` has one amplitude vector over ``dims`` per row, shape
+    (N, 2**n), each validated like a ``PureState``.  Every reduction is one
+    stacked partial trace and all pairs share one spin-flip computation; row
+    k gets the same bits as ``measure_vector`` on that state alone.
+    """
+    kind = MeasureKind(kind)
+    dims, amps = check_amplitudes(dims, amps)
+    n = len(dims)
+    if n < 3 or n > MAX_QUBITS or any(d != 2 for d in dims):
+        raise ValueError(
+            f"measure_vector needs an n-qubit pure state with 3 <= n <= {MAX_QUBITS}, "
+            f"got dims {dims}"
+        )
+    rho = amps[:, :, None] * amps.conj()[:, None, :]
+    rho_0 = linalg.partial_trace(rho, dims, [0])
     if kind in (MeasureKind.CONCURRENCE, MeasureKind.CONCURRENCE_ASSISTANCE):
         # on pure states the assisted value has a single-term decomposition
-        return concurrence_pure(psi, [0])
-    return scren_pure(psi, [0])
+        first = _concurrence_of_reduced(rho_0).tolist()
+    else:
+        first = [v**2 for v in _negativity_of_reduced(rho_0)]
+    pairs = np.stack([linalg.partial_trace(rho, dims, [0, i]) for i in range(1, n)], axis=1)
+    values = _pair_values(pairs, kind)
+    return [MeasureVector(kind, first[k], values[k * (n - 1):(k + 1) * (n - 1)])
+            for k in range(len(first))]
 
 
 def measure_vector(psi: PureState, kind: MeasureKind | str) -> MeasureVector:
     """Assemble (one-vs-rest, pairwise) values of a measure for an n-qubit
-    pure state, 3 <= n <= 6."""
-    kind = MeasureKind(kind)
-    n = psi.n_subsystems
-    if n < 3 or n > MAX_QUBITS or any(d != 2 for d in psi.dims):
-        raise ValueError(
-            f"measure_vector needs an n-qubit pure state with 3 <= n <= {MAX_QUBITS}, "
-            f"got dims {psi.dims}"
-        )
-    rho = to_density(psi)
-    pair_fn = _PAIRWISE[kind]
-    pairwise = tuple(pair_fn(reduce_density(rho, [0, i])) for i in range(1, n))
-    return MeasureVector(kind, _one_vs_rest(psi, kind), pairwise)
+    pure state, 3 <= n <= 6: ``measure_vectors`` on a stack of one."""
+    return measure_vectors(psi.amps[None, :], psi.dims, kind)[0]

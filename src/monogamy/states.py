@@ -33,20 +33,9 @@ class PureState:
     amps: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        amps = np.asarray(self.amps, dtype=complex).reshape(-1)
-        if any(d < 1 for d in dims):
-            raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-        if amps.size != int(np.prod(dims)):
-            raise ValueError(
-                f"amplitude vector length {amps.size} does not match dims {dims}"
-            )
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("amplitudes contain NaN or Inf")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state is not normalized (norm {norm!r})")
-        amps = amps.copy()
+        amps = np.asarray(self.amps, dtype=complex).reshape(1, -1)
+        dims, amps = check_amplitudes(self.dims, amps)
+        amps = amps[0].copy()
         amps.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", amps)
@@ -54,6 +43,31 @@ class PureState:
     @property
     def n_subsystems(self) -> int:
         return len(self.dims)
+
+
+def check_amplitudes(dims: Sequence[int], amps) -> tuple[tuple[int, ...], np.ndarray]:
+    """Validate a stack of amplitude vectors, one state over ``dims`` per row.
+
+    Returns ``(dims, amps)`` as a tuple of ints and an ``(N, prod(dims))``
+    complex array.  Every row must be finite and normalized to ``NORM_ATOL``.
+    """
+    dims = tuple(int(d) for d in dims)
+    amps = np.asarray(amps, dtype=complex)
+    if any(d < 1 for d in dims):
+        raise ValueError(f"subsystem dimensions must be positive, got {dims}")
+    if amps.ndim != 2:
+        raise ValueError(f"expected one amplitude vector per row, got shape {amps.shape}")
+    if amps.shape[1] != int(np.prod(dims)):
+        raise ValueError(
+            f"amplitude vector length {amps.shape[1]} does not match dims {dims}"
+        )
+    if not np.all(np.isfinite(amps.view(float))):
+        raise ValueError("amplitudes contain NaN or Inf")
+    off = np.abs(np.linalg.norm(amps, axis=1) - 1.0) > NORM_ATOL
+    if off.any():
+        norm = float(np.linalg.norm(amps[np.argmax(off)]))
+        raise ValueError(f"state is not normalized (norm {norm!r})")
+    return dims, amps
 
 
 @dataclass(frozen=True)

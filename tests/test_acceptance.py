@@ -89,11 +89,21 @@ def test_criterion_3_scalar_inequalities(capsys):
 
 def test_criterion_4_monogamy_end_to_end(capsys):
     def check():
-        rep3 = verify_monogamy_states(10_000, seed=11, r=2.0, tol=1e-8)
-        rep4 = verify_monogamy_states(1_000, seed=12, r=2.0, tol=1e-8, n_qubits=4)
+        reps = {
+            "tripartite": verify_monogamy_states(10_000, seed=11, r=2.0, tol=1e-8),
+            "four_party": verify_monogamy_states(1_000, seed=12, r=2.0, tol=1e-8,
+                                                 n_qubits=4),
+            "five_party": verify_monogamy_states(1_000, seed=14, r=2.0, tol=1e-8,
+                                                 n_qubits=5),
+            "six_party": verify_monogamy_states(500, seed=15, r=2.0, tol=1e-8,
+                                                n_qubits=6),
+        }
+        sizes = {"tripartite": 10_000, "four_party": 1_000, "five_party": 1_000,
+                 "six_party": 500}
         return (
-            rep3.failures == 0 and rep4.failures == 0,
-            {"tripartite": rep3.summary(), "four_party": rep4.summary()},
+            all(rep.failures == 0 and rep.total == 8 * sizes[name]
+                for name, rep in reps.items()),
+            {name: rep.summary() for name, rep in reps.items()},
         )
 
     _run(capsys, "4-monogamy-haar-states", 60.0, check)

@@ -54,6 +54,10 @@ GOLDEN = {
         "77a65e86fac530058500aa536a5d761492eb667d2c95b7fe8328092a69a043a1",
     f"bound --state haar:2x2x2x2x2x2:6 {MONO} --target-exp 2":
         "7ceeedb4e483446726d097d7670ee146bda132d291a975054c18580b4cb103f9",
+    "measure --state haar:2x2x2x2x2:5 --kind negativity_scren":
+        "29e6b668ecaacf7b0c4be1b365831b0b1c9fb158fad4deea3e5e58b62c2aa81b",
+    "measure --state haar:2x2x2x2x2:5 --kind concurrence_assistance":
+        "b5ea6f0b09a33562b73c7c5b90a08404132774c8f3a15190edf2dbc8e7cd8471",
     f"measure --state {WC} --kind screnoa":
         "b6eb409674e886f9a38fedf8a77e6f409ce341c93c4ef8248ef63ecd46ac5903",
     f"bound --state {WC} {POLY} --a 1.515716566510398":
