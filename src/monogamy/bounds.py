@@ -47,40 +47,38 @@ class BoundSpec:
     p: float = 0.5
 
     def __post_init__(self):
-        _check_spec(self.mode, self.base_exp, (float(self.target_exp),), self.a,
-                    self.variant, self.p)
+        if self.mode not in ("monogamy", "polygamy"):
+            raise ValueError(f"mode must be 'monogamy' or 'polygamy', got {self.mode!r}")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}")
+        r = float(self.base_exp)
+        if self.mode == "monogamy":
+            if r < 2:
+                raise ValueError(f"monogamy base exponent must be >= 2, got {r}")
+            self._check_target(self.target_exp)
+            if self.variant == "zjz1" and not 0.5 <= self.p <= 1:
+                raise ValueError(f"zjz1 requires 1/2 <= p <= 1, got {self.p}")
+        else:
+            if not 0 < r <= 1:
+                raise ValueError(f"polygamy base exponent must be in (0, 1], got {r}")
+            self._check_target(self.target_exp)
+            if self.variant == "zjz1" and not 0 < self.p <= 1:
+                raise ValueError(f"zjz1 requires 0 < p <= 1 in polygamy mode, got {self.p}")
+        if self.a is not None and self.a < 1:
+            raise ValueError(f"ratio parameter a must be >= 1, got {self.a}")
+
+    def _check_target(self, e):
+        """Raise ValueError unless ``e`` is a valid target_exp for this spec."""
+        r, e = float(self.base_exp), float(e)
+        if self.mode == "monogamy" and not 0 <= e <= r:
+            raise ValueError(f"monogamy target exponent must be in [0, {r}], got {e}")
+        if self.mode == "polygamy" and e < r:
+            raise ValueError(f"polygamy target exponent must be >= {r}, got {e}")
 
     @property
     def x(self) -> float:
         """Exponent ratio alpha/r (monogamy) or beta/s (polygamy)."""
         return float(self.target_exp) / float(self.base_exp)
-
-
-def _check_spec(mode: str, base_exp, targets, a, variant: str, p: float):
-    """Raise ValueError unless each of ``targets`` makes a valid BoundSpec."""
-    if mode not in ("monogamy", "polygamy"):
-        raise ValueError(f"mode must be 'monogamy' or 'polygamy', got {mode!r}")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    r = float(base_exp)
-    if mode == "monogamy":
-        if r < 2:
-            raise ValueError(f"monogamy base exponent must be >= 2, got {r}")
-        for e in targets:
-            if not 0 <= e <= r:
-                raise ValueError(f"monogamy target exponent must be in [0, {r}], got {e}")
-        if variant == "zjz1" and not 0.5 <= p <= 1:
-            raise ValueError(f"zjz1 requires 1/2 <= p <= 1, got {p}")
-    else:
-        if not 0 < r <= 1:
-            raise ValueError(f"polygamy base exponent must be in (0, 1], got {r}")
-        for e in targets:
-            if e < r:
-                raise ValueError(f"polygamy target exponent must be >= {r}, got {e}")
-        if variant == "zjz1" and not 0 < p <= 1:
-            raise ValueError(f"zjz1 requires 0 < p <= 1 in polygamy mode, got {p}")
-    if a is not None and a < 1:
-        raise ValueError(f"ratio parameter a must be >= 1, got {a}")
 
 
 @dataclass(frozen=True)
@@ -243,45 +241,49 @@ def tripartite_bound(smaller: float, larger: float, target: float, x: float,
     return float(w_small * smaller**target + w_large * larger**target)
 
 
-def bound_grid(mv: MeasureVector, mode: str, base_exp: float, targets,
-               a: float | None = None, variant: str = "ours", p: float = 0.5,
+def bound_grid(mv: MeasureVector, spec: BoundSpec, targets,
                strict: bool = True) -> list[BoundReport]:
-    """Evaluate one weighted bound at each target exponent of a grid.
+    """Evaluate the bound of ``spec`` at each target exponent of a grid.
 
-    ``mode``, ``base_exp``, ``a``, ``variant`` and ``p`` are as in
-    ``BoundSpec``; report ``k`` equals ``monogamy_bound`` (or
-    ``polygamy_bound``) at ``BoundSpec(..., targets[k], ...)``.  The pairwise
-    values are sorted, ``a`` resolved and the ratio condition checked once.
+    Report ``k`` equals the single-target report (``monogamy_bound`` or
+    ``polygamy_bound``) at ``replace(spec, target_exp=targets[k])``, and an
+    invalid input raises the ValueError that the first failing call of a
+    loop over those single-target calls would raise.  ``spec.target_exp``
+    itself is not used.  The pairwise values are sorted, ``a`` resolved and
+    the ratio condition checked once.
     """
     targets = [float(t) for t in targets]
-    _check_spec(mode, base_exp, targets, a, variant, p)
-    r = float(base_exp)
+    if not targets:
+        return []
+    # a single-target call has its spec, target included, checked first
+    spec._check_target(targets[0])
+    r = float(spec.base_exp)
     v = np.sort(np.asarray(mv.pairwise, dtype=float))[::-1]
     amax = max_admissible_a(v, r)
-    a = float(a) if a is not None else float(min(max(1.0, amax), A_CAP))
+    a = float(spec.a) if spec.a is not None else float(min(max(1.0, amax), A_CAP))
     ok = ratio_condition(v, a, r)
     if strict and not ok:
         raise ValueError(
             f"ratio condition fails at a={a} (max admissible {amax})"
         )
-    xs = [t / r for t in targets]
-    # per target, in the order a loop over single-target calls would raise
-    for x in xs:
-        if mode == "monogamy" and variant in ("zjz1", "zjz2") and x > 0.5:
-            raise ValueError(f"variant {variant!r} requires alpha/r <= 1/2, got {x}")
-        if variant != "ours" and v.size != 2:
-            raise ValueError(
-                f"variant {variant!r} is defined for tripartite states only"
-            )
-    lower = mode == "monogamy"
+    lower = spec.mode == "monogamy"
     assumed = mv.kind not in (_VERIFIED_MONOGAMY if lower else _VERIFIED_POLYGAMY)
     v_r = np.power(v, r)
     reports = []
-    for target, x in zip(targets, xs):
+    for target in targets:
+        spec._check_target(target)
+        x = target / r
+        if lower and spec.variant in ("zjz1", "zjz2") and x > 0.5:
+            raise ValueError(f"variant {spec.variant!r} requires alpha/r <= 1/2, got {x}")
+        if spec.variant != "ours" and v.size != 2:
+            raise ValueError(
+                f"variant {spec.variant!r} is defined for tripartite states only"
+            )
         # alpha = 0 collapses every power to 1 (0^0 is 1 in Python and NumPy)
         measured = float(mv.one_vs_rest**target)
         if v.size == 2:
-            bound = tripartite_bound(float(v[1]), float(v[0]), target, x, a, variant, p)
+            bound = tripartite_bound(float(v[1]), float(v[0]), target, x, a,
+                                     spec.variant, spec.p)
         else:
             bound = _weighted_sum(v_r, x, a)
         reports.append(BoundReport(
@@ -305,13 +307,11 @@ def monogamy_bound(mv: MeasureVector, spec: BoundSpec, strict: bool = True) -> B
     """
     if spec.mode != "monogamy":
         raise ValueError("monogamy_bound needs a spec in monogamy mode")
-    return bound_grid(mv, spec.mode, spec.base_exp, [spec.target_exp], spec.a,
-                      spec.variant, spec.p, strict)[0]
+    return bound_grid(mv, spec, [spec.target_exp], strict)[0]
 
 
 def polygamy_bound(mv: MeasureVector, spec: BoundSpec, strict: bool = True) -> BoundReport:
     """Evaluate the weighted polygamy upper bound; margin is bound - measured."""
     if spec.mode != "polygamy":
         raise ValueError("polygamy_bound needs a spec in polygamy mode")
-    return bound_grid(mv, spec.mode, spec.base_exp, [spec.target_exp], spec.a,
-                      spec.variant, spec.p, strict)[0]
+    return bound_grid(mv, spec, [spec.target_exp], strict)[0]

@@ -211,9 +211,11 @@ def verify_monogamy_states(n: int, seed: int = 0, r: float = 2.0,
     alphas = [float(alpha) for alpha in alpha_grid]
     dims = (2,) * int(n_qubits)
     for start, amps in _blocks(n, lambda: haar_random_amps(2 ** len(dims), rng)):
+        # built inside the loop, so that n = 0 validates no parameter
+        spec = bounds.BoundSpec("monogamy", r, r)
         margins = [rep.margin
                    for mv in measure_vectors(amps, dims, MeasureKind.CONCURRENCE)
-                   for rep in bounds.bound_grid(mv, "monogamy", r, alphas)]
+                   for rep in bounds.bound_grid(mv, spec, alphas)]
         report.record(margins, tol,
                       lambda i: (start + i // len(alphas), alphas[i % len(alphas)]))
     return report
@@ -255,7 +257,8 @@ def verify_polygamy_states(n: int, seed: int = 0, s: float | None = None,
                 continue
             grid = np.linspace(s_k, 3.0, 8) if beta_grid is None else beta_grid
             betas = [float(beta) for beta in grid if beta >= s_k]
-            reports = bounds.bound_grid(mv, "polygamy", s_k, betas, a=a_k, strict=False)
+            spec = bounds.BoundSpec("polygamy", s_k, s_k, a=a_k)
+            reports = bounds.bound_grid(mv, spec, betas, strict=False)
             margins.extend(rep.margin for rep in reports)
             samples.extend((k, s_k, beta) for beta in betas)
         report.record(margins, tol, samples.__getitem__)

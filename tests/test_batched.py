@@ -71,17 +71,20 @@ def product_amps(n_qubits):
     return amps
 
 
-def w_amps(n_qubits):
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[[1 << q for q in range(n_qubits)]] = 1 / np.sqrt(n_qubits)
+def w_amps(coeffs):
+    """W-class state sum_q c_q |0..1_q..0>; its two-qubit reductions have rank 2."""
+    amps = np.zeros(2 ** len(coeffs), dtype=complex)
+    amps[[1 << q for q in range(len(coeffs))]] = coeffs / np.linalg.norm(coeffs)
     return amps
 
 
-def state_stack(n_qubits, seed, n_haar=12):
-    """Haar states plus a product state and the n-qubit W state."""
+def state_stack(n_qubits, seed, n_haar=12, n_w=4):
+    """Haar states, a product state, the n-qubit W state and random W-class
+    states."""
     rng = np.random.default_rng(seed)
     rows = [haar_random_amps(2**n_qubits, rng) for _ in range(n_haar)]
-    rows += [product_amps(n_qubits), w_amps(n_qubits)]
+    rows += [product_amps(n_qubits), w_amps(np.ones(n_qubits))]
+    rows += [w_amps(np.abs(rng.standard_normal(n_qubits))) for _ in range(n_w)]
     return np.stack(rows)
 
 
@@ -163,41 +166,22 @@ class TestMeasureVectors:
     @pytest.mark.parametrize("n_qubits", [3, 4, 5, 6])
     @pytest.mark.parametrize("kind", KINDS)
     def test_rows_match_single_states(self, n_qubits, kind):
+        """Each row equals the N = 1 call and the per-matrix functions on its
+        reductions."""
         amps = state_stack(n_qubits, seed=10 + n_qubits)
         dims = (2,) * n_qubits
         got = measure_vectors(amps, dims, kind)
         assert len(got) == len(amps)
-        for k, row in enumerate(amps):
-            assert got[k] == measure_vector(PureState(dims, row), kind)
-
-    @pytest.mark.parametrize("n_qubits", [3, 4, 5, 6])
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_rows_match_per_pair_functions(self, n_qubits, kind):
-        """Each stacked value equals the per-matrix function on its reduction."""
-        amps = state_stack(n_qubits, seed=20 + n_qubits, n_haar=4)
-        dims = (2,) * n_qubits
-        for row, mv in zip(amps, measure_vectors(amps, dims, kind)):
+        for row, mv in zip(amps, got):
             psi = PureState(dims, row)
+            assert mv == measure_vector(psi, kind)
             rho = to_density(psi)
-            pairs = tuple(PAIR_FN[kind](reduce_density(rho, [0, i]))
-                          for i in range(1, n_qubits))
-            assert mv.pairwise == pairs
+            assert mv.pairwise == tuple(PAIR_FN[kind](reduce_density(rho, [0, i]))
+                                        for i in range(1, n_qubits))
             if kind in (MeasureKind.CONCURRENCE, MeasureKind.CONCURRENCE_ASSISTANCE):
                 assert mv.one_vs_rest == concurrence_pure(psi, [0])
             else:
                 assert mv.one_vs_rest == scren_pure(psi, [0])
-
-    def test_product_and_w_class_values(self):
-        prod = measure_vectors(product_amps(4)[None], (2,) * 4, "concurrence")[0]
-        assert prod.one_vs_rest == 0 and prod.pairwise == (0.0, 0.0, 0.0)
-        rng = np.random.default_rng(7)
-        rows = []
-        for _ in range(40):
-            c = np.abs(rng.standard_normal(3))
-            rows.append(w_class_state(*(c / np.linalg.norm(c))).amps)
-        for kind in KINDS:
-            got = measure_vectors(np.stack(rows), (2, 2, 2), kind)
-            assert got == [measure_vector(PureState((2, 2, 2), r), kind) for r in rows]
 
     def test_squares_use_python_pow(self):
         """SCREN and SCRENoA square with Python's float pow, as the per-state
@@ -259,6 +243,19 @@ def mvs_for_bounds():
     return out
 
 
+def single_target_loop(mv, spec, targets, strict=True):
+    """The loop ``bound_grid`` replaces: one spec and one call per target."""
+    fn = monogamy_bound if spec.mode == "monogamy" else polygamy_bound
+    return [fn(mv, dataclasses.replace(spec, target_exp=t), strict=strict)
+            for t in targets]
+
+
+def assert_grid_matches_loop(mv, spec, targets, strict):
+    grid = outcome(lambda: bound_grid(mv, spec, targets, strict=strict))
+    assert grid == outcome(lambda: single_target_loop(mv, spec, targets, strict))
+    return grid
+
+
 class TestBoundGrid:
     @pytest.mark.parametrize("strict", [False, True])
     def test_monogamy_grid_matches_per_spec(self, strict):
@@ -266,52 +263,49 @@ class TestBoundGrid:
         for mv in mvs_for_bounds():
             for a in (None, 1.0, 2.5):
                 for variant in ("ours", "jfq", "zjz2"):
-                    grid = outcome(lambda: bound_grid(mv, "monogamy", 2, alphas, a=a,
-                                                      variant=variant, strict=strict))
-                    each = outcome(lambda: [
-                        monogamy_bound(mv, BoundSpec("monogamy", 2, t, a=a, variant=variant),
-                                       strict=strict)
-                        for t in alphas])
-                    assert grid == each
+                    spec = BoundSpec("monogamy", 2, 1.0, a=a, variant=variant)
+                    assert_grid_matches_loop(mv, spec, alphas, strict)
 
     def test_zjz_grid_within_domain(self):
         for mv in mvs_for_bounds():
             if len(mv.pairwise) != 2:
                 continue
-            alphas = [0.25, 0.5, 1.0]
-            grid = bound_grid(mv, "monogamy", 2, alphas, variant="zjz1", p=0.75,
-                              strict=False)
-            assert grid == [monogamy_bound(mv, BoundSpec("monogamy", 2, t, variant="zjz1",
-                                                         p=0.75), strict=False)
-                            for t in alphas]
+            spec = BoundSpec("monogamy", 2, 1.0, variant="zjz1", p=0.75)
+            grid = assert_grid_matches_loop(mv, spec, [0.25, 0.5, 1.0], strict=False)
+            assert len(grid) == 3
 
     def test_polygamy_grid_matches_per_spec(self):
         for mv in mvs_for_bounds():
             for s in (0.5, 1.0):
                 betas = list(np.linspace(s, 3.0, 6))
                 for a in (None, 1.2):
-                    grid = outcome(lambda: bound_grid(mv, "polygamy", s, betas, a=a,
-                                                      strict=False))
-                    each = outcome(lambda: [
-                        polygamy_bound(mv, BoundSpec("polygamy", s, float(t), a=a),
-                                       strict=False)
-                        for t in betas])
-                    assert grid == each
+                    spec = BoundSpec("polygamy", s, s, a=a)
+                    assert_grid_matches_loop(mv, spec, betas, strict=False)
 
     def test_product_state_takes_a_cap(self):
         mv = measure_vectors(product_amps(5)[None], (2,) * 5, "concurrence")[0]
-        reports = bound_grid(mv, "monogamy", 2.0, [0.5, 1.0])
+        reports = bound_grid(mv, BoundSpec("monogamy", 2.0, 2.0), [0.5, 1.0])
         assert all(r.a == A_CAP and r.max_admissible_a == np.inf for r in reports)
 
-    def test_invalid_target_raises_like_bound_spec(self):
-        mv = mvs_for_bounds()[0]
-        for mode, base, bad in (("monogamy", 2.0, 2.5), ("polygamy", 0.5, 0.4)):
-            want = outcome(lambda: BoundSpec(mode, base, bad))
-            assert want[0] == "ValueError"
-            assert outcome(lambda: bound_grid(mv, mode, base, [base, bad])) == want
+    @pytest.mark.parametrize("spec,targets,seen", [
+        (BoundSpec("monogamy", 2.0, 1.0), [2.0, 2.5], "target exponent"),
+        (BoundSpec("polygamy", 0.5, 0.5), [0.5, 0.4], "target exponent"),
+        # the ratio check fails before the bad second target is reached ...
+        (BoundSpec("monogamy", 2.0, 1.0, a=1e6), [1.0, 2.5], "ratio condition fails"),
+        # ... but after a bad first one
+        (BoundSpec("monogamy", 2.0, 1.0, a=1e6), [2.5, 1.0], "target exponent"),
+        # zjz's alpha/r <= 1/2 is per target, tripartite-only per state
+        (BoundSpec("monogamy", 2.0, 0.5, variant="zjz2"), [0.5, 1.5], "alpha/r <= 1/2"),
+        (BoundSpec("monogamy", 2.0, 0.5, variant="jfq"), [0.5, 1.5], "tripartite"),
+    ])
+    def test_errors_match_the_first_failing_single_target_call(self, spec, targets, seen):
+        grids = [assert_grid_matches_loop(mv, spec, targets, strict=True)
+                 for mv in mvs_for_bounds()[::4]]
+        assert any(g[0] == "ValueError" and seen in g[1] for g in grids)
 
     def test_empty_grid(self):
-        assert bound_grid(mvs_for_bounds()[0], "monogamy", 2.0, []) == []
+        mv = mvs_for_bounds()[0]
+        assert bound_grid(mv, BoundSpec("monogamy", 2.0, 1.0, a=1e6), []) == []
 
     def test_per_target_arithmetic(self):
         """Each target keeps the single-exponent arithmetic: Python floats for
@@ -319,8 +313,8 @@ class TestBoundGrid:
         alphas = [float(t) for t in default_alpha_grid()]
         for mv in mvs_for_bounds():
             v = sorted(mv.pairwise, reverse=True)
-            for rep, alpha in zip(bound_grid(mv, "monogamy", 2.0, alphas, strict=False),
-                                  alphas):
+            reports = bound_grid(mv, BoundSpec("monogamy", 2.0, 2.0), alphas, strict=False)
+            for rep, alpha in zip(reports, alphas):
                 x, a = alpha / 2.0, rep.a
                 if len(v) == 2:
                     want = ((1 + a) ** (x - 1) * v[1] ** alpha
