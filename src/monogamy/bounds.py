@@ -9,6 +9,7 @@ the weighted monogamy and polygamy evaluators for measure vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,13 +190,47 @@ def ordered_weighted_sum(values, x: float, a: float) -> float:
         raise ValueError(f"ratio parameter a must be >= 1, got {a}")
     if x < 0:
         raise ValueError(f"exponent ratio x must be nonnegative, got {x}")
-    return _weighted_sum(v, x, a)
+    return float(_weighted_sums(v[None], [x], [a])[0, 0])
 
 
-def _weighted_sum(v: np.ndarray, x: float, a: float) -> float:
-    w = (1 + 1 / a) ** (x - 1)
-    weights = w ** np.arange(v.size - 1, -1, -1, dtype=float)
-    return float((1 + a) ** (x - 1) * (weights * np.power(v, x)).sum())
+def _weighted_sums(v: np.ndarray, xs: list[float], a: list[float]) -> np.ndarray:
+    """(N, T) ordered weighted sums of the rows of ``v`` (N, m), each sorted
+    in descending order, at exponent ratios ``xs`` and row parameters ``a``.
+
+    Each (row, ratio) gets the bits of its own 1-d evaluation: Python-float
+    weights, NumPy's array pow, the sum along the last axis, and ``v ** x``
+    one scalar x at a time (NumPy's pow squares for a scalar exponent 2, not
+    for an array of them).
+    """
+    scale = np.array([[(1 + a_i) ** (x - 1) for a_i in a] for x in xs])
+    w = np.array([[(1 + 1 / a_i) ** (x - 1) for a_i in a] for x in xs])
+    weights = np.power(w[:, :, None], np.arange(v.shape[1] - 1, -1, -1, dtype=float))
+    powers = np.array([np.power(v, x) for x in xs])
+    return (scale * (weights * powers).sum(axis=-1)).T
+
+
+def _pow(base: float, exponent: float) -> float:
+    """Python float pow (the C library's, as NumPy's scalar pow), with
+    overflow giving inf as in NumPy rather than OverflowError."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
+def _max_a(v: list[float], exponent: float) -> float:
+    """``max_admissible_a`` of values sorted in descending order."""
+    best = math.inf
+    for hi, lo in zip(v, v[1:]):
+        if lo != 0:
+            best = min(best, _pow(hi / lo, exponent))
+    return best
+
+
+def _ratio_ok(v: list[float], a: float, exponent: float, rtol: float = 1e-12) -> bool:
+    """``ratio_condition`` of values sorted in descending order."""
+    return all(lo == 0 or not _pow(hi, exponent) < a * _pow(lo, exponent) * (1.0 - rtol)
+               for hi, lo in zip(v, v[1:]))
 
 
 def ratio_condition(values, a: float, exponent: float, rtol: float = 1e-12) -> bool:
@@ -204,33 +239,23 @@ def ratio_condition(values, a: float, exponent: float, rtol: float = 1e-12) -> b
     Pairs whose successor is zero pass vacuously.  ``rtol`` absorbs round-off
     so that a = max_admissible_a itself passes.
     """
-    v = np.sort(_check_values(values))[::-1]
+    v = np.sort(_check_values(values))[::-1].tolist()
     a, exponent = float(a), float(exponent)
     if a < 1:
         raise ValueError(f"ratio parameter a must be >= 1, got {a}")
     if exponent <= 0:
         raise ValueError(f"exponent must be positive, got {exponent}")
-    for hi, lo in zip(v[:-1], v[1:]):
-        if lo == 0:
-            continue
-        if hi**exponent < a * lo**exponent * (1.0 - rtol):
-            return False
-    return True
+    return _ratio_ok(v, a, exponent, rtol)
 
 
 def max_admissible_a(values, exponent: float) -> float:
     """Largest a satisfying the ratio condition: min over consecutive sorted
     pairs of (v_(i)/v_(i+1))^exponent, +inf when every successor is zero."""
-    v = np.sort(_check_values(values))[::-1]
+    v = np.sort(_check_values(values))[::-1].tolist()
     exponent = float(exponent)
     if exponent <= 0:
         raise ValueError(f"exponent must be positive, got {exponent}")
-    best = np.inf
-    for hi, lo in zip(v[:-1], v[1:]):
-        if lo == 0:
-            continue
-        best = min(best, (hi / lo) ** exponent)
-    return float(best)
+    return _max_a(v, exponent)
 
 
 def tripartite_bound(smaller: float, larger: float, target: float, x: float,
@@ -241,6 +266,81 @@ def tripartite_bound(smaller: float, larger: float, target: float, x: float,
     return float(w_small * smaller**target + w_large * larger**target)
 
 
+def _check_targets(spec: BoundSpec, targets: list[float], m: int):
+    """Each target's own checks, in a loop of single-target calls' order."""
+    for target in targets:
+        spec._check_target(target)
+        x = target / float(spec.base_exp)
+        if spec.mode == "monogamy" and spec.variant in ("zjz1", "zjz2") and x > 0.5:
+            raise ValueError(f"variant {spec.variant!r} requires alpha/r <= 1/2, got {x}")
+        if spec.variant != "ours" and m != 2:
+            raise ValueError(
+                f"variant {spec.variant!r} is defined for tripartite states only"
+            )
+
+
+def _grid(one_vs_rest: np.ndarray, pairwise: np.ndarray, spec: BoundSpec, targets,
+          strict: bool):
+    """The bound of ``spec`` for N states at T target exponents.
+
+    ``one_vs_rest`` is (N,) and ``pairwise`` (N, m).  Returns the measured
+    values, bounds and margins as (N, T) arrays and, per state,
+    max_admissible_a, the resolved a and the ratio condition.  An invalid
+    input raises the ValueError that the first failing call of a loop of
+    ``bound_grid`` calls over the states would raise.
+    """
+    targets = [float(t) for t in targets]
+    n = len(one_vs_rest)
+    if not n or not targets:
+        empty = np.empty((n, len(targets)))
+        return empty, empty, empty, [], [], []
+    # a single-target call has its spec, target included, checked first
+    spec._check_target(targets[0])
+    r = float(spec.base_exp)
+    rows = np.sort(pairwise, axis=1)[:, ::-1]
+    values = rows.tolist()
+    amax, a, ok = [], [], []
+    for i, v in enumerate(values):
+        if not v or not all(0 <= x < math.inf for x in v):
+            _check_values(rows[i])  # raises a one-state call's message
+        amax.append(_max_a(v, r))
+        a.append(float(spec.a) if spec.a is not None else min(max(1.0, amax[i]), A_CAP))
+        ok.append(_ratio_ok(v, a[i], r))
+        if strict and not ok[i]:
+            raise ValueError(
+                f"ratio condition fails at a={a[i]} (max admissible {amax[i]})"
+            )
+        if not i:
+            _check_targets(spec, targets, len(v))
+    xs = [t / r for t in targets]
+    # alpha = 0 collapses every power to 1 (0^0 is 1 in Python and NumPy)
+    measured = np.array([[o**t for t in targets] for o in one_vs_rest.tolist()])
+    if rows.shape[1] == 2:
+        bound = np.array([[tripartite_bound(lo, hi, t, x, a_i, spec.variant, spec.p)
+                           for t, x in zip(targets, xs)]
+                          for (hi, lo), a_i in zip(values, a)])
+    else:
+        # v^r row by row: NumPy's pow takes another loop for a reversed row
+        # (the C library's pow) than for a stack of them
+        bound = _weighted_sums(np.array([np.power(v, r) for v in rows]), xs, a)
+    margin = measured - bound if spec.mode == "monogamy" else bound - measured
+    return measured, bound, margin, amax, a, ok
+
+
+def margin_grid(mvs, spec: BoundSpec, targets, strict: bool = True) -> np.ndarray:
+    """Margins of the bound of ``spec`` for a sequence of N measure vectors
+    at T target exponents, as an (N, T) array.
+
+    Row ``i`` holds the margins of ``bound_grid(mvs[i], spec, targets,
+    strict)`` bit for bit, and an invalid input raises the ValueError that
+    the first failing call of a loop of those calls would raise.  The
+    measure vectors must have equal numbers of pairwise values.
+    """
+    one_vs_rest = np.array([mv.one_vs_rest for mv in mvs], dtype=float)
+    pairwise = np.array([mv.pairwise for mv in mvs], dtype=float)
+    return _grid(one_vs_rest, pairwise, spec, targets, strict)[2]
+
+
 def bound_grid(mv: MeasureVector, spec: BoundSpec, targets,
                strict: bool = True) -> list[BoundReport]:
     """Evaluate the bound of ``spec`` at each target exponent of a grid.
@@ -249,53 +349,15 @@ def bound_grid(mv: MeasureVector, spec: BoundSpec, targets,
     ``polygamy_bound``) at ``replace(spec, target_exp=targets[k])``, and an
     invalid input raises the ValueError that the first failing call of a
     loop over those single-target calls would raise.  ``spec.target_exp``
-    itself is not used.  The pairwise values are sorted, ``a`` resolved and
-    the ratio condition checked once.
+    itself is not used.  This is the one-state view of ``margin_grid``.
     """
-    targets = [float(t) for t in targets]
-    if not targets:
-        return []
-    # a single-target call has its spec, target included, checked first
-    spec._check_target(targets[0])
-    r = float(spec.base_exp)
-    v = np.sort(np.asarray(mv.pairwise, dtype=float))[::-1]
-    amax = max_admissible_a(v, r)
-    a = float(spec.a) if spec.a is not None else float(min(max(1.0, amax), A_CAP))
-    ok = ratio_condition(v, a, r)
-    if strict and not ok:
-        raise ValueError(
-            f"ratio condition fails at a={a} (max admissible {amax})"
-        )
-    lower = spec.mode == "monogamy"
-    assumed = mv.kind not in (_VERIFIED_MONOGAMY if lower else _VERIFIED_POLYGAMY)
-    v_r = np.power(v, r)
-    reports = []
-    for target in targets:
-        spec._check_target(target)
-        x = target / r
-        if lower and spec.variant in ("zjz1", "zjz2") and x > 0.5:
-            raise ValueError(f"variant {spec.variant!r} requires alpha/r <= 1/2, got {x}")
-        if spec.variant != "ours" and v.size != 2:
-            raise ValueError(
-                f"variant {spec.variant!r} is defined for tripartite states only"
-            )
-        # alpha = 0 collapses every power to 1 (0^0 is 1 in Python and NumPy)
-        measured = float(mv.one_vs_rest**target)
-        if v.size == 2:
-            bound = tripartite_bound(float(v[1]), float(v[0]), target, x, a,
-                                     spec.variant, spec.p)
-        else:
-            bound = _weighted_sum(v_r, x, a)
-        reports.append(BoundReport(
-            bound_value=float(bound),
-            measured_value=measured,
-            margin=float(measured - bound if lower else bound - measured),
-            ratio_condition_ok=ok,
-            max_admissible_a=amax,
-            a=a,
-            base_relation_assumed=assumed,
-        ))
-    return reports
+    measured, bound, margin, amax, a, ok = _grid(
+        np.array([mv.one_vs_rest]), np.array([mv.pairwise], dtype=float),
+        spec, targets, strict)
+    verified = _VERIFIED_MONOGAMY if spec.mode == "monogamy" else _VERIFIED_POLYGAMY
+    assumed = mv.kind not in verified
+    return [BoundReport(b, q, g, ok[0], amax[0], a[0], assumed)
+            for b, q, g in zip(bound[0].tolist(), measured[0].tolist(), margin[0].tolist())]
 
 
 def monogamy_bound(mv: MeasureVector, spec: BoundSpec, strict: bool = True) -> BoundReport:

@@ -80,17 +80,18 @@ class VerificationReport:
     failure_samples: list = field(default_factory=list)
 
     def record(self, margins, tol: float, describe):
-        """Count an array of margins; those below ``-tol`` are failures.
+        """Count an array of margins; those below ``-tol`` and those that are
+        not finite are failures, and ``worst_margin`` is the least finite one.
 
         ``describe(i)`` names the failing entry ``i`` of ``margins``; it is
         called for failing entries only.
         """
         margins = np.asarray(margins, dtype=float).ravel()
         self.total += margins.size
-        if not margins.size:
-            return
-        self.worst_margin = min(self.worst_margin, float(margins.min()))
-        bad = np.flatnonzero(margins < -tol)
+        finite = np.isfinite(margins)
+        if finite.any():
+            self.worst_margin = min(self.worst_margin, float(margins[finite].min()))
+        bad = np.flatnonzero(~finite | (margins < -tol))
         self.failures += bad.size
         for i in bad[: MAX_FAILURE_SAMPLES - len(self.failure_samples)].tolist():
             self.failure_samples.append((describe(i), float(margins[i])))
@@ -116,6 +117,13 @@ class VerificationReport:
         }
 
 
+def _sample_count(n) -> int:
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"sample count n must be nonnegative, got {n}")
+    return n
+
+
 def _indexed(label: str):
     """Failure descriptor ``label[i]`` for entry i of a sampled family."""
     return lambda i: f"{label}[{i}]"
@@ -132,7 +140,7 @@ def verify_scalar(n: int, seed: int = 0, tol: float = 1e-12,
     families.
     """
     report = VerificationReport()
-    n = int(n)
+    n = _sample_count(n)
     rng = np.random.default_rng(seed)
 
     a = rng.uniform(1.0, 10.0, n)
@@ -180,7 +188,6 @@ def _blocks(n: int, draw):
     """Yield ``(start, amps)`` for consecutive blocks of up to STATE_BLOCK of
     ``n`` states; ``draw()`` returns the next state's amplitudes, so the
     random stream is consumed state by state as by a per-state loop."""
-    n = int(n)
     for start in range(0, n, STATE_BLOCK):
         yield start, np.stack([draw() for _ in range(min(STATE_BLOCK, n - start))])
 
@@ -202,9 +209,11 @@ def verify_monogamy_states(n: int, seed: int = 0, r: float = 2.0,
 
     Uses concurrence with base exponent ``r`` and the tightest admissible
     ratio parameter a = max(1, max_admissible_a).  Tripartite states use the
-    two-term bound; more parties use the ordered weighted sum.
+    two-term bound; more parties use the ordered weighted sum.  Each block
+    of states goes through one ``margin_grid`` call.
     """
     report = VerificationReport()
+    n = _sample_count(n)
     rng = np.random.default_rng(seed)
     if alpha_grid is None:
         alpha_grid = default_alpha_grid(r)
@@ -213,10 +222,8 @@ def verify_monogamy_states(n: int, seed: int = 0, r: float = 2.0,
     for start, amps in _blocks(n, lambda: haar_random_amps(2 ** len(dims), rng)):
         # built inside the loop, so that n = 0 validates no parameter
         spec = bounds.BoundSpec("monogamy", r, r)
-        margins = [rep.margin
-                   for mv in measure_vectors(amps, dims, MeasureKind.CONCURRENCE)
-                   for rep in bounds.bound_grid(mv, spec, alphas)]
-        report.record(margins, tol,
+        mvs = measure_vectors(amps, dims, MeasureKind.CONCURRENCE)
+        report.record(bounds.margin_grid(mvs, spec, alphas), tol,
                       lambda i: (start + i // len(alphas), alphas[i % len(alphas)]))
     return report
 
@@ -231,6 +238,7 @@ def verify_polygamy_states(n: int, seed: int = 0, s: float | None = None,
     (or whose pairwise ratio is degenerate) are skipped, not failed.
     """
     report = VerificationReport()
+    n = _sample_count(n)
     rng = np.random.default_rng(seed)
     for start, amps in _blocks(n, lambda: _w_class_amps(rng)):
         margins, samples = [], []

@@ -1,21 +1,24 @@
 """Stacked and per-state paths agree bit for bit.
 
-The stacked linear algebra, ``measure_vectors``, ``bound_grid`` and the
-blocked state suites must give exactly what the per-matrix, per-state and
-per-exponent paths give, so every comparison here uses ``==``.
+The stacked linear algebra, ``measure_vectors``, ``bound_grid``,
+``margin_grid`` and the blocked state suites must give exactly what the
+per-matrix, per-state and per-exponent paths give, so every comparison here
+uses ``==``.
 """
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 
-from monogamy import linalg
+from monogamy import linalg, verify
 from monogamy.bounds import (
     A_CAP,
     BoundSpec,
     bound_grid,
+    margin_grid,
     max_admissible_a,
     monogamy_bound,
     polygamy_bound,
@@ -328,6 +331,132 @@ class TestBoundGrid:
                 assert rep.margin == mv.one_vs_rest**alpha - want
 
 
+def bound_grid_loop(mvs, spec, targets, strict=True):
+    """The loop ``margin_grid`` replaces: one ``bound_grid`` call per state."""
+    return [[rep.margin for rep in bound_grid(mv, spec, targets, strict=strict)]
+            for mv in mvs]
+
+
+def assert_margins_match_loop(mvs, spec, targets, strict=True):
+    got = outcome(lambda: margin_grid(mvs, spec, targets, strict=strict).tolist())
+    assert got == outcome(lambda: bound_grid_loop(mvs, spec, targets, strict))
+    return got
+
+
+def unchecked_mv(one_vs_rest, pairwise):
+    """A measure vector that skipped MeasureVector's own value check."""
+    return types.SimpleNamespace(kind=MeasureKind.CONCURRENCE, one_vs_rest=one_vs_rest,
+                                 pairwise=tuple(pairwise))
+
+
+def parent_max_admissible_a(values, exponent):
+    """max_admissible_a as it was: NumPy scalars over a sorted array."""
+    v = np.sort(np.asarray(values, dtype=float))[::-1]
+    best = np.inf
+    for hi, lo in zip(v[:-1], v[1:]):
+        if lo == 0:
+            continue
+        best = min(best, (hi / lo) ** float(exponent))
+    return float(best)
+
+
+def parent_ratio_condition(values, a, exponent, rtol=1e-12):
+    """ratio_condition as it was: NumPy scalars over a sorted array."""
+    v = np.sort(np.asarray(values, dtype=float))[::-1]
+    for hi, lo in zip(v[:-1], v[1:]):
+        if lo == 0:
+            continue
+        if hi**float(exponent) < float(a) * lo**float(exponent) * (1.0 - rtol):
+            return False
+    return True
+
+
+class TestMarginGrid:
+    @pytest.mark.parametrize("n_qubits", [3, 4, 5, 6])
+    def test_rows_match_bound_grid(self, n_qubits):
+        amps = state_stack(n_qubits, seed=50 + n_qubits)
+        alphas = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0]
+        for kind in KINDS:
+            mvs = measure_vectors(amps, (2,) * n_qubits, kind)
+            for a in (None, 1.3):
+                for r in (2.0, 3.0):
+                    spec = BoundSpec("monogamy", r, r, a=a)
+                    got = assert_margins_match_loop(mvs, spec, alphas + [r], strict=False)
+                    assert len(got) == len(mvs) and len(got[0]) == 7
+                for s in (0.3, 0.5, 1.0):
+                    spec = BoundSpec("polygamy", s, s, a=a)
+                    assert_margins_match_loop(mvs, spec, list(np.linspace(s, 3.0, 5)),
+                                              strict=False)
+
+    def test_tripartite_variants(self):
+        mvs = measure_vectors(state_stack(3, seed=60), (2, 2, 2), "concurrence")
+        for variant, p in (("jfq", 0.5), ("zjz1", 0.75), ("zjz2", 0.5)):
+            for a in (None, 1.2):
+                spec = BoundSpec("monogamy", 2.0, 1.0, a=a, variant=variant, p=p)
+                assert_margins_match_loop(mvs, spec, [0.0, 0.5, 1.0], strict=False)
+                spec = BoundSpec("polygamy", 0.6, 0.6, a=a, variant=variant, p=p)
+                assert_margins_match_loop(mvs, spec, [0.6, 1.5, 3.0], strict=False)
+
+    def test_product_state_row(self):
+        mvs = measure_vectors(product_amps(4)[None], (2,) * 4, "concurrence")
+        reports = bound_grid(mvs[0], BoundSpec("monogamy", 2.0, 2.0), [0.0, 1.0])
+        assert all(r.a == A_CAP and r.max_admissible_a == math.inf for r in reports)
+        got = margin_grid(mvs, BoundSpec("monogamy", 2.0, 2.0), [0.0, 1.0])
+        assert got.tolist() == [[r.margin for r in reports]]
+
+    def test_empty_inputs(self):
+        mvs = measure_vectors(state_stack(3, seed=61, n_haar=2), (2, 2, 2), "concurrence")
+        spec = BoundSpec("monogamy", 2.0, 2.0)
+        assert margin_grid(mvs, spec, []).shape == (len(mvs), 0)
+        assert margin_grid([], spec, [1.0, 2.5]).shape == (0, 2)
+
+    @pytest.mark.parametrize("spec,pairwise,targets,seen", [
+        # a bad target is checked before any state
+        (BoundSpec("monogamy", 2.0, 1.0), [(0.5, 0.1), (math.nan, 0.1)], [2.5, 1.0],
+         "target exponent"),
+        # a strict ratio failure in the second state
+        (BoundSpec("monogamy", 2.0, 1.0, a=1.5), [(0.5, 0.1), (0.5, 0.49)], [1.0, 2.0],
+         "ratio condition fails"),
+        # ... comes after the targets' own checks, which follow the first state
+        (BoundSpec("monogamy", 2.0, 1.0, a=1.5), [(0.5, 0.1), (0.5, 0.49)], [1.0, 2.5],
+         "target exponent"),
+        (BoundSpec("monogamy", 2.0, 1.0, a=1.5), [(0.5, 0.49), (0.5, 0.1)], [1.0, 2.5],
+         "ratio condition fails"),
+        # NaN and negative values, after or before a ratio failure
+        (BoundSpec("monogamy", 2.0, 1.0), [(0.5, 0.1, 0.0), (0.4, math.nan, 0.1)], [1.0],
+         "finite and nonnegative"),
+        (BoundSpec("monogamy", 2.0, 1.0, a=3.0), [(0.5, 0.1), (0.5, 0.4), (0.2, -0.1)],
+         [1.0], "ratio condition fails"),
+        (BoundSpec("polygamy", 0.5, 0.5), [(0.2, -0.1), (0.5, 0.4)], [1.0],
+         "finite and nonnegative"),
+        (BoundSpec("monogamy", 2.0, 0.5, variant="jfq"), [(0.5, 0.1, 0.05)], [0.5],
+         "tripartite"),
+    ])
+    def test_errors_match_a_bound_grid_loop(self, spec, pairwise, targets, seen):
+        mvs = [unchecked_mv(0.9, pw) for pw in pairwise]
+        got = assert_margins_match_loop(mvs, spec, targets, strict=True)
+        assert got[0] == "ValueError" and seen in got[1]
+
+    def test_ratio_helpers_on_unsorted_values(self):
+        rng = np.random.default_rng(12)
+        for _ in range(1000):
+            v = rng.random(rng.integers(1, 7)) ** rng.integers(1, 4)
+            v[rng.random(v.size) < 0.15] = 0.0
+            v[rng.random(v.size) < 0.15] = v[0]
+            rng.shuffle(v)
+            for e in (0.3, 1.0, 2.0, 3.5):
+                got = max_admissible_a(list(v), e)
+                assert got == parent_max_admissible_a(v, e) and type(got) is float
+                for a in (1.0, 1.7, got if 1 <= got < math.inf else 2.0):
+                    got_ok = ratio_condition(tuple(v), a, e)
+                    assert got_ok is parent_ratio_condition(v, a, e)
+        # an overflowing ratio power is inf, as NumPy's scalar pow gives it
+        with np.errstate(over="ignore"):
+            for v, e in (([1e-17, 1.0], 40.0), ([1e200, 1e100], 2.0)):
+                assert max_admissible_a(v, e) == parent_max_admissible_a(v, e)
+                assert ratio_condition(v, 1.5, e) is parent_ratio_condition(v, 1.5, e)
+
+
 ALPHAS = [float(alpha) for alpha in default_alpha_grid(2.0)]
 
 
@@ -438,6 +567,19 @@ class TestBlockedSuites:
                     continue
                 a = min(max(1.0, max_admissible_a(v, s)), A_CAP)
                 assert ratio_condition(v, a, s)
+
+    @pytest.mark.parametrize("n_qubits", [3, 5])
+    def test_monogamy_does_not_depend_on_block_size(self, monkeypatch, n_qubits):
+        # every margin fails and every failure is kept, so the descriptors of
+        # all blocks are compared
+        monkeypatch.setattr(verify, "MAX_FAILURE_SAMPLES", 10**4)
+        reports = []
+        for block in (1, 7, 64):
+            monkeypatch.setattr(verify, "STATE_BLOCK", block)
+            rep = verify_monogamy_states(150, seed=8, n_qubits=n_qubits, tol=-math.inf)
+            reports.append(dataclasses.asdict(rep))
+        assert reports[0]["failures"] == len(reports[0]["failure_samples"]) == 150 * 8
+        assert reports[0] == reports[1] == reports[2]
 
     @pytest.mark.parametrize("suite", [verify_monogamy_states, verify_polygamy_states])
     def test_zero_samples(self, suite):

@@ -154,6 +154,12 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["scalar"]["total"] == 0
 
+    @pytest.mark.parametrize("suite", ["scalar", "monogamy", "polygamy", "all"])
+    def test_negative_samples_exit_3(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", "-4")
+        assert code == 3 and out == ""
+        assert "sample count n must be nonnegative, got -4" in err
+
     def test_dominance_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "dominance")
         assert code == 0

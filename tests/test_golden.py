@@ -15,6 +15,7 @@ import hashlib
 import pytest
 
 from monogamy.cli import main
+from monogamy.verify import verify_monogamy_states
 
 EX1 = "schmidt3:0.5,sqrt(6)/6,sqrt(6)/6,0.5,sqrt(6)/6"
 WC = "wclass:1/2,1/2,sqrt(2)/2"
@@ -74,3 +75,19 @@ def test_output_digest(capsys, command):
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+
+
+# verify_monogamy_states(150, seed=3, n_qubits=q) summaries, worst margins in
+# full precision: the ordered weighted sum of four or more parties
+MONOGAMY_SUMMARIES = {
+    4: {"total": 1200, "failures": 0, "skipped": 0, "worst_margin": "0.26086645251277873"},
+    5: {"total": 1200, "failures": 0, "skipped": 0, "worst_margin": "0.6781351924028663"},
+    6: {"total": 1200, "failures": 0, "skipped": 0, "worst_margin": "0.7977100237780956"},
+}
+
+
+@pytest.mark.parametrize("n_qubits", MONOGAMY_SUMMARIES)
+def test_monogamy_summary(n_qubits):
+    summary = verify_monogamy_states(150, seed=3, n_qubits=n_qubits).summary()
+    summary["worst_margin"] = repr(summary["worst_margin"])
+    assert summary == MONOGAMY_SUMMARIES[n_qubits]

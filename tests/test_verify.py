@@ -88,6 +88,13 @@ class TestVerifyStates:
         assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
 
+@pytest.mark.parametrize("suite", [verify_scalar, verify_monogamy_states, verify_polygamy_states])
+def test_negative_sample_count_raises(suite):
+    with pytest.raises(ValueError, match="sample count n must be nonnegative, got -4"):
+        suite(-4)
+    assert suite(0).summary()["total"] == 0
+
+
 class TestDominance:
     def test_example1_rows(self):
         grid = default_grid("example1")
@@ -158,3 +165,14 @@ def test_record_describes_failing_entries_only():
     assert calls == [1, 3]
     assert rep.failure_samples == [("entry1", -1.0), ("entry3", -2.0)]
     assert (rep.total, rep.failures, rep.worst_margin) == (4, 2, -2.0)
+
+
+def test_record_counts_non_finite_margins_as_failures():
+    rep = VerificationReport()
+    rep.record([math.nan, 0.5], 1e-8, lambda i: f"entry{i}")
+    assert (rep.failures, rep.worst_margin) == (1, 0.5)
+    [(name, margin)] = rep.failure_samples
+    assert name == "entry0" and math.isnan(margin)
+    rep.record([math.inf, -math.inf, -0.25], 1e-8, lambda i: f"more{i}")
+    assert (rep.total, rep.failures, rep.worst_margin) == (5, 4, -0.25)
+    assert [name for name, _ in rep.failure_samples] == ["entry0", "more0", "more1", "more2"]
