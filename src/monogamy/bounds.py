@@ -194,14 +194,10 @@ def ordered_weighted_sum(values, x: float, a: float) -> float:
 
 
 def _weighted_sums(v: np.ndarray, xs: list[float], a: list[float]) -> np.ndarray:
-    """(N, T) ordered weighted sums of the rows of ``v`` (N, m), each sorted
-    in descending order, at exponent ratios ``xs`` and row parameters ``a``.
-
-    Each (row, ratio) gets the bits of its own 1-d evaluation: Python-float
-    weights, NumPy's array pow, the sum along the last axis, and ``v ** x``
-    one scalar x at a time (NumPy's pow squares for a scalar exponent 2, not
-    for an array of them).
-    """
+    """(N, T) ordered weighted sums of the descending rows of ``v`` (N, m)
+    at exponent ratios ``xs`` and row parameters ``a``, each with the bits
+    of its 1-d evaluation: Python-float weights, and ``v ** x`` one scalar x
+    at a time (NumPy's pow squares for a scalar exponent 2, not an array)."""
     scale = np.array([[(1 + a_i) ** (x - 1) for a_i in a] for x in xs])
     w = np.array([[(1 + 1 / a_i) ** (x - 1) for a_i in a] for x in xs])
     weights = np.power(w[:, :, None], np.arange(v.shape[1] - 1, -1, -1, dtype=float))
@@ -266,34 +262,24 @@ def tripartite_bound(smaller: float, larger: float, target: float, x: float,
     return float(w_small * smaller**target + w_large * larger**target)
 
 
-def _check_targets(spec: BoundSpec, targets: list[float], m: int):
-    """Each target's own checks, in a loop of single-target calls' order."""
-    for target in targets:
-        spec._check_target(target)
-        x = target / float(spec.base_exp)
-        if spec.mode == "monogamy" and spec.variant in ("zjz1", "zjz2") and x > 0.5:
-            raise ValueError(f"variant {spec.variant!r} requires alpha/r <= 1/2, got {x}")
-        if spec.variant != "ours" and m != 2:
-            raise ValueError(
-                f"variant {spec.variant!r} is defined for tripartite states only"
-            )
-
-
 def _grid(one_vs_rest: np.ndarray, pairwise: np.ndarray, spec: BoundSpec, targets,
           strict: bool):
     """The bound of ``spec`` for N states at T target exponents.
 
     ``one_vs_rest`` is (N,) and ``pairwise`` (N, m).  Returns the measured
-    values, bounds and margins as (N, T) arrays and, per state,
-    max_admissible_a, the resolved a and the ratio condition.  An invalid
+    values, bounds and margins as (N, T) arrays and, per state, the
+    (ratio_condition_ok, max_admissible_a, a) of its reports.  An invalid
     input raises the ValueError that the first failing call of a loop of
-    ``bound_grid`` calls over the states would raise.
+    ``bound_grid`` calls over the states would raise.  That holds for
+    ValueErrors only: every input is checked before any power is taken, so
+    where that loop would first overflow a Python-float weight, a later
+    invalid state or target raises its ValueError here instead.
     """
     targets = [float(t) for t in targets]
     n = len(one_vs_rest)
     if not n or not targets:
         empty = np.empty((n, len(targets)))
-        return empty, empty, empty, [], [], []
+        return empty, empty, empty, []
     # a single-target call has its spec, target included, checked first
     spec._check_target(targets[0])
     r = float(spec.base_exp)
@@ -307,11 +293,16 @@ def _grid(one_vs_rest: np.ndarray, pairwise: np.ndarray, spec: BoundSpec, target
         a.append(float(spec.a) if spec.a is not None else min(max(1.0, amax[i]), A_CAP))
         ok.append(_ratio_ok(v, a[i], r))
         if strict and not ok[i]:
-            raise ValueError(
-                f"ratio condition fails at a={a[i]} (max admissible {amax[i]})"
-            )
-        if not i:
-            _check_targets(spec, targets, len(v))
+            raise ValueError(f"ratio condition fails at a={a[i]} (max admissible {amax[i]})")
+        # the targets' own checks follow the first state's, as in a target loop
+        for target in (targets if i == 0 else []):
+            spec._check_target(target)
+            x = target / r
+            if spec.mode == "monogamy" and spec.variant in ("zjz1", "zjz2") and x > 0.5:
+                raise ValueError(f"variant {spec.variant!r} requires alpha/r <= 1/2, got {x}")
+            if spec.variant != "ours" and len(v) != 2:
+                raise ValueError(f"variant {spec.variant!r} is defined for tripartite "
+                                 "states only")
     xs = [t / r for t in targets]
     # alpha = 0 collapses every power to 1 (0^0 is 1 in Python and NumPy)
     measured = np.array([[o**t for t in targets] for o in one_vs_rest.tolist()])
@@ -324,21 +315,22 @@ def _grid(one_vs_rest: np.ndarray, pairwise: np.ndarray, spec: BoundSpec, target
         # (the C library's pow) than for a stack of them
         bound = _weighted_sums(np.array([np.power(v, r) for v in rows]), xs, a)
     margin = measured - bound if spec.mode == "monogamy" else bound - measured
-    return measured, bound, margin, amax, a, ok
+    return measured, bound, margin, list(zip(ok, amax, a))
 
 
-def margin_grid(mvs, spec: BoundSpec, targets, strict: bool = True) -> np.ndarray:
+def margin_grid(mvs, spec: BoundSpec, targets) -> np.ndarray:
     """Margins of the bound of ``spec`` for a sequence of N measure vectors
     at T target exponents, as an (N, T) array.
 
-    Row ``i`` holds the margins of ``bound_grid(mvs[i], spec, targets,
-    strict)`` bit for bit, and an invalid input raises the ValueError that
-    the first failing call of a loop of those calls would raise.  The
-    measure vectors must have equal numbers of pairwise values.
+    Row ``i`` holds the margins of ``bound_grid(mvs[i], spec, targets)`` bit
+    for bit, and a failing ratio condition raises as there.  An invalid
+    input raises the ValueError that the first failing call of a loop of
+    those calls would raise (but see ``_grid`` on overflow).  The measure
+    vectors must have equal numbers of pairwise values.
     """
     one_vs_rest = np.array([mv.one_vs_rest for mv in mvs], dtype=float)
     pairwise = np.array([mv.pairwise for mv in mvs], dtype=float)
-    return _grid(one_vs_rest, pairwise, spec, targets, strict)[2]
+    return _grid(one_vs_rest, pairwise, spec, targets, strict=True)[2]
 
 
 def bound_grid(mv: MeasureVector, spec: BoundSpec, targets,
@@ -348,15 +340,16 @@ def bound_grid(mv: MeasureVector, spec: BoundSpec, targets,
     Report ``k`` equals the single-target report (``monogamy_bound`` or
     ``polygamy_bound``) at ``replace(spec, target_exp=targets[k])``, and an
     invalid input raises the ValueError that the first failing call of a
-    loop over those single-target calls would raise.  ``spec.target_exp``
-    itself is not used.  This is the one-state view of ``margin_grid``.
+    loop over those single-target calls would raise (but see ``_grid`` on
+    overflow).  ``spec.target_exp`` itself is not used.  This is the
+    one-state view of ``margin_grid``, which has no ``strict=False``.
     """
-    measured, bound, margin, amax, a, ok = _grid(
+    measured, bound, margin, params = _grid(
         np.array([mv.one_vs_rest]), np.array([mv.pairwise], dtype=float),
         spec, targets, strict)
     verified = _VERIFIED_MONOGAMY if spec.mode == "monogamy" else _VERIFIED_POLYGAMY
     assumed = mv.kind not in verified
-    return [BoundReport(b, q, g, ok[0], amax[0], a[0], assumed)
+    return [BoundReport(b, q, g, *params[0], assumed)
             for b, q, g in zip(bound[0].tolist(), measured[0].tolist(), margin[0].tolist())]
 
 

@@ -331,16 +331,21 @@ class TestBoundGrid:
                 assert rep.margin == mv.one_vs_rest**alpha - want
 
 
-def bound_grid_loop(mvs, spec, targets, strict=True):
+def bound_grid_loop(mvs, spec, targets):
     """The loop ``margin_grid`` replaces: one ``bound_grid`` call per state."""
-    return [[rep.margin for rep in bound_grid(mv, spec, targets, strict=strict)]
-            for mv in mvs]
+    return [[rep.margin for rep in bound_grid(mv, spec, targets)] for mv in mvs]
 
 
-def assert_margins_match_loop(mvs, spec, targets, strict=True):
-    got = outcome(lambda: margin_grid(mvs, spec, targets, strict=strict).tolist())
-    assert got == outcome(lambda: bound_grid_loop(mvs, spec, targets, strict))
+def assert_margins_match_loop(mvs, spec, targets):
+    got = outcome(lambda: margin_grid(mvs, spec, targets).tolist())
+    assert got == outcome(lambda: bound_grid_loop(mvs, spec, targets))
     return got
+
+
+def admissible(mvs, spec):
+    """The measure vectors whose ratio condition holds at ``spec.a``."""
+    return [mv for mv in mvs
+            if spec.a is None or ratio_condition(mv.pairwise, spec.a, spec.base_exp)]
 
 
 def unchecked_mv(one_vs_rest, pairwise):
@@ -376,26 +381,31 @@ class TestMarginGrid:
     def test_rows_match_bound_grid(self, n_qubits):
         amps = state_stack(n_qubits, seed=50 + n_qubits)
         alphas = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0]
+        kept = 0
         for kind in KINDS:
             mvs = measure_vectors(amps, (2,) * n_qubits, kind)
-            for a in (None, 1.3):
+            for a in (None, 1.0, 1.3):
                 for r in (2.0, 3.0):
                     spec = BoundSpec("monogamy", r, r, a=a)
-                    got = assert_margins_match_loop(mvs, spec, alphas + [r], strict=False)
-                    assert len(got) == len(mvs) and len(got[0]) == 7
+                    rows = admissible(mvs, spec)
+                    got = assert_margins_match_loop(rows, spec, alphas + [r])
+                    assert len(got) == len(rows) and all(len(g) == 7 for g in got)
+                    kept += len(rows) if a == 1.3 else 0
                 for s in (0.3, 0.5, 1.0):
                     spec = BoundSpec("polygamy", s, s, a=a)
-                    assert_margins_match_loop(mvs, spec, list(np.linspace(s, 3.0, 5)),
-                                              strict=False)
+                    assert_margins_match_loop(admissible(mvs, spec), spec,
+                                              list(np.linspace(s, 3.0, 5)))
+        assert kept
 
     def test_tripartite_variants(self):
         mvs = measure_vectors(state_stack(3, seed=60), (2, 2, 2), "concurrence")
         for variant, p in (("jfq", 0.5), ("zjz1", 0.75), ("zjz2", 0.5)):
             for a in (None, 1.2):
                 spec = BoundSpec("monogamy", 2.0, 1.0, a=a, variant=variant, p=p)
-                assert_margins_match_loop(mvs, spec, [0.0, 0.5, 1.0], strict=False)
+                assert admissible(mvs, spec)
+                assert_margins_match_loop(admissible(mvs, spec), spec, [0.0, 0.5, 1.0])
                 spec = BoundSpec("polygamy", 0.6, 0.6, a=a, variant=variant, p=p)
-                assert_margins_match_loop(mvs, spec, [0.6, 1.5, 3.0], strict=False)
+                assert_margins_match_loop(admissible(mvs, spec), spec, [0.6, 1.5, 3.0])
 
     def test_product_state_row(self):
         mvs = measure_vectors(product_amps(4)[None], (2,) * 4, "concurrence")
@@ -434,7 +444,7 @@ class TestMarginGrid:
     ])
     def test_errors_match_a_bound_grid_loop(self, spec, pairwise, targets, seen):
         mvs = [unchecked_mv(0.9, pw) for pw in pairwise]
-        got = assert_margins_match_loop(mvs, spec, targets, strict=True)
+        got = assert_margins_match_loop(mvs, spec, targets)
         assert got[0] == "ValueError" and seen in got[1]
 
     def test_ratio_helpers_on_unsorted_values(self):
