@@ -229,13 +229,27 @@ def _ratio_ok(v: list[float], a: float, exponent: float, rtol: float = 1e-12) ->
                for hi, lo in zip(v, v[1:]))
 
 
-def ratio_condition(values, a: float, exponent: float, rtol: float = 1e-12) -> bool:
+def ratio_condition(values, a, exponent, rtol: float = 1e-12):
     """True iff v_(i)^exp >= a v_(i+1)^exp for all consecutive sorted pairs.
 
     Pairs whose successor is zero pass vacuously.  ``rtol`` absorbs round-off
-    so that a = max_admissible_a itself passes.
+    so that a = max_admissible_a itself passes.  ``values`` may also be an
+    (N, m) stack of rows, with ``a`` and ``exponent`` scalars or of length N;
+    the result is then an (N,) bool array, and an invalid input raises what
+    the first failing call on one row would raise.
     """
-    v = np.sort(_check_values(values))[::-1].tolist()
+    v = np.asarray(values, dtype=float)
+    if v.ndim == 2:
+        a, exponent = (np.broadcast_to(np.asarray(p, dtype=float), len(v)) for p in (a, exponent))
+        bad = (~((v >= 0) & (v < math.inf)).all(axis=1) | (v.shape[1] == 0) | (a < 1)
+               | (exponent <= 0))
+        if bad.any():
+            i = np.argmax(bad)
+            ratio_condition(v[i], a[i], exponent[i])  # raises
+        rows = np.sort(v, axis=1)[:, ::-1].tolist()
+        return np.array([_ratio_ok(row, a_i, e, rtol) for row, a_i, e
+                         in zip(rows, a.tolist(), exponent.tolist())], dtype=bool)
+    v = np.sort(_check_values(v))[::-1].tolist()
     a, exponent = float(a), float(exponent)
     if a < 1:
         raise ValueError(f"ratio parameter a must be >= 1, got {a}")

@@ -143,12 +143,27 @@ def w_class_state(a, b, c) -> PureState:
 
     The documented default instance is (1/2, 1/2, sqrt(2)/2).
     """
-    a, b, c = _normalized([a, b, c])
-    amps = np.zeros(8, dtype=complex)
-    amps[0b100] = a
-    amps[0b010] = b
-    amps[0b001] = c
-    return PureState((2, 2, 2), amps)
+    return PureState((2, 2, 2), w_class_amps(np.array([[a, b, c]], dtype=float))[0])
+
+
+def w_class_amps(coeffs) -> np.ndarray:
+    """(N, 8) amplitudes of the W-class states of the (N, 3) rows (a, b, c).
+
+    Each row must be nonnegative with a norm within RENORM_TOL of 1, and is
+    divided by its norm; the first bad row raises the message that
+    ``w_class_state`` gives for it.
+    """
+    v = np.asarray(coeffs, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise ValueError(f"expected rows of three coefficients, got shape {v.shape}")
+    # the norm of np.linalg.norm on one row, bit for bit
+    norm = np.sqrt(np.vecdot(v, v))
+    bad = (v < 0).any(axis=1) | (np.abs(norm - 1.0) > RENORM_TOL)
+    if bad.any():
+        _normalized(v[np.argmax(bad)])  # raises
+    amps = np.zeros((len(v), 8), dtype=complex)
+    amps[:, [0b100, 0b010, 0b001]] = v / norm[:, None]
+    return amps
 
 
 def haar_random_pure(dims: Sequence[int], seed: int) -> PureState:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import bounds
 from .measures import MeasureKind, measure_vectors
-from .states import haar_random_amps, w_class_state
+from .states import haar_random_amps, w_class_amps
 
 MAX_FAILURE_SAMPLES = 100
 
@@ -51,11 +51,18 @@ class SweepGrid:
     step2: float
 
     def __post_init__(self):
+        fields = (self.start1, self.stop1, self.step1, self.start2, self.stop2, self.step2)
+        if not all(map(math.isfinite, fields)):
+            raise ValueError(f"grid fields must be finite, got {fields}")
         if self.step1 <= 0 or self.step2 <= 0:
             raise ValueError("grid steps must be positive")
         if self.stop1 < self.start1 or self.stop2 < self.start2:
             raise ValueError("grid ranges must be nonempty")
-        if len(self.values1()) * len(self.values2()) > 10**6:
+        # an axis keeps at least max(1, round(span / step)) of its values, so
+        # this rejects an oversize grid before any axis is built
+        least = [max(1.0, (stop - start) / step - 0.5) for start, stop, step
+                 in (fields[:3], fields[3:])]
+        if least[0] * least[1] > 10**6 or len(self.values1()) * len(self.values2()) > 10**6:
             raise ValueError("grid size exceeds 10^6 cells")
 
     def values1(self) -> np.ndarray:
@@ -186,16 +193,17 @@ def verify_scalar(n: int, seed: int = 0, tol: float = 1e-12,
 
 def _blocks(n: int, draw):
     """Yield ``(start, amps)`` for consecutive blocks of up to STATE_BLOCK of
-    ``n`` states; ``draw()`` returns the next state's amplitudes, so the
-    random stream is consumed state by state as by a per-state loop."""
+    ``n`` states; ``draw(k)`` returns the next k states' amplitudes, taken
+    from the random stream in the order of a per-state loop."""
     for start in range(0, n, STATE_BLOCK):
-        yield start, np.stack([draw() for _ in range(min(STATE_BLOCK, n - start))])
+        yield start, draw(min(STATE_BLOCK, n - start))
 
 
-def _w_class_amps(rng: np.random.Generator) -> np.ndarray:
-    coeffs = np.abs(rng.standard_normal(3))
-    coeffs /= np.linalg.norm(coeffs)
-    return w_class_state(*coeffs).amps
+def _w_class_block(rng: np.random.Generator, k: int) -> np.ndarray:
+    """k random W-class states: one draw of k x 3 normals is the stream of k
+    draws of 3, and the vecdot norm has the bits of each row's own norm."""
+    coeffs = np.abs(rng.standard_normal((k, 3)))
+    return w_class_amps(coeffs / np.sqrt(np.vecdot(coeffs, coeffs))[:, None])
 
 
 def default_alpha_grid(r: float = 2.0) -> np.ndarray:
@@ -219,7 +227,8 @@ def verify_monogamy_states(n: int, seed: int = 0, r: float = 2.0,
         alpha_grid = default_alpha_grid(r)
     alphas = [float(alpha) for alpha in alpha_grid]
     dims = (2,) * int(n_qubits)
-    for start, amps in _blocks(n, lambda: haar_random_amps(2 ** len(dims), rng)):
+    draw = lambda k: np.stack([haar_random_amps(2 ** len(dims), rng) for _ in range(k)])
+    for start, amps in _blocks(n, draw):
         # built inside the loop, so that n = 0 validates no parameter
         spec = bounds.BoundSpec("monogamy", r, r)
         mvs = measure_vectors(amps, dims, MeasureKind.CONCURRENCE)
@@ -235,41 +244,45 @@ def verify_polygamy_states(n: int, seed: int = 0, s: float | None = None,
     When ``s`` is None, each sample uses s = min(1, log2(v1/v2)) of its
     sorted pairwise values, mirroring the worked-example construction; the
     ratio parameter is then a = 2^s.  Samples whose ratio condition fails
-    (or whose pairwise ratio is degenerate) are skipped, not failed.
+    (or whose pairwise ratio is degenerate) are skipped, not failed.  Each
+    block of states makes one ``ratio_condition`` call and one ``margin_grid``
+    call per (s, a) among its samples.
     """
     report = VerificationReport()
     n = _sample_count(n)
     rng = np.random.default_rng(seed)
-    for start, amps in _blocks(n, lambda: _w_class_amps(rng)):
-        margins, samples = [], []
+    for start, amps in _blocks(n, lambda k: _w_class_block(rng, k)):
         mvs = measure_vectors(amps, (2, 2, 2), MeasureKind.SCRENOA)
-        for k, mv in enumerate(mvs, start):
-            v = np.sort(np.asarray(mv.pairwise))[::-1]
-            if v[1] == 0 or v[0] == 0:
-                report.skip()
-                continue
-            if s is None:
-                log2_ratio = math.log2(v[0] / v[1])
-                if log2_ratio < MIN_LOG2_RATIO:
-                    report.skip()
-                    continue
-                s_k = min(1.0, log2_ratio)
-                a_k = 2.0**s_k
+        rows = np.sort([mv.pairwise for mv in mvs], axis=1)[:, ::-1]
+        params = {}  # (s_k, a_k) of each sample that is not skipped
+        for i, (hi, lo) in enumerate(rows.tolist()):
+            if lo != 0 and s is not None:
+                params[i] = (float(s), None)
+            elif lo != 0 and (log2_ratio := math.log2(hi / lo)) >= MIN_LOG2_RATIO:
+                params[i] = (min(1.0, log2_ratio), 2.0 ** min(1.0, log2_ratio))
             else:
-                s_k = float(s)
-                a_k = None
-            # passing here implies the bound's own ratio check at a_k (or at
-            # the resolved a <= max_admissible_a) passes too
-            if not bounds.ratio_condition(v, a_k if a_k is not None else 1.0, s_k):
                 report.skip()
-                continue
+        # passing here implies the bound's own ratio check at a_k (or at the
+        # resolved a <= max_admissible_a) passes too, so margin_grid never
+        # raises on it
+        ok = bounds.ratio_condition(rows[list(params)], [a_k or 1.0 for _, a_k in params.values()],
+                                    [s_k for s_k, _ in params.values()])
+        groups = {}
+        for i, passed in zip(params, ok.tolist()):
+            if passed:
+                groups.setdefault(params[i], []).append(i)
+            else:
+                report.skip()
+        entries = []  # (sample, margin, descriptor)
+        for (s_k, a_k), members in groups.items():
             grid = np.linspace(s_k, 3.0, 8) if beta_grid is None else beta_grid
             betas = [float(beta) for beta in grid if beta >= s_k]
             spec = bounds.BoundSpec("polygamy", s_k, s_k, a=a_k)
-            reports = bounds.bound_grid(mv, spec, betas, strict=False)
-            margins.extend(rep.margin for rep in reports)
-            samples.extend((k, s_k, beta) for beta in betas)
-        report.record(margins, tol, samples.__getitem__)
+            margins = bounds.margin_grid([mvs[i] for i in members], spec, betas).tolist()
+            entries += [(i, margin, (start + i, s_k, beta)) for i, row in zip(members, margins)
+                        for margin, beta in zip(row, betas)]
+        entries.sort(key=lambda entry: entry[0])  # sample order; the sort is stable
+        report.record([margin for _, margin, _ in entries], tol, lambda j: entries[j][2])
     return report
 
 

@@ -7,6 +7,7 @@ uses ``==``.
 """
 
 import dataclasses
+import itertools
 import math
 import types
 
@@ -467,6 +468,58 @@ class TestMarginGrid:
                 assert ratio_condition(v, 1.5, e) is parent_ratio_condition(v, 1.5, e)
 
 
+def unsorted_rows(rng, n, m):
+    """Random rows of m values with zeros, ties and no fixed order."""
+    v = rng.random((n, m)) ** rng.integers(1, 4, (n, 1))
+    v[rng.random(v.shape) < 0.15] = 0.0
+    ties = rng.random(n) < 0.15
+    v[ties, -1] = v[ties, 0]
+    return rng.permuted(v, axis=1)
+
+
+class TestStackedRatioCondition:
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_rows_match_one_row_calls(self, m):
+        rng = np.random.default_rng(13 + m)
+        v = unsorted_rows(rng, 300, m)
+        e = rng.choice([0.3, 1.0, 2.0, 3.5], 300)
+        amax = np.array([max_admissible_a(row, x) for row, x in zip(v, e)])
+        # a = max_admissible_a passes within rtol; other rows get random a
+        at_max = (amax >= 1) & (amax < math.inf)
+        a = np.where(at_max, amax, rng.uniform(1.0, 3.0, 300))
+        a[rng.random(300) < 0.3] = 1.0
+        got = ratio_condition(v, a, e)
+        assert got.dtype == bool and got.shape == (300,)
+        assert got.tolist() == [ratio_condition(row, a_i, e_i) for row, a_i, e_i in zip(v, a, e)]
+        assert got[at_max].all()
+        assert not ratio_condition(v[at_max], amax[at_max] * 1.01, e[at_max]).any()
+        for a_s, e_s in ((1.0, 1.0), (1.7, 0.5), (2.0, 2.0)):
+            got = ratio_condition(v.tolist(), a_s, e_s)
+            assert got.tolist() == [ratio_condition(list(row), a_s, e_s) for row in v]
+        assert ratio_condition(np.empty((0, m)), 1.0, 1.0).shape == (0,)
+
+    @pytest.mark.parametrize("rows,a,e", [
+        ([[0.5, 0.1], [0.5, math.nan], [0.2, -0.1]], 1.0, 1.0),
+        ([[0.5, 0.1], [0.2, -0.1], [0.5, math.nan]], 1.0, 1.0),
+        ([[0.5, 0.1], [math.inf, 0.1]], 1.0, 1.0),
+        (np.empty((2, 0)), 1.0, 1.0),
+        ([[0.5, 0.1], [0.5, 0.1]], [1.0, 0.5], 1.0),
+        ([[0.5, 0.1], [0.5, 0.1]], 1.0, [1.0, 0.0]),
+        ([[0.5, 0.1], [0.5, 0.1]], 0.5, -1.0),
+        # in one row the values are checked before a, and a before exponent
+        ([[0.5, 0.1], [0.5, -0.1]], [1.0, 0.5], 1.0),
+        ([[0.5, 0.1], [0.5, 0.1], [0.5, 0.2]], [1.0, 0.5, 1.0], [1.0, -1.0, -1.0]),
+        ([[0.5, 0.1], [0.5, 0.1], [0.5, -0.2]], [1.0, 1.0, 0.5], [1.0, -1.0, 1.0]),
+    ])
+    def test_errors_match_the_first_failing_row_call(self, rows, a, e):
+        rows = np.asarray(rows, dtype=float)
+        a_rows, e_rows = (np.broadcast_to(np.asarray(p, dtype=float), len(rows)) for p in (a, e))
+        want = outcome(lambda: [ratio_condition(row, a_i, e_i)
+                                for row, a_i, e_i in zip(rows, a_rows, e_rows)])
+        assert want[0] == "ValueError"
+        assert outcome(lambda: ratio_condition(rows, a, e).tolist()) == want
+
+
 ALPHAS = [float(alpha) for alpha in default_alpha_grid(2.0)]
 
 
@@ -590,6 +643,45 @@ class TestBlockedSuites:
             reports.append(dataclasses.asdict(rep))
         assert reports[0]["failures"] == len(reports[0]["failure_samples"]) == 150 * 8
         assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("s,beta_grid", [
+        (None, None), (0.7, None), (None, [0.3, 0.7, 1.0, 2.5]),
+    ])
+    def test_polygamy_does_not_depend_on_block_size(self, monkeypatch, s, beta_grid):
+        monkeypatch.setattr(verify, "MAX_FAILURE_SAMPLES", 10**4)
+        reports = []
+        for block in (1, 7, 64):
+            monkeypatch.setattr(verify, "STATE_BLOCK", block)
+            rep = verify_polygamy_states(150, seed=8, s=s, beta_grid=beta_grid, tol=-math.inf)
+            reports.append(dataclasses.asdict(rep))
+        assert 0 < reports[0]["failures"] == len(reports[0]["failure_samples"])
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_polygamy_groups_samples_by_s_and_a(self, monkeypatch):
+        """Pairwise ratios just below 2 pass the ratio check at a = 2^s with
+        s just below 1, so that one block holds several (s, a) groups."""
+        real = verify.measure_vectors
+
+        def near_two(amps, dims, kind):
+            mvs = real(amps, dims, kind)
+            for i, mv in enumerate(mvs):
+                k = next(count)  # the sample index
+                if k % 3 == 0:
+                    hi = max(mv.pairwise)
+                    ratio = 2.0 * (1.0 - (k % 4) * 2e-14)
+                    mvs[i] = dataclasses.replace(mv, pairwise=(hi / ratio, hi))
+            return mvs
+
+        monkeypatch.setattr(verify, "measure_vectors", near_two)
+        monkeypatch.setattr(verify, "MAX_FAILURE_SAMPLES", 10**4)
+        reports = []
+        for block in (1, 64):
+            count = itertools.count()
+            monkeypatch.setattr(verify, "STATE_BLOCK", block)
+            rep = verify_polygamy_states(100, seed=2, tol=-math.inf)
+            reports.append(dataclasses.asdict(rep))
+        assert reports[0] == reports[1]
+        assert len({s for (_, s, _), _ in reports[1]["failure_samples"]}) >= 4
 
     @pytest.mark.parametrize("suite", [verify_monogamy_states, verify_polygamy_states])
     def test_zero_samples(self, suite):

@@ -137,6 +137,15 @@ class TestRepro:
         assert out.startswith("alpha,r,Z1,Z2,Z3\n")
         assert len(out.splitlines()) == 2
 
+    @pytest.mark.parametrize("grid,seen", [
+        ("0:inf:1,2:5:0.01", "finite"),
+        ("0:1e308:1e-308,2:5:0.01", "10^6"),
+    ])
+    def test_unbuildable_grid_exit_3(self, capsys, grid, seen):
+        code, out, err = run(capsys, "repro", "example1", "--grid", grid)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and seen in err
+
     def test_io_error_exit_4(self, capsys):
         code, _, _ = run(capsys, "repro", "example1", "--out", "/nonexistent/dir/x.csv")
         assert code == 4

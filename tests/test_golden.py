@@ -15,7 +15,7 @@ import hashlib
 import pytest
 
 from monogamy.cli import main
-from monogamy.verify import verify_monogamy_states
+from monogamy.verify import verify_monogamy_states, verify_polygamy_states
 
 EX1 = "schmidt3:0.5,sqrt(6)/6,sqrt(6)/6,0.5,sqrt(6)/6"
 WC = "wclass:1/2,1/2,sqrt(2)/2"
@@ -91,3 +91,25 @@ def test_monogamy_summary(n_qubits):
     summary = verify_monogamy_states(150, seed=3, n_qubits=n_qubits).summary()
     summary["worst_margin"] = repr(summary["worst_margin"])
     assert summary == MONOGAMY_SUMMARIES[n_qubits]
+
+
+# verify_polygamy_states(150, seed=3, **kwargs) summaries, worst margins in
+# full precision: per-sample s, a fixed s, and a beta grid that each sample
+# cuts at its own s
+POLYGAMY_SUMMARIES = {
+    "per-sample s": ({}, {"total": 904, "failures": 0, "skipped": 37,
+                          "worst_margin": "-1.4432899320127035e-15"}),
+    "s = 0.7": ({"s": 0.7}, {"total": 1200, "failures": 0, "skipped": 0,
+                             "worst_margin": "6.758390878687401e-14"}),
+    "ragged grid": ({"beta_grid": [0.3, 0.7, 1.0, 2.5]},
+                    {"total": 226, "failures": 0, "skipped": 37,
+                     "worst_margin": "-1.4432899320127035e-15"}),
+}
+
+
+@pytest.mark.parametrize("case", POLYGAMY_SUMMARIES)
+def test_polygamy_summary(case):
+    kwargs, want = POLYGAMY_SUMMARIES[case]
+    summary = verify_polygamy_states(150, seed=3, **kwargs).summary()
+    summary["worst_margin"] = repr(summary["worst_margin"])
+    assert summary == want

@@ -12,6 +12,7 @@ from monogamy.states import (
     reduce_density,
     schmidt3_state,
     to_density,
+    w_class_amps,
     w_class_state,
 )
 
@@ -64,6 +65,73 @@ def test_wclass_symmetric_pairwise_equal():
     psi = w_class_state(*(np.ones(3) / np.sqrt(3)))
     mv = measure_vector(psi, "screnoa")
     assert abs(mv.pairwise[0] - mv.pairwise[1]) < 1e-12
+
+
+def one_w_class_state(a, b, c):
+    """W-class amplitudes built one state at a time, with np.linalg.norm."""
+    v = np.array([a, b, c], dtype=float)
+    amps = np.zeros(8, dtype=complex)
+    amps[[0b100, 0b010, 0b001]] = v / float(np.linalg.norm(v))
+    return amps
+
+
+def wclass_outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_w_class_amps_rows_match_w_class_state():
+    rng = np.random.default_rng(4)
+    rows = np.abs(rng.standard_normal((500, 3)))
+    rows[rng.random(500) < 0.1, rng.integers(3)] = 0.0
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows[::2] *= rng.uniform(1 - 5e-7, 1 + 5e-7, (250, 1))  # renormalized rows
+    rows = np.vstack([rows, [1.0, 0.0, 0.0], [0.5, 0.5, math.sqrt(2) / 2],
+                      [0.7071068, 0.7071068, 0.0]])
+    amps = w_class_amps(rows)
+    assert amps.shape == (len(rows), 8) and amps.dtype == complex
+    for row, got in zip(rows, amps):
+        assert (got == one_w_class_state(*row)).all()
+        assert (got == w_class_state(*row).amps).all()
+
+
+def test_w_class_amps_draws_a_block_like_single_draws():
+    from monogamy import verify
+
+    for seed in range(20):
+        for k in (1, 7, 64):
+            rng = np.random.default_rng(seed)
+            want = []
+            for _ in range(k):
+                coeffs = np.abs(rng.standard_normal(3))
+                coeffs /= np.linalg.norm(coeffs)
+                want.append(one_w_class_state(*coeffs))
+            got = verify._w_class_block(np.random.default_rng(seed), k)
+            assert (got == np.array(want)).all()
+
+
+@pytest.mark.parametrize("bad", [
+    [0.6, -0.8, 0.0],  # negative
+    [1.0, 1.0, 0.0],  # off unit norm
+    [-1.0, 1.0, 1.0],  # both: the sign is checked first
+    [0.6, 0.8, math.inf],
+])
+def test_w_class_amps_raises_w_class_state_message(bad):
+    want = wclass_outcome(lambda: w_class_state(*bad))
+    assert isinstance(want, str)
+    good = [0.6, 0.8, 0.0]
+    assert wclass_outcome(lambda: w_class_amps([good, bad, good, [2.0, 0, 0]])) == want
+    # the first bad row raises
+    assert wclass_outcome(lambda: w_class_amps([good, [2.0, 0, 0], bad])) == \
+        wclass_outcome(lambda: w_class_state(2.0, 0, 0))
+
+
+def test_w_class_amps_needs_rows_of_three():
+    with pytest.raises(ValueError, match="rows of three"):
+        w_class_amps([1.0, 0.0, 0.0])
+    assert w_class_amps(np.empty((0, 3))).shape == (0, 8)
 
 
 def test_haar_deterministic():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from monogamy import bounds
+from monogamy import bounds, verify
 from monogamy.verify import (
     SweepGrid,
     VerificationReport,
@@ -32,6 +32,40 @@ class TestSweepGrid:
     def test_rejects_huge_grid(self):
         with pytest.raises(ValueError, match="10\\^6"):
             SweepGrid("a", 0, 1, 1e-7, "b", 0, 1, 1e-3)
+
+    @pytest.mark.parametrize("fields", [
+        (0, 1, 1e-7, 0, 1, 1e-3),
+        (0, 1, 1e-9, 0, 0, 1),  # one value on the other axis
+        (0, 1e308, 1e-308, 2, 5, 0.01),  # the span ratio overflows to inf
+        (-1e308, 1e308, 1, 0, 1, 1),  # the span overflows to inf
+    ])
+    def test_rejects_oversize_grid_before_building_an_axis(self, monkeypatch, fields):
+        def no_axis(*args):
+            raise AssertionError("an axis was built")
+
+        monkeypatch.setattr(verify, "_axis", no_axis)
+        start1, stop1, step1, start2, stop2, step2 = fields
+        with pytest.raises(ValueError, match="10\\^6"):
+            SweepGrid("a", start1, stop1, step1, "b", start2, stop2, step2)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_fields(self, bad):
+        for i in range(6):
+            fields = [0.0, 1.0, 0.5, 0.0, 1.0, 0.5]
+            fields[i] = bad
+            with pytest.raises(ValueError, match="finite"):
+                SweepGrid("a", *fields[:3], "b", *fields[3:])
+
+    def test_cap_is_exact_below_the_count_check(self):
+        # 1000 x 1000 cells pass; 1000 x 1001 pass the count check
+        # (999 * 1000 <= 10^6) and are rejected by the exact one
+        grid = SweepGrid("a", 0, 999, 1, "b", 0, 999, 1)
+        assert len(grid.values1()) * len(grid.values2()) == 10**6
+        with pytest.raises(ValueError, match="10\\^6"):
+            SweepGrid("a", 0, 999, 1, "b", 0, 1000, 1)
+        # an axis that drops its last value: 0.4 > 0.3 leaves 2 of 3 values
+        grid = SweepGrid("a", 0, 0.3, 0.2, "b", 0, 0.3, 0.2)
+        assert grid.values1().tolist() == [0.0, 0.2]
 
 
 class TestVerifyScalar:
