@@ -8,6 +8,7 @@ mixed states.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -77,9 +78,22 @@ def _negativity_of_reduced(rho_a: np.ndarray) -> list[float]:
     return [max(0.0, t**2 - 1.0) for t in traces]
 
 
+@functools.cache
+def _pair_index(n: int) -> np.ndarray:
+    """Gathers the n-1 amplitude matrices with qubits (0, i) on the rows;
+    read-only, as every caller shares it."""
+    grid = np.arange(2**n).reshape((2,) * n)
+    idx = np.stack([np.moveaxis(grid, i, 1).reshape(4, -1) for i in range(1, n)])
+    idx.flags.writeable = False
+    return idx
+
+
 def _reduced(psi: PureState, part_a: Sequence[int]) -> np.ndarray:
     part = _check_bipartition(psi.n_subsystems, part_a)
-    return linalg.partial_trace(np.outer(psi.amps, psi.amps.conj()), psi.dims, part)
+    # M M^dagger, with the part's axes leading the rows of M
+    m = np.moveaxis(psi.amps.reshape(psi.dims), part, range(len(part)))
+    m = m.reshape(math.prod(psi.dims[i] for i in part), -1)
+    return m @ m.conj().T
 
 
 def concurrence_pure(psi: PureState, part_a: Sequence[int]) -> float:
@@ -178,9 +192,9 @@ def measure_vectors(amps, dims: Sequence[int], kind: MeasureKind | str) -> list[
     """Measure vectors of a stack of n-qubit pure states, 3 <= n <= 6.
 
     ``amps`` has one amplitude vector over ``dims`` per row, shape
-    (N, 2**n), each validated like a ``PureState``.  Every reduction is one
-    stacked partial trace and all pairs share one spin-flip computation; row
-    k gets the same bits as ``measure_vector`` on that state alone.
+    (N, 2**n), each validated like a ``PureState``.  Every reduction is a
+    Gram matrix of the amplitudes, and all pairs share one gather and one
+    spin-flip computation; row k gets the bits of ``measure_vector`` on it.
     """
     kind = MeasureKind(kind)
     dims, amps = check_amplitudes(dims, amps)
@@ -190,15 +204,16 @@ def measure_vectors(amps, dims: Sequence[int], kind: MeasureKind | str) -> list[
             f"measure_vector needs an n-qubit pure state with 3 <= n <= {MAX_QUBITS}, "
             f"got dims {dims}"
         )
-    rho = amps[:, :, None] * amps.conj()[:, None, :]
-    rho_0 = linalg.partial_trace(rho, dims, [0])
+    # sized from n, not -1, so that an empty stack reshapes too
+    m = amps.reshape(len(amps), 2, 2 ** (n - 1))
+    rho_0 = m @ m.conj().mT
     if kind in (MeasureKind.CONCURRENCE, MeasureKind.CONCURRENCE_ASSISTANCE):
         # on pure states the assisted value has a single-term decomposition
         first = _concurrence_of_reduced(rho_0).tolist()
     else:
         first = [v**2 for v in _negativity_of_reduced(rho_0)]
-    pairs = np.stack([linalg.partial_trace(rho, dims, [0, i]) for i in range(1, n)], axis=1)
-    values = _pair_values(pairs, kind)
+    t = amps[:, _pair_index(n)]
+    values = _pair_values(t @ t.conj().mT, kind)
     return [MeasureVector(kind, first[k], values[k * (n - 1):(k + 1) * (n - 1)])
             for k in range(len(first))]
 

@@ -176,9 +176,17 @@ def haar_random_pure(dims: Sequence[int], seed: int) -> PureState:
 
 
 def haar_random_amps(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Raw Haar-uniform amplitude vector drawn from a caller-owned generator."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    """Raw Haar-uniform amplitudes: the one-row view of ``haar_random_block``."""
+    return haar_random_block(1, dim, rng)[0]
+
+
+def haar_random_block(k: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """(k, dim) Haar-uniform amplitude rows from a caller-owned generator, the
+    stream of k one-row draws: per row, dim real parts, then dim imaginary."""
+    x = rng.standard_normal((k, 2, dim))
+    v = x[:, 0] + 1j * x[:, 1]
+    # the norm of np.linalg.norm on one row, bit for bit
+    return v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
 
 
 def to_density(psi: PureState) -> DensityMatrix:

@@ -13,12 +13,12 @@ import numpy as np
 
 from . import bounds
 from .measures import MeasureKind, measure_vectors
-from .states import haar_random_amps, w_class_amps
+from .states import haar_random_block, w_class_amps
 
 MAX_FAILURE_SAMPLES = 100
 
-# States measured per stacked call in the state suites, so that memory stays
-# flat in n: 64 six-qubit density matrices take 4 MiB.
+# States drawn and measured per stacked call in the state suites, so that memory
+# stays flat in n: the pair gather of 64 six-qubit states takes 320 KiB.
 STATE_BLOCK = 64
 
 # Worked-example fixtures: pairwise values, the associated ratio parameter and
@@ -227,8 +227,7 @@ def verify_monogamy_states(n: int, seed: int = 0, r: float = 2.0,
         alpha_grid = default_alpha_grid(r)
     alphas = [float(alpha) for alpha in alpha_grid]
     dims = (2,) * int(n_qubits)
-    draw = lambda k: np.stack([haar_random_amps(2 ** len(dims), rng) for _ in range(k)])
-    for start, amps in _blocks(n, draw):
+    for start, amps in _blocks(n, lambda k: haar_random_block(k, 2 ** len(dims), rng)):
         # built inside the loop, so that n = 0 validates no parameter
         spec = bounds.BoundSpec("monogamy", r, r)
         mvs = measure_vectors(amps, dims, MeasureKind.CONCURRENCE)

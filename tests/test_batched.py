@@ -1,9 +1,12 @@
 """Stacked and per-state paths agree bit for bit.
 
 The stacked linear algebra, ``measure_vectors``, ``bound_grid``,
-``margin_grid`` and the blocked state suites must give exactly what the
-per-matrix, per-state and per-exponent paths give, so every comparison here
-uses ``==``.
+``margin_grid``, the block Haar draw and the blocked state suites must give
+exactly what the per-matrix, per-state and per-exponent paths give, so every
+comparison between them uses ``==``.  The one exception is the density-matrix
+reference: measures are taken from Gram matrices of the amplitudes, and are
+compared with the partial traces of |psi><psi| within the absolute bounds
+stated below.
 """
 
 import dataclasses
@@ -32,6 +35,7 @@ from monogamy.measures import (
     concurrence_pure,
     measure_vector,
     measure_vectors,
+    negativity_pure,
     scren_2q,
     scren_pure,
     screnoa_2q,
@@ -39,6 +43,7 @@ from monogamy.measures import (
 from monogamy.states import (
     PureState,
     haar_random_amps,
+    haar_random_block,
     reduce_density,
     to_density,
     w_class_state,
@@ -59,6 +64,50 @@ PAIR_FN = {
     MeasureKind.SCRENOA: screnoa_2q,
     MeasureKind.CONCURRENCE_ASSISTANCE: concurrence_assistance_2q,
 }
+
+
+# Absolute bounds of the Gram reductions against the density-matrix reference.
+# Both paths sum the same 2**(n-1) amplitude products into each reduction
+# entry, in different orders; the entries differ by at most 5.6e-16 (3 to 6
+# qubits, 184 states).  A measure is a smooth function of those entries except
+# where it takes the square root of a small quantity y (1 - purity, an
+# eigenvalue of rho_0, a spin-flip eigenvalue); there the slope 1/(2 sqrt(y))
+# amplifies an entry change.
+EPS = np.finfo(float).eps
+# One-vs-rest: on these states sqrt(y) is exactly 0 or at least 0.01, so the
+# slope stays below 50; observed <= 4.7e-15 here and <= 2.8e-14 over 720
+# states per qubit count.
+ONE_VS_REST_ATOL = 5e-14
+# Pairwise: each value is a sum of spin-flip roots mu = sqrt(ev), and a change
+# d of ev moves mu by about d / (2 mu).  At 3 qubits, and for the W class, the
+# pair reductions have rank 2 and the structurally zero roots are clipped to
+# exactly 0 in both paths; at 5 and 6 qubits the reductions are near maximally
+# mixed and all roots are large (observed <= 8.8e-15).  At 4 qubits a Haar
+# state's pair reduction has full rank and its smallest root can be ~4e-6
+# (observed differences up to 1.8e-12).  The relative clip keeps only
+# ev >= 1e-13 ev_max, with ev_max <= 1, so a kept root moves by at most
+# d / (2 sqrt(1e-13 ev_max)), 3.5e-10 for d = eps ev_max; the 4-qubit bound
+# allows about three such steps.  A root that crossed the clip would jump by
+# up to sqrt(1e-13) = 3.2e-7; no state here is at the clip.
+PAIR_ATOL = {3: 5e-14, 4: 1e-9, 5: 5e-14, 6: 5e-14}
+
+
+def reference_vector(row, n_qubits, kind):
+    """(one-vs-rest, pairwise) of ``kind`` from partial traces of |psi><psi|,
+    the density-matrix path that ``measure_vectors`` replaced."""
+    rho = to_density(PureState((2,) * n_qubits, row))
+    rho_0 = reduce_density(rho, [0]).mat
+    if kind in (MeasureKind.CONCURRENCE, MeasureKind.CONCURRENCE_ASSISTANCE):
+        first = math.sqrt(max(0.0, 2.0 * (1.0 - float(np.trace(rho_0 @ rho_0).real))))
+    else:
+        lam = np.clip(np.linalg.eigvalsh(rho_0), 0.0, None)
+        first = max(0.0, float(np.sum(np.sqrt(lam))) ** 2 - 1.0) ** 2
+    return first, [PAIR_FN[kind](reduce_density(rho, [0, i])) for i in range(1, n_qubits)]
+
+
+def assert_within(got, want, atol):
+    diff = np.abs(np.subtract(got, want, dtype=float))
+    assert diff.max(initial=0.0) <= atol, (got, want, atol)
 
 
 def outcome(fn):
@@ -170,8 +219,9 @@ class TestMeasureVectors:
     @pytest.mark.parametrize("n_qubits", [3, 4, 5, 6])
     @pytest.mark.parametrize("kind", KINDS)
     def test_rows_match_single_states(self, n_qubits, kind):
-        """Each row equals the N = 1 call and the per-matrix functions on its
-        reductions."""
+        """Each row equals the N = 1 call and the pure-state functions, and its
+        pairwise values are within PAIR_ATOL of the per-matrix functions on
+        the density-matrix reductions."""
         amps = state_stack(n_qubits, seed=10 + n_qubits)
         dims = (2,) * n_qubits
         got = measure_vectors(amps, dims, kind)
@@ -179,9 +229,8 @@ class TestMeasureVectors:
         for row, mv in zip(amps, got):
             psi = PureState(dims, row)
             assert mv == measure_vector(psi, kind)
-            rho = to_density(psi)
-            assert mv.pairwise == tuple(PAIR_FN[kind](reduce_density(rho, [0, i]))
-                                        for i in range(1, n_qubits))
+            _, pairwise = reference_vector(row, n_qubits, kind)
+            assert_within(mv.pairwise, pairwise, PAIR_ATOL[n_qubits])
             if kind in (MeasureKind.CONCURRENCE, MeasureKind.CONCURRENCE_ASSISTANCE):
                 assert mv.one_vs_rest == concurrence_pure(psi, [0])
             else:
@@ -205,7 +254,12 @@ class TestMeasureVectors:
             assert scren.one_vs_rest == screnoa.one_vs_rest
 
     def test_one_vs_rest_clipping(self):
-        """Product states hit the clip of 2 (1 - purity) at zero."""
+        """Product states hit the clip of 2 (1 - purity) at zero.
+
+        Here y = 2 (1 - purity) is round-off, and |sqrt(y) - sqrt(y')| <=
+        sqrt(|y - y'|): the Gram and reference values of y differ by at most
+        8 eps (observed), so the values differ by at most sqrt(16 eps) = 6e-8
+        (observed 3.0e-8)."""
         rng = np.random.default_rng(41)
         rows = []
         for _ in range(200):
@@ -218,10 +272,28 @@ class TestMeasureVectors:
         for row, mv in zip(rows, got):
             rho_a = linalg.partial_trace(np.outer(row, row.conj()), (2,) * 4, [0])
             purity = float(np.trace(rho_a @ rho_a).real)
-            assert mv.one_vs_rest == float(np.sqrt(max(0.0, 2.0 * (1.0 - purity))))
+            want = float(np.sqrt(max(0.0, 2.0 * (1.0 - purity))))
+            assert_within(mv.one_vs_rest, want, math.sqrt(16 * EPS))
 
     def test_empty_stack(self):
         assert measure_vectors(np.empty((0, 8), dtype=complex), (2, 2, 2), "screnoa") == []
+
+    def test_no_density_matrix_on_the_pure_state_path(self, monkeypatch):
+        """Measures of pure states and the state suites never call
+        partial_trace: every reduction is a Gram matrix of the amplitudes."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("partial_trace called on the pure-state path")
+
+        monkeypatch.setattr(linalg, "partial_trace", refuse)
+        for n_qubits in (3, 6):
+            amps = state_stack(n_qubits, seed=5, n_haar=3)
+            for kind in KINDS:
+                assert len(measure_vectors(amps, (2,) * n_qubits, kind)) == len(amps)
+            psi = PureState((2,) * n_qubits, amps[0])
+            concurrence_pure(psi, [1, 2])
+            negativity_pure(psi, [0, 2])
+        assert verify_monogamy_states(70, seed=1, n_qubits=5).total == 70 * 8
+        assert verify_polygamy_states(70, seed=1).total > 0
 
     def test_rows_are_validated_like_pure_states(self):
         amps = state_stack(3, seed=8, n_haar=3)
@@ -236,6 +308,66 @@ class TestMeasureVectors:
             measure_vectors(amps[:, :4], (2, 2, 2), "concurrence")
         with pytest.raises(ValueError, match="n-qubit"):
             measure_vectors(state_stack(2, seed=8, n_haar=3), (2, 2), "concurrence")
+
+
+class TestDensityMatrixReference:
+    """The Gram path against partial traces of |psi><psi|, within the
+    absolute bounds stated at the top of this module."""
+
+    @pytest.mark.parametrize("n_qubits", [3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_measure_vectors(self, n_qubits, kind):
+        amps = state_stack(n_qubits, seed=50 + n_qubits, n_haar=40)
+        for row, mv in zip(amps, measure_vectors(amps, (2,) * n_qubits, kind)):
+            first, pairwise = reference_vector(row, n_qubits, kind)
+            assert_within(mv.one_vs_rest, first, ONE_VS_REST_ATOL)
+            assert_within(mv.pairwise, pairwise, PAIR_ATOL[n_qubits])
+
+    @pytest.mark.parametrize("dims,part", [
+        ((2, 2, 2, 2), [1]), ((2, 2, 2, 2), [3, 1]), ((2, 2, 2, 2, 2), [0, 2, 4]),
+        ((2, 3, 2), [1]), ((2, 3, 2, 2), [2, 0]), ((2, 3, 2), [2, 0]), ((3, 2), [0]),
+    ])
+    def test_pure_state_bipartitions(self, dims, part):
+        """Any bipartition of any dims: the part's axes lead the Gram matrix.
+
+        Negativity is compared only where the part is no larger than the
+        rest.  A larger reduction has zero eigenvalues, and the square root
+        turns their round-off into noise of order sqrt(eps) = 1.5e-8 in
+        either path."""
+        rng = np.random.default_rng(len(dims) + sum(part))
+        d_part = math.prod(dims[i] for i in part)
+        for row in haar_random_block(20, math.prod(dims), rng):
+            psi = PureState(dims, row)
+            rho_a = reduce_density(to_density(psi), part).mat
+            purity = float(np.trace(rho_a @ rho_a).real)
+            assert_within(concurrence_pure(psi, part),
+                          math.sqrt(max(0.0, 2.0 * (1.0 - purity))), ONE_VS_REST_ATOL)
+            if d_part ** 2 <= math.prod(dims):
+                lam = np.clip(np.linalg.eigvalsh(rho_a), 0.0, None)
+                assert_within(negativity_pure(psi, part),
+                              max(0.0, float(np.sum(np.sqrt(lam))) ** 2 - 1.0),
+                              ONE_VS_REST_ATOL)
+
+
+class TestHaarBlock:
+    @pytest.mark.parametrize("n_qubits", [3, 4, 5, 6])
+    @pytest.mark.parametrize("k", [1, 7, 64])
+    def test_block_is_the_per_state_stream(self, n_qubits, k):
+        """One block draw has the bits of k one-row draws and of the
+        per-state formula they replaced, and leaves the stream where they
+        leave it."""
+        d = 2**n_qubits
+        for seed in range(20):
+            block_rng, row_rng, old_rng = (np.random.default_rng(seed) for _ in range(3))
+            block = haar_random_block(k, d, block_rng)
+            rows = np.stack([haar_random_amps(d, row_rng) for _ in range(k)])
+            old = []
+            for _ in range(k):
+                v = old_rng.standard_normal(d) + 1j * old_rng.standard_normal(d)
+                old.append(v / np.linalg.norm(v))
+            assert block.shape == (k, d)
+            assert block.tobytes() == rows.tobytes() == np.stack(old).tobytes()
+            assert block_rng.random() == row_rng.random() == old_rng.random()
 
 
 def mvs_for_bounds():
@@ -631,7 +763,7 @@ class TestBlockedSuites:
                 a = min(max(1.0, max_admissible_a(v, s)), A_CAP)
                 assert ratio_condition(v, a, s)
 
-    @pytest.mark.parametrize("n_qubits", [3, 5])
+    @pytest.mark.parametrize("n_qubits", [3, 4, 5, 6])
     def test_monogamy_does_not_depend_on_block_size(self, monkeypatch, n_qubits):
         # every margin fails and every failure is kept, so the descriptors of
         # all blocks are compared

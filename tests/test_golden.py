@@ -24,7 +24,7 @@ POLY = "--kind screnoa --mode polygamy --base-exp 0.6 --target-exp 1.5"
 
 GOLDEN = {
     "verify --suite all --n 300 --seed 1":
-        "50a8c30342b65cabc884068a2344ba538e89daddf5b7b652a2588263fa37674d",
+        "6e87333931bc00720481661d9b93c8cb960b3a1dd1689235971e872e9875c072",
     "repro example1":
         "f12d95e920de14160ec4703af99a0a19686a19a564d48a218d09d1c49e8cb5ae",
     "repro example2":
@@ -80,9 +80,9 @@ def test_output_digest(capsys, command):
 # verify_monogamy_states(150, seed=3, n_qubits=q) summaries, worst margins in
 # full precision: the ordered weighted sum of four or more parties
 MONOGAMY_SUMMARIES = {
-    4: {"total": 1200, "failures": 0, "skipped": 0, "worst_margin": "0.26086645251277873"},
-    5: {"total": 1200, "failures": 0, "skipped": 0, "worst_margin": "0.6781351924028663"},
-    6: {"total": 1200, "failures": 0, "skipped": 0, "worst_margin": "0.7977100237780956"},
+    4: {"total": 1200, "failures": 0, "skipped": 0, "worst_margin": "0.26086645251277363"},
+    5: {"total": 1200, "failures": 0, "skipped": 0, "worst_margin": "0.6781351924028658"},
+    6: {"total": 1200, "failures": 0, "skipped": 0, "worst_margin": "0.7977100237780959"},
 }
 
 
