@@ -25,8 +25,9 @@ _MU_EIG_FLOOR = -1e-10
 
 MAX_QUBITS = 6
 
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
+# sigma_y (x) sigma_y is real and anti-diagonal, (-1, 1, 1, -1) read from the
+# top row: YY @ f reverses the rows of f and negates the outer two
+_YY_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 
 
 class MeasureKind(str, Enum):
@@ -90,6 +91,10 @@ def _pair_index(n: int) -> np.ndarray:
 
 def _reduced(psi: PureState, part_a: Sequence[int]) -> np.ndarray:
     part = _check_bipartition(psi.n_subsystems, part_a)
+    rest = [i for i in range(psi.n_subsystems) if i not in part]
+    # the smaller side (the one with subsystem 0 on a tie) has the same
+    # nonzero spectrum and no zero eigenvalues for round-off to disturb
+    part = min(part, rest, key=lambda p: (math.prod(psi.dims[i] for i in p), p[0]))
     # M M^dagger, with the part's axes leading the rows of M
     m = np.moveaxis(psi.amps.reshape(psi.dims), part, range(len(part)))
     m = m.reshape(math.prod(psi.dims[i] for i in part), -1)
@@ -101,34 +106,38 @@ def concurrence_pure(psi: PureState, part_a: Sequence[int]) -> float:
     return float(_concurrence_of_reduced(_reduced(psi, part_a)))
 
 
-def _spin_flip_roots(m: np.ndarray) -> np.ndarray:
+def _spin_flip_roots(f: np.ndarray) -> np.ndarray:
     """Square roots of the eigenvalues of rho @ rho_tilde, descending, for
-    two-qubit density matrices of shape (..., 4, 4).
+    two-qubit states rho = f f^dagger given by factors f of shape (..., 4, k).
 
-    Computed from the similar Hermitian matrix sqrt(rho) rho_tilde sqrt(rho),
-    which is much better conditioned than the non-Hermitian product.
+    They are the singular values of the complex symmetric K = f^T YY f, taken
+    as square roots of the eigenvalues of the Hermitian K K^dagger; below
+    k = 4 the missing roots are zeros.
     """
-    rho_tilde = _YY @ m.conj() @ _YY
-    s = linalg.psd_sqrt(m)
-    ev = np.linalg.eigvalsh(s @ rho_tilde @ s)
+    if f.shape[-1] > 4:
+        # f^T = Q R, so f f^dagger = R^T R^*: R^T is a 4 x 4 factor of rho
+        f = np.linalg.qr(f.mT, mode="r").mT
+    k = f.mT @ (f[..., ::-1, :] * _YY_SIGNS)
+    ev = np.linalg.eigvalsh(k @ k.conj().mT)
     if ev.min(initial=np.inf) < _MU_EIG_FLOOR:
         raise ValueError(f"spin-flip spectrum has eigenvalue {ev.min():.3e} < 0")
     # round-off residue of structural zeros would blow up to ~1e-8 under the
-    # square root; clip relative to the dominant eigenvalue
-    ev = np.clip(ev, 0.0, None)
-    ev[ev < 1e-13 * ev.max(axis=-1, keepdims=True, initial=0.0)] = 0.0
-    return np.sort(np.sqrt(ev), axis=-1)[..., ::-1]
+    # square root; clip relative to the last (largest), negatives included
+    ev[ev < 1e-13 * ev[..., -1:]] = 0.0
+    mu = np.zeros(ev.shape[:-1] + (4,))
+    mu[..., :ev.shape[-1]] = np.sqrt(ev[..., ::-1])
+    return mu
 
 
-def _pair_values(m: np.ndarray, kind: MeasureKind) -> list[float]:
-    """Two-qubit values of ``kind`` on density matrices (..., 4, 4), flattened.
+def _pair_values(f: np.ndarray, kind: MeasureKind) -> list[float]:
+    """Two-qubit values of ``kind`` on states f f^dagger, f (..., 4, k), flattened.
 
     All four kinds come from the spin-flip roots: concurrence is
     max(0, mu_1 - mu_2 - mu_3 - mu_4), its assisted value the sum of the
     roots, and SCREN / SCRENoA their squares, taken with Python's float pow
     (x * x differs from it in the last bit on about 0.1% of values).
     """
-    mu = _spin_flip_roots(m)
+    mu = _spin_flip_roots(f)
     if kind in (MeasureKind.CONCURRENCE, MeasureKind.NEGATIVITY_SCREN):
         d = mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3]
         vals = np.ravel(np.where(d > 0.0, d, 0.0)).tolist()
@@ -139,20 +148,20 @@ def _pair_values(m: np.ndarray, kind: MeasureKind) -> list[float]:
     return vals
 
 
-def _two_qubit(rho: DensityMatrix) -> np.ndarray:
+def _two_qubit_factor(rho: DensityMatrix) -> np.ndarray:
     if rho.dims != (2, 2):
         raise ValueError(f"expected a two-qubit state, got dims {rho.dims}")
-    return rho.mat
+    return linalg.psd_sqrt(rho.mat)
 
 
 def concurrence_2q(rho: DensityMatrix) -> float:
     """Two-qubit mixed-state concurrence via the spin-flip closed form."""
-    return _pair_values(_two_qubit(rho), MeasureKind.CONCURRENCE)[0]
+    return _pair_values(_two_qubit_factor(rho), MeasureKind.CONCURRENCE)[0]
 
 
 def concurrence_assistance_2q(rho: DensityMatrix) -> float:
     """Two-qubit concurrence of assistance: the sum of the spin-flip roots."""
-    return _pair_values(_two_qubit(rho), MeasureKind.CONCURRENCE_ASSISTANCE)[0]
+    return _pair_values(_two_qubit_factor(rho), MeasureKind.CONCURRENCE_ASSISTANCE)[0]
 
 
 def negativity(rho: DensityMatrix, part_a: Sequence[int], halved: bool = False) -> float:
@@ -179,21 +188,21 @@ def scren_pure(psi: PureState, part_a: Sequence[int]) -> float:
 def scren_2q(rho: DensityMatrix) -> float:
     """Two-qubit SCREN; pure-state negativity equals concurrence on two
     qubits, so the convex-roof optimum is the squared concurrence."""
-    return _pair_values(_two_qubit(rho), MeasureKind.NEGATIVITY_SCREN)[0]
+    return _pair_values(_two_qubit_factor(rho), MeasureKind.NEGATIVITY_SCREN)[0]
 
 
 def screnoa_2q(rho: DensityMatrix) -> float:
     """Two-qubit SCRENoA: squared concurrence of assistance (the assisted
     convex-roof optima of negativity and concurrence coincide on two qubits)."""
-    return _pair_values(_two_qubit(rho), MeasureKind.SCRENOA)[0]
+    return _pair_values(_two_qubit_factor(rho), MeasureKind.SCRENOA)[0]
 
 
 def measure_vectors(amps, dims: Sequence[int], kind: MeasureKind | str) -> list[MeasureVector]:
     """Measure vectors of a stack of n-qubit pure states, 3 <= n <= 6.
 
     ``amps`` has one amplitude vector over ``dims`` per row, shape
-    (N, 2**n), each validated like a ``PureState``.  Every reduction is a
-    Gram matrix of the amplitudes, and all pairs share one gather and one
+    (N, 2**n), each validated like a ``PureState``.  rho_0 is a Gram matrix of
+    the amplitudes, and all pairs share one gather t, the factor of their one
     spin-flip computation; row k gets the bits of ``measure_vector`` on it.
     """
     kind = MeasureKind(kind)
@@ -212,8 +221,7 @@ def measure_vectors(amps, dims: Sequence[int], kind: MeasureKind | str) -> list[
         first = _concurrence_of_reduced(rho_0).tolist()
     else:
         first = [v**2 for v in _negativity_of_reduced(rho_0)]
-    t = amps[:, _pair_index(n)]
-    values = _pair_values(t @ t.conj().mT, kind)
+    values = _pair_values(amps[:, _pair_index(n)], kind)
     return [MeasureVector(kind, first[k], values[k * (n - 1):(k + 1) * (n - 1)])
             for k in range(len(first))]
 

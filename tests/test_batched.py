@@ -3,10 +3,10 @@
 The stacked linear algebra, ``measure_vectors``, ``bound_grid``,
 ``margin_grid``, the block Haar draw and the blocked state suites must give
 exactly what the per-matrix, per-state and per-exponent paths give, so every
-comparison between them uses ``==``.  The one exception is the density-matrix
-reference: measures are taken from Gram matrices of the amplitudes, and are
-compared with the partial traces of |psi><psi| within the absolute bounds
-stated below.
+comparison between them uses ``==``.  The exceptions are the references:
+measures are taken from Gram matrices and factors of the amplitudes, and are
+compared with the partial traces of |psi><psi| and the square-root form of
+the spin-flip spectrum within the absolute bounds stated below.
 """
 
 import dataclasses
@@ -17,7 +17,7 @@ import types
 import numpy as np
 import pytest
 
-from monogamy import linalg, verify
+from monogamy import linalg, measures, verify
 from monogamy.bounds import (
     A_CAP,
     BoundSpec,
@@ -41,6 +41,7 @@ from monogamy.measures import (
     screnoa_2q,
 )
 from monogamy.states import (
+    DensityMatrix,
     PureState,
     haar_random_amps,
     haar_random_block,
@@ -66,30 +67,55 @@ PAIR_FN = {
 }
 
 
-# Absolute bounds of the Gram reductions against the density-matrix reference.
-# Both paths sum the same 2**(n-1) amplitude products into each reduction
-# entry, in different orders; the entries differ by at most 5.6e-16 (3 to 6
-# qubits, 184 states).  A measure is a smooth function of those entries except
-# where it takes the square root of a small quantity y (1 - purity, an
-# eigenvalue of rho_0, a spin-flip eigenvalue); there the slope 1/(2 sqrt(y))
-# amplifies an entry change.
+# Absolute bounds of the amplitude paths against the density-matrix reference.
+# The one-vs-rest reduction is a Gram matrix: both paths sum the same
+# 2**(n-1) amplitude products into each entry, in different orders, and the
+# entries differ by at most 5.6e-16 (3 to 6 qubits, 184 states).  A measure is
+# a smooth function of those entries except where it takes the square root of
+# a small quantity y (1 - purity, an eigenvalue of rho_0); there the slope
+# 1/(2 sqrt(y)) amplifies an entry change.
 EPS = np.finfo(float).eps
 # One-vs-rest: on these states sqrt(y) is exactly 0 or at least 0.01, so the
 # slope stays below 50; observed <= 4.7e-15 here and <= 2.8e-14 over 720
 # states per qubit count.
 ONE_VS_REST_ATOL = 5e-14
-# Pairwise: each value is a sum of spin-flip roots mu = sqrt(ev), and a change
-# d of ev moves mu by about d / (2 mu).  At 3 qubits, and for the W class, the
-# pair reductions have rank 2 and the structurally zero roots are clipped to
-# exactly 0 in both paths; at 5 and 6 qubits the reductions are near maximally
-# mixed and all roots are large (observed <= 8.8e-15).  At 4 qubits a Haar
-# state's pair reduction has full rank and its smallest root can be ~4e-6
-# (observed differences up to 1.8e-12).  The relative clip keeps only
-# ev >= 1e-13 ev_max, with ev_max <= 1, so a kept root moves by at most
-# d / (2 sqrt(1e-13 ev_max)), 3.5e-10 for d = eps ev_max; the 4-qubit bound
-# allows about three such steps.  A root that crossed the clip would jump by
-# up to sqrt(1e-13) = 3.2e-7; no state here is at the clip.
+# Pairwise: each value is a sum of spin-flip roots mu = sqrt(ev).  The
+# library takes ev as the eigenvalues of K K^dagger, K = t^T YY t for the
+# gathered amplitude matrix t (its 4 x 4 QR factor at 5 and 6 qubits); the
+# reference takes them from sqrt(rho) rho~ sqrt(rho) of the partial trace
+# rho = t t^dagger.  Each is a Hermitian eigenvalue problem solved to a few
+# eps ev_max, so the two ev differ by some d of that order, and d moves mu by
+# about d / (2 mu).  At 3 qubits, and for the W class, the pair reductions
+# have rank 2 and their structurally zero roots are exactly 0 in both paths:
+# clipped, or at 3 qubits never computed by the library (K is 2 x 2, padded
+# with zeros); observed <= 7.9e-15 at 3 qubits.  At 5 and 6 qubits the
+# reductions are near maximally mixed and all roots are large (observed
+# <= 3.7e-15).  At 4 qubits a Haar state's pair reduction has full rank and
+# its smallest root can be ~4e-6 (observed differences up to 9.9e-13).
+# Observations are over about 780 states per qubit count, all four kinds.
+# The relative clip keeps only ev >= 1e-13 ev_max, with ev_max <= 1, so a
+# kept root moves by at most d / (2 sqrt(1e-13 ev_max)), 3.5e-10 for
+# d = eps ev_max; the 4-qubit bound allows about three such steps.  A root
+# that crossed the clip would jump by up to sqrt(1e-13) = 3.2e-7; no state
+# here is at the clip.
 PAIR_ATOL = {3: 5e-14, 4: 1e-9, 5: 5e-14, 6: 5e-14}
+YY = np.kron([[0.0, -1.0j], [1.0j, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]])
+
+
+def reference_pair_value(rho, kind):
+    """``kind`` on a two-qubit density matrix from the eigenvalues of
+    sqrt(rho) rho~ sqrt(rho), with rho~ = YY rho* YY: the spin-flip route the
+    library took before it worked from a factor of rho."""
+    w, v = np.linalg.eigh(rho)
+    s = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    ev = np.clip(np.linalg.eigvalsh(s @ YY @ rho.conj() @ YY @ s), 0.0, None)
+    ev[ev < 1e-13 * ev.max()] = 0.0
+    mu = np.sort(np.sqrt(ev))[::-1]
+    if kind in (MeasureKind.CONCURRENCE, MeasureKind.NEGATIVITY_SCREN):
+        value = max(0.0, float(mu[0] - mu[1] - mu[2] - mu[3]))
+    else:
+        value = float(np.sum(mu))
+    return value**2 if kind in (MeasureKind.NEGATIVITY_SCREN, MeasureKind.SCRENOA) else value
 
 
 def reference_vector(row, n_qubits, kind):
@@ -102,7 +128,8 @@ def reference_vector(row, n_qubits, kind):
     else:
         lam = np.clip(np.linalg.eigvalsh(rho_0), 0.0, None)
         first = max(0.0, float(np.sum(np.sqrt(lam))) ** 2 - 1.0) ** 2
-    return first, [PAIR_FN[kind](reduce_density(rho, [0, i])) for i in range(1, n_qubits)]
+    return first, [reference_pair_value(reduce_density(rho, [0, i]).mat, kind)
+                   for i in range(1, n_qubits)]
 
 
 def assert_within(got, want, atol):
@@ -280,11 +307,14 @@ class TestMeasureVectors:
 
     def test_no_density_matrix_on_the_pure_state_path(self, monkeypatch):
         """Measures of pure states and the state suites never call
-        partial_trace: every reduction is a Gram matrix of the amplitudes."""
-        def refuse(*args, **kwargs):
-            raise AssertionError("partial_trace called on the pure-state path")
+        partial_trace, psd_sqrt or hermitian_eigen: every reduction is a Gram
+        matrix of the amplitudes, and the spin-flip roots take the gathered
+        amplitudes as their factor."""
+        for name in ("partial_trace", "psd_sqrt", "hermitian_eigen"):
+            def refuse(*args, name=name, **kwargs):
+                raise AssertionError(f"{name} called on the pure-state path")
 
-        monkeypatch.setattr(linalg, "partial_trace", refuse)
+            monkeypatch.setattr(linalg, name, refuse)
         for n_qubits in (3, 6):
             amps = state_stack(n_qubits, seed=5, n_haar=3)
             for kind in KINDS:
@@ -310,6 +340,32 @@ class TestMeasureVectors:
             measure_vectors(state_stack(2, seed=8, n_haar=3), (2, 2), "concurrence")
 
 
+class TestSpinFlipRoots:
+    @pytest.mark.parametrize("n_qubits", [5, 6])
+    def test_qr_factor_matches_other_routes(self, n_qubits):
+        """The gathered pair factor t is 4 x 8 or 4 x 16 here, so the kernel
+        first reduces it to a 4 x 4 QR factor.  Its roots match the kernel on
+        the factor sqrt(t t^dagger) and the singular values of K = t^T YY t
+        from a full SVD, within PAIR_ATOL: the roots are large at these
+        qubit counts, and those that are structurally zero come out as exact
+        zeros or at the SVD's round-off.  The two-qubit functions on t t^dagger
+        give the values of ``measure_vectors`` within the same bound."""
+        amps = state_stack(n_qubits, seed=70 + n_qubits, n_haar=40)
+        t = amps[:, measures._pair_index(n_qubits)]
+        qr_route = measures._spin_flip_roots(t)
+        sqrt_route = measures._spin_flip_roots(linalg.psd_sqrt(t @ t.conj().mT))
+        svd_route = np.linalg.svd(t.mT @ YY @ t, compute_uv=False)[..., :4]
+        assert qr_route.shape == sqrt_route.shape == svd_route.shape == t.shape[:2] + (4,)
+        assert_within(qr_route, svd_route, PAIR_ATOL[n_qubits])
+        assert_within(sqrt_route, svd_route, PAIR_ATOL[n_qubits])
+        for kind in KINDS:
+            mvs = measure_vectors(amps, (2,) * n_qubits, kind)
+            for pair_factors, mv in zip(t, mvs):
+                want = [PAIR_FN[kind](DensityMatrix((2, 2), f @ f.conj().T))
+                        for f in pair_factors]
+                assert_within(mv.pairwise, want, PAIR_ATOL[n_qubits])
+
+
 class TestDensityMatrixReference:
     """The Gram path against partial traces of |psi><psi|, within the
     absolute bounds stated at the top of this module."""
@@ -325,28 +381,32 @@ class TestDensityMatrixReference:
 
     @pytest.mark.parametrize("dims,part", [
         ((2, 2, 2, 2), [1]), ((2, 2, 2, 2), [3, 1]), ((2, 2, 2, 2, 2), [0, 2, 4]),
+        ((2,) * 6, [1, 2, 5]),
         ((2, 3, 2), [1]), ((2, 3, 2, 2), [2, 0]), ((2, 3, 2), [2, 0]), ((3, 2), [0]),
     ])
     def test_pure_state_bipartitions(self, dims, part):
         """Any bipartition of any dims: the part's axes lead the Gram matrix.
 
-        Negativity is compared only where the part is no larger than the
-        rest.  A larger reduction has zero eigenvalues, and the square root
-        turns their round-off into noise of order sqrt(eps) = 1.5e-8 in
-        either path."""
+        Negativity is compared with the reference on the smaller side.  A
+        larger reduction has zero eigenvalues, and the square root turns their
+        round-off into noise of order sqrt(eps) = 1.5e-8; the library reduces
+        onto the smaller side too, so a part and its complement give the same
+        bits."""
         rng = np.random.default_rng(len(dims) + sum(part))
-        d_part = math.prod(dims[i] for i in part)
+        rest = [i for i in range(len(dims)) if i not in part]
+        smaller = part if math.prod(dims[i] for i in part) ** 2 <= math.prod(dims) else rest
         for row in haar_random_block(20, math.prod(dims), rng):
             psi = PureState(dims, row)
             rho_a = reduce_density(to_density(psi), part).mat
             purity = float(np.trace(rho_a @ rho_a).real)
             assert_within(concurrence_pure(psi, part),
                           math.sqrt(max(0.0, 2.0 * (1.0 - purity))), ONE_VS_REST_ATOL)
-            if d_part ** 2 <= math.prod(dims):
-                lam = np.clip(np.linalg.eigvalsh(rho_a), 0.0, None)
-                assert_within(negativity_pure(psi, part),
-                              max(0.0, float(np.sum(np.sqrt(lam))) ** 2 - 1.0),
-                              ONE_VS_REST_ATOL)
+            lam = np.linalg.eigvalsh(reduce_density(to_density(psi), smaller).mat)
+            assert_within(negativity_pure(psi, part),
+                          max(0.0, float(np.sum(np.sqrt(np.clip(lam, 0.0, None)))) ** 2 - 1.0),
+                          ONE_VS_REST_ATOL)
+            assert negativity_pure(psi, part) == negativity_pure(psi, rest)
+            assert concurrence_pure(psi, part) == concurrence_pure(psi, rest)
 
 
 class TestHaarBlock:

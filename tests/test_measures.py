@@ -12,6 +12,7 @@ from monogamy.measures import (
     measure_vector,
     negativity,
     negativity_pure,
+    scren_2q,
     scren_pure,
     screnoa_2q,
 )
@@ -49,6 +50,40 @@ def random_unitary(d, generator=rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def random_qubit_density(rank, generator):
+    g = generator.standard_normal((2, rank)) + 1j * generator.standard_normal((2, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+S2 = math.sqrt(0.5)
+# |Phi+>, |Phi->, |Psi+>, |Psi-> as rows: real eigenvectors of sigma_y (x)
+# sigma_y, so a Bell-diagonal rho equals its spin flip and its spin-flip
+# roots are its Bell weights
+BELL_BASIS = np.array([[S2, 0, 0, S2], [S2, 0, 0, -S2], [0, S2, S2, 0], [0, S2, -S2, 0]],
+                      dtype=complex)
+# concurrence, SCREN, concurrence of assistance, SCRENoA
+PAIR_FNS = (concurrence_2q, scren_2q, concurrence_assistance_2q, screnoa_2q)
+# Absolute.  Every nonzero spin-flip root below is at least 0.0125 (a Werner
+# weight at p = 0.95, a Bell-diagonal weight >= 0.1 / 4.4), and an eigenvalue
+# error d of a few eps moves a root mu by about d / (2 mu) <= 1e-13.  Roots
+# that are exactly zero fall under the kernel's relative clip, or, when all
+# are zero (product states), come out at the round-off of K's entries.
+# Observed <= 5.3e-15.
+CLOSED_FORM_ATOL = 1e-12
+
+
+def bell_diagonal(weights, u=np.eye(4)):
+    """u (sum_i w_i |B_i><B_i|) u^dagger; local u leaves the roots alone."""
+    return DensityMatrix((2, 2), u @ (BELL_BASIS.T * weights) @ BELL_BASIS.conj() @ u.conj().T)
+
+
+def assert_closed_forms(rho, conc, assist):
+    got = [fn(rho) for fn in PAIR_FNS]
+    want = [conc, conc**2, assist, assist**2]
+    assert max(abs(g - w) for g, w in zip(got, want)) <= CLOSED_FORM_ATOL, (got, want)
+
+
 class TestConcurrencePure:
     def test_product_state(self):
         psi = PureState((2, 2), np.array([1, 0, 0, 0], dtype=complex))
@@ -83,6 +118,48 @@ class TestConcurrence2q:
     def test_wrong_dims(self):
         with pytest.raises(ValueError):
             concurrence_2q(DensityMatrix((2,), np.eye(2) / 2))
+
+
+class TestSpinFlipClosedForms:
+    """Mixed two-qubit states of rank 1 to 4 with known spin-flip roots."""
+
+    def test_bell_states(self):
+        for k in range(4):
+            assert_closed_forms(bell_diagonal(np.eye(4)[k]), 1.0, 1.0)
+
+    def test_werner_states(self):
+        # p |Psi-><Psi-| + (1 - p) I / 4: C = max(0, (3p - 1) / 2)
+        for p in np.linspace(0.0, 1.0, 21):
+            weights = np.full(4, (1.0 - p) / 4)
+            weights[3] += p
+            assert_closed_forms(bell_diagonal(weights), max(0.0, (3 * p - 1) / 2), 1.0)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_bell_diagonal_under_local_unitaries(self, rank):
+        # C = max(0, 2 w_max - 1), and the roots sum to 1
+        gen = np.random.default_rng(20 + rank)
+        for _ in range(100):
+            weights = np.zeros(4)
+            weights[gen.permutation(4)[:rank]] = 0.1 + gen.random(rank)
+            weights /= weights.sum()
+            u = np.kron(random_unitary(2, gen), random_unitary(2, gen))
+            rho = bell_diagonal(weights, u)
+            assert np.linalg.matrix_rank(rho.mat) == rank
+            assert_closed_forms(rho, max(0.0, 2 * weights.max() - 1), 1.0)
+
+    @pytest.mark.parametrize("ranks", [(1, 1), (1, 2), (2, 2)])
+    def test_product_states(self, ranks):
+        gen = np.random.default_rng(sum(ranks))
+        for _ in range(100):
+            rho = DensityMatrix((2, 2), np.kron(*(random_qubit_density(r, gen) for r in ranks)))
+            for fn in (concurrence_2q, scren_2q):
+                assert fn(rho) <= CLOSED_FORM_ATOL
+
+    def test_non_psd_input_raises(self):
+        rho = DensityMatrix((2, 2), np.diag([0.6, 0.5, 0.1, -0.2]).astype(complex), check=False)
+        for fn in PAIR_FNS:
+            with pytest.raises(ValueError, match="PSD"):
+                fn(rho)
 
 
 class TestConcurrenceAssistance:
