@@ -97,16 +97,17 @@ def _weights(variant: str, x, a, p: float):
     """(w_small, w_large) of the two-weight form w_small + w_large * t^x.
 
     Powers use ``**``, so the operands pick the pow: Python floats get the C
-    library's, arrays NumPy's loop (the two differ in the last bit).  The zjz
-    weight p^x always takes NumPy's, returned as a float for scalar x.
+    library's, which raises OverflowError, and arrays NumPy's (the two differ
+    in the last bit).  An array ``x`` should have the full shape of the
+    weights (see ``_power``).  The zjz weight p^x always takes NumPy's.
     """
     if variant == "ours":
         return (1 + a) ** (x - 1), (1 + 1 / a) ** (x - 1)
     if variant == "jfq":
         w0 = 1.0
     elif variant in ("zjz1", "zjz2"):
-        w0 = np.power(p if variant == "zjz1" else 0.5, x)
-        w0 = w0 if w0.ndim else float(w0)
+        base = p if variant == "zjz1" else 0.5
+        w0 = _power(base, x) if isinstance(x, np.ndarray) else float(np.power(base, x))
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return w0, ((1 + a) ** x - w0) / a**x
@@ -174,6 +175,45 @@ def _check_values(values) -> np.ndarray:
     return v
 
 
+def _power(base, exponent) -> np.ndarray:
+    """``base ** exponent`` with the bits of NumPy's pow loop on each element,
+    whatever the operands' shapes.  Where one exponent spans a loop NumPy
+    takes x * x for x^2 and sqrt(x) for x^0.5, and on a reversed view the C
+    library's pow; so the exponent is expanded to the full shape and the
+    base made contiguous, and a single element takes both in its shape."""
+    exps = np.empty(np.broadcast(base, exponent).shape)
+    exps[...] = exponent
+    base = np.reshape(base, exps.shape) if exps.size == 1 else np.ascontiguousarray(base)
+    return np.power(base, exps)
+
+
+def _valid_rows(rows: np.ndarray) -> np.ndarray:
+    """(N,) mask of the rows that ``_check_values`` accepts."""
+    return ((rows >= 0) & (rows < math.inf)).all(axis=1) & (rows.shape[1] > 0)
+
+
+def _max_a(rows: np.ndarray, exponent) -> np.ndarray:
+    """``max_admissible_a`` of descending rows (N, m), NaN on invalid rows;
+    ``exponent`` is a scalar or an (N, 1) column."""
+    hi, lo = rows[:, :-1], rows[:, 1:]
+    return np.where(lo != 0, _power(hi / lo, exponent), math.inf).min(axis=1, initial=math.inf)
+
+
+def _ratio_ok(rows: np.ndarray, a, exponent, rtol: float = 1e-12) -> np.ndarray:
+    """``ratio_condition`` of descending rows (N, m); ``a`` and ``exponent``
+    are scalars or (N, 1) columns."""
+    p = _power(rows, exponent)
+    return ((rows[:, 1:] == 0) | ~(p[:, :-1] < a * p[:, 1:] * (1.0 - rtol))).all(axis=1)
+
+
+def _ordered_sums(vr: np.ndarray, xs: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(N, T) ordered weighted sums of the descending rows ``vr`` (N, m) at
+    the exponent ratios ``xs`` (N, T), with one parameter ``a`` (N,) per row."""
+    scale, w = _weights("ours", xs, a[:, None], 0.5)
+    weights = _power(w[..., None], np.arange(vr.shape[1] - 1, -1, -1, dtype=float))
+    return scale * (weights * _power(vr[:, None, :], xs[..., None])).sum(axis=-1)
+
+
 def ordered_weighted_sum(values, x: float, a: float) -> float:
     """Weighted power sum (1+a)^{x-1} sum_i ((1+1/a)^{x-1})^{n-i} v_(i)^x.
 
@@ -190,45 +230,10 @@ def ordered_weighted_sum(values, x: float, a: float) -> float:
         raise ValueError(f"ratio parameter a must be >= 1, got {a}")
     if x < 0:
         raise ValueError(f"exponent ratio x must be nonnegative, got {x}")
-    return float(_weighted_sums(v[None], [x], [a])[0, 0])
+    return float(_ordered_sums(v[None], np.array([[x]]), np.array([a]))[0, 0])
 
 
-def _weighted_sums(v: np.ndarray, xs: list[float], a: list[float]) -> np.ndarray:
-    """(N, T) ordered weighted sums of the descending rows of ``v`` (N, m)
-    at exponent ratios ``xs`` and row parameters ``a``, each with the bits
-    of its 1-d evaluation: Python-float weights, and ``v ** x`` one scalar x
-    at a time (NumPy's pow squares for a scalar exponent 2, not an array)."""
-    scale = np.array([[(1 + a_i) ** (x - 1) for a_i in a] for x in xs])
-    w = np.array([[(1 + 1 / a_i) ** (x - 1) for a_i in a] for x in xs])
-    weights = np.power(w[:, :, None], np.arange(v.shape[1] - 1, -1, -1, dtype=float))
-    powers = np.array([np.power(v, x) for x in xs])
-    return (scale * (weights * powers).sum(axis=-1)).T
-
-
-def _pow(base: float, exponent: float) -> float:
-    """Python float pow (the C library's, as NumPy's scalar pow), with
-    overflow giving inf as in NumPy rather than OverflowError."""
-    try:
-        return base**exponent
-    except OverflowError:
-        return math.inf
-
-
-def _max_a(v: list[float], exponent: float) -> float:
-    """``max_admissible_a`` of values sorted in descending order."""
-    best = math.inf
-    for hi, lo in zip(v, v[1:]):
-        if lo != 0:
-            best = min(best, _pow(hi / lo, exponent))
-    return best
-
-
-def _ratio_ok(v: list[float], a: float, exponent: float, rtol: float = 1e-12) -> bool:
-    """``ratio_condition`` of values sorted in descending order."""
-    return all(lo == 0 or not _pow(hi, exponent) < a * _pow(lo, exponent) * (1.0 - rtol)
-               for hi, lo in zip(v, v[1:]))
-
-
+@np.errstate(all="ignore")
 def ratio_condition(values, a, exponent, rtol: float = 1e-12):
     """True iff v_(i)^exp >= a v_(i+1)^exp for all consecutive sorted pairs.
 
@@ -239,33 +244,28 @@ def ratio_condition(values, a, exponent, rtol: float = 1e-12):
     the first failing call on one row would raise.
     """
     v = np.asarray(values, dtype=float)
-    if v.ndim == 2:
-        a, exponent = (np.broadcast_to(np.asarray(p, dtype=float), len(v)) for p in (a, exponent))
-        bad = (~((v >= 0) & (v < math.inf)).all(axis=1) | (v.shape[1] == 0) | (a < 1)
-               | (exponent <= 0))
-        if bad.any():
-            i = np.argmax(bad)
-            ratio_condition(v[i], a[i], exponent[i])  # raises
-        rows = np.sort(v, axis=1)[:, ::-1].tolist()
-        return np.array([_ratio_ok(row, a_i, e, rtol) for row, a_i, e
-                         in zip(rows, a.tolist(), exponent.tolist())], dtype=bool)
-    v = np.sort(_check_values(v))[::-1].tolist()
-    a, exponent = float(a), float(exponent)
-    if a < 1:
-        raise ValueError(f"ratio parameter a must be >= 1, got {a}")
-    if exponent <= 0:
-        raise ValueError(f"exponent must be positive, got {exponent}")
-    return _ratio_ok(v, a, exponent, rtol)
+    rows = v if v.ndim == 2 else _check_values(v)[None]
+    a, exponent = (np.broadcast_to(np.asarray(p, dtype=float), len(rows)) for p in (a, exponent))
+    bad = ~_valid_rows(rows) | (a < 1) | (exponent <= 0)
+    if bad.any():
+        i = np.argmax(bad)
+        _check_values(rows[i])
+        if a[i] < 1:
+            raise ValueError(f"ratio parameter a must be >= 1, got {a[i]}")
+        raise ValueError(f"exponent must be positive, got {exponent[i]}")
+    ok = _ratio_ok(np.sort(rows, axis=1)[:, ::-1], a[:, None], exponent[:, None], rtol)
+    return ok if v.ndim == 2 else bool(ok[0])
 
 
+@np.errstate(all="ignore")
 def max_admissible_a(values, exponent: float) -> float:
     """Largest a satisfying the ratio condition: min over consecutive sorted
     pairs of (v_(i)/v_(i+1))^exponent, +inf when every successor is zero."""
-    v = np.sort(_check_values(values))[::-1].tolist()
+    v = _check_values(values)
     exponent = float(exponent)
     if exponent <= 0:
         raise ValueError(f"exponent must be positive, got {exponent}")
-    return _max_a(v, exponent)
+    return float(_max_a(np.sort(v)[None, ::-1], exponent)[0])
 
 
 def tripartite_bound(smaller: float, larger: float, target: float, x: float,
@@ -276,74 +276,74 @@ def tripartite_bound(smaller: float, larger: float, target: float, x: float,
     return float(w_small * smaller**target + w_large * larger**target)
 
 
+@np.errstate(all="ignore")
 def _grid(one_vs_rest: np.ndarray, pairwise: np.ndarray, spec: BoundSpec, targets,
           strict: bool):
     """The bound of ``spec`` for N states at T target exponents.
 
     ``one_vs_rest`` is (N,) and ``pairwise`` (N, m).  Returns the measured
-    values, bounds and margins as (N, T) arrays and, per state, the
-    (ratio_condition_ok, max_admissible_a, a) of its reports.  An invalid
+    values, bounds and margins as (N, T) arrays, and the (N,) arrays of
+    ratio_condition_ok, max_admissible_a and a.  Each kind of power is one
+    pow over the block on operands of its full shape (see ``_power``), so a
+    value's bits depend neither on N nor on T.  An overflow gives inf, and no
+    floating-point error warns.  An invalid
     input raises the ValueError that the first failing call of a loop of
-    ``bound_grid`` calls over the states would raise.  That holds for
-    ValueErrors only: every input is checked before any power is taken, so
-    where that loop would first overflow a Python-float weight, a later
-    invalid state or target raises its ValueError here instead.
+    ``bound_grid`` calls would.
     """
-    targets = [float(t) for t in targets]
+    targets = np.array([float(t) for t in targets])
     n = len(one_vs_rest)
-    if not n or not targets:
-        empty = np.empty((n, len(targets)))
-        return empty, empty, empty, []
+    if not n or not targets.size:
+        empty = np.empty((n, targets.size))
+        return empty, empty, empty, np.empty(n, dtype=bool), np.empty(n), np.empty(n)
     # a single-target call has its spec, target included, checked first
     spec._check_target(targets[0])
     r = float(spec.base_exp)
     rows = np.sort(pairwise, axis=1)[:, ::-1]
-    values = rows.tolist()
-    amax, a, ok = [], [], []
-    for i, v in enumerate(values):
-        if not v or not all(0 <= x < math.inf for x in v):
-            _check_values(rows[i])  # raises a one-state call's message
-        amax.append(_max_a(v, r))
-        a.append(float(spec.a) if spec.a is not None else min(max(1.0, amax[i]), A_CAP))
-        ok.append(_ratio_ok(v, a[i], r))
-        if strict and not ok[i]:
-            raise ValueError(f"ratio condition fails at a={a[i]} (max admissible {amax[i]})")
-        # the targets' own checks follow the first state's, as in a target loop
-        for target in (targets if i == 0 else []):
-            spec._check_target(target)
-            x = target / r
-            if spec.mode == "monogamy" and spec.variant in ("zjz1", "zjz2") and x > 0.5:
-                raise ValueError(f"variant {spec.variant!r} requires alpha/r <= 1/2, got {x}")
-            if spec.variant != "ours" and len(v) != 2:
-                raise ValueError(f"variant {spec.variant!r} is defined for tripartite "
-                                 "states only")
-    xs = [t / r for t in targets]
-    # alpha = 0 collapses every power to 1 (0^0 is 1 in Python and NumPy)
-    measured = np.array([[o**t for t in targets] for o in one_vs_rest.tolist()])
+    amax = _max_a(rows, r)
+    a = np.full(n, float(spec.a)) if spec.a is not None else np.clip(amax, 1.0, A_CAP)
+    ok = _ratio_ok(rows, a[:, None], r)
+    fail = ~_valid_rows(rows) | (~ok if strict else False)
+    first = int(np.argmax(fail)) if fail.any() else n
+    # the targets' own checks follow the first state's, as in a target loop
+    for target in map(float, targets) if first > 0 else ():
+        spec._check_target(target)
+        x = target / r
+        if spec.mode == "monogamy" and spec.variant in ("zjz1", "zjz2") and x > 0.5:
+            raise ValueError(f"variant {spec.variant!r} requires alpha/r <= 1/2, got {x}")
+        if spec.variant != "ours" and rows.shape[1] != 2:
+            raise ValueError(f"variant {spec.variant!r} is defined for tripartite "
+                             "states only")
+    if first < n:
+        _check_values(rows[first])  # raises a one-state call's message
+        raise ValueError(f"ratio condition fails at a={a[first]} "
+                         f"(max admissible {amax[first]})")
+    xs = np.tile(targets / r, (n, 1))
+    # alpha = 0 collapses every power to 1 (0^0 is 1 in NumPy)
+    measured = _power(one_vs_rest[:, None], targets)
     if rows.shape[1] == 2:
-        bound = np.array([[tripartite_bound(lo, hi, t, x, a_i, spec.variant, spec.p)
-                           for t, x in zip(targets, xs)]
-                          for (hi, lo), a_i in zip(values, a)])
+        w_small, w_large = _weights(spec.variant, xs, a[:, None], spec.p)
+        powers = _power(rows[:, None, :], targets[:, None])
+        bound = w_small * powers[..., 1] + w_large * powers[..., 0]
     else:
-        # v^r row by row: NumPy's pow takes another loop for a reversed row
-        # (the C library's pow) than for a stack of them
-        bound = _weighted_sums(np.array([np.power(v, r) for v in rows]), xs, a)
+        bound = _ordered_sums(_power(rows, r), xs, a)
     margin = measured - bound if spec.mode == "monogamy" else bound - measured
-    return measured, bound, margin, list(zip(ok, amax, a))
+    return measured, bound, margin, ok, amax, a
 
 
-def margin_grid(mvs, spec: BoundSpec, targets) -> np.ndarray:
-    """Margins of the bound of ``spec`` for a sequence of N measure vectors
-    at T target exponents, as an (N, T) array.
+def margin_grid(one_vs_rest, pairwise, spec: BoundSpec, targets) -> np.ndarray:
+    """Margins of the bound of ``spec`` for N states at T target exponents,
+    as an (N, T) array, from the arrays ``one_vs_rest`` (N,) and ``pairwise``
+    (N, m) of ``measure_vectors``.
 
-    Row ``i`` holds the margins of ``bound_grid(mvs[i], spec, targets)`` bit
-    for bit, and a failing ratio condition raises as there.  An invalid
-    input raises the ValueError that the first failing call of a loop of
-    those calls would raise (but see ``_grid`` on overflow).  The measure
-    vectors must have equal numbers of pairwise values.
+    Row ``i`` holds the margins of ``bound_grid`` on state ``i`` bit for bit,
+    and an invalid input or a failing ratio condition raises the ValueError
+    that the first failing call of a loop of those calls would raise.
     """
-    one_vs_rest = np.array([mv.one_vs_rest for mv in mvs], dtype=float)
-    pairwise = np.array([mv.pairwise for mv in mvs], dtype=float)
+    one_vs_rest = np.asarray(one_vs_rest, dtype=float)
+    pairwise = np.asarray(pairwise, dtype=float)
+    if len(one_vs_rest) and (pairwise.ndim != 2 or len(pairwise) != len(one_vs_rest)):
+        raise ValueError(f"pairwise must be an ({len(one_vs_rest)}, m) array, "
+                         f"got shape {pairwise.shape}")
     return _grid(one_vs_rest, pairwise, spec, targets, strict=True)[2]
 
 
@@ -354,16 +354,15 @@ def bound_grid(mv: MeasureVector, spec: BoundSpec, targets,
     Report ``k`` equals the single-target report (``monogamy_bound`` or
     ``polygamy_bound``) at ``replace(spec, target_exp=targets[k])``, and an
     invalid input raises the ValueError that the first failing call of a
-    loop over those single-target calls would raise (but see ``_grid`` on
-    overflow).  ``spec.target_exp`` itself is not used.  This is the
-    one-state view of ``margin_grid``, which has no ``strict=False``.
+    loop over those calls would raise.  ``spec.target_exp`` is not used.
+    It is ``margin_grid`` on one state, plus the option ``strict=False``.
     """
-    measured, bound, margin, params = _grid(
+    measured, bound, margin, ok, amax, a = _grid(
         np.array([mv.one_vs_rest]), np.array([mv.pairwise], dtype=float),
         spec, targets, strict)
     verified = _VERIFIED_MONOGAMY if spec.mode == "monogamy" else _VERIFIED_POLYGAMY
     assumed = mv.kind not in verified
-    return [BoundReport(b, q, g, *params[0], assumed)
+    return [BoundReport(b, q, g, bool(ok[0]), float(amax[0]), float(a[0]), assumed)
             for b, q, g in zip(bound[0].tolist(), measured[0].tolist(), margin[0].tolist())]
 
 

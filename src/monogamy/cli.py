@@ -5,8 +5,8 @@ weighted bound), ``repro`` (bound-surface CSVs for the two worked
 examples), ``verify`` (random-sampling verification suites).
 
 Exit codes: 0 ok, 1 verification failure, 2 usage/parse error, 3 domain
-error, 4 I/O error.  Numbers are serialized with 12 significant digits and
-CSV output is locale-independent with ``\\n`` newlines.
+error or overflow, 4 I/O error.  Numbers are serialized with 12 significant
+digits and CSV output is locale-independent with ``\\n`` newlines.
 
 The ``MONOGAMY_SEED`` environment variable supplies the default seed; all
 other options are flag-driven.
@@ -183,7 +183,7 @@ def main(argv=None) -> int:
     except StateSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:

@@ -71,12 +71,10 @@ def _concurrence_of_reduced(rho_a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.where(y > 0.0, y, 0.0))
 
 
-def _negativity_of_reduced(rho_a: np.ndarray) -> list[float]:
-    """(Tr sqrt(rho_A))^2 - 1 of reduced matrices (..., d, d), flattened."""
+def _negativity_of_reduced(rho_a: np.ndarray) -> np.ndarray:
+    """(Tr sqrt(rho_A))^2 - 1 of reduced matrices of shape (..., d, d)."""
     lam = np.clip(np.linalg.eigvalsh(rho_a), 0.0, None)
-    traces = np.ravel(np.sum(np.sqrt(lam), axis=-1)).tolist()
-    # Python's float pow (the C library's), as on a single value
-    return [max(0.0, t**2 - 1.0) for t in traces]
+    return np.maximum(np.square(np.sum(np.sqrt(lam), axis=-1)) - 1.0, 0.0)
 
 
 @functools.cache
@@ -129,23 +127,21 @@ def _spin_flip_roots(f: np.ndarray) -> np.ndarray:
     return mu
 
 
-def _pair_values(f: np.ndarray, kind: MeasureKind) -> list[float]:
-    """Two-qubit values of ``kind`` on states f f^dagger, f (..., 4, k), flattened.
+def _pair_values(f: np.ndarray, kind: MeasureKind) -> np.ndarray:
+    """Two-qubit values of ``kind`` on states f f^dagger, f (..., 4, k), of
+    shape (...).
 
     All four kinds come from the spin-flip roots: concurrence is
     max(0, mu_1 - mu_2 - mu_3 - mu_4), its assisted value the sum of the
-    roots, and SCREN / SCRENoA their squares, taken with Python's float pow
-    (x * x differs from it in the last bit on about 0.1% of values).
+    roots, and SCREN / SCRENoA their squares.
     """
     mu = _spin_flip_roots(f)
     if kind in (MeasureKind.CONCURRENCE, MeasureKind.NEGATIVITY_SCREN):
         d = mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3]
-        vals = np.ravel(np.where(d > 0.0, d, 0.0)).tolist()
+        vals = np.where(d > 0.0, d, 0.0)
     else:
-        vals = np.ravel(np.sum(mu, axis=-1)).tolist()
-    if kind in (MeasureKind.NEGATIVITY_SCREN, MeasureKind.SCRENOA):
-        vals = [v**2 for v in vals]
-    return vals
+        vals = np.sum(mu, axis=-1)
+    return np.square(vals) if kind in (MeasureKind.NEGATIVITY_SCREN, MeasureKind.SCRENOA) else vals
 
 
 def _two_qubit_factor(rho: DensityMatrix) -> np.ndarray:
@@ -156,12 +152,12 @@ def _two_qubit_factor(rho: DensityMatrix) -> np.ndarray:
 
 def concurrence_2q(rho: DensityMatrix) -> float:
     """Two-qubit mixed-state concurrence via the spin-flip closed form."""
-    return _pair_values(_two_qubit_factor(rho), MeasureKind.CONCURRENCE)[0]
+    return float(_pair_values(_two_qubit_factor(rho), MeasureKind.CONCURRENCE))
 
 
 def concurrence_assistance_2q(rho: DensityMatrix) -> float:
     """Two-qubit concurrence of assistance: the sum of the spin-flip roots."""
-    return _pair_values(_two_qubit_factor(rho), MeasureKind.CONCURRENCE_ASSISTANCE)[0]
+    return float(_pair_values(_two_qubit_factor(rho), MeasureKind.CONCURRENCE_ASSISTANCE))
 
 
 def negativity(rho: DensityMatrix, part_a: Sequence[int], halved: bool = False) -> float:
@@ -177,33 +173,35 @@ def negativity(rho: DensityMatrix, part_a: Sequence[int], halved: bool = False) 
 
 def negativity_pure(psi: PureState, part_a: Sequence[int]) -> float:
     """Pure-state negativity (Tr sqrt(rho_A))^2 - 1."""
-    return _negativity_of_reduced(_reduced(psi, part_a))[0]
+    return float(_negativity_of_reduced(_reduced(psi, part_a)))
 
 
 def scren_pure(psi: PureState, part_a: Sequence[int]) -> float:
     """Squared negativity of a pure state (SCREN and SCRENoA coincide here)."""
-    return negativity_pure(psi, part_a) ** 2
+    return float(np.square(_negativity_of_reduced(_reduced(psi, part_a))))
 
 
 def scren_2q(rho: DensityMatrix) -> float:
     """Two-qubit SCREN; pure-state negativity equals concurrence on two
     qubits, so the convex-roof optimum is the squared concurrence."""
-    return _pair_values(_two_qubit_factor(rho), MeasureKind.NEGATIVITY_SCREN)[0]
+    return float(_pair_values(_two_qubit_factor(rho), MeasureKind.NEGATIVITY_SCREN))
 
 
 def screnoa_2q(rho: DensityMatrix) -> float:
     """Two-qubit SCRENoA: squared concurrence of assistance (the assisted
     convex-roof optima of negativity and concurrence coincide on two qubits)."""
-    return _pair_values(_two_qubit_factor(rho), MeasureKind.SCRENOA)[0]
+    return float(_pair_values(_two_qubit_factor(rho), MeasureKind.SCRENOA))
 
 
-def measure_vectors(amps, dims: Sequence[int], kind: MeasureKind | str) -> list[MeasureVector]:
-    """Measure vectors of a stack of n-qubit pure states, 3 <= n <= 6.
+def measure_vectors(amps, dims: Sequence[int],
+                    kind: MeasureKind | str) -> tuple[np.ndarray, np.ndarray]:
+    """Measure values of a stack of n-qubit pure states, 3 <= n <= 6, as the
+    arrays (one_vs_rest (N,), pairwise (N, n-1)).
 
     ``amps`` has one amplitude vector over ``dims`` per row, shape
     (N, 2**n), each validated like a ``PureState``.  rho_0 is a Gram matrix of
     the amplitudes, and all pairs share one gather t, the factor of their one
-    spin-flip computation; row k gets the bits of ``measure_vector`` on it.
+    spin-flip computation; ``measure_vector`` is the one-row view.
     """
     kind = MeasureKind(kind)
     dims, amps = check_amplitudes(dims, amps)
@@ -218,15 +216,14 @@ def measure_vectors(amps, dims: Sequence[int], kind: MeasureKind | str) -> list[
     rho_0 = m @ m.conj().mT
     if kind in (MeasureKind.CONCURRENCE, MeasureKind.CONCURRENCE_ASSISTANCE):
         # on pure states the assisted value has a single-term decomposition
-        first = _concurrence_of_reduced(rho_0).tolist()
+        first = _concurrence_of_reduced(rho_0)
     else:
-        first = [v**2 for v in _negativity_of_reduced(rho_0)]
-    values = _pair_values(amps[:, _pair_index(n)], kind)
-    return [MeasureVector(kind, first[k], values[k * (n - 1):(k + 1) * (n - 1)])
-            for k in range(len(first))]
+        first = np.square(_negativity_of_reduced(rho_0))
+    return first, _pair_values(amps[:, _pair_index(n)], kind)
 
 
 def measure_vector(psi: PureState, kind: MeasureKind | str) -> MeasureVector:
     """Assemble (one-vs-rest, pairwise) values of a measure for an n-qubit
-    pure state, 3 <= n <= 6: ``measure_vectors`` on a stack of one."""
-    return measure_vectors(psi.amps[None, :], psi.dims, kind)[0]
+    pure state, 3 <= n <= 6: row 0 of ``measure_vectors`` on a stack of one."""
+    first, pairwise = measure_vectors(psi.amps[None, :], psi.dims, kind)
+    return MeasureVector(MeasureKind(kind), first[0], pairwise[0])

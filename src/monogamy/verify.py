@@ -230,8 +230,8 @@ def verify_monogamy_states(n: int, seed: int = 0, r: float = 2.0,
     for start, amps in _blocks(n, lambda k: haar_random_block(k, 2 ** len(dims), rng)):
         # built inside the loop, so that n = 0 validates no parameter
         spec = bounds.BoundSpec("monogamy", r, r)
-        mvs = measure_vectors(amps, dims, MeasureKind.CONCURRENCE)
-        report.record(bounds.margin_grid(mvs, spec, alphas), tol,
+        first, pairwise = measure_vectors(amps, dims, MeasureKind.CONCURRENCE)
+        report.record(bounds.margin_grid(first, pairwise, spec, alphas), tol,
                       lambda i: (start + i // len(alphas), alphas[i % len(alphas)]))
     return report
 
@@ -251,8 +251,8 @@ def verify_polygamy_states(n: int, seed: int = 0, s: float | None = None,
     n = _sample_count(n)
     rng = np.random.default_rng(seed)
     for start, amps in _blocks(n, lambda k: _w_class_block(rng, k)):
-        mvs = measure_vectors(amps, (2, 2, 2), MeasureKind.SCRENOA)
-        rows = np.sort([mv.pairwise for mv in mvs], axis=1)[:, ::-1]
+        first, pairwise = measure_vectors(amps, (2, 2, 2), MeasureKind.SCRENOA)
+        rows = np.sort(pairwise, axis=1)[:, ::-1]
         params = {}  # (s_k, a_k) of each sample that is not skipped
         for i, (hi, lo) in enumerate(rows.tolist()):
             if lo != 0 and s is not None:
@@ -277,7 +277,7 @@ def verify_polygamy_states(n: int, seed: int = 0, s: float | None = None,
             grid = np.linspace(s_k, 3.0, 8) if beta_grid is None else beta_grid
             betas = [float(beta) for beta in grid if beta >= s_k]
             spec = bounds.BoundSpec("polygamy", s_k, s_k, a=a_k)
-            margins = bounds.margin_grid([mvs[i] for i in members], spec, betas).tolist()
+            margins = bounds.margin_grid(first[members], pairwise[members], spec, betas).tolist()
             entries += [(i, margin, (start + i, s_k, beta)) for i, row in zip(members, margins)
                         for margin, beta in zip(row, betas)]
         entries.sort(key=lambda entry: entry[0])  # sample order; the sort is stable

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monogamy.bounds import (
+    A_CAP,
     BoundSpec,
+    margin_grid,
     max_admissible_a,
     monogamy_bound,
     ordered_weighted_sum,
@@ -15,7 +17,9 @@ from monogamy.bounds import (
     scalar_lower_bound,
     scalar_upper_bound,
 )
-from monogamy.measures import MeasureKind, MeasureVector
+from monogamy.measures import MeasureKind, MeasureVector, measure_vectors
+from monogamy.states import w_class_amps
+from monogamy.verify import default_alpha_grid
 
 S6 = math.sqrt(6) / 6
 EX1_A = math.sqrt(6) / 2
@@ -122,6 +126,13 @@ class TestOrderedWeightedSum:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ordered_weighted_sum([2.0, -1.0], 0.5, 1.0)
+
+    def test_bits_do_not_depend_on_layout(self):
+        # a reversed view once took the C library's pow instead of NumPy's
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            v = np.sort(rng.random(4))[::-1]
+            assert ordered_weighted_sum(v, 0.37, 1.5) == ordered_weighted_sum(v.copy(), 0.37, 1.5)
 
     @given(st.integers(2, 5), st.floats(1.0, 3.0), st.floats(0.1, 1.0), st.data())
     @settings(max_examples=200, deadline=None)
@@ -272,3 +283,33 @@ class TestBoundSpec:
     def test_x_property(self):
         assert BoundSpec("monogamy", 2, 1).x == 0.5
         assert abs(BoundSpec("polygamy", 0.6, 1.5).x - 2.5) < 1e-12
+
+
+class TestTightOnWClass:
+    """On 3-qubit W-class states C(A|BC)^2 = C_AB^2 + C_AC^2 (CKW equality),
+    and with r = 2 and a = max_admissible_a = t the lemma is an equality, so
+    every concurrence margin is 0 up to round-off.
+
+    The tolerance is absolute, per (state, alpha), and comes from the
+    one-vs-rest value C = sqrt(2 (1 - purity)): an error d in the purity
+    moves C^alpha by about alpha d C^(alpha - 2).  That is large for
+    near-product states, where 1 - purity cancels, and largest at
+    alpha = 0.25.  The bound takes d = 8 eps and adds 8 eps for the round-off
+    of the pows and weights at C ~ 1.  Over 2000 states at each of four seeds
+    |margin| stays below 0.46 of it.  Here the worst margin is 2.6e-12, at
+    alpha = 0.25 on a state with a coefficient of 7.5e-4 (C = 1.5e-3), where
+    the bound allows 3.9e-11; relative to the measured value it is 1e-10.
+    """
+
+    def test_margins_vanish(self):
+        rng = np.random.default_rng(0)
+        coeffs = np.abs(rng.standard_normal((2000, 3)))
+        coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
+        first, pairwise = measure_vectors(w_class_amps(coeffs), (2, 2, 2), "concurrence")
+        # the equality needs a = max_admissible_a, which A_CAP would cut
+        assert all(max_admissible_a(row, 2.0) <= A_CAP for row in pairwise)
+        alphas = default_alpha_grid(2.0)
+        margins = margin_grid(first, pairwise, BoundSpec("monogamy", 2.0, 2.0), alphas)
+        eps = np.finfo(float).eps
+        tol = eps * (8 * alphas * first[:, None] ** (alphas - 2) + 8)
+        assert np.all(np.abs(margins) <= tol)

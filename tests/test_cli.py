@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -94,6 +95,19 @@ class TestBound:
         )
         assert code == 3
 
+    def test_overflowing_weight_prints_inf(self, capsys):
+        # (1 + a)^(x - 1) overflows at a = 1e300, x = 5: the bound is inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys,
+                "bound", "--state", "wclass:1/2,1/2,sqrt(2)/2", "--kind", "screnoa",
+                "--mode", "polygamy", "--base-exp", "0.6", "--target-exp", "3", "--a", "1e300",
+            )
+        assert code == 0 and err == ""
+        assert "bound_value: inf" in out and "margin: inf" in out
+        assert "ratio_condition_ok: false" in out
+
 
 class TestRepro:
     def test_example1_csv(self, capsys, tmp_path):
@@ -145,6 +159,12 @@ class TestRepro:
         code, out, err = run(capsys, "repro", "example1", "--grid", grid)
         assert code == 3 and out == ""
         assert err.startswith("error: ") and seen in err
+
+    def test_overflowing_grid_exit_3(self, capsys):
+        # (1 + a)^x overflows a Python float at beta / s = 2000 / 0.6
+        code, out, err = run(capsys, "repro", "example2", "--grid", "0.6:0.6:0.1,0.6:2000:500")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_io_error_exit_4(self, capsys):
         code, _, _ = run(capsys, "repro", "example1", "--out", "/nonexistent/dir/x.csv")

@@ -4,10 +4,12 @@ Any change to a printed digit changes a digest, so these catch refactors that
 are meant to leave output untouched.  Update a digest only together with an
 intended, explained change of output.
 
-The digests were taken with NumPy 2.4 on an x86-64 host with AVX-512.
-NumPy's array pow and the C library's pow may round differently on other
-hosts; the full-precision ``worst_margin`` values of ``verify`` are the most
-likely to move there.
+The digests were taken with NumPy 2.4 on an x86-64 host with AVX-512.  The
+bound kernel takes every power with NumPy's pow loop, which runs SIMD code
+on such hosts and the C library's pow elsewhere, and the two round
+differently in the last bit; the full-precision ``worst_margin`` values of
+``verify`` are the most likely to move on another host.  The ``repro``
+surfaces take their powers in Python floats, with the C library's pow.
 """
 
 import hashlib
