@@ -93,21 +93,18 @@ class BoundReport:
     base_relation_assumed: bool = False
 
 
-def _weights(variant: str, x, a, p: float):
+def _weights(variant: str, x: np.ndarray, a, p: float):
     """(w_small, w_large) of the two-weight form w_small + w_large * t^x.
 
-    Powers use ``**``, so the operands pick the pow: Python floats get the C
-    library's, which raises OverflowError, and arrays NumPy's (the two differ
-    in the last bit).  An array ``x`` should have the full shape of the
-    weights (see ``_power``).  The zjz weight p^x always takes NumPy's.
+    ``x`` is an array, which should have the full shape of the weights so
+    that every power runs NumPy's pow loop elementwise (see ``_power``).
     """
     if variant == "ours":
         return (1 + a) ** (x - 1), (1 + 1 / a) ** (x - 1)
     if variant == "jfq":
         w0 = 1.0
     elif variant in ("zjz1", "zjz2"):
-        base = p if variant == "zjz1" else 0.5
-        w0 = _power(base, x) if isinstance(x, np.ndarray) else float(np.power(base, x))
+        w0 = _power(p if variant == "zjz1" else 0.5, x)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return w0, ((1 + a) ** x - w0) / a**x
@@ -268,12 +265,24 @@ def max_admissible_a(values, exponent: float) -> float:
     return float(_max_a(np.sort(v)[None, ::-1], exponent)[0])
 
 
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def tripartite_bound(smaller: float, larger: float, target: float, x: float,
-                     a: float, variant: str = "ours", p: float = 0.5) -> float:
+                     a: float, variant: str = "ours", p: float = 0.5) -> float | np.ndarray:
     """Tripartite bound w_small * smaller^target + w_large * larger^target,
-    with the scalar-bound weights of ``variant`` at exponent ratio ``x``."""
+    with the scalar-bound weights of ``variant`` at exponent ratio ``x``.
+
+    ``target``, ``x`` and ``a`` may be broadcastable arrays, and an array
+    call returns an array.  Every power is taken on operands expanded to the
+    full shape (see ``_power``), so an element has the bits of the one-cell
+    call, and a scalar call returns that element as a float.  An overflow,
+    a division by zero or an invalid operation raises FloatingPointError.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, (smaller, larger, target, x, a)))
+    target, x, a = (np.array(np.broadcast_to(v, shape or (1,)), dtype=float)
+                    for v in (target, x, a))
     w_small, w_large = _weights(variant, x, a, p)
-    return float(w_small * smaller**target + w_large * larger**target)
+    val = w_small * _power(smaller, target) + w_large * _power(larger, target)
+    return val if shape else float(val[0])
 
 
 @np.errstate(all="ignore")

@@ -15,10 +15,13 @@ other options are flag-driven.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from . import bounds, verify
 from .measures import MeasureKind, measure_vector
@@ -29,6 +32,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
+
+# Rows of a CSV table formatted and written per write call
+CSV_CHUNK = 4096
 
 
 def _default_seed() -> int:
@@ -45,11 +51,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[tuple]):
+def _write_csv(path: str, header: Sequence[str], table: np.ndarray):
+    """Write the rows of an (N, k) float table, CSV_CHUNK rows at a time.
+    Each row is one ``%.12g`` template, which prints a float as ``_fmt``
+    does, and a NaN (a value outside its domain) prints as an empty field."""
+    row = ",".join(["%.12g"] * len(header)) + "\n"
+
     def emit(fh):
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, len(table), CSV_CHUNK):
+            chunk = table[start:start + CSV_CHUNK]
+            fh.write((row * len(chunk) % tuple(chunk.ravel().tolist())).replace("nan", ""))
 
     if path == "-":
         emit(sys.stdout)
@@ -100,8 +112,8 @@ def cmd_bound(args) -> int:
 
 def cmd_repro(args) -> int:
     grid = _parse_grid(args.grid) if args.grid else None
-    header, rows = verify.dominance_scan(args.example, grid)
-    _write_csv(args.out, header, rows)
+    header, table = verify.dominance_scan(args.example, grid)
+    _write_csv(args.out, header, table)
     return EXIT_OK
 
 
@@ -129,7 +141,9 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="monogamy",
         description="Weighted monogamy/polygamy bounds for multiqubit correlation measures.",
@@ -174,8 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if getattr(args, "seed", None) is None and args.fn is cmd_verify:
         args.seed = _default_seed()
     try:

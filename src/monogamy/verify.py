@@ -73,9 +73,12 @@ class SweepGrid:
 
 
 def _axis(start: float, stop: float, step: float) -> np.ndarray:
+    """The values start + k * step up to stop.  The end point is kept within
+    a tolerance relative to the axis's magnitude, 1e-12 * max(1, |start|,
+    |stop|), which covers the round-off of start + k * step."""
     n = int(round((stop - start) / step)) + 1
     vals = start + step * np.arange(n)
-    return vals[vals <= stop + 1e-12]
+    return vals[vals <= stop + 1e-12 * max(1.0, abs(start), abs(stop))]
 
 
 @dataclass
@@ -171,8 +174,7 @@ def verify_scalar(n: int, seed: int = 0, tol: float = 1e-12,
     report.record((ours_up - exact_up) / exact_up, rtol, _indexed("scalar-upper"))
 
     jfq_lo = bounds.scalar_lower_bound(t, x_lo, a, "jfq")
-    report.record(bounds.scalar_lower_bound(t, x_lo, a) - jfq_lo, tol,
-                  _indexed("dominance-lower-jfq"))
+    report.record(ours_lo - jfq_lo, tol, _indexed("dominance-lower-jfq"))
     ours_half = bounds.scalar_lower_bound(t, x_half, a)
     zjz1_lo = bounds.scalar_lower_bound(t, x_half, a, "zjz1", p=p)
     zjz2_lo = bounds.scalar_lower_bound(t, x_half, a, "zjz2")
@@ -295,56 +297,38 @@ def default_grid(example: str) -> SweepGrid:
     raise ValueError(f"unknown example {example!r}")
 
 
-def _example1_cell(alpha: float, r: float) -> tuple[float, float | None, float]:
-    """(Z1, Z2, Z3) lower bounds for the Schmidt-state fixture; Z2 is None
-    outside its alpha/r <= 1/2 validity region."""
-    v2, v1 = EXAMPLE1_PAIRWISE  # smaller, larger
-    a = EXAMPLE1_A
-    x = alpha / r
-    z1 = bounds.tripartite_bound(v2, v1, alpha, x, a, "jfq")
-    z3 = bounds.tripartite_bound(v2, v1, alpha, x, a, "ours")
-    z2 = bounds.tripartite_bound(v2, v1, alpha, x, a, "zjz2") if x <= 0.5 else None
-    return z1, z2, z3
+@np.errstate(over="raise", divide="raise", invalid="raise")
+def dominance_scan(example: str, grid: SweepGrid | None = None) -> tuple[list[str], np.ndarray]:
+    """Tabulate bound surfaces over a grid, as an (N, k) array whose rows are
+    the cells in first-axis-major order.
 
-
-def _example2_cell(beta: float, s: float) -> tuple[float, float, float]:
-    """(W1, W2, W3) upper bounds for the W-state fixture."""
-    v2, v1 = EXAMPLE2_PAIRWISE
-    a = EXAMPLE2_A
-    x = beta / s
-    w1 = bounds.tripartite_bound(v2, v1, beta, x, a, "jfq")
-    w2 = bounds.tripartite_bound(v2, v1, beta, x, a, "zjz2")
-    w3 = bounds.tripartite_bound(v2, v1, beta, x, a, "ours")
-    return w1, w2, w3
-
-
-def dominance_scan(example: str, grid: SweepGrid | None = None) -> tuple[list[str], list[tuple]]:
-    """Tabulate bound surfaces over a grid.
-
-    example1 rows: (alpha, r, Z1, Z2, Z3) with Z2 None out of domain.
+    example1 rows: (alpha, r, Z1, Z2, Z3) with Z2 NaN outside its domain
+    alpha/r <= 1/2.
     example2 rows: (beta, s, W1, W2, W3, W1 - W3, W2 - W3); only cells with
-    beta >= s are emitted.
+    beta >= s are listed.
+    Each bound is one ``tripartite_bound`` call over the grid.  A cell that
+    overflows or divides by zero raises FloatingPointError.
     """
+    if example not in ("example1", "example2"):
+        raise ValueError(f"unknown example {example!r}")
     if grid is None:
         grid = default_grid(example)
-    rows = []
+    ax1, ax2 = grid.values1(), grid.values2()
+    first, second = np.repeat(ax1, len(ax2)), np.tile(ax2, len(ax1))
     if example == "example1":
-        header = ["alpha", "r", "Z1", "Z2", "Z3"]
-        for alpha in grid.values1():
-            for r in grid.values2():
-                z1, z2, z3 = _example1_cell(float(alpha), float(r))
-                rows.append((float(alpha), float(r), z1, z2, z3))
-        return header, rows
-    if example == "example2":
-        header = ["beta", "s", "W1", "W2", "W3", "W1_minus_W3", "W2_minus_W3"]
-        for s in grid.values1():
-            for beta in grid.values2():
-                if beta < s - 1e-12:
-                    continue
-                w1, w2, w3 = _example2_cell(float(beta), float(s))
-                rows.append((float(beta), float(s), w1, w2, w3, w1 - w3, w2 - w3))
-        return header, rows
-    raise ValueError(f"unknown example {example!r}")
+        alpha, r = first, second
+        x = alpha / r
+        z1, z2, z3 = (bounds.tripartite_bound(*EXAMPLE1_PAIRWISE, alpha, x, EXAMPLE1_A, variant)
+                      for variant in ("jfq", "zjz2", "ours"))
+        z2[x > 0.5] = math.nan
+        return ["alpha", "r", "Z1", "Z2", "Z3"], np.column_stack((alpha, r, z1, z2, z3))
+    keep = second >= first - 1e-12
+    beta, s = second[keep], first[keep]
+    x = beta / s
+    w1, w2, w3 = (bounds.tripartite_bound(*EXAMPLE2_PAIRWISE, beta, x, EXAMPLE2_A, variant)
+                  for variant in ("jfq", "zjz2", "ours"))
+    header = ["beta", "s", "W1", "W2", "W3", "W1_minus_W3", "W2_minus_W3"]
+    return header, np.column_stack((beta, s, w1, w2, w3, w1 - w3, w2 - w3))
 
 
 def verify_dominance(example: str, grid: SweepGrid | None = None,
@@ -356,18 +340,19 @@ def verify_dominance(example: str, grid: SweepGrid | None = None,
     example2: W1 - W3 >= 0 and W2 - W3 >= 0 everywhere.
     """
     report = VerificationReport()
-    _, rows = dominance_scan(example, grid)
+    _, table = dominance_scan(example, grid)
 
     def check(name, cells, margins):
-        report.record(margins, tol, lambda i: (name, cells[i][0], cells[i][1]))
+        report.record(margins[cells], tol, lambda i: (name, *table[cells[i], :2].tolist()))
 
     if example == "example1":
-        live = [row for row in rows if row[0] != 0]
-        in_zjz = [row for row in live if row[3] is not None]
-        report.skipped += len(rows) - len(live)
-        check("Z3-Z1", live, [z3 - z1 for _, _, z1, _, z3 in live])
-        check("Z3-Z2", in_zjz, [z3 - z2 for _, _, _, z2, z3 in in_zjz])
+        alpha, _, z1, z2, z3 = table.T
+        live = np.flatnonzero(alpha != 0)
+        report.skipped += len(table) - len(live)
+        check("Z3-Z1", live, z3 - z1)
+        check("Z3-Z2", live[~np.isnan(z2[live])], z3 - z2)
     else:
-        check("W1-W3", rows, [row[5] for row in rows])
-        check("W2-W3", rows, [row[6] for row in rows])
+        every = np.arange(len(table))
+        check("W1-W3", every, table[:, 5])
+        check("W2-W3", every, table[:, 6])
     return report

@@ -16,6 +16,7 @@ from monogamy.bounds import (
     ratio_condition,
     scalar_lower_bound,
     scalar_upper_bound,
+    tripartite_bound,
 )
 from monogamy.measures import MeasureKind, MeasureVector, measure_vectors
 from monogamy.states import w_class_amps
@@ -259,6 +260,45 @@ class TestPolygamyBound:
         mv = MeasureVector(MeasureKind.CONCURRENCE, 0.9, (0.25, 0.5))
         rep = polygamy_bound(mv, BoundSpec("polygamy", 1.0, 2.0))
         assert rep.base_relation_assumed
+
+
+class TestTripartiteBound:
+    @pytest.mark.parametrize("variant,p", [("ours", 0.5), ("jfq", 0.5), ("zjz1", 0.7),
+                                           ("zjz2", 0.5)])
+    def test_array_matches_cells(self, variant, p):
+        rng = np.random.default_rng(5)
+        target = rng.uniform(0.0, 3.0, (40, 3))
+        x = rng.uniform(0.0, 5.0, (40, 3))
+        # the exponents NumPy special-cases when one spans a loop
+        target[0], x[1] = (2.0, 0.5, 0.0), (0.5, 1.0, 2.0)
+        a = rng.uniform(1.0, 4.0, (40, 1))
+        got = tripartite_bound(S6, 0.5, target, x, a, variant, p)
+        assert got.shape == (40, 3)
+        cells = [[tripartite_bound(S6, 0.5, t, xx, float(aa), variant, p)
+                  for t, xx in zip(t_row, x_row)]
+                 for t_row, x_row, (aa,) in zip(target.tolist(), x.tolist(), a.tolist())]
+        assert got.tolist() == cells
+        assert all(type(v) is float for row in cells for v in row)
+        assert np.array_equal(tripartite_bound(S6, 0.5, target[::-1], x[::-1], a[::-1],
+                                               variant, p), got[::-1])
+        # one exponent over an array of a
+        for xx in (0.5, 2.0):
+            got = tripartite_bound(S6, 0.5, 1.0, xx, a.ravel(), variant, p)
+            assert got.tolist() == [tripartite_bound(S6, 0.5, 1.0, xx, aa, variant, p)
+                                    for aa in a.ravel().tolist()]
+
+    def test_matches_two_term_formula(self):
+        a = 1.3
+        want = (1 + a) ** -0.5 * S6 + (1 + 1 / a) ** -0.5 * 0.5
+        assert abs(tripartite_bound(S6, 0.5, 1.0, 0.5, a) - want) < 1e-15
+        want = S6 + ((1 + a) ** 0.5 - 1) / a**0.5 * 0.5
+        assert abs(tripartite_bound(S6, 0.5, 1.0, 0.5, a, "jfq") - want) < 1e-15
+
+    @pytest.mark.parametrize("target", [2000.0, np.array([1.0, 2000.0])])
+    def test_overflow_raises(self, target):
+        # (1 + a)^x overflows at x = 2000 / 0.6
+        with pytest.raises(FloatingPointError, match="overflow"):
+            tripartite_bound(0.25, 0.5, target, target / 0.6, 2**0.6)
 
 
 class TestBoundSpec:

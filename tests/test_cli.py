@@ -1,8 +1,11 @@
 import json
+import math
 import warnings
 
+import numpy as np
 import pytest
 
+from monogamy import cli
 from monogamy.cli import main
 
 EX1 = "schmidt3:0.5,sqrt(6)/6,sqrt(6)/6,0.5,sqrt(6)/6"
@@ -169,6 +172,58 @@ class TestRepro:
     def test_io_error_exit_4(self, capsys):
         code, _, _ = run(capsys, "repro", "example1", "--out", "/nonexistent/dir/x.csv")
         assert code == 4
+
+
+class TestWriteCsv:
+    HEADER = ["alpha", "r", "Z1", "Z2", "Z3"]
+    TABLE = [
+        [-0.0, 1e-300, 1e16, math.inf, 0.1],
+        [1 / 3, 2.0, -math.inf, math.nan, 5e-324],
+        [1e-5, 123456789012.5, 1.0000000000005, math.nan, -2.5e-16],
+        [0.0, 1e300, -1e16, 0.5, 2 / 3],
+        [1e15, 1e17, 0.000123456789012345, math.nan, -0.0],
+    ]
+
+    def expected(self):
+        lines = [",".join(self.HEADER)]
+        lines += [",".join(cli._fmt(None if math.isnan(v) else v) for v in row)
+                  for row in self.TABLE]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("chunk", [2, 4096])
+    def test_matches_per_field_fmt(self, capsys, monkeypatch, tmp_path, chunk):
+        # a chunk of 2 puts chunk boundaries inside the table
+        monkeypatch.setattr(cli, "CSV_CHUNK", chunk)
+        cli._write_csv("-", self.HEADER, np.array(self.TABLE))
+        assert capsys.readouterr().out == self.expected()
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), self.HEADER, np.array(self.TABLE))
+        assert path.read_bytes() == self.expected().encode("ascii")
+
+    def test_empty_table(self, capsys):
+        cli._write_csv("-", self.HEADER, np.empty((0, 5)))
+        assert capsys.readouterr().out == "alpha,r,Z1,Z2,Z3\n"
+
+
+def test_parser_reused_after_parse_failure(capsys):
+    calls = [
+        ["repro", "example1", "--grid", "0:1:0.25,2:3:0.5"],
+        ["bound", "--state", EX1, "--kind", "concurrence", "--mode", "monogamy",
+         "--base-exp", "2", "--target-exp", "1"],
+    ]
+
+    def fresh(argv):
+        cli.build_parser.cache_clear()
+        return run(capsys, *argv)
+
+    want = [fresh(argv) for argv in calls]
+    assert all(code == 0 for code, _, _ in want)
+    with pytest.raises(SystemExit) as exc:
+        main(calls[1][:-1] + ["nope"])
+    assert exc.value.code == 2
+    assert "invalid float value" in capsys.readouterr().err
+    assert cli.build_parser() is cli.build_parser()
+    assert [run(capsys, *argv) for argv in calls] == want
 
 
 class TestVerify:

@@ -5,11 +5,12 @@ are meant to leave output untouched.  Update a digest only together with an
 intended, explained change of output.
 
 The digests were taken with NumPy 2.4 on an x86-64 host with AVX-512.  The
-bound kernel takes every power with NumPy's pow loop, which runs SIMD code
-on such hosts and the C library's pow elsewhere, and the two round
-differently in the last bit; the full-precision ``worst_margin`` values of
-``verify`` are the most likely to move on another host.  The ``repro``
-surfaces take their powers in Python floats, with the C library's pow.
+bound kernel and ``tripartite_bound``, which computes the ``repro``
+surfaces, take every power with NumPy's pow loop, which runs SIMD code on
+such hosts and the C library's pow elsewhere, and the two round differently
+in the last bit; the full-precision ``worst_margin`` values of ``verify``
+and the ``W*_minus_W3`` columns at beta = s, where two equal bounds cancel,
+are the most likely to move on another host.
 """
 
 import hashlib
@@ -28,9 +29,9 @@ GOLDEN = {
     "verify --suite all --n 300 --seed 1":
         "a7c6cf6846565adf5360bf3ca4f728df91368d37961272cee422586073d74da9",
     "repro example1":
-        "f12d95e920de14160ec4703af99a0a19686a19a564d48a218d09d1c49e8cb5ae",
+        "3cd29baa4834a8b70fc70030d1c3da6eca3d24bce36fc0e748b23eeaddd413ba",
     "repro example2":
-        "534fe9e599b3052121d7956290172f1f035a8212b54c2675b2c4667b785fb738",
+        "61564dfbd5ad0ac2c3bd1076c0823111857e2d0ed1f6b27df77ad6de6bc2b871",
     f"measure --state {EX1} --kind concurrence":
         "19f37975228677a307e27d94d73523a5f1c0535b886ba2c6504f5c3275d50787",
     f"bound --state {EX1} {MONO} --target-exp 0":

@@ -56,6 +56,14 @@ class TestSweepGrid:
             with pytest.raises(ValueError, match="finite"):
                 SweepGrid("a", *fields[:3], "b", *fields[3:])
 
+    def test_end_point_kept_at_large_magnitude(self):
+        # start + step * k lands one ulp (3.6e-12) above 20999.67 at the last
+        # k, which an absolute 1e-12 tolerance would drop
+        grid = SweepGrid("a", 6.47, 20999.67, 0.62, "b", 0, 0, 1)
+        values = grid.values1()
+        assert len(values) == 33_861
+        assert values[-1] == pytest.approx(20999.67, rel=1e-15)
+
     def test_cap_is_exact_below_the_count_check(self):
         # 1000 x 1000 cells pass; 1000 x 1001 pass the count check
         # (999 * 1000 <= 10^6) and are rejected by the exact one
@@ -164,6 +172,26 @@ class TestDominance:
         rep = verify_dominance("example2")
         assert rep.failures == 0
         assert rep.worst_margin >= -1e-12
+
+    @pytest.mark.parametrize("example", ["example1", "example2"])
+    def test_rows_do_not_depend_on_the_grid(self, example):
+        # one first-axis value per scan gives the full scan's rows bit for bit
+        grid = default_grid(example)
+        _, table = dominance_scan(example, grid)
+        parts = [dominance_scan(example, dataclasses.replace(grid, start1=v, stop1=v))[1]
+                 for v in grid.values1()]
+        assert np.array_equal(np.concatenate(parts), table, equal_nan=True)
+
+    def test_example1_z2_nan_outside_its_domain(self):
+        _, table = dominance_scan("example1", SweepGrid("alpha", 1, 2, 0.5, "r", 2, 2, 1))
+        assert table[:, 1].tolist() == [2.0] * 3
+        assert not np.isnan(table[0, 3]) and np.isnan(table[1:, 3]).all()
+        assert not np.isnan(np.delete(table, 3, axis=1)).any()
+
+    def test_overflowing_cell_raises(self):
+        grid = SweepGrid("s", 0.6, 0.6, 0.1, "beta", 0.6, 2000, 500)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            dominance_scan("example2", grid)
 
     def test_unknown_example(self):
         with pytest.raises(ValueError):
