@@ -10,7 +10,7 @@ the weighted monogamy and polygamy evaluators for measure vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,14 +128,26 @@ def _check_tax(t, a, variant: str, x, lower: bool):
     return t, a, x
 
 
+def _full(v, shape) -> np.ndarray:
+    """``v`` as a C-contiguous float array of ``shape``, copied only if it is
+    not one; never a broadcast view, whose stride 0 would put NumPy's pow on
+    its scalar-exponent shortcuts (see ``_power``)."""
+    v = np.asarray(v, dtype=float)
+    if v.shape == shape and v.flags.c_contiguous and 0 not in v.strides:
+        return v
+    out = np.empty(shape)
+    out[...] = v
+    return out
+
+
 def _scalar_bound(t, a, x, variant: str, p: float):
-    # 1-d operands keep scalar calls on NumPy's pow loop, like array calls
-    t1, a1, x1 = np.atleast_1d(t, a, x)
+    # operands of the full shape (1-d for scalar calls), so that every
+    # element takes NumPy's pow loop whatever the shapes passed
+    shape = np.broadcast_shapes(*map(np.shape, (t, a, x, p if variant == "zjz1" else 0.0)))
+    t1, a1, x1 = (_full(v, shape or (1,)) for v in (t, a, x))
     w_small, w_large = _weights(variant, x1, a1, p)
     val = w_small + w_large * t1**x1
-    if max(np.ndim(t), np.ndim(a), np.ndim(x), np.ndim(p) if variant == "zjz1" else 0):
-        return val
-    return float(val[0])
+    return val if shape else float(val[0])
 
 
 def scalar_lower_bound(t, x, a, variant: str = "ours", p: float = 0.5):
@@ -178,8 +190,7 @@ def _power(base, exponent) -> np.ndarray:
     takes x * x for x^2 and sqrt(x) for x^0.5, and on a reversed view the C
     library's pow; so the exponent is expanded to the full shape and the
     base made contiguous, and a single element takes both in its shape."""
-    exps = np.empty(np.broadcast(base, exponent).shape)
-    exps[...] = exponent
+    exps = _full(exponent, np.broadcast(base, exponent).shape)
     base = np.reshape(base, exps.shape) if exps.size == 1 else np.ascontiguousarray(base)
     return np.power(base, exps)
 
@@ -196,11 +207,10 @@ def _max_a(rows: np.ndarray, exponent) -> np.ndarray:
     return np.where(lo != 0, _power(hi / lo, exponent), math.inf).min(axis=1, initial=math.inf)
 
 
-def _ratio_ok(rows: np.ndarray, a, exponent, rtol: float = 1e-12) -> np.ndarray:
-    """``ratio_condition`` of descending rows (N, m); ``a`` and ``exponent``
-    are scalars or (N, 1) columns."""
-    p = _power(rows, exponent)
-    return ((rows[:, 1:] == 0) | ~(p[:, :-1] < a * p[:, 1:] * (1.0 - rtol))).all(axis=1)
+def _ratio_ok(rows: np.ndarray, powers: np.ndarray, a, rtol: float = 1e-12) -> np.ndarray:
+    """``ratio_condition`` of descending rows (N, m) from their ``powers`` at
+    the exponent; ``a`` is a scalar or an (N, 1) column."""
+    return ((rows[:, 1:] == 0) | ~(powers[:, :-1] < a * powers[:, 1:] * (1.0 - rtol))).all(axis=1)
 
 
 def _ordered_sums(vr: np.ndarray, xs: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -250,7 +260,8 @@ def ratio_condition(values, a, exponent, rtol: float = 1e-12):
         if a[i] < 1:
             raise ValueError(f"ratio parameter a must be >= 1, got {a[i]}")
         raise ValueError(f"exponent must be positive, got {exponent[i]}")
-    ok = _ratio_ok(np.sort(rows, axis=1)[:, ::-1], a[:, None], exponent[:, None], rtol)
+    rows = np.sort(rows, axis=1)[:, ::-1]
+    ok = _ratio_ok(rows, _power(rows, exponent[:, None]), a[:, None], rtol)
     return ok if v.ndim == 2 else bool(ok[0])
 
 
@@ -278,63 +289,80 @@ def tripartite_bound(smaller: float, larger: float, target: float, x: float,
     a division by zero or an invalid operation raises FloatingPointError.
     """
     shape = np.broadcast_shapes(*map(np.shape, (smaller, larger, target, x, a)))
-    target, x, a = (np.array(np.broadcast_to(v, shape or (1,)), dtype=float)
-                    for v in (target, x, a))
+    target, x, a = (_full(v, shape or (1,)) for v in (target, x, a))
     w_small, w_large = _weights(variant, x, a, p)
     val = w_small * _power(smaller, target) + w_large * _power(larger, target)
     return val if shape else float(val[0])
 
 
 @np.errstate(all="ignore")
-def _grid(one_vs_rest: np.ndarray, pairwise: np.ndarray, spec: BoundSpec, targets,
-          strict: bool):
-    """The bound of ``spec`` for N states at T target exponents.
+def _grid(one_vs_rest, pairwise, spec: BoundSpec, targets, strict: bool, base_exp=None, a=None):
+    """The bound of ``spec`` for N states, each at its own T target exponents.
 
-    ``one_vs_rest`` is (N,) and ``pairwise`` (N, m).  Returns the measured
-    values, bounds and margins as (N, T) arrays, and the (N,) arrays of
+    ``one_vs_rest`` is (N,), ``pairwise`` (N, m) and ``targets`` (N, T);
+    ``base_exp`` and ``a`` are (N,), and None takes the spec's (an ``a`` of
+    None is max(1, max_admissible_a) per row, capped at A_CAP).  A list of T
+    targets or a scalar is shared by every row.  Returns the measured values,
+    bounds and margins as (N, T) arrays, and the (N,) arrays of
     ratio_condition_ok, max_admissible_a and a.  Each kind of power is one
     pow over the block on operands of its full shape (see ``_power``), so a
     value's bits depend neither on N nor on T.  An overflow gives inf, and no
-    floating-point error warns.  An invalid
-    input raises the ValueError that the first failing call of a loop of
-    ``bound_grid`` calls would.
+    floating-point error warns.  An invalid input raises the ValueError of
+    the first failing call of a loop of one-state ``bound_grid`` calls, row
+    i at ``replace(spec, base_exp=base_exp[i], target_exp=base_exp[i],
+    a=a[i])`` and ``targets[i]``.
     """
-    targets = np.array([float(t) for t in targets])
+    one_vs_rest, targets = np.asarray(one_vs_rest, dtype=float), np.asarray(targets, dtype=float)
+    pairwise = np.asarray(pairwise, dtype=float)
     n = len(one_vs_rest)
-    if not n or not targets.size:
-        empty = np.empty((n, targets.size))
+    if n and (pairwise.ndim != 2 or len(pairwise) != n):
+        raise ValueError(f"pairwise must be an ({n}, m) array, got shape {pairwise.shape}")
+    targets = _full(targets, (n, targets.shape[-1]))
+    if not targets.size:
+        empty = np.empty(targets.shape)
         return empty, empty, empty, np.empty(n, dtype=bool), np.empty(n), np.empty(n)
-    # a single-target call has its spec, target included, checked first
-    spec._check_target(targets[0])
-    r = float(spec.base_exp)
+    s = _full(spec.base_exp if base_exp is None else base_exp, (n,))[:, None]
+    a_given = spec.a if a is None else a
     rows = np.sort(pairwise, axis=1)[:, ::-1]
-    amax = _max_a(rows, r)
-    a = np.full(n, float(spec.a)) if spec.a is not None else np.clip(amax, 1.0, A_CAP)
-    ok = _ratio_ok(rows, a[:, None], r)
-    fail = ~_valid_rows(rows) | (~ok if strict else False)
-    first = int(np.argmax(fail)) if fail.any() else n
-    # the targets' own checks follow the first state's, as in a target loop
-    for target in map(float, targets) if first > 0 else ():
-        spec._check_target(target)
-        x = target / r
-        if spec.mode == "monogamy" and spec.variant in ("zjz1", "zjz2") and x > 0.5:
-            raise ValueError(f"variant {spec.variant!r} requires alpha/r <= 1/2, got {x}")
-        if spec.variant != "ours" and rows.shape[1] != 2:
-            raise ValueError(f"variant {spec.variant!r} is defined for tripartite "
-                             "states only")
-    if first < n:
-        _check_values(rows[first])  # raises a one-state call's message
-        raise ValueError(f"ratio condition fails at a={a[first]} "
-                         f"(max admissible {amax[first]})")
-    xs = np.tile(targets / r, (n, 1))
+    powers = _power(rows, s)  # for the ratio condition and the ordered sums
+    amax = _max_a(rows, s)
+    a = np.minimum(np.maximum(amax, 1.0), A_CAP) if a_given is None else _full(a_given, (n,))
+    ok = _ratio_ok(rows, powers, a[:, None])
+    xs = targets / s
+    # the checks of the one-state loop, on the whole block first; a
+    # comparison with NaN fails, so NaN inputs take the loop
+    if spec.mode == "monogamy":
+        valid = s.min() >= 2 and ((targets >= 0) & (targets <= s)).all() and (
+            spec.variant not in ("zjz1", "zjz2") or (xs <= 0.5).all())
+    else:
+        valid = s.min() > 0 and s.max() <= 1 and (targets >= s).all()
+    valid = (valid and rows.shape[1] > 0 and rows.min() >= 0 and rows.max() < math.inf
+            and (a_given is None or a.min() >= 1) and (not strict or ok.all())
+            and (spec.variant == "ours" or rows.shape[1] == 2))
+    for i in range(0 if valid else n):
+        r = float(s[i, 0])
+        row_spec = replace(spec, base_exp=r, target_exp=r,
+                           a=None if a_given is None else float(a[i]))
+        row_spec._check_target(targets[i, 0])
+        _check_values(rows[i])
+        if strict and not ok[i]:
+            raise ValueError(f"ratio condition fails at a={a[i]} (max admissible {amax[i]})")
+        for target in targets[i].tolist():
+            row_spec._check_target(target)
+            if spec.mode == "monogamy" and spec.variant in ("zjz1", "zjz2") and target / r > 0.5:
+                raise ValueError(f"variant {spec.variant!r} requires alpha/r <= 1/2, "
+                                 f"got {target / r}")
+            if spec.variant != "ours" and rows.shape[1] != 2:
+                raise ValueError(f"variant {spec.variant!r} is defined for tripartite "
+                                 "states only")
     # alpha = 0 collapses every power to 1 (0^0 is 1 in NumPy)
     measured = _power(one_vs_rest[:, None], targets)
     if rows.shape[1] == 2:
         w_small, w_large = _weights(spec.variant, xs, a[:, None], spec.p)
-        powers = _power(rows[:, None, :], targets[:, None])
-        bound = w_small * powers[..., 1] + w_large * powers[..., 0]
+        pair_powers = _power(rows[:, None, :], targets[..., None])
+        bound = w_small * pair_powers[..., 1] + w_large * pair_powers[..., 0]
     else:
-        bound = _ordered_sums(_power(rows, r), xs, a)
+        bound = _ordered_sums(powers, xs, a)
     margin = measured - bound if spec.mode == "monogamy" else bound - measured
     return measured, bound, margin, ok, amax, a
 
@@ -348,12 +376,24 @@ def margin_grid(one_vs_rest, pairwise, spec: BoundSpec, targets) -> np.ndarray:
     and an invalid input or a failing ratio condition raises the ValueError
     that the first failing call of a loop of those calls would raise.
     """
-    one_vs_rest = np.asarray(one_vs_rest, dtype=float)
-    pairwise = np.asarray(pairwise, dtype=float)
-    if len(one_vs_rest) and (pairwise.ndim != 2 or len(pairwise) != len(one_vs_rest)):
-        raise ValueError(f"pairwise must be an ({len(one_vs_rest)}, m) array, "
-                         f"got shape {pairwise.shape}")
     return _grid(one_vs_rest, pairwise, spec, targets, strict=True)[2]
+
+
+def margin_rows(one_vs_rest, pairwise, spec: BoundSpec, targets, *, base_exp=None,
+                a=None) -> tuple[np.ndarray, np.ndarray]:
+    """``margin_grid`` with a base exponent, a ratio parameter and targets
+    for each state, and no error for a failing ratio condition: returns the
+    (N, T) margins and the (N,) mask of ratio conditions.
+
+    ``targets`` is (N, T), ``base_exp`` and ``a`` are (N,); a list of T
+    targets or a scalar is shared, and None takes the spec's value (an ``a``
+    of None is max(1, max_admissible_a) per row, capped at A_CAP).  ``spec``
+    supplies mode, variant and p.  Row ``i`` is ``bound_grid`` on state i at
+    ``replace(spec, base_exp=base_exp[i], target_exp=base_exp[i], a=a[i])``,
+    ``targets[i]`` and ``strict=False``, bit for bit and error for error.
+    """
+    _, _, margin, ok, _, _ = _grid(one_vs_rest, pairwise, spec, targets, False, base_exp, a)
+    return margin, ok
 
 
 def bound_grid(mv: MeasureVector, spec: BoundSpec, targets,
@@ -366,9 +406,8 @@ def bound_grid(mv: MeasureVector, spec: BoundSpec, targets,
     loop over those calls would raise.  ``spec.target_exp`` is not used.
     It is ``margin_grid`` on one state, plus the option ``strict=False``.
     """
-    measured, bound, margin, ok, amax, a = _grid(
-        np.array([mv.one_vs_rest]), np.array([mv.pairwise], dtype=float),
-        spec, targets, strict)
+    measured, bound, margin, ok, amax, a = _grid([mv.one_vs_rest], [mv.pairwise], spec,
+                                                 targets, strict)
     verified = _VERIFIED_MONOGAMY if spec.mode == "monogamy" else _VERIFIED_POLYGAMY
     assumed = mv.kind not in verified
     return [BoundReport(b, q, g, bool(ok[0]), float(amax[0]), float(a[0]), assumed)

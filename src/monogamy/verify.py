@@ -208,6 +208,15 @@ def _w_class_block(rng: np.random.Generator, k: int) -> np.ndarray:
     return w_class_amps(coeffs / np.sqrt(np.vecdot(coeffs, coeffs))[:, None])
 
 
+def _default_beta_rows(s: np.ndarray) -> np.ndarray:
+    """Row k is ``np.linspace(s[k], 3.0, 8)``, by linspace's own arithmetic
+    (k * step + start, then the end point), in a few array operations where
+    an array call to linspace makes some thirty."""
+    rows = np.arange(8.0) * ((3.0 - s) / 7)[:, None] + s[:, None]
+    rows[:, -1] = 3.0
+    return rows
+
+
 def default_alpha_grid(r: float = 2.0) -> np.ndarray:
     return np.linspace(0.25, float(r), 8)
 
@@ -244,46 +253,41 @@ def verify_polygamy_states(n: int, seed: int = 0, s: float | None = None,
 
     When ``s`` is None, each sample uses s = min(1, log2(v1/v2)) of its
     sorted pairwise values, mirroring the worked-example construction; the
-    ratio parameter is then a = 2^s.  Samples whose ratio condition fails
-    (or whose pairwise ratio is degenerate) are skipped, not failed.  Each
-    block of states makes one ``ratio_condition`` call and one ``margin_grid``
-    call per (s, a) among its samples.
+    ratio parameter is then a = 2^s.  With a fixed ``s``, a is resolved per
+    sample as max(1, max_admissible_a), capped at A_CAP.  Samples whose
+    ratio condition fails (or whose pairwise ratio is degenerate) are
+    skipped, not failed.  Each block of states makes one ``margin_rows``
+    call, which takes each sample's s, a and betas and returns the ratio
+    condition of each sample with the margins.
     """
     report = VerificationReport()
     n = _sample_count(n)
     rng = np.random.default_rng(seed)
+    spec = bounds.BoundSpec("polygamy", 1.0, 1.0)  # s and a are given per sample
     for start, amps in _blocks(n, lambda k: _w_class_block(rng, k)):
         first, pairwise = measure_vectors(amps, (2, 2, 2), MeasureKind.SCRENOA)
-        rows = np.sort(pairwise, axis=1)[:, ::-1]
-        params = {}  # (s_k, a_k) of each sample that is not skipped
-        for i, (hi, lo) in enumerate(rows.tolist()):
+        kept, s_k, a_k = [], [], []  # the samples that are not degenerate
+        for i, (lo, hi) in enumerate(np.sort(pairwise, axis=1).tolist()):
             if lo != 0 and s is not None:
-                params[i] = (float(s), None)
+                kept.append(i)
+                s_k.append(float(s))
             elif lo != 0 and (log2_ratio := math.log2(hi / lo)) >= MIN_LOG2_RATIO:
-                params[i] = (min(1.0, log2_ratio), 2.0 ** min(1.0, log2_ratio))
-            else:
-                report.skip()
-        # passing here implies the bound's own ratio check at a_k (or at the
-        # resolved a <= max_admissible_a) passes too, so margin_grid never
-        # raises on it
-        ok = bounds.ratio_condition(rows[list(params)], [a_k or 1.0 for _, a_k in params.values()],
-                                    [s_k for s_k, _ in params.values()])
-        groups = {}
-        for i, passed in zip(params, ok.tolist()):
-            if passed:
-                groups.setdefault(params[i], []).append(i)
-            else:
-                report.skip()
-        entries = []  # (sample, margin, descriptor)
-        for (s_k, a_k), members in groups.items():
-            grid = np.linspace(s_k, 3.0, 8) if beta_grid is None else beta_grid
-            betas = [float(beta) for beta in grid if beta >= s_k]
-            spec = bounds.BoundSpec("polygamy", s_k, s_k, a=a_k)
-            margins = bounds.margin_grid(first[members], pairwise[members], spec, betas).tolist()
-            entries += [(i, margin, (start + i, s_k, beta)) for i, row in zip(members, margins)
-                        for margin, beta in zip(row, betas)]
-        entries.sort(key=lambda entry: entry[0])  # sample order; the sort is stable
-        report.record([margin for _, margin, _ in entries], tol, lambda j: entries[j][2])
+                kept.append(i)
+                s_k.append(min(1.0, log2_ratio))
+                a_k.append(2.0 ** s_k[-1])
+        s_k = np.array(s_k)
+        grid = (_default_beta_rows(s_k) if beta_grid is None
+                else np.array([float(beta) for beta in beta_grid]))
+        # a beta below its sample's s is cut off; it is evaluated at s and dropped
+        cells = grid >= s_k[:, None]
+        betas = np.where(cells, grid, s_k[:, None])
+        margins, ok = bounds.margin_rows(first[kept], pairwise[kept], spec, betas,
+                                         base_exp=s_k, a=a_k if s is None else None)
+        report.skipped += len(first) - int(np.count_nonzero(ok))
+        cells &= ok[:, None]
+        rows, cols = np.nonzero(cells)
+        report.record(margins[cells], tol, lambda j: (
+            start + kept[rows[j]], float(s_k[rows[j]]), float(betas[rows[j], cols[j]])))
     return report
 
 

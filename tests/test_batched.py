@@ -13,6 +13,7 @@ the square-root form of the spin-flip spectrum; bounds are compared with the
 parent's arithmetic, which took Python-float and per-exponent pows.
 """
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -21,12 +22,13 @@ import types
 import numpy as np
 import pytest
 
-from monogamy import linalg, measures, verify
+from monogamy import bounds, linalg, measures, verify
 from monogamy.bounds import (
     A_CAP,
     BoundSpec,
     bound_grid,
     margin_grid,
+    margin_rows,
     max_admissible_a,
     monogamy_bound,
     polygamy_bound,
@@ -52,6 +54,7 @@ from monogamy.states import (
     haar_random_block,
     reduce_density,
     to_density,
+    w_class_amps,
     w_class_state,
 )
 from monogamy.verify import (
@@ -761,6 +764,159 @@ class TestStackedRatioCondition:
         assert outcome(lambda: ratio_condition(rows, a, e).tolist()) == want
 
 
+def polygamy_block(seed, n=90):
+    """SCRENoA values of n random W-class states, where every third pairwise
+    ratio lies just below 2, at one of four distances: its s = log2(v1/v2)
+    is then just below 1 and passes the ratio condition at a = 2^s, while
+    the other ratios below 2 fail it."""
+    rng = np.random.default_rng(seed)
+    coeffs = np.abs(rng.standard_normal((n, 3)))
+    amps = w_class_amps(coeffs / np.linalg.norm(coeffs, axis=1)[:, None])
+    first, pairwise = measure_vectors(amps, (2, 2, 2), MeasureKind.SCRENOA)
+    for i in range(0, n, 3):
+        hi = pairwise[i].max()
+        pairwise[i] = (hi / (2.0 * (1.0 - (i % 4) * 2e-14)), hi)
+    return first, pairwise
+
+
+def per_sample_s(pairwise):
+    """The polygamy suite's s = min(1, log2(v1/v2)) and a = 2^s of each row."""
+    s_rows = [min(1.0, math.log2(hi / lo)) for lo, hi in np.sort(pairwise, axis=1).tolist()]
+    return np.array(s_rows), np.array([2.0**s for s in s_rows])
+
+
+def grouped_calls(first, pairwise, targets, s_rows, a_rows):
+    """The calls ``margin_rows`` replaces: one stacked ``ratio_condition``
+    call, at a resolved as max(1, max_admissible_a), capped at A_CAP, where a
+    is None, and one ``margin_grid`` call per (s, a, targets) group of the
+    rows that pass it.  Returns the margins (NaN on failing rows), the mask
+    and the a of each row."""
+    resolved = [min(max(1.0, max_admissible_a(row, s)), A_CAP) if a is None else a
+                for row, s, a in zip(pairwise, s_rows, a_rows)]
+    ok = ratio_condition(pairwise, resolved, s_rows)
+    groups = {}
+    for i in np.flatnonzero(ok).tolist():
+        groups.setdefault((s_rows[i], a_rows[i], tuple(targets[i].tolist())), []).append(i)
+    margins = np.full(targets.shape, math.nan)
+    for (s, a, betas), members in groups.items():
+        spec = BoundSpec("polygamy", s, s, a=a)
+        margins[members] = margin_grid(first[members], pairwise[members], spec, list(betas))
+    return margins, ok, np.array(resolved)
+
+
+def row_loop(first, pairwise, spec, targets, s_rows, a_rows):
+    """One non-strict ``bound_grid`` call per row, at the row's own s, a and
+    targets: the loop whose values and errors ``margin_rows`` has."""
+    reports = [bound_grid(unchecked_mv(f, pw),
+                          dataclasses.replace(spec, base_exp=s, target_exp=s, a=a), t, strict=False)
+               for f, pw, t, s, a in zip(first, pairwise, targets, s_rows, a_rows)]
+    return ([[r.margin for r in reps] for reps in reports],
+            [reps[0].ratio_condition_ok for reps in reports])
+
+
+def assert_rows_match(first, pairwise, targets, s_rows, a_rows, **kwargs):
+    """``margin_rows`` equals the grouped calls on the rows that pass, and
+    the per-row loop on every row, bit for bit."""
+    spec = BoundSpec("polygamy", 1.0, 1.0)
+    got, ok = margin_rows(first, pairwise, spec, targets, **kwargs)
+    want, want_ok, resolved = grouped_calls(first, pairwise, targets, s_rows, a_rows)
+    assert ok.dtype == bool and ok.tolist() == want_ok.tolist()
+    assert got[ok].tobytes() == want[ok].tobytes()
+    assert (got.tolist(), ok.tolist()) == row_loop(first, pairwise, spec, targets, s_rows, a_rows)
+    return got, ok, resolved
+
+
+class TestMarginRows:
+    def test_mixed_s_and_a(self):
+        first, pairwise = polygamy_block(seed=70)
+        s_rows, a_rows = per_sample_s(pairwise)
+        targets = verify._default_beta_rows(s_rows)
+        _, ok, _ = assert_rows_match(first, pairwise, targets, s_rows, a_rows,
+                                     base_exp=s_rows, a=a_rows)
+        assert len(set(s_rows[ok].tolist())) >= 4 and not ok.all()
+
+    def test_default_beta_rows_are_linspace(self):
+        s = np.random.default_rng(73).uniform(0.0, 1.0, 5000)
+        s[:3] = (1.0, 0.05, 2**-30)
+        want = [np.linspace(x, 3.0, 8).tolist() for x in s]
+        assert verify._default_beta_rows(s).tolist() == want
+
+    def test_fixed_s_resolves_a_per_row(self):
+        first, pairwise = polygamy_block(seed=71)
+        n = len(first)
+        targets = np.broadcast_to([0.6, 1.0, 2.5], (n, 3))
+        s_rows = np.full(n, 0.6)
+        got, ok, resolved = assert_rows_match(first, pairwise, targets, s_rows, [None] * n,
+                                              base_exp=0.6)
+        assert ok.all() and len(set(resolved.tolist())) > n // 2
+        spec = BoundSpec("polygamy", 0.6, 0.6)
+        # the spec's own s and a, shared targets, or the resolved a passed in
+        for kwargs in ({}, {"base_exp": s_rows}, {"a": resolved}):
+            again, again_ok = margin_rows(first, pairwise, spec, [0.6, 1.0, 2.5], **kwargs)
+            assert again.tobytes() == got.tobytes() and again_ok.tolist() == ok.tolist()
+
+    def test_ragged_targets(self):
+        first, pairwise = polygamy_block(seed=72)
+        s_rows, a_rows = per_sample_s(pairwise)
+        grid = np.array([0.3, 0.7, 1.0, 2.5])
+        # a beta below its row's s is replaced by s, as the suite does
+        targets = np.where(grid >= s_rows[:, None], grid, s_rows[:, None])
+        assert len({tuple(row) for row in targets.tolist()}) >= 3
+        assert_rows_match(first, pairwise, targets, s_rows, a_rows, base_exp=s_rows, a=a_rows)
+
+    def test_empty(self):
+        spec = BoundSpec("polygamy", 1.0, 1.0)
+        got, ok = margin_rows([], np.empty((0, 2)), spec, np.empty((0, 8)), base_exp=[], a=[])
+        assert got.shape == (0, 8) and ok.shape == (0,)
+        got, ok = margin_rows([0.5], [[0.3, 0.1]], spec, [], base_exp=[0.5])
+        assert got.shape == (1, 0) and ok.shape == (1,)
+
+    @pytest.mark.parametrize("spec,pairwise,targets,s_rows,a_rows,seen", [
+        # s out of range in row 1 comes before row 2's bad target
+        (BoundSpec("polygamy", 1.0, 1.0), [(0.5, 0.1)] * 3, [[1.0, 2.0]] * 2 + [[0.1, 2.0]],
+         [0.5, 1.5, 0.5], [2.0] * 3, "polygamy base exponent"),
+        (BoundSpec("polygamy", 1.0, 1.0), [(0.5, 0.1)] * 2, [[1.0, 2.0], [1.5, 2.0]],
+         [0.5, 1.5], [2.0] * 2, "polygamy base exponent must be in (0, 1], got 1.5"),
+        (BoundSpec("polygamy", 1.0, 1.0), [(0.5, 0.1)] * 2, [[1.0, 2.0]] * 2,
+         [0.5, 0.5], [2.0, 0.5], "ratio parameter a must be >= 1, got 0.5"),
+        # a target below its own row's s, though above the other rows' s
+        (BoundSpec("polygamy", 1.0, 1.0), [(0.5, 0.1)] * 2, [[0.3, 2.0], [0.5, 0.3]],
+         [0.3, 0.6], [None] * 2, "polygamy target exponent must be >= 0.6"),
+        # in one row s comes before a, a before the first target, which comes
+        # before the values, which come before the other targets
+        (BoundSpec("polygamy", 1.0, 1.0), [(0.5, 0.1), (0.5, 0.1)], [[1.0, 2.0], [0.1, 2.0]],
+         [0.5, 0.5], [2.0, 0.5], "ratio parameter a must be >= 1"),
+        (BoundSpec("polygamy", 1.0, 1.0), [(0.5, 0.1), (0.5, math.nan)], [[1.0, 2.0], [0.1, 2.0]],
+         [0.5, 0.5], [2.0, 2.0], "polygamy target exponent"),
+        (BoundSpec("polygamy", 1.0, 1.0), [(0.5, 0.1), (0.5, math.nan)], [[1.0, 2.0], [1.0, 0.1]],
+         [0.5, 0.5], [2.0, 2.0], "finite and nonnegative"),
+        (BoundSpec("monogamy", 2.0, 2.0), [(0.5, 0.1)] * 3, [[1.0]] * 3, [2.0, 1.5, 3.0],
+         [None] * 3, "monogamy base exponent"),
+        (BoundSpec("monogamy", 2.0, 2.0), [(0.5, 0.1)] * 2, [[1.0, 2.5], [1.0, 2.5]], [3.0, 2.0],
+         [1.0, 1.0], "monogamy target exponent must be in [0, 2.0]"),
+        # alpha/r <= 1/2 at each row's own r
+        (BoundSpec("monogamy", 2.0, 2.0, variant="zjz2"), [(0.5, 0.1)] * 2, [[1.2], [1.2]],
+         [3.0, 2.0], [None] * 2, "requires alpha/r <= 1/2, got 0.6"),
+        (BoundSpec("monogamy", 2.0, 2.0, variant="jfq"), [(0.5, 0.1, 0.05)], [[1.0]], [2.0],
+         [None], "tripartite"),
+    ])
+    def test_errors_match_the_first_failing_row_call(self, spec, pairwise, targets, s_rows,
+                                                     a_rows, seen):
+        first = [0.9] * len(pairwise)
+        want = outcome(lambda: row_loop(first, pairwise, spec, targets, s_rows, a_rows))
+        assert want[0] == "ValueError" and seen in want[1]
+        a = None if a_rows[0] is None else a_rows
+        got = outcome(lambda: margin_rows(first, pairwise, spec, targets, base_exp=s_rows, a=a))
+        assert got == want
+
+    def test_failing_ratio_condition_is_not_an_error(self):
+        spec = BoundSpec("polygamy", 0.5, 0.5, a=1.9)
+        margins, ok = margin_rows([0.9, 0.9], [(0.5, 0.1), (0.5, 0.4)], spec, [0.5, 1.0])
+        assert ok.tolist() == [True, False] and np.isfinite(margins).all()
+        with pytest.raises(ValueError, match="ratio condition fails"):
+            margin_grid([0.9, 0.9], [(0.5, 0.1), (0.5, 0.4)], spec, [0.5, 1.0])
+
+
 ALPHAS = [float(alpha) for alpha in default_alpha_grid(2.0)]
 
 
@@ -934,6 +1090,25 @@ class TestBlockedSuites:
             reports.append(dataclasses.asdict(rep))
         assert reports[0] == reports[1]
         assert len({s for (_, s, _), _ in reports[1]["failure_samples"]}) >= 4
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_polygamy_makes_one_kernel_call_per_block(self, monkeypatch, block):
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("_grid", "ratio_condition", "margin_grid", "max_admissible_a"):
+            monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
+        monkeypatch.setattr(verify, "STATE_BLOCK", block)
+        for s, beta_grid in ((None, None), (0.7, None), (None, [0.3, 0.7, 1.0, 2.5])):
+            calls.clear()
+            rep = verify_polygamy_states(150, seed=8, s=s, beta_grid=beta_grid)
+            assert rep.total > 0 and (rep.skipped > 0) == (s is None)
+            assert calls == {"_grid": -(-150 // block)}
 
     @pytest.mark.parametrize("suite", [verify_monogamy_states, verify_polygamy_states])
     def test_zero_samples(self, suite):

@@ -106,6 +106,32 @@ class TestScalarUpperBound:
             assert (other - ours) / exact >= -1e-9
 
 
+class TestScalarBoundBits:
+    """A sample's bound has the same bits whether ``x`` is a scalar, a full
+    array or a one-sample call: a scalar exponent spanning NumPy's pow loop
+    would take its x * x and sqrt(x) shortcuts and other last bits."""
+
+    @pytest.mark.parametrize("variant", ["ours", "jfq", "zjz1", "zjz2"])
+    @pytest.mark.parametrize("fn,xs", [
+        (scalar_lower_bound, (0.5, 0.25, 0.3)),
+        (scalar_upper_bound, (1.5, 2.0, 3.7)),
+    ])
+    def test_scalar_array_and_one_sample_x_agree(self, fn, xs, variant):
+        rng = np.random.default_rng(0)
+        a = rng.uniform(1.0, 10.0, 2000)
+        t = rng.uniform(a, 100.0)
+        p = 0.75 if variant == "zjz1" else 0.5
+        for x in xs:
+            got = fn(t, x, a, variant, p=p)
+            assert got.tobytes() == fn(t, np.full(t.size, x), a, variant, p=p).tobytes()
+            ones = [fn(t_i, x, a_i, variant, p=p)
+                    for t_i, a_i in zip(t.tolist()[:300], a.tolist())]
+            assert got[:300].tolist() == ones
+            # a scalar a (and t) broadcast over array x: same bits as full arrays
+            full = fn(np.full(300, t[0]), np.full(300, x), np.full(300, a[0]), variant, p=p)
+            assert fn(t[0], np.full(300, x), a[0], variant, p=p).tobytes() == full.tobytes()
+
+
 class TestOrderedWeightedSum:
     def test_single_value(self):
         assert abs(ordered_weighted_sum([2.0], 0.5, 3.0) - 4**-0.5 * 2**0.5) < 1e-12
