@@ -52,19 +52,16 @@ class BoundSpec:
             raise ValueError(f"mode must be 'monogamy' or 'polygamy', got {self.mode!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        r = float(self.base_exp)
-        if self.mode == "monogamy":
-            if r < 2:
-                raise ValueError(f"monogamy base exponent must be >= 2, got {r}")
-            self._check_target(self.target_exp)
-            if self.variant == "zjz1" and not 0.5 <= self.p <= 1:
-                raise ValueError(f"zjz1 requires 1/2 <= p <= 1, got {self.p}")
-        else:
-            if not 0 < r <= 1:
-                raise ValueError(f"polygamy base exponent must be in (0, 1], got {r}")
-            self._check_target(self.target_exp)
-            if self.variant == "zjz1" and not 0 < self.p <= 1:
-                raise ValueError(f"zjz1 requires 0 < p <= 1 in polygamy mode, got {self.p}")
+        r, mono, zjz1 = float(self.base_exp), self.mode == "monogamy", self.variant == "zjz1"
+        if mono and r < 2:
+            raise ValueError(f"monogamy base exponent must be >= 2, got {r}")
+        if not mono and not 0 < r <= 1:
+            raise ValueError(f"polygamy base exponent must be in (0, 1], got {r}")
+        self._check_target(self.target_exp)
+        if zjz1 and mono and not 0.5 <= self.p <= 1:
+            raise ValueError(f"zjz1 requires 1/2 <= p <= 1, got {self.p}")
+        if zjz1 and not mono and not 0 < self.p <= 1:
+            raise ValueError(f"zjz1 requires 0 < p <= 1 in polygamy mode, got {self.p}")
         if self.a is not None and self.a < 1:
             raise ValueError(f"ratio parameter a must be >= 1, got {self.a}")
 
@@ -100,7 +97,8 @@ def _weights(variant: str, x: np.ndarray, a, p: float):
     that every power runs NumPy's pow loop elementwise (see ``_power``).
     """
     if variant == "ours":
-        return (1 + a) ** (x - 1), (1 + 1 / a) ** (x - 1)
+        x1 = x - 1.0
+        return (1.0 + a) ** x1, (1.0 + 1.0 / a) ** x1
     if variant == "jfq":
         w0 = 1.0
     elif variant in ("zjz1", "zjz2"):
@@ -195,11 +193,6 @@ def _power(base, exponent) -> np.ndarray:
     return np.power(base, exps)
 
 
-def _valid_rows(rows: np.ndarray) -> np.ndarray:
-    """(N,) mask of the rows that ``_check_values`` accepts."""
-    return ((rows >= 0) & (rows < math.inf)).all(axis=1) & (rows.shape[1] > 0)
-
-
 def _max_a(rows: np.ndarray, exponent) -> np.ndarray:
     """``max_admissible_a`` of descending rows (N, m), NaN on invalid rows;
     ``exponent`` is a scalar or an (N, 1) column."""
@@ -207,18 +200,19 @@ def _max_a(rows: np.ndarray, exponent) -> np.ndarray:
     return np.where(lo != 0, _power(hi / lo, exponent), math.inf).min(axis=1, initial=math.inf)
 
 
-def _ratio_ok(rows: np.ndarray, powers: np.ndarray, a, rtol: float = 1e-12) -> np.ndarray:
+def _ratio_ok(powers: np.ndarray, a, rtol: float = 1e-12) -> np.ndarray:
     """``ratio_condition`` of descending rows (N, m) from their ``powers`` at
-    the exponent; ``a`` is a scalar or an (N, 1) column."""
-    return ((rows[:, 1:] == 0) | ~(powers[:, :-1] < a * powers[:, 1:] * (1.0 - rtol))).all(axis=1)
+    a positive exponent; ``a`` is a scalar or an (N, 1) column.  A zero
+    successor passes, as nothing is below a * 0 (0, or NaN at a = inf)."""
+    return ~(powers[:, :-1] < a * powers[:, 1:] * (1.0 - rtol)).any(axis=1)
 
 
-def _ordered_sums(vr: np.ndarray, xs: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """(N, T) ordered weighted sums of the descending rows ``vr`` (N, m) at
-    the exponent ratios ``xs`` (N, T), with one parameter ``a`` (N,) per row."""
+def _ordered_sums(terms: np.ndarray, xs: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(N, T) ordered weighted sums of the powers ``terms`` (N, T, m) of
+    descending rows at the exponent ratios ``xs`` (N, T), one ``a`` (N,) per row."""
     scale, w = _weights("ours", xs, a[:, None], 0.5)
-    weights = _power(w[..., None], np.arange(vr.shape[1] - 1, -1, -1, dtype=float))
-    return scale * (weights * _power(vr[:, None, :], xs[..., None])).sum(axis=-1)
+    weights = _power(w[..., None], np.arange(terms.shape[-1] - 1, -1, -1, dtype=float))
+    return scale * (weights * terms).sum(axis=-1)
 
 
 def ordered_weighted_sum(values, x: float, a: float) -> float:
@@ -237,43 +231,34 @@ def ordered_weighted_sum(values, x: float, a: float) -> float:
         raise ValueError(f"ratio parameter a must be >= 1, got {a}")
     if x < 0:
         raise ValueError(f"exponent ratio x must be nonnegative, got {x}")
-    return float(_ordered_sums(v[None], np.array([[x]]), np.array([a]))[0, 0])
+    return float(_ordered_sums(_power(v[None, None], x), np.array([[x]]), np.array([a]))[0, 0])
 
 
 @np.errstate(all="ignore")
-def ratio_condition(values, a, exponent, rtol: float = 1e-12):
+def ratio_condition(values, a: float, exponent: float, rtol: float = 1e-12) -> bool:
     """True iff v_(i)^exp >= a v_(i+1)^exp for all consecutive sorted pairs.
 
     Pairs whose successor is zero pass vacuously.  ``rtol`` absorbs round-off
-    so that a = max_admissible_a itself passes.  ``values`` may also be an
-    (N, m) stack of rows, with ``a`` and ``exponent`` scalars or of length N;
-    the result is then an (N,) bool array, and an invalid input raises what
-    the first failing call on one row would raise.
+    so that a = max_admissible_a itself passes.
     """
-    v = np.asarray(values, dtype=float)
-    rows = v if v.ndim == 2 else _check_values(v)[None]
-    a, exponent = (np.broadcast_to(np.asarray(p, dtype=float), len(rows)) for p in (a, exponent))
-    bad = ~_valid_rows(rows) | (a < 1) | (exponent <= 0)
-    if bad.any():
-        i = np.argmax(bad)
-        _check_values(rows[i])
-        if a[i] < 1:
-            raise ValueError(f"ratio parameter a must be >= 1, got {a[i]}")
-        raise ValueError(f"exponent must be positive, got {exponent[i]}")
-    rows = np.sort(rows, axis=1)[:, ::-1]
-    ok = _ratio_ok(rows, _power(rows, exponent[:, None]), a[:, None], rtol)
-    return ok if v.ndim == 2 else bool(ok[0])
+    rows = np.sort(_check_values(values))[None, ::-1]
+    a, exponent = float(a), float(exponent)
+    if a < 1:
+        raise ValueError(f"ratio parameter a must be >= 1, got {a}")
+    if exponent <= 0:
+        raise ValueError(f"exponent must be positive, got {exponent}")
+    return bool(_ratio_ok(_power(rows, exponent), a, rtol)[0])
 
 
 @np.errstate(all="ignore")
 def max_admissible_a(values, exponent: float) -> float:
     """Largest a satisfying the ratio condition: min over consecutive sorted
     pairs of (v_(i)/v_(i+1))^exponent, +inf when every successor is zero."""
-    v = _check_values(values)
+    rows = np.sort(_check_values(values))[None, ::-1]
     exponent = float(exponent)
     if exponent <= 0:
         raise ValueError(f"exponent must be positive, got {exponent}")
-    return float(_max_a(np.sort(v)[None, ::-1], exponent)[0])
+    return float(_max_a(rows, exponent)[0])
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
@@ -297,72 +282,75 @@ def tripartite_bound(smaller: float, larger: float, target: float, x: float,
 
 @np.errstate(all="ignore")
 def _grid(one_vs_rest, pairwise, spec: BoundSpec, targets, strict: bool, base_exp=None, a=None):
-    """The bound of ``spec`` for N states, each at its own T target exponents.
-
-    ``one_vs_rest`` is (N,), ``pairwise`` (N, m) and ``targets`` (N, T);
-    ``base_exp`` and ``a`` are (N,), and None takes the spec's (an ``a`` of
-    None is max(1, max_admissible_a) per row, capped at A_CAP).  A list of T
-    targets or a scalar is shared by every row.  Returns the measured values,
-    bounds and margins as (N, T) arrays, and the (N,) arrays of
-    ratio_condition_ok, max_admissible_a and a.  Each kind of power is one
-    pow over the block on operands of its full shape (see ``_power``), so a
-    value's bits depend neither on N nor on T.  An overflow gives inf, and no
-    floating-point error warns.  An invalid input raises the ValueError of
-    the first failing call of a loop of one-state ``bound_grid`` calls, row
-    i at ``replace(spec, base_exp=base_exp[i], target_exp=base_exp[i],
-    a=a[i])`` and ``targets[i]``.
+    """The kernel of ``margin_rows``, ``margin_grid`` and ``bound_grid``, with
+    their arguments and errors; ``strict`` raises a failing ratio condition.
+    Returns the measured values, bounds and margins as (N, T) arrays, and the
+    (N,) arrays of ratio_condition_ok, max_admissible_a (None unless ``a`` is
+    resolved from it) and a.  Each kind of power is one pow over the block on
+    operands of its full shape (see ``_power``), so a value's bits depend
+    neither on N nor on T.  An overflow gives inf, and no floating-point
+    error warns.
     """
     one_vs_rest, targets = np.asarray(one_vs_rest, dtype=float), np.asarray(targets, dtype=float)
     pairwise = np.asarray(pairwise, dtype=float)
     n = len(one_vs_rest)
     if n and (pairwise.ndim != 2 or len(pairwise) != n):
         raise ValueError(f"pairwise must be an ({n}, m) array, got shape {pairwise.shape}")
-    targets = _full(targets, (n, targets.shape[-1]))
-    if not targets.size:
-        empty = np.empty(targets.shape)
+    full = _full(targets, (n, targets.shape[-1]))
+    if not full.size:
+        empty = np.empty(full.shape)
         return empty, empty, empty, np.empty(n, dtype=bool), np.empty(n), np.empty(n)
-    s = _full(spec.base_exp if base_exp is None else base_exp, (n,))[:, None]
+    s = float(spec.base_exp) if base_exp is None else _full(base_exp, (n,))[:, None]
     a_given = spec.a if a is None else a
     rows = np.sort(pairwise, axis=1)[:, ::-1]
+    m = rows.shape[1]
     powers = _power(rows, s)  # for the ratio condition and the ordered sums
-    amax = _max_a(rows, s)
+    amax = _max_a(rows, s) if a_given is None else None
     a = np.minimum(np.maximum(amax, 1.0), A_CAP) if a_given is None else _full(a_given, (n,))
-    ok = _ratio_ok(rows, powers, a[:, None])
-    xs = targets / s
-    # the checks of the one-state loop, on the whole block first; a
-    # comparison with NaN fails, so NaN inputs take the loop
+    ok = _ratio_ok(powers, a[:, None])
+    xs = full / s
+    # the one-state loop's checks, on the whole block and on s and the targets
+    # as passed; a comparison with NaN fails, so NaN inputs take the loop
+    s_min, s_max = (s, s) if base_exp is None else (s.min(), s.max())
     if spec.mode == "monogamy":
-        valid = s.min() >= 2 and ((targets >= 0) & (targets <= s)).all() and (
+        valid = s_min >= 2 and ((targets >= 0) & (targets <= s)).all() and (
             spec.variant not in ("zjz1", "zjz2") or (xs <= 0.5).all())
     else:
-        valid = s.min() > 0 and s.max() <= 1 and (targets >= s).all()
-    valid = (valid and rows.shape[1] > 0 and rows.min() >= 0 and rows.max() < math.inf
-            and (a_given is None or a.min() >= 1) and (not strict or ok.all())
-            and (spec.variant == "ours" or rows.shape[1] == 2))
-    for i in range(0 if valid else n):
-        r = float(s[i, 0])
+        valid = s_min > 0 and s_max <= 1 and (targets >= s).all()
+    # rows are sorted, with any NaN first
+    valid = (valid and m > 0 and rows[:, -1].min() >= 0 and rows[:, 0].max() < math.inf
+             and (a_given is None or a.min() >= 1) and (not strict or ok.all())
+             and (spec.variant == "ours" or m == 2))
+    for i, r in enumerate([] if valid else np.broadcast_to(s, (n, 1))[:, 0].tolist()):
         row_spec = replace(spec, base_exp=r, target_exp=r,
                            a=None if a_given is None else float(a[i]))
-        row_spec._check_target(targets[i, 0])
+        row_spec._check_target(full[i, 0])
         _check_values(rows[i])
         if strict and not ok[i]:
-            raise ValueError(f"ratio condition fails at a={a[i]} (max admissible {amax[i]})")
-        for target in targets[i].tolist():
+            amax_i = (amax if amax is not None else _max_a(rows, s))[i]
+            raise ValueError(f"ratio condition fails at a={a[i]} (max admissible {amax_i})")
+        for target in full[i].tolist():
             row_spec._check_target(target)
             if spec.mode == "monogamy" and spec.variant in ("zjz1", "zjz2") and target / r > 0.5:
                 raise ValueError(f"variant {spec.variant!r} requires alpha/r <= 1/2, "
                                  f"got {target / r}")
-            if spec.variant != "ours" and rows.shape[1] != 2:
+            if spec.variant != "ours" and m != 2:
                 raise ValueError(f"variant {spec.variant!r} is defined for tripartite "
                                  "states only")
-    # alpha = 0 collapses every power to 1 (0^0 is 1 in NumPy)
-    measured = _power(one_vs_rest[:, None], targets)
-    if rows.shape[1] == 2:
+    # one pow gives the measured values and the bound's terms: the pairwise
+    # values at the targets for two of them, their s-th powers at xs for more
+    # (alpha = 0 collapses every power to 1; 0^0 is 1 in NumPy)
+    exps = np.empty(full.shape + (m + 1,))
+    exps[..., 0] = full
+    exps[..., 1:] = (full if m == 2 else xs)[..., None]
+    bases = np.concatenate((one_vs_rest[:, None], rows if m == 2 else powers), axis=1)
+    terms = _power(bases[:, None], exps)
+    measured = terms[..., 0]
+    if m == 2:
         w_small, w_large = _weights(spec.variant, xs, a[:, None], spec.p)
-        pair_powers = _power(rows[:, None, :], targets[..., None])
-        bound = w_small * pair_powers[..., 1] + w_large * pair_powers[..., 0]
+        bound = w_small * terms[..., 2] + w_large * terms[..., 1]
     else:
-        bound = _ordered_sums(powers, xs, a)
+        bound = _ordered_sums(terms[..., 1:], xs, a)
     margin = measured - bound if spec.mode == "monogamy" else bound - measured
     return measured, bound, margin, ok, amax, a
 
@@ -385,9 +373,9 @@ def margin_rows(one_vs_rest, pairwise, spec: BoundSpec, targets, *, base_exp=Non
     for each state, and no error for a failing ratio condition: returns the
     (N, T) margins and the (N,) mask of ratio conditions.
 
-    ``targets`` is (N, T), ``base_exp`` and ``a`` are (N,); a list of T
-    targets or a scalar is shared, and None takes the spec's value (an ``a``
-    of None is max(1, max_admissible_a) per row, capped at A_CAP).  ``spec``
+    ``targets`` is (N, T) or a shared list of T, and ``base_exp`` and ``a``
+    are (N,) or shared scalars; None takes the spec's value (an ``a`` of None
+    is max(1, max_admissible_a) per row, capped at A_CAP).  ``spec``
     supplies mode, variant and p.  Row ``i`` is ``bound_grid`` on state i at
     ``replace(spec, base_exp=base_exp[i], target_exp=base_exp[i], a=a[i])``,
     ``targets[i]`` and ``strict=False``, bit for bit and error for error.
@@ -408,9 +396,10 @@ def bound_grid(mv: MeasureVector, spec: BoundSpec, targets,
     """
     measured, bound, margin, ok, amax, a = _grid([mv.one_vs_rest], [mv.pairwise], spec,
                                                  targets, strict)
+    amax = max_admissible_a(mv.pairwise, spec.base_exp) if amax is None else float(amax[0])
     verified = _VERIFIED_MONOGAMY if spec.mode == "monogamy" else _VERIFIED_POLYGAMY
     assumed = mv.kind not in verified
-    return [BoundReport(b, q, g, bool(ok[0]), float(amax[0]), float(a[0]), assumed)
+    return [BoundReport(b, q, g, bool(ok[0]), amax, float(a[0]), assumed)
             for b, q, g in zip(bound[0].tolist(), measured[0].tolist(), margin[0].tolist())]
 
 

@@ -67,7 +67,7 @@ def _check_bipartition(n: int, part_a: Sequence[int]) -> list[int]:
 
 def _concurrence_of_reduced(rho_a: np.ndarray) -> np.ndarray:
     """sqrt(2 (1 - Tr rho_A^2)) of reduced matrices of shape (..., d, d)."""
-    y = 2.0 * (1.0 - np.trace(rho_a @ rho_a, axis1=-2, axis2=-1).real)
+    y = 2.0 * (1.0 - (rho_a @ rho_a).trace(axis1=-2, axis2=-1).real)
     return np.sqrt(np.where(y > 0.0, y, 0.0))
 
 
@@ -121,9 +121,8 @@ def _spin_flip_roots(f: np.ndarray) -> np.ndarray:
         raise ValueError(f"spin-flip spectrum has eigenvalue {ev.min():.3e} < 0")
     # round-off residue of structural zeros would blow up to ~1e-8 under the
     # square root; clip relative to the last (largest), negatives included
-    ev[ev < 1e-13 * ev[..., -1:]] = 0.0
     mu = np.zeros(ev.shape[:-1] + (4,))
-    mu[..., :ev.shape[-1]] = np.sqrt(ev[..., ::-1])
+    mu[..., :ev.shape[-1]] = np.sqrt(np.where(ev < 1e-13 * ev[..., -1:], 0.0, ev)[..., ::-1])
     return mu
 
 
@@ -205,6 +204,11 @@ def measure_vectors(amps, dims: Sequence[int],
     """
     kind = MeasureKind(kind)
     dims, amps = check_amplitudes(dims, amps)
+    return _measure(amps, dims, kind)
+
+
+def _measure(amps: np.ndarray, dims: tuple[int, ...], kind: MeasureKind):
+    """``measure_vectors`` on amplitudes that are already validated."""
     n = len(dims)
     if n < 3 or n > MAX_QUBITS or any(d != 2 for d in dims):
         raise ValueError(
@@ -224,6 +228,8 @@ def measure_vectors(amps, dims: Sequence[int],
 
 def measure_vector(psi: PureState, kind: MeasureKind | str) -> MeasureVector:
     """Assemble (one-vs-rest, pairwise) values of a measure for an n-qubit
-    pure state, 3 <= n <= 6: row 0 of ``measure_vectors`` on a stack of one."""
-    first, pairwise = measure_vectors(psi.amps[None, :], psi.dims, kind)
-    return MeasureVector(MeasureKind(kind), first[0], pairwise[0])
+    pure state, 3 <= n <= 6: row 0 of ``measure_vectors`` on a stack of one,
+    whose amplitudes the ``PureState`` has validated already."""
+    kind = MeasureKind(kind)
+    first, pairwise = _measure(psi.amps[None, :], psi.dims, kind)
+    return MeasureVector(kind, first[0], pairwise[0])

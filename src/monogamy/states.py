@@ -57,13 +57,14 @@ def check_amplitudes(dims: Sequence[int], amps) -> tuple[tuple[int, ...], np.nda
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
     if amps.ndim != 2:
         raise ValueError(f"expected one amplitude vector per row, got shape {amps.shape}")
-    if amps.shape[1] != int(np.prod(dims)):
+    if amps.shape[1] != math.prod(dims):
         raise ValueError(
             f"amplitude vector length {amps.shape[1]} does not match dims {dims}"
         )
-    if not np.all(np.isfinite(amps.view(float))):
+    if not np.isfinite(amps.view(float)).all():
         raise ValueError("amplitudes contain NaN or Inf")
-    off = np.abs(np.linalg.norm(amps, axis=1) - 1.0) > NORM_ATOL
+    # np.linalg.norm(amps, axis=1), by its own arithmetic
+    off = np.abs(np.sqrt(np.add.reduce((amps.conj() * amps).real, axis=1)) - 1.0) > NORM_ATOL
     if off.any():
         norm = float(np.linalg.norm(amps[np.argmax(off)]))
         raise ValueError(f"state is not normalized (norm {norm!r})")

@@ -6,6 +6,7 @@ single PCG64 generator and cells are emitted in canonical order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -98,13 +99,16 @@ class VerificationReport:
         """
         margins = np.asarray(margins, dtype=float).ravel()
         self.total += margins.size
-        finite = np.isfinite(margins)
-        if finite.any():
-            self.worst_margin = min(self.worst_margin, float(margins[finite].min()))
-        bad = np.flatnonzero(~finite | (margins < -tol))
-        self.failures += bad.size
-        for i in bad[: MAX_FAILURE_SAMPLES - len(self.failure_samples)].tolist():
-            self.failure_samples.append((describe(i), float(margins[i])))
+        least = margins.min(initial=math.inf)
+        # a block with no failure needs only its least margin
+        if not (math.isfinite(least) and least >= -tol and margins.max() < math.inf):
+            finite = np.isfinite(margins)
+            least = margins[finite].min(initial=math.inf)
+            bad = np.flatnonzero(~finite | (margins < -tol))
+            self.failures += bad.size
+            for i in bad[: MAX_FAILURE_SAMPLES - len(self.failure_samples)].tolist():
+                self.failure_samples.append((describe(i), float(margins[i])))
+        self.worst_margin = min(self.worst_margin, float(least))
 
     def skip(self):
         self.skipped += 1
@@ -217,8 +221,10 @@ def _default_beta_rows(s: np.ndarray) -> np.ndarray:
     return rows
 
 
-def default_alpha_grid(r: float = 2.0) -> np.ndarray:
-    return np.linspace(0.25, float(r), 8)
+@functools.lru_cache(maxsize=64)
+def default_alpha_grid(r: float = 2.0) -> tuple[float, ...]:
+    """The alphas of ``np.linspace(0.25, r, 8)`` as floats, computed once per r."""
+    return tuple(np.linspace(0.25, float(r), 8).tolist())
 
 
 def verify_monogamy_states(n: int, seed: int = 0, r: float = 2.0,
@@ -234,9 +240,8 @@ def verify_monogamy_states(n: int, seed: int = 0, r: float = 2.0,
     report = VerificationReport()
     n = _sample_count(n)
     rng = np.random.default_rng(seed)
-    if alpha_grid is None:
-        alpha_grid = default_alpha_grid(r)
-    alphas = [float(alpha) for alpha in alpha_grid]
+    alphas = (default_alpha_grid(float(r)) if alpha_grid is None
+              else [float(alpha) for alpha in alpha_grid])
     dims = (2,) * int(n_qubits)
     for start, amps in _blocks(n, lambda k: haar_random_block(k, 2 ** len(dims), rng)):
         # built inside the loop, so that n = 0 validates no parameter
@@ -266,15 +271,13 @@ def verify_polygamy_states(n: int, seed: int = 0, s: float | None = None,
     spec = bounds.BoundSpec("polygamy", 1.0, 1.0)  # s and a are given per sample
     for start, amps in _blocks(n, lambda k: _w_class_block(rng, k)):
         first, pairwise = measure_vectors(amps, (2, 2, 2), MeasureKind.SCRENOA)
-        kept, s_k, a_k = [], [], []  # the samples that are not degenerate
+        kept, s_k = [], []  # the samples that are not degenerate
         for i, (lo, hi) in enumerate(np.sort(pairwise, axis=1).tolist()):
-            if lo != 0 and s is not None:
+            log2_ratio = math.log2(hi / lo) if lo != 0 and s is None else math.inf
+            if lo != 0 and log2_ratio >= MIN_LOG2_RATIO:
                 kept.append(i)
-                s_k.append(float(s))
-            elif lo != 0 and (log2_ratio := math.log2(hi / lo)) >= MIN_LOG2_RATIO:
-                kept.append(i)
-                s_k.append(min(1.0, log2_ratio))
-                a_k.append(2.0 ** s_k[-1])
+                s_k.append(min(1.0, log2_ratio) if s is None else float(s))
+        a_k = [2.0**s_i for s_i in s_k] if s is None else None
         s_k = np.array(s_k)
         grid = (_default_beta_rows(s_k) if beta_grid is None
                 else np.array([float(beta) for beta in beta_grid]))
@@ -282,7 +285,7 @@ def verify_polygamy_states(n: int, seed: int = 0, s: float | None = None,
         cells = grid >= s_k[:, None]
         betas = np.where(cells, grid, s_k[:, None])
         margins, ok = bounds.margin_rows(first[kept], pairwise[kept], spec, betas,
-                                         base_exp=s_k, a=a_k if s is None else None)
+                                         base_exp=s_k, a=a_k)
         report.skipped += len(first) - int(np.count_nonzero(ok))
         cells &= ok[:, None]
         rows, cols = np.nonzero(cells)

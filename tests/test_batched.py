@@ -22,7 +22,7 @@ import types
 import numpy as np
 import pytest
 
-from monogamy import bounds, linalg, measures, verify
+from monogamy import bounds, linalg, measures, states, verify
 from monogamy.bounds import (
     A_CAP,
     BoundSpec,
@@ -317,6 +317,30 @@ class TestMeasureVectors:
         assert verify_monogamy_states(70, seed=1, n_qubits=5).total == 70 * 8
         assert verify_polygamy_states(70, seed=1).total > 0
 
+    def test_a_pure_state_is_validated_once(self, monkeypatch):
+        """``measure_vector`` trusts the checks its ``PureState`` ran, and is
+        row 0 of ``measure_vectors`` bit for bit."""
+        calls = []
+        real = states.check_amplitudes
+
+        def counting(dims, amps):
+            calls.append(len(amps))
+            return real(dims, amps)
+
+        for n_qubits in (3, 4, 5, 6):
+            dims = (2,) * n_qubits
+            for row in state_stack(n_qubits, seed=9, n_haar=2, n_w=1):
+                for kind in KINDS:
+                    with monkeypatch.context() as mp:
+                        mp.setattr(states, "check_amplitudes", counting)
+                        mp.setattr(measures, "check_amplitudes", counting)
+                        calls.clear()
+                        mv = measure_vector(PureState(dims, row), kind)
+                        assert calls == [1]
+                    first, pairwise = measure_vectors(row[None], dims, kind)
+                    assert (np.array([mv.one_vs_rest, *mv.pairwise]).tobytes()
+                            == np.concatenate((first, pairwise[0])).tobytes())
+
     def test_rows_are_validated_like_pure_states(self):
         amps = state_stack(3, seed=8, n_haar=3)
         amps[1] *= 1.001
@@ -550,6 +574,12 @@ class TestBoundGrid:
         # zjz's alpha/r <= 1/2 is per target, tripartite-only per state
         (BoundSpec("monogamy", 2.0, 0.5, variant="zjz2"), [0.5, 1.5], "alpha/r <= 1/2"),
         (BoundSpec("monogamy", 2.0, 0.5, variant="jfq"), [0.5, 1.5], "tripartite"),
+        # a bad value, and a NaN, late in the shared target list
+        (BoundSpec("monogamy", 2.0, 1.0), [0.5, 1.0, -0.5], "must be in [0, 2.0], got -0.5"),
+        (BoundSpec("monogamy", 2.0, 1.0), [0.5, math.nan], "must be in [0, 2.0], got nan"),
+        (BoundSpec("polygamy", 0.5, 0.5), [0.5, 2.0, 0.25], "must be >= 0.5, got 0.25"),
+        # with a given, max_admissible_a is reported and named in the error
+        (BoundSpec("polygamy", 0.5, 0.5, a=1e6), [0.5, 2.0], "max admissible"),
     ])
     def test_errors_match_the_first_failing_single_target_call(self, spec, targets, seen):
         grids = [assert_grid_matches_loop(mv, spec, targets, strict=True)
@@ -712,58 +742,6 @@ class TestMarginGrid:
                 assert ratio_condition(v, 1.5, e) is parent_ratio_condition(v, 1.5, e)
 
 
-def unsorted_rows(rng, n, m):
-    """Random rows of m values with zeros, ties and no fixed order."""
-    v = rng.random((n, m)) ** rng.integers(1, 4, (n, 1))
-    v[rng.random(v.shape) < 0.15] = 0.0
-    ties = rng.random(n) < 0.15
-    v[ties, -1] = v[ties, 0]
-    return rng.permuted(v, axis=1)
-
-
-class TestStackedRatioCondition:
-    @pytest.mark.parametrize("m", [1, 2, 3, 5])
-    def test_rows_match_one_row_calls(self, m):
-        rng = np.random.default_rng(13 + m)
-        v = unsorted_rows(rng, 300, m)
-        e = rng.choice([0.3, 1.0, 2.0, 3.5], 300)
-        amax = np.array([max_admissible_a(row, x) for row, x in zip(v, e)])
-        # a = max_admissible_a passes within rtol; other rows get random a
-        at_max = (amax >= 1) & (amax < math.inf)
-        a = np.where(at_max, amax, rng.uniform(1.0, 3.0, 300))
-        a[rng.random(300) < 0.3] = 1.0
-        got = ratio_condition(v, a, e)
-        assert got.dtype == bool and got.shape == (300,)
-        assert got.tolist() == [ratio_condition(row, a_i, e_i) for row, a_i, e_i in zip(v, a, e)]
-        assert got[at_max].all()
-        assert not ratio_condition(v[at_max], amax[at_max] * 1.01, e[at_max]).any()
-        for a_s, e_s in ((1.0, 1.0), (1.7, 0.5), (2.0, 2.0)):
-            got = ratio_condition(v.tolist(), a_s, e_s)
-            assert got.tolist() == [ratio_condition(list(row), a_s, e_s) for row in v]
-        assert ratio_condition(np.empty((0, m)), 1.0, 1.0).shape == (0,)
-
-    @pytest.mark.parametrize("rows,a,e", [
-        ([[0.5, 0.1], [0.5, math.nan], [0.2, -0.1]], 1.0, 1.0),
-        ([[0.5, 0.1], [0.2, -0.1], [0.5, math.nan]], 1.0, 1.0),
-        ([[0.5, 0.1], [math.inf, 0.1]], 1.0, 1.0),
-        (np.empty((2, 0)), 1.0, 1.0),
-        ([[0.5, 0.1], [0.5, 0.1]], [1.0, 0.5], 1.0),
-        ([[0.5, 0.1], [0.5, 0.1]], 1.0, [1.0, 0.0]),
-        ([[0.5, 0.1], [0.5, 0.1]], 0.5, -1.0),
-        # in one row the values are checked before a, and a before exponent
-        ([[0.5, 0.1], [0.5, -0.1]], [1.0, 0.5], 1.0),
-        ([[0.5, 0.1], [0.5, 0.1], [0.5, 0.2]], [1.0, 0.5, 1.0], [1.0, -1.0, -1.0]),
-        ([[0.5, 0.1], [0.5, 0.1], [0.5, -0.2]], [1.0, 1.0, 0.5], [1.0, -1.0, 1.0]),
-    ])
-    def test_errors_match_the_first_failing_row_call(self, rows, a, e):
-        rows = np.asarray(rows, dtype=float)
-        a_rows, e_rows = (np.broadcast_to(np.asarray(p, dtype=float), len(rows)) for p in (a, e))
-        want = outcome(lambda: [ratio_condition(row, a_i, e_i)
-                                for row, a_i, e_i in zip(rows, a_rows, e_rows)])
-        assert want[0] == "ValueError"
-        assert outcome(lambda: ratio_condition(rows, a, e).tolist()) == want
-
-
 def polygamy_block(seed, n=90):
     """SCRENoA values of n random W-class states, where every third pairwise
     ratio lies just below 2, at one of four distances: its s = log2(v1/v2)
@@ -786,14 +764,15 @@ def per_sample_s(pairwise):
 
 
 def grouped_calls(first, pairwise, targets, s_rows, a_rows):
-    """The calls ``margin_rows`` replaces: one stacked ``ratio_condition``
-    call, at a resolved as max(1, max_admissible_a), capped at A_CAP, where a
+    """The calls ``margin_rows`` replaces: one ``ratio_condition`` call per
+    row, at a resolved as max(1, max_admissible_a), capped at A_CAP, where a
     is None, and one ``margin_grid`` call per (s, a, targets) group of the
     rows that pass it.  Returns the margins (NaN on failing rows), the mask
     and the a of each row."""
     resolved = [min(max(1.0, max_admissible_a(row, s)), A_CAP) if a is None else a
                 for row, s, a in zip(pairwise, s_rows, a_rows)]
-    ok = ratio_condition(pairwise, resolved, s_rows)
+    ok = np.array([ratio_condition(row, a, s) for row, a, s in zip(pairwise, resolved, s_rows)],
+                  dtype=bool)
     groups = {}
     for i in np.flatnonzero(ok).tolist():
         groups.setdefault((s_rows[i], a_rows[i], tuple(targets[i].tolist())), []).append(i)
@@ -899,15 +878,56 @@ class TestMarginRows:
          [3.0, 2.0], [None] * 2, "requires alpha/r <= 1/2, got 0.6"),
         (BoundSpec("monogamy", 2.0, 2.0, variant="jfq"), [(0.5, 0.1, 0.05)], [[1.0]], [2.0],
          [None], "tripartite"),
+        # a bad value, and a NaN, in a shared list of targets
+        (BoundSpec("polygamy", 1.0, 1.0), [(0.5, 0.1)] * 2, [1.0, 2.0, 0.4], [0.5, 0.6],
+         [2.0] * 2, "polygamy target exponent must be >= 0.5, got 0.4"),
+        (BoundSpec("polygamy", 1.0, 1.0), [(0.5, 0.1)] * 2, [0.55, 2.0], [0.5, 0.6],
+         [2.0] * 2, "polygamy target exponent must be >= 0.6, got 0.55"),
+        (BoundSpec("monogamy", 2.0, 2.0), [(0.5, 0.1)] * 2, [1.0, math.nan], [2.0, 2.0],
+         [None] * 2, "must be in [0, 2.0], got nan"),
+        # a later row's s out of range, or its a below 1
+        (BoundSpec("polygamy", 1.0, 1.0), [(0.5, 0.1)] * 4, [[1.0, 2.0]] * 4,
+         [0.5, 0.7, 1.0, 0.0], [2.0] * 4, "polygamy base exponent must be in (0, 1], got 0.0"),
+        (BoundSpec("monogamy", 2.0, 2.0), [(0.5, 0.1)] * 4, [[1.0, 2.0]] * 4, [2.0] * 4,
+         [1.0, 1.5, 2.0, 0.999], "ratio parameter a must be >= 1, got 0.999"),
+        # with an explicit a, max_admissible_a is never taken; a failing ratio
+        # condition is no error, so a later row's NaN value is the first one
+        (BoundSpec("polygamy", 1.0, 1.0), [(0.5, 0.45), (0.5, 0.1), (math.nan, 0.1)],
+         [[1.0, 2.0]] * 3, [0.5, 0.5, 0.5], [1e6] * 3, "finite and nonnegative"),
+        (BoundSpec("monogamy", 2.0, 2.0, a=1e6), [(0.5, 0.45), (0.5, -0.1)], [[1.0, 2.0]] * 2,
+         [2.0, 2.0], [None] * 2, "finite and nonnegative"),
     ])
     def test_errors_match_the_first_failing_row_call(self, spec, pairwise, targets, s_rows,
                                                      a_rows, seen):
         first = [0.9] * len(pairwise)
-        want = outcome(lambda: row_loop(first, pairwise, spec, targets, s_rows, a_rows))
+        shared = not isinstance(targets[0], list)
+        row_targets = [targets] * len(pairwise) if shared else targets
+        want = outcome(lambda: row_loop(first, pairwise, spec, row_targets, s_rows, a_rows))
         assert want[0] == "ValueError" and seen in want[1]
         a = None if a_rows[0] is None else a_rows
         got = outcome(lambda: margin_rows(first, pairwise, spec, targets, base_exp=s_rows, a=a))
         assert got == want
+
+    def test_explicit_a_matches_the_row_loop(self):
+        """With a given, the kernel takes no max_admissible_a power, and its
+        margins and mask are still those of the row loop, which reports it."""
+        first, pairwise = polygamy_block(seed=74)
+        n = len(first)
+        spec = BoundSpec("polygamy", 0.6, 0.6)
+        a_rows = np.random.default_rng(75).uniform(1.0, 1.5, n)
+        amax_calls = []
+        real = bounds._max_a
+
+        def counting(*args):
+            amax_calls.append(args)
+            return real(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "_max_a", counting)
+            got, ok = margin_rows(first, pairwise, spec, [0.6, 1.5, 3.0], a=a_rows)
+        assert not amax_calls and 0 < np.count_nonzero(ok) < n
+        want = row_loop(first, pairwise, spec, [[0.6, 1.5, 3.0]] * n, [0.6] * n, a_rows)
+        assert (got.tolist(), ok.tolist()) == want
 
     def test_failing_ratio_condition_is_not_an_error(self):
         spec = BoundSpec("polygamy", 0.5, 0.5, a=1.9)

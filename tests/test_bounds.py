@@ -374,7 +374,7 @@ class TestTightOnWClass:
         first, pairwise = measure_vectors(w_class_amps(coeffs), (2, 2, 2), "concurrence")
         # the equality needs a = max_admissible_a, which A_CAP would cut
         assert all(max_admissible_a(row, 2.0) <= A_CAP for row in pairwise)
-        alphas = default_alpha_grid(2.0)
+        alphas = np.array(default_alpha_grid(2.0))
         margins = margin_grid(first, pairwise, BoundSpec("monogamy", 2.0, 2.0), alphas)
         eps = np.finfo(float).eps
         tol = eps * (8 * alphas * first[:, None] ** (alphas - 2) + 8)

@@ -238,3 +238,37 @@ def test_record_counts_non_finite_margins_as_failures():
     rep.record([math.inf, -math.inf, -0.25], 1e-8, lambda i: f"more{i}")
     assert (rep.total, rep.failures, rep.worst_margin) == (5, 4, -0.25)
     assert [name for name, _ in rep.failure_samples] == ["entry0", "more0", "more1", "more2"]
+
+
+def reference_record(report, margins, tol, describe):
+    """``VerificationReport.record`` one margin at a time."""
+    margins = [float(m) for m in np.ravel(margins)]
+    report.total += len(margins)
+    finite = [m for m in margins if math.isfinite(m)]
+    if finite:
+        report.worst_margin = min(report.worst_margin, min(finite))
+    for i, m in enumerate(margins):
+        if not math.isfinite(m) or m < -tol:
+            report.failures += 1
+            if len(report.failure_samples) < verify.MAX_FAILURE_SAMPLES:
+                report.failure_samples.append((describe(i), m))
+
+
+@pytest.mark.parametrize("blocks", [
+    [[0.5, 0.25], [math.nan, 0.1], [0.3]],
+    [[0.2], [math.inf, 0.4], [-math.inf, 0.1, 0.05]],
+    [[0.5, -1e-8, 0.1], [-1e-8], [-1.0000001e-8, 0.0]],
+    [[], [0.5], [], [math.nan], []],
+    [[-1.0] * 60, [0.5] * 30, [-2.0] * 60, [0.1], [math.nan, -3.0]],
+    [[1e300, -0.0], [np.finfo(float).max], [-np.finfo(float).max]],
+])
+def test_record_fast_path_matches_the_general_path(blocks):
+    """Blocks with every margin finite and at least -tol skip the failure
+    scan; each report equals the one-margin-at-a-time reference."""
+    got, want = VerificationReport(), VerificationReport()
+    for k, block in enumerate(blocks):
+        describe = lambda i, k=k: (k, i)  # noqa: E731
+        got.record(np.array(block, dtype=float), 1e-8, describe)
+        reference_record(want, block, 1e-8, describe)
+        assert repr(got) == repr(want)
+    assert len(got.failure_samples) <= verify.MAX_FAILURE_SAMPLES
