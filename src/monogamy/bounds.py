@@ -53,7 +53,7 @@ class BoundSpec:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         r, mono, zjz1 = float(self.base_exp), self.mode == "monogamy", self.variant == "zjz1"
-        if mono and r < 2:
+        if mono and not r >= 2:
             raise ValueError(f"monogamy base exponent must be >= 2, got {r}")
         if not mono and not 0 < r <= 1:
             raise ValueError(f"polygamy base exponent must be in (0, 1], got {r}")
@@ -62,7 +62,7 @@ class BoundSpec:
             raise ValueError(f"zjz1 requires 1/2 <= p <= 1, got {self.p}")
         if zjz1 and not mono and not 0 < self.p <= 1:
             raise ValueError(f"zjz1 requires 0 < p <= 1 in polygamy mode, got {self.p}")
-        if self.a is not None and self.a < 1:
+        if self.a is not None and not self.a >= 1:
             raise ValueError(f"ratio parameter a must be >= 1, got {self.a}")
 
     def _check_target(self, e):
@@ -70,7 +70,7 @@ class BoundSpec:
         r, e = float(self.base_exp), float(e)
         if self.mode == "monogamy" and not 0 <= e <= r:
             raise ValueError(f"monogamy target exponent must be in [0, {r}], got {e}")
-        if self.mode == "polygamy" and e < r:
+        if self.mode == "polygamy" and not e >= r:
             raise ValueError(f"polygamy target exponent must be >= {r}, got {e}")
 
     @property
@@ -90,39 +90,65 @@ class BoundReport:
     base_relation_assumed: bool = False
 
 
-def _weights(variant: str, x: np.ndarray, a, p: float):
-    """(w_small, w_large) of the two-weight form w_small + w_large * t^x.
+def _weights(variants: tuple[str, ...], x: np.ndarray, a, p: float):
+    """Yield (w_small, w_large) of the two-weight form w_small + w_large * t^x
+    for each name of ``variants`` in turn.
 
-    ``x`` is an array, which should have the full shape of the weights so
-    that every power runs NumPy's pow loop elementwise (see ``_power``).
+    The powers that jfq, zjz1 and zjz2 share, (1+a)^x and a^x, are taken
+    once, by the first of them; so a loop that consumes each pair as it
+    comes raises the error of the first failing one-name loop.  ``x`` is an
+    array, which should have the full shape of the weights so that every
+    power runs NumPy's pow loop elementwise (see ``_power``).
     """
-    if variant == "ours":
-        x1 = x - 1.0
-        return (1.0 + a) ** x1, (1.0 + 1.0 / a) ** x1
-    if variant == "jfq":
-        w0 = 1.0
-    elif variant in ("zjz1", "zjz2"):
-        w0 = _power(p if variant == "zjz1" else 0.5, x)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return w0, ((1 + a) ** x - w0) / a**x
+    shared = None
+    for variant in variants:
+        if variant == "ours":
+            x1 = x - 1.0
+            yield (1.0 + a) ** x1, (1.0 + 1.0 / a) ** x1
+            continue
+        if variant == "jfq":
+            w0 = 1.0
+        elif variant in ("zjz1", "zjz2"):
+            w0 = _power(p if variant == "zjz1" else 0.5, x)
+        else:
+            raise ValueError(f"unknown variant {variant!r}")
+        if shared is None:
+            shared = (1 + a) ** x, a**x
+        yield w0, (shared[0] - w0) / shared[1]
 
 
-def _check_tax(t, a, variant: str, x, lower: bool):
+def _names(variant: str | tuple[str, ...]) -> tuple[str, ...]:
+    """The variant names of a one-name or a tuple ``variant``."""
+    return (variant,) if isinstance(variant, str) else tuple(variant)
+
+
+def _check_tax(t, a, x, variants: tuple[str, ...], p, lower: bool):
+    """``t``, ``a`` and ``x`` as float arrays, after the checks of a one-name
+    call for each name of ``variants`` in turn; a range of x that an earlier
+    name passed is not checked again."""
     t, a, x = (np.asarray(v, dtype=float) for v in (t, a, x))
-    if np.any(a < 1):
-        raise ValueError("ratio parameter a must satisfy a >= 1")
-    if np.any(t < a):
-        raise ValueError("t must satisfy t >= a")
-    if lower:
-        if variant in ("ours", "jfq"):
-            if np.any(x <= 0) or np.any(x > 1):
-                raise ValueError(f"variant {variant!r} needs 0 < x <= 1, got {x}")
-        elif np.any(x < 0) or np.any(x > 0.5):
+    q, passed = np.asarray(p), set()
+    for variant in variants:
+        if variant == "zjz1" and lower and (np.any(q < 0.5) or np.any(q > 1)):
+            raise ValueError(f"zjz1 lower bound requires 1/2 <= p <= 1, got {p}")
+        if variant == "zjz1" and not lower and (np.any(q <= 0) or np.any(q > 1)):
+            raise ValueError(f"zjz1 upper bound requires 0 < q <= 1, got {p}")
+        if not passed and np.any(a < 1):
+            raise ValueError("ratio parameter a must satisfy a >= 1")
+        if not passed and np.any(t < a):
+            raise ValueError("t must satisfy t >= a")
+        kind = "upper" if not lower else "full" if variant in ("ours", "jfq") else "half"
+        if kind in passed:
+            pass
+        elif kind == "full" and (np.any(x <= 0) or np.any(x > 1)):
+            raise ValueError(f"variant {variant!r} needs 0 < x <= 1, got {x}")
+        elif kind == "half" and (np.any(x < 0) or np.any(x > 0.5)):
             raise ValueError(f"variant {variant!r} needs 0 <= x <= 1/2, got {x}")
-    else:
-        if np.any(x < 1):
+        elif kind == "upper" and np.any(x < 1):
             raise ValueError(f"upper bounds need x >= 1, got {x}")
+        passed.add(kind)
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
     return t, a, x
 
 
@@ -138,38 +164,49 @@ def _full(v, shape) -> np.ndarray:
     return out
 
 
-def _scalar_bound(t, a, x, variant: str, p: float):
+def _scalar_bound(t, a, x, variant: str | tuple[str, ...], p: float):
+    """The bound of ``variant``, or a tuple with the bound of each name of a
+    tuple ``variant``, taking t^x and the shared weight powers once."""
+    names = _names(variant)
     # operands of the full shape (1-d for scalar calls), so that every
     # element takes NumPy's pow loop whatever the shapes passed
-    shape = np.broadcast_shapes(*map(np.shape, (t, a, x, p if variant == "zjz1" else 0.0)))
+    shape = np.broadcast_shapes(*map(np.shape, (t, a, x)))
+    if "zjz1" in names:
+        wide = np.broadcast_shapes(shape, np.shape(p))
+        if wide != shape and len(names) > 1:
+            # p widens the zjz1 operands alone, so each name takes its own
+            return tuple(_scalar_bound(t, a, x, name, p) for name in names)
+        shape = wide
     t1, a1, x1 = (_full(v, shape or (1,)) for v in (t, a, x))
-    w_small, w_large = _weights(variant, x1, a1, p)
-    val = w_small + w_large * t1**x1
-    return val if shape else float(val[0])
+    tx, vals = None, []
+    for w_small, w_large in _weights(names, x1, a1, p):
+        tx = t1**x1 if tx is None else tx
+        vals.append(w_small + w_large * tx)
+    vals = vals if shape else [float(val[0]) for val in vals]
+    return vals[0] if isinstance(variant, str) else tuple(vals)
 
 
-def scalar_lower_bound(t, x, a, variant: str = "ours", p: float = 0.5):
+def scalar_lower_bound(t, x, a, variant: str | tuple[str, ...] = "ours", p: float = 0.5):
     """Lower bound on (1+t)^x for t >= a >= 1 and 0 < x <= 1.
 
     The zjz variants are only valid for 0 <= x <= 1/2 (with 1/2 <= p <= 1);
     evaluating them outside that region is an error.  Accepts scalars or
-    broadcastable arrays.
+    broadcastable arrays.  A tuple of variant names returns a tuple of their
+    bounds, each with the bits of its one-name call, and raises what the
+    first failing one-name call would raise; the powers the names share are
+    taken once.
     """
-    if variant == "zjz1" and (np.any(np.asarray(p) < 0.5) or np.any(np.asarray(p) > 1)):
-        raise ValueError(f"zjz1 lower bound requires 1/2 <= p <= 1, got {p}")
-    t, a, x = _check_tax(t, a, variant, x, lower=True)
+    t, a, x = _check_tax(t, a, x, _names(variant), p, lower=True)
     return _scalar_bound(t, a, x, variant, p)
 
 
-def scalar_upper_bound(t, x, a, variant: str = "ours", p: float = 0.5):
+def scalar_upper_bound(t, x, a, variant: str | tuple[str, ...] = "ours", p: float = 0.5):
     """Upper bound on (1+t)^x for t >= a >= 1 and x >= 1.
 
-    Same four formulas as the lower bound; the zjz1 parameter q satisfies
-    0 < q <= 1 here (passed as ``p``).
+    Same four formulas as the lower bound, and the same tuple form; the zjz1
+    parameter q satisfies 0 < q <= 1 here (passed as ``p``).
     """
-    if variant == "zjz1" and (np.any(np.asarray(p) <= 0) or np.any(np.asarray(p) > 1)):
-        raise ValueError(f"zjz1 upper bound requires 0 < q <= 1, got {p}")
-    t, a, x = _check_tax(t, a, variant, x, lower=False)
+    t, a, x = _check_tax(t, a, x, _names(variant), p, lower=False)
     return _scalar_bound(t, a, x, variant, p)
 
 
@@ -210,7 +247,7 @@ def _ratio_ok(powers: np.ndarray, a, rtol: float = 1e-12) -> np.ndarray:
 def _ordered_sums(terms: np.ndarray, xs: np.ndarray, a: np.ndarray) -> np.ndarray:
     """(N, T) ordered weighted sums of the powers ``terms`` (N, T, m) of
     descending rows at the exponent ratios ``xs`` (N, T), one ``a`` (N,) per row."""
-    scale, w = _weights("ours", xs, a[:, None], 0.5)
+    [(scale, w)] = _weights(("ours",), xs, a[:, None], 0.5)
     weights = _power(w[..., None], np.arange(terms.shape[-1] - 1, -1, -1, dtype=float))
     return scale * (weights * terms).sum(axis=-1)
 
@@ -263,7 +300,7 @@ def max_admissible_a(values, exponent: float) -> float:
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
 def tripartite_bound(smaller: float, larger: float, target: float, x: float,
-                     a: float, variant: str = "ours", p: float = 0.5) -> float | np.ndarray:
+                     a: float, variant: str | tuple[str, ...] = "ours", p: float = 0.5):
     """Tripartite bound w_small * smaller^target + w_large * larger^target,
     with the scalar-bound weights of ``variant`` at exponent ratio ``x``.
 
@@ -272,12 +309,23 @@ def tripartite_bound(smaller: float, larger: float, target: float, x: float,
     full shape (see ``_power``), so an element has the bits of the one-cell
     call, and a scalar call returns that element as a float.  An overflow,
     a division by zero or an invalid operation raises FloatingPointError.
+    A tuple of variant names returns a tuple of their bounds, each with the
+    bits of its one-name call, and raises what the first failing one-name
+    call would raise; smaller^target, larger^target and the powers the
+    weights share are taken once.
     """
     shape = np.broadcast_shapes(*map(np.shape, (smaller, larger, target, x, a)))
     target, x, a = (_full(v, shape or (1,)) for v in (target, x, a))
-    w_small, w_large = _weights(variant, x, a, p)
-    val = w_small * _power(smaller, target) + w_large * _power(larger, target)
-    return val if shape else float(val[0])
+    small = large = None
+    vals = []
+    for w_small, w_large in _weights(_names(variant), x, a, p):
+        # each power where a one-name call takes it: small, its term, large
+        small = _power(smaller, target) if small is None else small
+        term = w_small * small
+        large = _power(larger, target) if large is None else large
+        vals.append(term + w_large * large)
+    vals = vals if shape else [float(val[0]) for val in vals]
+    return vals[0] if isinstance(variant, str) else tuple(vals)
 
 
 @np.errstate(all="ignore")
@@ -296,10 +344,13 @@ def _grid(one_vs_rest, pairwise, spec: BoundSpec, targets, strict: bool, base_ex
     n = len(one_vs_rest)
     if n and (pairwise.ndim != 2 or len(pairwise) != n):
         raise ValueError(f"pairwise must be an ({n}, m) array, got shape {pairwise.shape}")
+    if targets.ndim not in (1, 2):
+        raise ValueError(f"targets must be a list of T exponents or an ({n}, T) array, "
+                         f"got shape {targets.shape}")
     full = _full(targets, (n, targets.shape[-1]))
-    if not full.size:
+    if not n:
         empty = np.empty(full.shape)
-        return empty, empty, empty, np.empty(n, dtype=bool), np.empty(n), np.empty(n)
+        return empty, empty, empty, np.empty(0, dtype=bool), np.empty(0), np.empty(0)
     s = float(spec.base_exp) if base_exp is None else _full(base_exp, (n,))[:, None]
     a_given = spec.a if a is None else a
     rows = np.sort(pairwise, axis=1)[:, ::-1]
@@ -308,6 +359,9 @@ def _grid(one_vs_rest, pairwise, spec: BoundSpec, targets, strict: bool, base_ex
     amax = _max_a(rows, s) if a_given is None else None
     a = np.minimum(np.maximum(amax, 1.0), A_CAP) if a_given is None else _full(a_given, (n,))
     ok = _ratio_ok(powers, a[:, None])
+    if not full.size:  # no target, so nothing to check or evaluate
+        empty = np.empty(full.shape)
+        return empty, empty, empty, ok, amax, a
     xs = full / s
     # the one-state loop's checks, on the whole block and on s and the targets
     # as passed; a comparison with NaN fails, so NaN inputs take the loop
@@ -347,7 +401,7 @@ def _grid(one_vs_rest, pairwise, spec: BoundSpec, targets, strict: bool, base_ex
     terms = _power(bases[:, None], exps)
     measured = terms[..., 0]
     if m == 2:
-        w_small, w_large = _weights(spec.variant, xs, a[:, None], spec.p)
+        [(w_small, w_large)] = _weights((spec.variant,), xs, a[:, None], spec.p)
         bound = w_small * terms[..., 2] + w_large * terms[..., 1]
     else:
         bound = _ordered_sums(terms[..., 1:], xs, a)

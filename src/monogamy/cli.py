@@ -61,7 +61,8 @@ def _write_csv(path: str, header: Sequence[str], table: np.ndarray):
         fh.write(",".join(header) + "\n")
         for start in range(0, len(table), CSV_CHUNK):
             chunk = table[start:start + CSV_CHUNK]
-            fh.write((row * len(chunk) % tuple(chunk.ravel().tolist())).replace("nan", ""))
+            text = row * len(chunk) % tuple(chunk.ravel().tolist())
+            fh.write(text.replace("nan", "") if np.isnan(chunk).any() else text)
 
     if path == "-":
         emit(sys.stdout)

@@ -169,31 +169,25 @@ def verify_scalar(n: int, seed: int = 0, tol: float = 1e-12,
     q = rng.uniform(0.0, 1.0, n)
     q[q == 0.0] = 1.0
 
-    exact_lo = np.power(1 + t, x_lo)
-    ours_lo = bounds.scalar_lower_bound(t, x_lo, a)
-    report.record(exact_lo - ours_lo, tol, _indexed("scalar-lower"))
-
-    exact_up = np.power(1 + t, x_up)
+    # each family's arrays replace the last ones, so that few are alive at once
+    t1 = 1 + t
+    ours, jfq = bounds.scalar_lower_bound(t, x_lo, a, ("ours", "jfq"))
+    report.record(np.power(t1, x_lo) - ours, tol, _indexed("scalar-lower"))
     ours_up = bounds.scalar_upper_bound(t, x_up, a)
-    report.record((ours_up - exact_up) / exact_up, rtol, _indexed("scalar-upper"))
+    exact = np.power(t1, x_up)
+    report.record((ours_up - exact) / exact, rtol, _indexed("scalar-upper"))
+    report.record(ours - jfq, tol, _indexed("dominance-lower-jfq"))
+    del ours_up, jfq
 
-    jfq_lo = bounds.scalar_lower_bound(t, x_lo, a, "jfq")
-    report.record(ours_lo - jfq_lo, tol, _indexed("dominance-lower-jfq"))
-    ours_half = bounds.scalar_lower_bound(t, x_half, a)
-    zjz1_lo = bounds.scalar_lower_bound(t, x_half, a, "zjz1", p=p)
-    zjz2_lo = bounds.scalar_lower_bound(t, x_half, a, "zjz2")
-    report.record(ours_half - zjz1_lo, tol, _indexed("dominance-lower-zjz1"))
-    report.record(ours_half - zjz2_lo, tol, _indexed("dominance-lower-zjz2"))
+    ours, zjz1, zjz2 = bounds.scalar_lower_bound(t, x_half, a, ("ours", "zjz1", "zjz2"), p=p)
+    report.record(ours - zjz1, tol, _indexed("dominance-lower-zjz1"))
+    report.record(ours - zjz2, tol, _indexed("dominance-lower-zjz2"))
+    del zjz1, zjz2
 
-    ours_dom = bounds.scalar_upper_bound(t, x_dom, a)
-    exact_dom = np.power(1 + t, x_dom)
-    for name, variant, param in (
-        ("dominance-upper-jfq", "jfq", 0.5),
-        ("dominance-upper-zjz1", "zjz1", q),
-        ("dominance-upper-zjz2", "zjz2", 0.5),
-    ):
-        other = bounds.scalar_upper_bound(t, x_dom, a, variant, p=param)
-        report.record((other - ours_dom) / exact_dom, rtol, _indexed(name))
+    ours, *others = bounds.scalar_upper_bound(t, x_dom, a, ("ours", "jfq", "zjz1", "zjz2"), p=q)
+    exact = np.power(t1, x_dom)
+    for name, other in zip(("jfq", "zjz1", "zjz2"), others):
+        report.record((other - ours) / exact, rtol, _indexed(f"dominance-upper-{name}"))
     return report
 
 
@@ -313,8 +307,9 @@ def dominance_scan(example: str, grid: SweepGrid | None = None) -> tuple[list[st
     alpha/r <= 1/2.
     example2 rows: (beta, s, W1, W2, W3, W1 - W3, W2 - W3); only cells with
     beta >= s are listed.
-    Each bound is one ``tripartite_bound`` call over the grid.  A cell that
-    overflows or divides by zero raises FloatingPointError.
+    The bounds of each example are one ``tripartite_bound`` call over the
+    grid, with a tuple of variants.  A cell that overflows or divides by zero
+    raises FloatingPointError.
     """
     if example not in ("example1", "example2"):
         raise ValueError(f"unknown example {example!r}")
@@ -325,15 +320,15 @@ def dominance_scan(example: str, grid: SweepGrid | None = None) -> tuple[list[st
     if example == "example1":
         alpha, r = first, second
         x = alpha / r
-        z1, z2, z3 = (bounds.tripartite_bound(*EXAMPLE1_PAIRWISE, alpha, x, EXAMPLE1_A, variant)
-                      for variant in ("jfq", "zjz2", "ours"))
+        z1, z2, z3 = bounds.tripartite_bound(*EXAMPLE1_PAIRWISE, alpha, x, EXAMPLE1_A,
+                                             ("jfq", "zjz2", "ours"))
         z2[x > 0.5] = math.nan
         return ["alpha", "r", "Z1", "Z2", "Z3"], np.column_stack((alpha, r, z1, z2, z3))
     keep = second >= first - 1e-12
     beta, s = second[keep], first[keep]
     x = beta / s
-    w1, w2, w3 = (bounds.tripartite_bound(*EXAMPLE2_PAIRWISE, beta, x, EXAMPLE2_A, variant)
-                  for variant in ("jfq", "zjz2", "ours"))
+    w1, w2, w3 = bounds.tripartite_bound(*EXAMPLE2_PAIRWISE, beta, x, EXAMPLE2_A,
+                                         ("jfq", "zjz2", "ours"))
     header = ["beta", "s", "W1", "W2", "W3", "W1_minus_W3", "W2_minus_W3"]
     return header, np.column_stack((beta, s, w1, w2, w3, w1 - w3, w2 - w3))
 

@@ -908,6 +908,47 @@ class TestMarginRows:
         got = outcome(lambda: margin_rows(first, pairwise, spec, targets, base_exp=s_rows, a=a))
         assert got == want
 
+    @pytest.mark.parametrize("spec,targets,kwargs,seen", [
+        (BoundSpec("polygamy", 0.6, 0.6), [1.0, math.nan], {},
+         "polygamy target exponent must be >= 0.6, got nan"),
+        (BoundSpec("polygamy", 0.6, 0.6), [[1.0], [math.nan]], {"base_exp": [0.6, 0.6]},
+         "polygamy target exponent must be >= 0.6, got nan"),
+        (BoundSpec("polygamy", 0.6, 0.6), [1.0], {"a": [2.0, math.nan]},
+         "ratio parameter a must be >= 1, got nan"),
+        (BoundSpec("monogamy", 2.0, 2.0), [1.0], {"a": [math.nan, 2.0]},
+         "ratio parameter a must be >= 1, got nan"),
+        (BoundSpec("monogamy", 2.0, 2.0), [1.0], {"base_exp": [2.0, math.nan]},
+         "monogamy base exponent must be >= 2, got nan"),
+    ])
+    def test_nan_parameters_raise(self, spec, targets, kwargs, seen):
+        with pytest.raises(ValueError) as exc:
+            margin_rows([0.9, 0.9], [(0.5, 0.1), (0.5, 0.2)], spec, targets, **kwargs)
+        assert str(exc.value) == seen
+
+    def test_no_targets_keeps_the_ratio_mask(self):
+        first, pairwise = polygamy_block(seed=76)
+        s_rows, a_rows = per_sample_s(pairwise)
+        spec = BoundSpec("polygamy", 1.0, 1.0)
+        for kwargs in ({"base_exp": s_rows, "a": a_rows}, {"base_exp": s_rows}, {}):
+            got, ok = margin_rows(first, pairwise, spec, [], **kwargs)
+            _, want = margin_rows(first, pairwise, spec, [3.0], **kwargs)
+            assert got.shape == (len(first), 0)
+            assert ok.tolist() == want.tolist()
+            # a = 2^s fails on some rows; a resolved from max_admissible_a never does
+            assert (np.count_nonzero(ok) < len(ok)) == ("a" in kwargs)
+
+    @pytest.mark.parametrize("call", [
+        lambda first, pairwise, spec: margin_rows(first, pairwise, spec, 1.0),
+        lambda first, pairwise, spec: margin_grid(first, pairwise, spec, 1.0),
+        lambda first, pairwise, spec: bound_grid(unchecked_mv(first[0], pairwise[0]), spec, 1.0),
+        lambda first, pairwise, spec: margin_grid(first, pairwise, spec, np.ones((2, 1, 1))),
+    ])
+    def test_targets_of_the_wrong_rank_raise(self, call):
+        spec = BoundSpec("polygamy", 0.6, 0.6)
+        with pytest.raises(ValueError, match=r"targets must be a list of T exponents or an "
+                                             r"\((1|2), T\) array, got shape"):
+            call([0.9, 0.9], [(0.5, 0.1), (0.5, 0.2)], spec)
+
     def test_explicit_a_matches_the_row_loop(self):
         """With a given, the kernel takes no max_admissible_a power, and its
         margins and mask are still those of the row loop, which reports it."""

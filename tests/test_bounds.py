@@ -17,6 +17,7 @@ from monogamy.bounds import (
     scalar_lower_bound,
     scalar_upper_bound,
     tripartite_bound,
+    VARIANTS,
 )
 from monogamy.measures import MeasureKind, MeasureVector, measure_vectors
 from monogamy.states import w_class_amps
@@ -327,6 +328,133 @@ class TestTripartiteBound:
             tripartite_bound(0.25, 0.5, target, target / 0.6, 2**0.6)
 
 
+def first_failure(calls):
+    """Type and text of the first error of a loop of ``calls``, or None."""
+    for call in calls:
+        try:
+            call()
+        except (ValueError, FloatingPointError) as exc:
+            return type(exc), str(exc)
+    return None
+
+
+def failure(call):
+    return first_failure([call])
+
+
+class TestVariantTuples:
+    """A tuple of variant names returns the one-name results bit for bit, and
+    raises what the first failing one-name call would raise."""
+
+    SCALAR = [
+        # all four variants at one x each: 0 < x <= 1/2 below, x >= 1 above
+        (scalar_lower_bound, (0.5, 0.25, 0.3, 0.1)),
+        (scalar_upper_bound, (1.0, 1.5, 2.0, 3.7)),
+    ]
+
+    @staticmethod
+    def samples(lower, n=500, seed=3):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(1.0, 10.0, n)
+        t = rng.uniform(a, 100.0)
+        x = rng.uniform(0.0, 0.5, n) if lower else rng.uniform(1.0, 8.0, n)
+        x[:2] = (0.5, 0.25) if lower else (2.0, 1.0)  # pow's special exponents
+        p = rng.uniform(0.5, 1.0, n)
+        return t, x, a, p
+
+    @staticmethod
+    def assert_tuple_matches(fn, t, x, a, p, variants=VARIANTS):
+        got = fn(t, x, a, variants, p=p)
+        assert type(got) is tuple and len(got) == len(variants)
+        for variant, value in zip(variants, got):
+            want = fn(t, x, a, variant, p=p)
+            assert type(value) is type(want)
+            assert np.shape(value) == np.shape(want)
+            assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
+        return got
+
+    @pytest.mark.parametrize("fn,xs", SCALAR)
+    def test_scalar_bounds_match_one_name_calls(self, fn, xs):
+        t, x, a, p = self.samples(fn is scalar_lower_bound)
+        self.assert_tuple_matches(fn, t, x, a, p)
+        self.assert_tuple_matches(fn, t, x, a, 0.75)
+        for order in (("zjz2", "ours"), ("jfq", "zjz1", "jfq"), ("zjz1",), ()):
+            self.assert_tuple_matches(fn, t, x, a, p, order)
+        # a scalar x over arrays of t and a, and all-scalar calls
+        for x_k in xs:
+            self.assert_tuple_matches(fn, t, x_k, a, p)
+            self.assert_tuple_matches(fn, float(t[0]), x_k, float(a[0]), float(p[0]))
+
+    @pytest.mark.parametrize("fn,xs", SCALAR)
+    def test_reversed_views_and_one_sample_arrays(self, fn, xs):
+        t, x, a, p = self.samples(fn is scalar_lower_bound)
+        whole = fn(t, x, a, VARIANTS, p=p)
+        flipped = self.assert_tuple_matches(fn, t[::-1], x[::-1], a[::-1], p[::-1])
+        for got, want in zip(flipped, whole):
+            assert got.tobytes() == want[::-1].tobytes()
+        for i in (0, 1, 7):
+            one = self.assert_tuple_matches(fn, t[i:i + 1], x[i:i + 1], a[i:i + 1], p[i:i + 1])
+            assert [v.tolist() for v in one] == [[w[i]] for w in whole]
+
+    @pytest.mark.parametrize("fn,xs", SCALAR)
+    def test_p_widens_zjz1_alone(self, fn, xs):
+        p = np.array([0.6, 0.8, 1.0])
+        got = self.assert_tuple_matches(fn, 20.0, xs[0], 2.0, p)
+        assert [np.shape(v) for v in got] == [(), (), (3,), ()]
+
+    @pytest.mark.parametrize("variant,p", [("ours", 0.5), ("jfq", 0.5), ("zjz1", 0.7),
+                                           ("zjz2", 0.5)])
+    def test_tripartite_arrays_match_one_name_calls(self, variant, p):
+        rng = np.random.default_rng(6)
+        target = rng.uniform(0.0, 3.0, (30, 4))
+        x = rng.uniform(0.0, 5.0, (30, 4))
+        target[0], x[1] = (2.0, 0.5, 0.0, 1.0), (0.5, 1.0, 2.0, 0.0)
+        a = rng.uniform(1.0, 4.0, (30, 1))
+        names = (variant,) + tuple(v for v in VARIANTS if v != variant)
+        for args in ((target, x, a), (target[::-1], x[::-1], a[::-1]), (target[:1], x[:1], a[:1]),
+                     (1.0, x[:, 0], a[:, 0]), (float(target[2, 1]), float(x[2, 1]), 1.5)):
+            got = tripartite_bound(S6, 0.5, *args, names, p)
+            for name, value in zip(names, got, strict=True):
+                want = tripartite_bound(S6, 0.5, *args, name, p)
+                assert type(value) is type(want)
+                assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("fn,args,variants,seen", [
+        # the first name's checks come first, whatever the later names need
+        (scalar_lower_bound, (0.5, 0.4, 1.0), ("ours", "zjz1"), "t must satisfy"),
+        (scalar_lower_bound, (0.5, 0.4, 1.0), ("zjz1", "ours"), "requires 1/2 <= p"),
+        (scalar_lower_bound, (3.0, 0.7, 1.0), ("ours", "zjz2"), "needs 0 <= x <= 1/2"),
+        (scalar_lower_bound, (3.0, 0.7, 1.0), ("zjz2", "ours"), "needs 0 <= x <= 1/2"),
+        (scalar_lower_bound, (3.0, 0.4, 1.0), ("jfq", "zjz1"), "requires 1/2 <= p"),
+        (scalar_lower_bound, (3.0, 0.4, 1.0), ("ours", "bogus", "zjz1"), "unknown variant"),
+        (scalar_upper_bound, (3.0, 0.5, 1.0), ("jfq", "zjz1"), "upper bounds need x >= 1"),
+        (scalar_upper_bound, (3.0, 0.5, 1.0), ("zjz1", "jfq"), "requires 0 < q <= 1"),
+        (scalar_upper_bound, (3.0, 2.0, 0.5), ("ours", "jfq"), "a >= 1"),
+        (scalar_upper_bound, (3.0, 2.0, 1.0), ("zjz2", "xyz"), "unknown variant 'xyz'"),
+    ])
+    def test_scalar_errors_match_the_first_failing_one_name_call(self, fn, args, variants,
+                                                                  seen):
+        p = 0.2 if fn is scalar_lower_bound else 0.0
+        want = first_failure([lambda v=v: fn(*args, v, p=p) for v in variants])
+        assert want is not None and seen in want[1]
+        assert failure(lambda: fn(*args, variants, p=p)) == want
+
+    @pytest.mark.parametrize("variants", [("ours", "jfq"), ("jfq", "ours"), ("zjz2", "bogus"),
+                                          ("bogus", "ours"), ("ours", "zjz1")])
+    @pytest.mark.parametrize("target,x,a", [
+        (np.array([1.0, 2000.0]), np.array([1.0, 2000.0]) / 0.6, 2**0.6),  # overflow
+        (1.0, 2.0, 0.0),  # division by zero
+        (1.0, 0.5, 1.3),  # no error from a known name
+    ])
+    def test_tripartite_errors_match_the_first_failing_one_name_call(self, variants, target,
+                                                                     x, a):
+        def call(v):
+            return lambda: tripartite_bound(0.25, 0.5, target, x, a, v, 0.7)
+
+        want = first_failure([call(v) for v in variants])
+        assert failure(call(variants)) == want
+
+
 class TestBoundSpec:
     @pytest.mark.parametrize(
         "kwargs",
@@ -345,6 +473,25 @@ class TestBoundSpec:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             BoundSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,seen", [
+        (dict(mode="polygamy", base_exp=0.6, target_exp=math.nan),
+         "polygamy target exponent must be >= 0.6, got nan"),
+        (dict(mode="polygamy", base_exp=0.6, target_exp=1.0, a=math.nan),
+         "ratio parameter a must be >= 1, got nan"),
+        (dict(mode="monogamy", base_exp=2, target_exp=1.0, a=math.nan),
+         "ratio parameter a must be >= 1, got nan"),
+        (dict(mode="monogamy", base_exp=math.nan, target_exp=1.0),
+         "monogamy base exponent must be >= 2, got nan"),
+        (dict(mode="polygamy", base_exp=math.nan, target_exp=1.0),
+         "polygamy base exponent must be in (0, 1], got nan"),
+        (dict(mode="monogamy", base_exp=2, target_exp=math.nan),
+         "monogamy target exponent must be in [0, 2.0], got nan"),
+    ])
+    def test_nan_is_rejected(self, kwargs, seen):
+        with pytest.raises(ValueError) as exc:
+            BoundSpec(**kwargs)
+        assert str(exc.value) == seen
 
     def test_x_property(self):
         assert BoundSpec("monogamy", 2, 1).x == 0.5

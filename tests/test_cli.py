@@ -98,6 +98,20 @@ class TestBound:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("mode,base,extra,seen", [
+        ("polygamy", "0.6", ["--target-exp", "nan"], "polygamy target exponent must be >= 0.6"),
+        ("polygamy", "0.6", ["--target-exp", "1", "--a", "nan"], "a must be >= 1, got nan"),
+        ("monogamy", "2", ["--target-exp", "1", "--a", "nan"], "a must be >= 1, got nan"),
+        ("monogamy", "nan", ["--target-exp", "1"], "base exponent must be >= 2, got nan"),
+    ])
+    def test_nan_parameter_exit_3(self, capsys, mode, base, extra, seen):
+        state, kind = (("wclass:1/2,1/2,sqrt(2)/2", "screnoa") if mode == "polygamy"
+                       else (EX1, "concurrence"))
+        code, out, err = run(capsys, "bound", "--state", state, "--kind", kind,
+                             "--mode", mode, "--base-exp", base, *extra)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and seen in err
+
     def test_overflowing_weight_prints_inf(self, capsys):
         # (1 + a)^(x - 1) overflows at a = 1e300, x = 5: the bound is inf
         with warnings.catch_warnings():
@@ -190,9 +204,10 @@ class TestWriteCsv:
                   for row in self.TABLE]
         return "\n".join(lines) + "\n"
 
-    @pytest.mark.parametrize("chunk", [2, 4096])
+    @pytest.mark.parametrize("chunk", [1, 2, 4096])
     def test_matches_per_field_fmt(self, capsys, monkeypatch, tmp_path, chunk):
-        # a chunk of 2 puts chunk boundaries inside the table
+        # a chunk of 2 puts chunk boundaries inside the table, and a chunk of
+        # 1 gives chunks with no NaN, whose text is not scanned for one
         monkeypatch.setattr(cli, "CSV_CHUNK", chunk)
         cli._write_csv("-", self.HEADER, np.array(self.TABLE))
         assert capsys.readouterr().out == self.expected()

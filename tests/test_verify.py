@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -128,6 +129,44 @@ class TestVerifyStates:
         a = verify_polygamy_states(100, seed=7)
         b = verify_polygamy_states(100, seed=7)
         assert dataclasses.asdict(a) == dataclasses.asdict(b)
+
+
+    def test_empty_beta_grid_skips_as_the_default_grid(self):
+        # the skips come from the ratio mask, which needs no target
+        default = verify_polygamy_states(40, seed=1)
+        empty = verify_polygamy_states(40, seed=1, beta_grid=[])
+        assert (empty.skipped, empty.total) == (default.skipped, 0)
+        assert default.skipped == 8
+
+
+def counting(monkeypatch, name):
+    """Wrap ``bounds.name`` so that each call appends its ``variant`` argument."""
+    calls, real = [], getattr(bounds, name)
+    signature = inspect.signature(real)
+
+    def wrapper(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments["variant"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, name, wrapper)
+    return calls
+
+
+def test_verify_scalar_makes_four_bound_calls(monkeypatch):
+    lower = counting(monkeypatch, "scalar_lower_bound")
+    upper = counting(monkeypatch, "scalar_upper_bound")
+    verify_scalar(50, seed=3)
+    assert lower == [("ours", "jfq"), ("ours", "zjz1", "zjz2")]
+    assert upper == ["ours", ("ours", "jfq", "zjz1", "zjz2")]
+
+
+@pytest.mark.parametrize("example", ["example1", "example2"])
+def test_dominance_scan_makes_one_bound_call(monkeypatch, example):
+    calls = counting(monkeypatch, "tripartite_bound")
+    dominance_scan(example)
+    assert calls == [("jfq", "zjz2", "ours")]
 
 
 @pytest.mark.parametrize("suite", [verify_scalar, verify_monogamy_states, verify_polygamy_states])
