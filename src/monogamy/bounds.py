@@ -129,22 +129,22 @@ def _check_tax(t, a, x, variants: tuple[str, ...], p, lower: bool):
     t, a, x = (np.asarray(v, dtype=float) for v in (t, a, x))
     q, passed = np.asarray(p), set()
     for variant in variants:
-        if variant == "zjz1" and lower and (np.any(q < 0.5) or np.any(q > 1)):
+        if variant == "zjz1" and lower and (not np.all(q >= 0.5) or not np.all(q <= 1)):
             raise ValueError(f"zjz1 lower bound requires 1/2 <= p <= 1, got {p}")
-        if variant == "zjz1" and not lower and (np.any(q <= 0) or np.any(q > 1)):
+        if variant == "zjz1" and not lower and (not np.all(q > 0) or not np.all(q <= 1)):
             raise ValueError(f"zjz1 upper bound requires 0 < q <= 1, got {p}")
-        if not passed and np.any(a < 1):
+        if not passed and not np.all(a >= 1):
             raise ValueError("ratio parameter a must satisfy a >= 1")
-        if not passed and np.any(t < a):
+        if not passed and not np.all(t >= a):
             raise ValueError("t must satisfy t >= a")
         kind = "upper" if not lower else "full" if variant in ("ours", "jfq") else "half"
         if kind in passed:
             pass
-        elif kind == "full" and (np.any(x <= 0) or np.any(x > 1)):
+        elif kind == "full" and (not np.all(x > 0) or not np.all(x <= 1)):
             raise ValueError(f"variant {variant!r} needs 0 < x <= 1, got {x}")
-        elif kind == "half" and (np.any(x < 0) or np.any(x > 0.5)):
+        elif kind == "half" and (not np.all(x >= 0) or not np.all(x <= 0.5)):
             raise ValueError(f"variant {variant!r} needs 0 <= x <= 1/2, got {x}")
-        elif kind == "upper" and np.any(x < 1):
+        elif kind == "upper" and not np.all(x >= 1):
             raise ValueError(f"upper bounds need x >= 1, got {x}")
         passed.add(kind)
         if variant not in VARIANTS:
@@ -264,9 +264,9 @@ def ordered_weighted_sum(values, x: float, a: float) -> float:
     if np.any(np.diff(v) > 0):
         raise ValueError("values must be sorted in descending order")
     x, a = float(x), float(a)
-    if a < 1:
+    if not a >= 1:
         raise ValueError(f"ratio parameter a must be >= 1, got {a}")
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"exponent ratio x must be nonnegative, got {x}")
     return float(_ordered_sums(_power(v[None, None], x), np.array([[x]]), np.array([a]))[0, 0])
 
@@ -280,9 +280,9 @@ def ratio_condition(values, a: float, exponent: float, rtol: float = 1e-12) -> b
     """
     rows = np.sort(_check_values(values))[None, ::-1]
     a, exponent = float(a), float(exponent)
-    if a < 1:
+    if not a >= 1:
         raise ValueError(f"ratio parameter a must be >= 1, got {a}")
-    if exponent <= 0:
+    if not exponent > 0:
         raise ValueError(f"exponent must be positive, got {exponent}")
     return bool(_ratio_ok(_power(rows, exponent), a, rtol)[0])
 
@@ -293,7 +293,7 @@ def max_admissible_a(values, exponent: float) -> float:
     pairs of (v_(i)/v_(i+1))^exponent, +inf when every successor is zero."""
     rows = np.sort(_check_values(values))[None, ::-1]
     exponent = float(exponent)
-    if exponent <= 0:
+    if not exponent > 0:
         raise ValueError(f"exponent must be positive, got {exponent}")
     return float(_max_a(rows, exponent)[0])
 

@@ -8,8 +8,9 @@ Exit codes: 0 ok, 1 verification failure, 2 usage/parse error, 3 domain
 error or overflow, 4 I/O error.  Numbers are serialized with 12 significant
 digits and CSV output is locale-independent with ``\\n`` newlines.
 
-The ``MONOGAMY_SEED`` environment variable supplies the default seed; all
-other options are flag-driven.
+The ``MONOGAMY_SEED`` environment variable supplies the default seed, a
+non-negative integer (anything else is a usage error); all other options
+are flag-driven.
 """
 
 from __future__ import annotations
@@ -38,7 +39,14 @@ CSV_CHUNK = 4096
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("MONOGAMY_SEED", "0"))
+    text = os.environ.get("MONOGAMY_SEED", "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise StateSpecError(f"MONOGAMY_SEED must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _fmt(value) -> str:
@@ -122,16 +130,17 @@ _SUITES = ("scalar", "monogamy", "polygamy", "dominance", "all")
 
 
 def cmd_verify(args) -> int:
+    seed = _default_seed() if args.seed is None else args.seed
     selected = _SUITES[:-1] if args.suite == "all" else (args.suite,)
     summaries = {}
     failed = False
     for suite in selected:
         if suite == "scalar":
-            rep = verify.verify_scalar(args.n, seed=args.seed)
+            rep = verify.verify_scalar(args.n, seed=seed)
         elif suite == "monogamy":
-            rep = verify.verify_monogamy_states(args.n, seed=args.seed, tol=args.tol)
+            rep = verify.verify_monogamy_states(args.n, seed=seed, tol=args.tol)
         elif suite == "polygamy":
-            rep = verify.verify_polygamy_states(args.n, seed=args.seed, tol=args.tol)
+            rep = verify.verify_polygamy_states(args.n, seed=seed, tol=args.tol)
         else:
             rep = verify.VerificationReport()
             rep.merge(verify.verify_dominance("example1"))
@@ -144,12 +153,14 @@ def cmd_verify(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
+    """The command-line parser, built once per process.  Its ``commands``
+    attribute is the name -> parser map of its subcommands."""
     parser = argparse.ArgumentParser(
         prog="monogamy",
         description="Weighted monogamy/polygamy bounds for multiqubit correlation measures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
     kinds = [k.value for k in MeasureKind]
 
     p = sub.add_parser("measure", help="print the measure vector of a state")
@@ -188,10 +199,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with the same output, exit code
+    and Namespace.  When ``argv[0]`` names a subcommand, the rest goes
+    straight to that subcommand's parser instead of being scanned by the
+    top-level parser first; the top-level parser reports what is left over."""
+    parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error("unrecognized arguments: %s" % " ".join(extra))
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is None and args.fn is cmd_verify:
-        args.seed = _default_seed()
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.fn(args)
     except StateSpecError as exc:

@@ -232,4 +232,4 @@ def measure_vector(psi: PureState, kind: MeasureKind | str) -> MeasureVector:
     whose amplitudes the ``PureState`` has validated already."""
     kind = MeasureKind(kind)
     first, pairwise = _measure(psi.amps[None, :], psi.dims, kind)
-    return MeasureVector(kind, first[0], pairwise[0])
+    return MeasureVector(kind, first[0].item(), pairwise[0].tolist())

@@ -19,6 +19,9 @@ from . import linalg
 # truncated decimals like 0.7071); anything further off is an error.
 RENORM_TOL = 1e-6
 NORM_ATOL = 1e-12
+# Most amplitudes a ``haar:`` spec may ask for, far above the 2**6 of the
+# largest state a measure accepts; a larger spec is refused before the draw.
+MAX_HAAR_AMPLITUDES = 2**20
 
 
 class StateSpecError(ValueError):
@@ -173,7 +176,7 @@ def haar_random_pure(dims: Sequence[int], seed: int) -> PureState:
     if not dims:
         raise ValueError("dims must be nonempty")
     rng = np.random.default_rng(int(seed))
-    return PureState(dims, haar_random_amps(int(np.prod(dims)), rng))
+    return PureState(dims, haar_random_amps(math.prod(dims), rng))
 
 
 def haar_random_amps(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -272,6 +275,11 @@ def parse_state_spec(spec: str, default_seed: int = 0) -> PureState:
             dims = tuple(int(d) for d in dim_part.strip().split("x"))
         except ValueError:
             raise StateSpecError(f"cannot parse dims {dim_part!r}") from None
+        if math.prod(dims) > MAX_HAAR_AMPLITUDES:
+            raise StateSpecError(
+                f"haar dims {dim_part!r} ask for {math.prod(dims)} amplitudes, "
+                f"more than {MAX_HAAR_AMPLITUDES}"
+            )
         if seed_part.strip():
             try:
                 seed = int(seed_part)

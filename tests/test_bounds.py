@@ -197,6 +197,62 @@ class TestRatioCondition:
         assert max_admissible_a((1.0, 0.0), 2.0) == math.inf
 
 
+def with_nan(kwargs, name, form):
+    """``kwargs`` with ``name`` set to NaN, or to [its value, NaN]."""
+    nan = math.nan if form == "scalar" else np.array([kwargs[name], math.nan])
+    return {**kwargs, name: nan}
+
+
+class TestNaNArguments:
+    """Every range check of the public helpers is a negated inclusive
+    comparison, so a NaN argument fails it with the usual message."""
+
+    @pytest.mark.parametrize("form", ["scalar", "array"])
+    @pytest.mark.parametrize("name,seen", [
+        ("t", "t must satisfy t >= a"),
+        ("x", "variant 'zjz1' needs 0 <= x <= 1/2"),
+        ("a", "ratio parameter a must satisfy a >= 1"),
+        ("p", "zjz1 lower bound requires 1/2 <= p <= 1"),
+    ])
+    def test_scalar_lower_bound(self, name, seen, form):
+        kwargs = with_nan(dict(t=3.0, x=0.25, a=1.5, variant="zjz1", p=0.7), name, form)
+        with pytest.raises(ValueError, match=seen):
+            scalar_lower_bound(**kwargs)
+
+    @pytest.mark.parametrize("form", ["scalar", "array"])
+    @pytest.mark.parametrize("name,seen", [
+        ("t", "t must satisfy t >= a"),
+        ("x", "upper bounds need x >= 1"),
+        ("a", "ratio parameter a must satisfy a >= 1"),
+        ("p", "zjz1 upper bound requires 0 < q <= 1"),
+    ])
+    def test_scalar_upper_bound(self, name, seen, form):
+        kwargs = with_nan(dict(t=3.0, x=2.0, a=1.5, variant="zjz1", p=0.7), name, form)
+        with pytest.raises(ValueError, match=seen):
+            scalar_upper_bound(**kwargs)
+
+    @pytest.mark.parametrize("name,seen", [
+        ("x", "exponent ratio x must be nonnegative, got nan"),
+        ("a", "ratio parameter a must be >= 1, got nan"),
+    ])
+    def test_ordered_weighted_sum(self, name, seen):
+        with pytest.raises(ValueError, match=seen):
+            ordered_weighted_sum(**with_nan(dict(values=[0.5, 0.1], x=0.5, a=2.0), name, "scalar"))
+
+    @pytest.mark.parametrize("name,seen", [
+        ("a", "ratio parameter a must be >= 1, got nan"),
+        ("exponent", "exponent must be positive, got nan"),
+    ])
+    def test_ratio_condition(self, name, seen):
+        with pytest.raises(ValueError, match=seen):
+            ratio_condition(**with_nan(dict(values=[0.5, 0.1], a=1.0, exponent=1.0), name, "scalar"))
+
+    @pytest.mark.parametrize("name,seen", [("exponent", "exponent must be positive, got nan")])
+    def test_max_admissible_a(self, name, seen):
+        with pytest.raises(ValueError, match=seen):
+            max_admissible_a(**with_nan(dict(values=[0.5, 0.1], exponent=2.0), name, "scalar"))
+
+
 class TestMonogamyBound:
     def test_example1_ours(self):
         rep = monogamy_bound(ex1_mv, BoundSpec("monogamy", 2, 1, a=EX1_A))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import warnings
@@ -239,6 +240,113 @@ def test_parser_reused_after_parse_failure(capsys):
     assert "invalid float value" in capsys.readouterr().err
     assert cli.build_parser() is cli.build_parser()
     assert [run(capsys, *argv) for argv in calls] == want
+
+
+SPEC = "haar:2x2x2:7"
+BOUND = ["bound", "--state", SPEC, "--kind", "concurrence", "--mode", "monogamy",
+         "--base-exp", "2", "--target-exp", "1"]
+
+# help at both levels, abbreviations, --opt=value, "--", missing and unknown
+# options, bad choices and values, extra arguments, and non-subcommand heads
+PARSE_CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["-h", "measure"],
+    ["mesure", "--state", SPEC],
+    ["--state", SPEC, "measure"],
+    ["measure"],
+    ["measure", "-h"],
+    ["bound", "--help"],
+    ["repro", "--he"],
+    ["verify", "-h", "--suite", "bogus"],
+    ["measure", "--state", SPEC, "--kind", "concurrence"],
+    ["measure", "--state=wclass:1,0,0", "--kind=negativity"],
+    ["measure", "--sta", SPEC, "--ki", "concurrence"],
+    ["measure", "--state", SPEC, "--kind", "bogus"],
+    ["measure", "--state", SPEC],
+    ["measure", "--state", SPEC, "--kind", "concurrence", "--bogus"],
+    ["measure", "--state", SPEC, "--kind", "concurrence", "extra", "-x"],
+    ["measure", "--state", SPEC, "--kind", "concurrence", "--", "extra"],
+    ["measure", "--", "--state", SPEC],
+    ["measure", "--state", "-1", "--kind", "concurrence"],
+    ["measure", "--state", "a", "--kind", "scren", "--state", "b", "verify"],
+    BOUND,
+    BOUND + ["--a", "-1.5", "--variant", "zjz1", "--p=0.7"],
+    BOUND + ["--base", "3", "--tar", "2"],
+    BOUND[:-1] + ["nope"],
+    BOUND + ["--mode", "both"],
+    ["repro", "example1"],
+    ["repro", "example3"],
+    ["repro"],
+    ["repro", "example1", "example2"],
+    ["repro", "example2", "--grid", "0:1:0.5,2:3:0.5", "--out", "-"],
+    ["verify", "--suite", "all", "--n", "10", "--seed", "3", "--tol", "1e-6"],
+    ["verify", "--suite", "scalar", "--n", "ten"],
+    ["verify", "--s", "scalar"],
+]
+
+
+def parse_outcome(capsys, parse, argv):
+    try:
+        args, code = parse(argv), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    out = capsys.readouterr()
+    return args, code, out.out, out.err
+
+
+class TestParseArgs:
+    @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+    def test_matches_top_level_parse(self, capsys, argv):
+        want = parse_outcome(capsys, cli.build_parser().parse_args, list(argv))
+        assert parse_outcome(capsys, cli.parse_args, list(argv)) == want
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--state", SPEC, "--kind", "concurrence"],
+        BOUND,
+        ["repro", "example1", "--grid", "0:1:0.5,2:3:0.5"],
+        ["verify", "--suite", "scalar", "--n", "10", "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_subcommand_skips_top_level_parse(self, capsys, monkeypatch, argv):
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+        parsed = []
+
+        def counted(self, *args, **kwargs):
+            parsed.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        assert run(capsys, *argv)[0] == 0
+        assert parsed == [f"monogamy {argv[0]}"]
+        cli.build_parser().parse_args(argv)
+        assert parsed[1:] == ["monogamy", f"monogamy {argv[0]}"]
+
+
+class TestSeedVariable:
+    @pytest.mark.parametrize("value", ["abc", "-5", "", "1.5"])
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--state", "haar:2x2x2", "--kind", "concurrence"],
+        ["measure", "--state", EX1, "--kind", "concurrence"],
+        BOUND,
+        ["verify", "--suite", "scalar", "--n", "10"],
+    ], ids=["measure-haar", "measure-schmidt3", "bound", "verify"])
+    def test_bad_value_is_usage_error(self, capsys, monkeypatch, argv, value):
+        monkeypatch.setenv("MONOGAMY_SEED", value)
+        assert run(capsys, *argv) == (
+            2, "", f"error: MONOGAMY_SEED must be a non-negative integer, got {value!r}\n")
+
+    def test_unread_with_verify_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("MONOGAMY_SEED", "abc")
+        assert run(capsys, "verify", "--suite", "scalar", "--n", "10", "--seed", "1")[0] == 0
+
+
+def test_oversize_haar_spec_exit_2(capsys):
+    spec = "haar:" + "x".join(["2"] * 50)
+    code, out, err = run(capsys, "measure", "--state", spec, "--kind", "concurrence")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: haar dims") and "1125899906842624 amplitudes" in err
 
 
 class TestVerify:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from monogamy import states
 from monogamy.states import (
+    MAX_HAAR_AMPLITUDES,
     DensityMatrix,
     PureState,
     StateSpecError,
@@ -233,6 +235,24 @@ class TestParseStateSpec:
         a = parse_state_spec("haar:2x2", default_seed=9)
         b = parse_state_spec("haar:2x2:9")
         assert np.array_equal(a.amps, b.amps)
+
+    def test_haar_at_amplitude_cap(self):
+        assert MAX_HAAR_AMPLITUDES == 2**20
+        psi = parse_state_spec("haar:" + "x".join(["2"] * 20) + ":1")
+        assert psi.amps.shape == (MAX_HAAR_AMPLITUDES,)
+
+    @pytest.mark.parametrize("dims", [
+        str(MAX_HAAR_AMPLITUDES + 1),
+        "x".join(["2"] * 50),  # once a MemoryError
+        "x".join(["2"] * 64),  # once overflowed np.prod to a length of 0
+    ])
+    def test_haar_over_amplitude_cap(self, monkeypatch, dims):
+        def draw(*args):
+            raise AssertionError("drew a state over the cap")
+
+        monkeypatch.setattr(states, "haar_random_pure", draw)
+        with pytest.raises(StateSpecError, match=f"amplitudes, more than {MAX_HAAR_AMPLITUDES}"):
+            parse_state_spec(f"haar:{dims}:1")
 
     @pytest.mark.parametrize(
         "bad",
