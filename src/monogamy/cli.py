@@ -34,8 +34,51 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
 
-# Rows of a CSV table formatted and written per write call
-CSV_CHUNK = 4096
+# Rows of a CSV table formatted and written per write call.  Larger chunks
+# make fewer NumPy calls; smaller ones fault in fewer fresh pages for the
+# kernel's temporaries (a 903-row table: about 200 minor faults in one
+# chunk, 80 at 512 rows, 10 at 256).
+CSV_CHUNK = 512
+
+# The CSV kernel writes each field into _W byte slots and then drops the
+# slots its text does not use: 0-1 are never used, 2 is a minus sign, 3-7
+# the "0.000" prefix of a value below 1, and 8-31 hold twelve (digit, point)
+# pairs, whose last point slot is the separator.
+_W = 32
+_HEAD = np.frombuffer(b"  -0.000", np.uint64)
+_P10 = np.array([float(10**k) for k in range(17)])  # each one exact
+_SEP_ONLY = 16 * 13 * 2  # the keep-table row after every (x, zeros, sign)
+
+
+@functools.cache
+def _csv_tables():
+    """Digits and points ("d.d.d.d.") and trailing-zero counts of every
+    4-digit group, and the slots to keep for each (exponent x in [-4, 11],
+    trailing zeros of the mantissa, sign) code, plus a last code,
+    _SEP_ONLY, that keeps only the separator.  Built on first use: a
+    process that writes no CSV does not pay for them."""
+    d = np.arange(100, dtype=np.uint8)
+    pair = np.full((100, 4), ord("."), np.uint8)
+    pair[:, 0], pair[:, 2] = d // 10 + 48, d % 10 + 48
+    pair = pair.view(np.uint32).ravel()
+    quads = np.empty((100, 100, 2), np.uint32)
+    quads[:, :, 0], quads[:, :, 1] = pair[:, None], pair
+    zeros = (d % 10 == 0) + (d == 0).astype(np.uint8)
+    quad_zeros = np.where(d == 0, zeros[:, None] + np.uint8(2), zeros)
+    slot = np.arange(_W)
+    j = (slot - 8) // 2  # digit of a pair slot
+    x = np.arange(-4, 12)[:, None, None, None]
+    tz = np.arange(13)[:, None, None]
+    neg = np.arange(2)[:, None]
+    keep = ((slot == 2) & (neg == 1)
+            | (slot >= 3) & (slot <= 3 - x) & (x < 0)
+            | (slot >= 8) & (slot % 2 == 0) & ((j <= x) | (j < 12 - tz))
+            | (slot >= 8) & (slot % 2 == 1) & (j == x) & (tz < 11 - x)
+            | (slot == _W - 1))
+    keep = np.concatenate([keep.reshape(-1, _W), [slot == _W - 1]])
+    return quads.view(np.uint64).ravel(), quad_zeros.ravel(), keep
+
+
 
 
 def _default_seed() -> int:
@@ -59,18 +102,72 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_codes(v: np.ndarray, quad_zeros: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The three 4-digit groups of each value's 12-digit mantissa, as a
+    (3, N) array, and the keep-table row that prints it; a NaN, or a value
+    for Python's ``'%.12g'``, gets _SEP_ONLY.
+
+    A value v in [1e-5, 1e12) has decimal exponent e = floor(log10 |v|) and
+    12-digit mantissa m = rint(|v| * 10^(11 - e)), the rounding of |v| that
+    ``%.12g`` prints, unless the product is within 1e-3 of a rounding tie:
+    it is below 2^40, so the multiply by an exact power of ten errs by at
+    most 1.2e-4.  Such a field, and every value that prints in exponent form
+    or is not finite, is left to Python's ``'%.12g'``."""
+    a = np.abs(v)
+    fast = (a >= 1e-5) & (a < 1e12)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    p = a * _P10.take(11 - e, mode="clip")  # a clipped e leaves x out of range
+    m = np.rint(p)
+    roll = m == 1e12
+    x = e + roll
+    fast &= (np.abs(p - m) < 0.499) & (m >= 1e11) & (m <= 1e12) & (x >= -4) & (x <= 11)
+    m[roll] = 1e11
+    m[~fast] = 0.0  # a zero, scaled as 1.0, has x = 0 and prints as "0"
+    q = np.floor(m / 1e4)
+    quads = np.empty((3, len(v)), np.intp)
+    quads[2] = m - q * 1e4
+    quads[0] = np.floor(q / 1e4)
+    quads[1] = q - quads[0] * 1e4
+    z = quad_zeros.take(quads)
+    zeros = z[2] + (z[2] == 4) * (z[1] + (z[1] == 4) * z[0])
+    code = ((x + 4) * 13 + zeros) * 2 + np.signbit(v)
+    code[~(fast | (v == 0))] = _SEP_ONLY
+    return quads, code
+
+
+def _csv_rows(chunk: np.ndarray) -> str:
+    """The CSV lines of the rows of an (n, k) float array: each field is its
+    value's ``'%.12g'`` text, and a NaN is an empty field."""
+    rows, k = chunk.shape
+    v = chunk.ravel()
+    quad_digits, quad_zeros, keep_rows = _csv_tables()
+    quads, code = _csv_codes(v, quad_zeros)
+    words = np.empty((len(v), _W // 8), np.uint64)
+    words[:, 0] = _HEAD
+    words[:, 1:] = quad_digits.take(quads.T)
+    text = words.view(np.uint8)
+    text.reshape(rows, k, _W)[:, :, -1] = ord(",")
+    text.reshape(rows, k, _W)[:, -1, -1] = ord("\n")
+    keep = keep_rows.take(code, axis=0)
+    slow = np.flatnonzero((code == _SEP_ONLY) & ~np.isnan(v))
+    if slow.size:
+        fields = ["%.12g" % f for f in v[slow].tolist()]
+        fields = np.array(fields, "S19").view(np.uint8).reshape(-1, 19)
+        text[slow, 8:27] = fields
+        keep[slow, 8:27] = fields != 0
+    return np.compress(keep.ravel(), text.ravel()).tobytes().decode("ascii")
+
+
 def _write_csv(path: str, header: Sequence[str], table: np.ndarray):
-    """Write the rows of an (N, k) float table, CSV_CHUNK rows at a time.
-    Each row is one ``%.12g`` template, which prints a float as ``_fmt``
-    does, and a NaN (a value outside its domain) prints as an empty field."""
-    row = ",".join(["%.12g"] * len(header)) + "\n"
+    """Write the rows of an (N, k) float table, CSV_CHUNK rows at a time, as
+    ``_csv_rows`` formats them: each value prints as ``_fmt`` prints it, and
+    a NaN (a value outside its domain) prints as an empty field."""
 
     def emit(fh):
         fh.write(",".join(header) + "\n")
         for start in range(0, len(table), CSV_CHUNK):
-            chunk = table[start:start + CSV_CHUNK]
-            text = row * len(chunk) % tuple(chunk.ravel().tolist())
-            fh.write(text.replace("nan", "") if np.isnan(chunk).any() else text)
+            fh.write(_csv_rows(table[start:start + CSV_CHUNK]))
 
     if path == "-":
         emit(sys.stdout)
@@ -131,6 +228,8 @@ _SUITES = ("scalar", "monogamy", "polygamy", "dominance", "all")
 
 def cmd_verify(args) -> int:
     seed = _default_seed() if args.seed is None else args.seed
+    if seed < 0:
+        raise StateSpecError(f"--seed must be a non-negative integer, got {seed}")
     selected = _SUITES[:-1] if args.suite == "all" else (args.suite,)
     summaries = {}
     failed = False

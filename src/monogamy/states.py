@@ -285,6 +285,9 @@ def parse_state_spec(spec: str, default_seed: int = 0) -> PureState:
                 seed = int(seed_part)
             except ValueError:
                 raise StateSpecError(f"cannot parse seed {seed_part!r}") from None
+            if seed < 0:
+                raise StateSpecError(
+                    f"haar seed must be a non-negative integer, got {seed_part.strip()!r}")
         else:
             seed = default_seed
         return haar_random_pure(dims, seed)

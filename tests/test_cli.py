@@ -208,7 +208,7 @@ class TestWriteCsv:
     @pytest.mark.parametrize("chunk", [1, 2, 4096])
     def test_matches_per_field_fmt(self, capsys, monkeypatch, tmp_path, chunk):
         # a chunk of 2 puts chunk boundaries inside the table, and a chunk of
-        # 1 gives chunks with no NaN, whose text is not scanned for one
+        # 1 gives chunks of a single row
         monkeypatch.setattr(cli, "CSV_CHUNK", chunk)
         cli._write_csv("-", self.HEADER, np.array(self.TABLE))
         assert capsys.readouterr().out == self.expected()
@@ -219,6 +219,47 @@ class TestWriteCsv:
     def test_empty_table(self, capsys):
         cli._write_csv("-", self.HEADER, np.empty((0, 5)))
         assert capsys.readouterr().out == "alpha,r,Z1,Z2,Z3\n"
+
+    def template(self, table):
+        """The writer's earlier form, one %-template per row, as the reference."""
+        row = ",".join(["%.12g"] * len(self.HEADER)) + "\n"
+        text = row * len(table) % tuple(table.ravel().tolist())
+        return ",".join(self.HEADER) + "\n" + text.replace("nan", "")
+
+    @staticmethod
+    def values(kind, rng):
+        if kind == "magnitudes":
+            return rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-320, 300, 20000)
+        if kind == "fixed-notation":
+            return rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-5.5, 12.5, 20000)
+        if kind == "edges":
+            edges = [0.0, math.inf, math.nan, 9.99999999999949e-05, 9.9999999999995e-05,
+                     999999999999.4, 999999999999.5, 1e12, 1e-5, 1e-4, 1.0, 1e11,
+                     5e-324, 2.2250738585072014e-308]
+            edges = np.array(edges + [10.0**k for k in range(-12, 16)])
+            edges = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf),
+                                    [1.7976931348623157e308]])
+            return np.concatenate([edges, -edges])
+        # ties of the 13th significant digit, exact at exponent 11 and rounded
+        # below it, and their neighbours on either side
+        ties = (rng.integers(10**11, 10**12, 5000) + 0.5) * 10.0 ** rng.integers(-16, 1, 5000)
+        ties = np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf)])
+        return np.concatenate([ties, -ties])
+
+    @pytest.mark.parametrize("kind", ["magnitudes", "fixed-notation", "edges", "ties"])
+    def test_matches_template(self, capsys, kind):
+        values = self.values(kind, np.random.default_rng(14))
+        table = np.resize(values, (-(-len(values) // 5), 5))
+        cli._write_csv("-", self.HEADER, table)
+        assert capsys.readouterr().out == self.template(table)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_rows_around_chunk(self, capsys, extra):
+        rng = np.random.default_rng(15)
+        values = np.concatenate([self.values(kind, rng) for kind in ("fixed-notation", "edges")])
+        table = rng.permutation(values)[:5 * (cli.CSV_CHUNK + extra)].reshape(-1, 5)
+        cli._write_csv("-", self.HEADER, table)
+        assert capsys.readouterr().out == self.template(table)
 
 
 def test_parser_reused_after_parse_failure(capsys):
@@ -336,6 +377,15 @@ class TestSeedVariable:
         monkeypatch.setenv("MONOGAMY_SEED", value)
         assert run(capsys, *argv) == (
             2, "", f"error: MONOGAMY_SEED must be a non-negative integer, got {value!r}\n")
+
+    @pytest.mark.parametrize("argv,err", [
+        (["measure", "--state", "haar:2x2x2:-5", "--kind", "concurrence"],
+         "haar seed must be a non-negative integer, got '-5'"),
+        (["verify", "--suite", "scalar", "--n", "10", "--seed", "-5"],
+         "--seed must be a non-negative integer, got -5"),
+    ], ids=["haar-spec", "verify"])
+    def test_negative_seed_is_usage_error(self, capsys, argv, err):
+        assert run(capsys, *argv) == (2, "", f"error: {err}\n")
 
     def test_unread_with_verify_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("MONOGAMY_SEED", "abc")

@@ -32,6 +32,9 @@ GOLDEN = {
         "3cd29baa4834a8b70fc70030d1c3da6eca3d24bce36fc0e748b23eeaddd413ba",
     "repro example2":
         "61564dfbd5ad0ac2c3bd1076c0823111857e2d0ed1f6b27df77ad6de6bc2b871",
+    # 44,341 rows, written in many CSV chunks
+    "repro example2 --grid 0.6:1:0.002,0.6:3:0.01":
+        "9c721e6fa2827e881123439ca9ff6c3eeba4ce215818b4b6cf5c33c09edbc099",
     f"measure --state {EX1} --kind concurrence":
         "19f37975228677a307e27d94d73523a5f1c0535b886ba2c6504f5c3275d50787",
     f"bound --state {EX1} {MONO} --target-exp 0":

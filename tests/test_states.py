@@ -260,6 +260,7 @@ class TestParseStateSpec:
             "schmidt3:1,0,0",
             "wclass:1,0",
             "haar:2y2:1",
+            "haar:2x2:-1",
             "mystery:1,2",
             "wclass:one,0,0",
             "schmidt3",
