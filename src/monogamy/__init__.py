@@ -43,13 +43,9 @@ from .bounds import (
     scalar_lower_bound,
     scalar_upper_bound,
     tripartite_bound,
-    ordered_weighted_sum,
-    ratio_condition,
     max_admissible_a,
     monogamy_bound,
     polygamy_bound,
-    bound_grid,
-    margin_grid,
     margin_rows,
 )
 from .verify import (
@@ -92,13 +88,9 @@ __all__ = [
     "scalar_lower_bound",
     "scalar_upper_bound",
     "tripartite_bound",
-    "ordered_weighted_sum",
-    "ratio_condition",
     "max_admissible_a",
     "monogamy_bound",
     "polygamy_bound",
-    "bound_grid",
-    "margin_grid",
     "margin_rows",
     "SweepGrid",
     "VerificationReport",

@@ -237,11 +237,13 @@ def _max_a(rows: np.ndarray, exponent) -> np.ndarray:
     return np.where(lo != 0, _power(hi / lo, exponent), math.inf).min(axis=1, initial=math.inf)
 
 
-def _ratio_ok(powers: np.ndarray, a, rtol: float = 1e-12) -> np.ndarray:
-    """``ratio_condition`` of descending rows (N, m) from their ``powers`` at
-    a positive exponent; ``a`` is a scalar or an (N, 1) column.  A zero
-    successor passes, as nothing is below a * 0 (0, or NaN at a = inf)."""
-    return ~(powers[:, :-1] < a * powers[:, 1:] * (1.0 - rtol)).any(axis=1)
+def _ratio_ok(powers: np.ndarray, a) -> np.ndarray:
+    """The ratio condition v_(i)^exp >= a v_(i+1)^exp of descending rows
+    (N, m) from their ``powers`` at a positive exponent; ``a`` is a scalar
+    or an (N, 1) column.  A relative 1e-12 absorbs round-off, so that
+    a = max_admissible_a itself passes.  A zero successor passes, as nothing
+    is below a * 0 (0, or NaN at a = inf)."""
+    return ~(powers[:, :-1] < a * powers[:, 1:] * (1.0 - 1e-12)).any(axis=1)
 
 
 def _ordered_sums(terms: np.ndarray, xs: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -250,41 +252,6 @@ def _ordered_sums(terms: np.ndarray, xs: np.ndarray, a: np.ndarray) -> np.ndarra
     [(scale, w)] = _weights(("ours",), xs, a[:, None], 0.5)
     weights = _power(w[..., None], np.arange(terms.shape[-1] - 1, -1, -1, dtype=float))
     return scale * (weights * terms).sum(axis=-1)
-
-
-def ordered_weighted_sum(values, x: float, a: float) -> float:
-    """Weighted power sum (1+a)^{x-1} sum_i ((1+1/a)^{x-1})^{n-i} v_(i)^x.
-
-    ``values`` must already be sorted in descending order; v_(i) is the i-th
-    largest.  Under the ratio condition this bounds (sum v_i)^x from below
-    for 0 < x <= 1 and from above for x >= 1; at x = 0 it is the valid lower
-    bound 1 - (a/(1+a))^n.
-    """
-    v = _check_values(values)
-    if np.any(np.diff(v) > 0):
-        raise ValueError("values must be sorted in descending order")
-    x, a = float(x), float(a)
-    if not a >= 1:
-        raise ValueError(f"ratio parameter a must be >= 1, got {a}")
-    if not x >= 0:
-        raise ValueError(f"exponent ratio x must be nonnegative, got {x}")
-    return float(_ordered_sums(_power(v[None, None], x), np.array([[x]]), np.array([a]))[0, 0])
-
-
-@np.errstate(all="ignore")
-def ratio_condition(values, a: float, exponent: float, rtol: float = 1e-12) -> bool:
-    """True iff v_(i)^exp >= a v_(i+1)^exp for all consecutive sorted pairs.
-
-    Pairs whose successor is zero pass vacuously.  ``rtol`` absorbs round-off
-    so that a = max_admissible_a itself passes.
-    """
-    rows = np.sort(_check_values(values))[None, ::-1]
-    a, exponent = float(a), float(exponent)
-    if not a >= 1:
-        raise ValueError(f"ratio parameter a must be >= 1, got {a}")
-    if not exponent > 0:
-        raise ValueError(f"exponent must be positive, got {exponent}")
-    return bool(_ratio_ok(_power(rows, exponent), a, rtol)[0])
 
 
 @np.errstate(all="ignore")
@@ -330,7 +297,7 @@ def tripartite_bound(smaller: float, larger: float, target: float, x: float,
 
 @np.errstate(all="ignore")
 def _grid(one_vs_rest, pairwise, spec: BoundSpec, targets, strict: bool, base_exp=None, a=None):
-    """The kernel of ``margin_rows``, ``margin_grid`` and ``bound_grid``, with
+    """The kernel of ``margin_rows`` and of the single-target reports, with
     their arguments and errors; ``strict`` raises a failing ratio condition.
     Returns the measured values, bounds and margins as (N, T) arrays, and the
     (N,) arrays of ratio_condition_ok, max_admissible_a (None unless ``a`` is
@@ -409,52 +376,35 @@ def _grid(one_vs_rest, pairwise, spec: BoundSpec, targets, strict: bool, base_ex
     return measured, bound, margin, ok, amax, a
 
 
-def margin_grid(one_vs_rest, pairwise, spec: BoundSpec, targets) -> np.ndarray:
-    """Margins of the bound of ``spec`` for N states at T target exponents,
-    as an (N, T) array, from the arrays ``one_vs_rest`` (N,) and ``pairwise``
-    (N, m) of ``measure_vectors``.
-
-    Row ``i`` holds the margins of ``bound_grid`` on state ``i`` bit for bit,
-    and an invalid input or a failing ratio condition raises the ValueError
-    that the first failing call of a loop of those calls would raise.
-    """
-    return _grid(one_vs_rest, pairwise, spec, targets, strict=True)[2]
-
-
 def margin_rows(one_vs_rest, pairwise, spec: BoundSpec, targets, *, base_exp=None,
                 a=None) -> tuple[np.ndarray, np.ndarray]:
-    """``margin_grid`` with a base exponent, a ratio parameter and targets
-    for each state, and no error for a failing ratio condition: returns the
-    (N, T) margins and the (N,) mask of ratio conditions.
+    """Margins of the bound of ``spec`` for N states, from the arrays
+    ``one_vs_rest`` (N,) and ``pairwise`` (N, m) of ``measure_vectors``, with
+    a base exponent, a ratio parameter and targets for each state: returns
+    the (N, T) margins and the (N,) mask of ratio conditions.
 
     ``targets`` is (N, T) or a shared list of T, and ``base_exp`` and ``a``
     are (N,) or shared scalars; None takes the spec's value (an ``a`` of None
     is max(1, max_admissible_a) per row, capped at A_CAP).  ``spec``
-    supplies mode, variant and p.  Row ``i`` is ``bound_grid`` on state i at
-    ``replace(spec, base_exp=base_exp[i], target_exp=base_exp[i], a=a[i])``,
-    ``targets[i]`` and ``strict=False``, bit for bit and error for error.
+    supplies mode, variant and p.  Entry (i, k) is the margin of
+    ``monogamy_bound`` or ``polygamy_bound`` on state i at
+    ``replace(spec, base_exp=base_exp[i], target_exp=targets[i][k], a=a[i])``
+    with ``strict=False``, and mask entry i its ``ratio_condition_ok``: a
+    loop of those calls over states and then targets, bit for bit and error
+    for error.  A failing ratio condition is no error.
     """
     _, _, margin, ok, _, _ = _grid(one_vs_rest, pairwise, spec, targets, False, base_exp, a)
     return margin, ok
 
 
-def bound_grid(mv: MeasureVector, spec: BoundSpec, targets,
-               strict: bool = True) -> list[BoundReport]:
-    """Evaluate the bound of ``spec`` at each target exponent of a grid.
-
-    Report ``k`` equals the single-target report (``monogamy_bound`` or
-    ``polygamy_bound``) at ``replace(spec, target_exp=targets[k])``, and an
-    invalid input raises the ValueError that the first failing call of a
-    loop over those calls would raise.  ``spec.target_exp`` is not used.
-    It is ``margin_grid`` on one state, plus the option ``strict=False``.
-    """
+def _report(mv: MeasureVector, spec: BoundSpec, strict: bool) -> BoundReport:
+    """The report of one state at ``spec.target_exp``, by one ``_grid`` call."""
     measured, bound, margin, ok, amax, a = _grid([mv.one_vs_rest], [mv.pairwise], spec,
-                                                 targets, strict)
+                                                 [spec.target_exp], strict)
     amax = max_admissible_a(mv.pairwise, spec.base_exp) if amax is None else float(amax[0])
     verified = _VERIFIED_MONOGAMY if spec.mode == "monogamy" else _VERIFIED_POLYGAMY
-    assumed = mv.kind not in verified
-    return [BoundReport(b, q, g, bool(ok[0]), amax, float(a[0]), assumed)
-            for b, q, g in zip(bound[0].tolist(), measured[0].tolist(), margin[0].tolist())]
+    return BoundReport(float(bound[0, 0]), float(measured[0, 0]), float(margin[0, 0]),
+                       bool(ok[0]), amax, float(a[0]), mv.kind not in verified)
 
 
 def monogamy_bound(mv: MeasureVector, spec: BoundSpec, strict: bool = True) -> BoundReport:
@@ -466,11 +416,11 @@ def monogamy_bound(mv: MeasureVector, spec: BoundSpec, strict: bool = True) -> B
     """
     if spec.mode != "monogamy":
         raise ValueError("monogamy_bound needs a spec in monogamy mode")
-    return bound_grid(mv, spec, [spec.target_exp], strict)[0]
+    return _report(mv, spec, strict)
 
 
 def polygamy_bound(mv: MeasureVector, spec: BoundSpec, strict: bool = True) -> BoundReport:
     """Evaluate the weighted polygamy upper bound; margin is bound - measured."""
     if spec.mode != "polygamy":
         raise ValueError("polygamy_bound needs a spec in polygamy mode")
-    return bound_grid(mv, spec, [spec.target_exp], strict)[0]
+    return _report(mv, spec, strict)

@@ -2,9 +2,6 @@
 
 All operations are pure functions on numpy arrays.  Index convention:
 subsystem 0 is the leftmost tensor factor, composite indices are row-major.
-``partial_trace``, ``hermitian_eigen`` and ``psd_sqrt`` also take stacks of
-shape ``(..., d, d)``; every check applies to every matrix of the stack, and
-each matrix gets the same bits as on its own.
 """
 
 from __future__ import annotations
@@ -20,20 +17,19 @@ HERMITICITY_ATOL = 1e-10
 PSD_EIG_FLOOR = -1e-10
 
 
-def _as_matrix(m, stack: bool = False) -> np.ndarray:
+def _as_matrix(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or (m.ndim > 2 and not stack):
-        want = "a matrix or a stack of matrices" if stack else "a 2-d matrix"
-        raise ValueError(f"expected {want}, got shape {m.shape}")
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("matrix contains NaN or Inf entries")
     return m
 
 
 def _check_square(m: np.ndarray) -> int:
-    if m.shape[-2] != m.shape[-1]:
+    if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m.shape[-1]
+    return m.shape[0]
 
 
 def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
@@ -48,7 +44,7 @@ def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
 
 def _check_hermitian(m: np.ndarray, atol: float) -> np.ndarray:
     _check_square(m)
-    asym = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0)
+    asym = np.max(np.abs(m - m.conj().T), initial=0.0)
     if asym > atol:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
     return m
@@ -60,15 +56,14 @@ def partial_trace(rho, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     Parameters
     ----------
     rho : array_like
-        Square matrix over the tensor product of ``dims``, or a stack of
-        them with shape ``(..., d, d)``.
+        Square matrix over the tensor product of ``dims``.
     dims : sequence of int
         Subsystem dimensions, leftmost factor first.
     keep : sequence of int
         Indices of the subsystems to retain (order-insensitive; the result
         is ordered by ascending subsystem index).
     """
-    rho = _as_matrix(rho, stack=True)
+    rho = _as_matrix(rho)
     dims = _check_dims(rho, dims)
     n = len(dims)
     keep = sorted(set(int(k) for k in keep))
@@ -77,14 +72,13 @@ def partial_trace(rho, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     if not keep:
         raise ValueError("must keep at least one subsystem")
 
-    batch = rho.shape[:-2]
-    t = rho.reshape(batch + dims + dims)
-    row = [...] + list(range(n))
+    t = rho.reshape(dims + dims)
+    row = list(range(n))
     col = [i + n if i in keep else i for i in range(n)]
-    out = [...] + [i for i in keep] + [i + n for i in keep]
+    out = [i for i in keep] + [i + n for i in keep]
     reduced = np.einsum(t, row + col, out)
     dk = int(np.prod([dims[i] for i in keep]))
-    return reduced.reshape(batch + (dk, dk))
+    return reduced.reshape(dk, dk)
 
 
 def partial_transpose(rho, dims: Sequence[int], part: int) -> np.ndarray:
@@ -103,15 +97,14 @@ def partial_transpose(rho, dims: Sequence[int], part: int) -> np.ndarray:
 
 
 def hermitian_eigen(m, atol: float = HERMITICITY_ATOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix or a stack of them.
+    """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real and sorted
-    in descending order along the last axis and eigenvectors as the
-    corresponding columns.
+    in descending order and eigenvectors as the corresponding columns.
     """
-    m = _check_hermitian(_as_matrix(m, stack=True), atol)
+    m = _check_hermitian(_as_matrix(m), atol)
     w, v = np.linalg.eigh(m)
-    return w[..., ::-1].copy(), v[..., ::-1].copy()
+    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def trace_norm(m) -> float:
@@ -122,14 +115,14 @@ def trace_norm(m) -> float:
 
 
 def psd_sqrt(m, atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix or a stack.
+    """Hermitian square root of a positive semidefinite matrix.
 
     Eigenvalues in ``[PSD_EIG_FLOOR, 0)`` are treated as round-off and
     clipped to zero; more negative eigenvalues raise ``ValueError``.
     """
     w, v = hermitian_eigen(m, atol=atol)
-    wmin = w[..., -1].min() if w.size else 0.0
+    wmin = w[-1] if w.size else 0.0
     if wmin < PSD_EIG_FLOOR:
         raise ValueError(f"matrix is not PSD (min eigenvalue {wmin:.3e})")
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (v * np.sqrt(w)) @ v.conj().T

@@ -114,7 +114,7 @@ def _normalized(coeffs: Sequence[float]) -> np.ndarray:
     if np.any(v < 0):
         raise ValueError(f"coefficients must be nonnegative, got {list(v)}")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > RENORM_TOL:
+    if not abs(norm - 1.0) <= RENORM_TOL:
         raise ValueError(
             f"coefficients have norm {norm!r}, more than {RENORM_TOL} away from 1"
         )
@@ -162,7 +162,7 @@ def w_class_amps(coeffs) -> np.ndarray:
         raise ValueError(f"expected rows of three coefficients, got shape {v.shape}")
     # the norm of np.linalg.norm on one row, bit for bit
     norm = np.sqrt(np.vecdot(v, v))
-    bad = (v < 0).any(axis=1) | (np.abs(norm - 1.0) > RENORM_TOL)
+    bad = (v < 0).any(axis=1) | ~(np.abs(norm - 1.0) <= RENORM_TOL)
     if bad.any():
         _normalized(v[np.argmax(bad)])  # raises
     amps = np.zeros((len(v), 8), dtype=complex)
@@ -275,6 +275,8 @@ def parse_state_spec(spec: str, default_seed: int = 0) -> PureState:
             dims = tuple(int(d) for d in dim_part.strip().split("x"))
         except ValueError:
             raise StateSpecError(f"cannot parse dims {dim_part!r}") from None
+        if min(dims) < 1:
+            raise StateSpecError(f"haar dims {dim_part!r} must all be at least 1")
         if math.prod(dims) > MAX_HAAR_AMPLITUDES:
             raise StateSpecError(
                 f"haar dims {dim_part!r} ask for {math.prod(dims)} amplitudes, "

@@ -110,9 +110,6 @@ class VerificationReport:
                 self.failure_samples.append((describe(i), float(margins[i])))
         self.worst_margin = min(self.worst_margin, float(least))
 
-    def skip(self):
-        self.skipped += 1
-
     def merge(self, other: "VerificationReport"):
         self.total += other.total
         self.failures += other.failures
@@ -229,7 +226,8 @@ def verify_monogamy_states(n: int, seed: int = 0, r: float = 2.0,
     Uses concurrence with base exponent ``r`` and the tightest admissible
     ratio parameter a = max(1, max_admissible_a).  Tripartite states use the
     two-term bound; more parties use the ordered weighted sum.  Each block
-    of states goes through one ``margin_grid`` call.
+    of states goes through one ``margin_rows`` call, whose ratio mask is
+    always true at that a.
     """
     report = VerificationReport()
     n = _sample_count(n)
@@ -241,7 +239,7 @@ def verify_monogamy_states(n: int, seed: int = 0, r: float = 2.0,
         # built inside the loop, so that n = 0 validates no parameter
         spec = bounds.BoundSpec("monogamy", r, r)
         first, pairwise = measure_vectors(amps, dims, MeasureKind.CONCURRENCE)
-        report.record(bounds.margin_grid(first, pairwise, spec, alphas), tol,
+        report.record(bounds.margin_rows(first, pairwise, spec, alphas)[0], tol,
                       lambda i: (start + i // len(alphas), alphas[i % len(alphas)]))
     return report
 

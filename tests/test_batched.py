@@ -1,9 +1,8 @@
 """Stacked and per-state paths agree bit for bit.
 
-The stacked linear algebra, ``measure_vectors``, ``bound_grid``,
-``margin_grid``, the block Haar draw and the blocked state suites must give
-exactly what the per-matrix, per-state and per-exponent paths give, so every
-comparison between them uses ``==``.  In the bound kernel every power goes
+``measure_vectors``, ``margin_rows``, the block Haar draw and the blocked
+state suites must give exactly what the per-state and per-exponent paths
+give, so every comparison between them uses ``==``.  In the bound kernel every power goes
 through ``bounds._power``, which gives each element the bits of NumPy's pow
 loop on that element alone, so that a one-state, one-target call and a block
 get the same bits.  The exceptions are the references, compared within the
@@ -26,13 +25,10 @@ from monogamy import bounds, linalg, measures, states, verify
 from monogamy.bounds import (
     A_CAP,
     BoundSpec,
-    bound_grid,
-    margin_grid,
     margin_rows,
     max_admissible_a,
     monogamy_bound,
     polygamy_bound,
-    ratio_condition,
 )
 from monogamy.measures import (
     MeasureKind,
@@ -176,80 +172,6 @@ def state_stack(n_qubits, seed, n_haar=12, n_w=4):
     return np.stack(rows)
 
 
-def random_density(d, rng, rank=None):
-    rank = d if rank is None else rank
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-class TestStackedLinalg:
-    @pytest.mark.parametrize("dims,keep", [
-        ((2, 2, 2), [0]), ((2, 2, 2), [0, 2]), ((2, 3, 2), [1]),
-        ((2,) * 6, [0, 4]), ((2,) * 5, [0, 1, 3]),
-    ])
-    def test_partial_trace_matches_each_matrix(self, dims, keep):
-        rng = np.random.default_rng(1)
-        d = int(np.prod(dims))
-        stack = np.stack([random_density(d, rng, rank=r) for r in (1, 2, d, 1)])
-        got = linalg.partial_trace(stack, dims, keep)
-        for k, rho in enumerate(stack):
-            want = linalg.partial_trace(rho, dims, keep)
-            assert got[k].shape == want.shape
-            assert np.array_equal(got[k], want)
-
-    def test_partial_trace_nested_batch(self):
-        rng = np.random.default_rng(2)
-        stack = np.stack([random_density(8, rng) for _ in range(6)]).reshape(2, 3, 8, 8)
-        got = linalg.partial_trace(stack, (2, 2, 2), [0, 1])
-        assert got.shape == (2, 3, 4, 4)
-        assert np.array_equal(got[1, 2], linalg.partial_trace(stack[1, 2], (2, 2, 2), [0, 1]))
-
-    def test_hermitian_eigen_and_psd_sqrt_match_each_matrix(self):
-        rng = np.random.default_rng(3)
-        stack = np.stack([random_density(4, rng, rank=r) for r in (1, 2, 3, 4, 4)])
-        w, v = linalg.hermitian_eigen(stack)
-        s = linalg.psd_sqrt(stack)
-        for k, m in enumerate(stack):
-            wk, vk = linalg.hermitian_eigen(m)
-            assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
-            assert np.array_equal(s[k], linalg.psd_sqrt(m))
-
-    @pytest.mark.parametrize("fn", [linalg.hermitian_eigen, linalg.psd_sqrt])
-    def test_one_non_hermitian_matrix_fails_the_stack(self, fn):
-        rng = np.random.default_rng(4)
-        stack = np.stack([random_density(4, rng) for _ in range(5)])
-        stack[3, 0, 1] += 1e-6
-        alone = outcome(lambda: fn(stack[3]))
-        assert alone[0] == "ValueError" and "Hermitian" in alone[1]
-        assert outcome(lambda: fn(stack)) == alone
-
-    def test_one_non_psd_matrix_fails_the_stack(self):
-        rng = np.random.default_rng(5)
-        stack = np.stack([random_density(4, rng) for _ in range(5)])
-        stack[2] = np.diag([0.6, 0.5, 0.1, -0.2])
-        alone = outcome(lambda: linalg.psd_sqrt(stack[2]))
-        assert alone[0] == "ValueError" and "PSD" in alone[1]
-        assert outcome(lambda: linalg.psd_sqrt(stack)) == alone
-
-    @pytest.mark.parametrize("fn", [
-        linalg.hermitian_eigen, linalg.psd_sqrt,
-        lambda m: linalg.partial_trace(m, (2, 2), [0]),
-    ])
-    def test_one_non_finite_matrix_fails_the_stack(self, fn):
-        rng = np.random.default_rng(6)
-        stack = np.stack([random_density(4, rng) for _ in range(3)])
-        stack[1, 2, 2] = np.nan
-        alone = outcome(lambda: fn(stack[1]))
-        assert alone[0] == "ValueError" and "NaN" in alone[1]
-        assert outcome(lambda: fn(stack)) == alone
-
-    def test_vectors_are_not_matrices(self):
-        for fn in (linalg.hermitian_eigen, linalg.psd_sqrt):
-            with pytest.raises(ValueError, match="stack of matrices"):
-                fn(np.ones(4))
-
-
 class TestMeasureVectors:
     @pytest.mark.parametrize("n_qubits", [3, 4, 5, 6])
     @pytest.mark.parametrize("kind", KINDS)
@@ -369,7 +291,9 @@ class TestSpinFlipRoots:
         amps = state_stack(n_qubits, seed=70 + n_qubits, n_haar=40)
         t = amps[:, measures._pair_index(n_qubits)]
         qr_route = measures._spin_flip_roots(t)
-        sqrt_route = measures._spin_flip_roots(linalg.psd_sqrt(t @ t.conj().mT))
+        gram = t @ t.conj().mT
+        roots = [linalg.psd_sqrt(g) for g in gram.reshape(-1, 4, 4)]
+        sqrt_route = measures._spin_flip_roots(np.reshape(roots, gram.shape))
         svd_route = np.linalg.svd(t.mT @ YY @ t, compute_uv=False)[..., :4]
         assert qr_route.shape == sqrt_route.shape == svd_route.shape == t.shape[:2] + (4,)
         assert_within(qr_route, svd_route, PAIR_ATOL[n_qubits])
@@ -462,7 +386,7 @@ def mvs_for_bounds():
 
 
 def single_target_loop(mv, spec, targets, strict=True):
-    """The loop ``bound_grid`` replaces: one spec and one call per target."""
+    """One ``monogamy_bound`` or ``polygamy_bound`` call per target."""
     fn = monogamy_bound if spec.mode == "monogamy" else polygamy_bound
     return [fn(mv, dataclasses.replace(spec, target_exp=t), strict=strict)
             for t in targets]
@@ -523,51 +447,71 @@ def assert_near_parent(reports, mv, spec, targets):
         assert_close_rel(rep.a, a, AMAX_RTOL)
 
 
-def assert_grid_matches_loop(mv, spec, targets, strict):
-    """``bound_grid`` equals the single-target loop bit for bit (errors
-    included), and is within PARENT_RTOL of the parent's arithmetic."""
-    grid = outcome(lambda: bound_grid(mv, spec, targets, strict=strict))
-    assert grid == outcome(lambda: single_target_loop(mv, spec, targets, strict))
-    if isinstance(grid, list):
-        assert_near_parent(grid, mv, spec, targets)
-    return grid
+def assert_row_matches_loop(mv, spec, targets):
+    """``margin_rows`` on one state equals the non-strict single-target loop
+    bit for bit, errors included, and the loop is within PARENT_RTOL of the
+    parent's arithmetic.  Returns the loop's reports, or its error."""
+    got = outcome(lambda: margin_rows([mv.one_vs_rest], [mv.pairwise], spec, targets))
+    loop = outcome(lambda: single_target_loop(mv, spec, targets, strict=False))
+    if isinstance(loop, list):
+        margins, ok = got
+        assert margins.tolist() == [[rep.margin for rep in loop]]
+        assert [bool(ok[0])] * len(loop) == [rep.ratio_condition_ok for rep in loop]
+        assert_near_parent(loop, mv, spec, targets)
+    else:
+        assert type(got[0]) is str and got == loop
+    return loop
 
 
-class TestBoundGrid:
+def assert_strict_loop(mv, spec, targets, loop):
+    """The strict single-target loop gives the non-strict ``loop``'s reports
+    where the ratio condition holds, and raises on its first target where it
+    fails."""
+    strict = outcome(lambda: single_target_loop(mv, spec, targets, strict=True))
+    if loop[0].ratio_condition_ok:
+        assert strict == loop
+    else:
+        assert strict[0] == "ValueError" and strict[1].startswith("ratio condition fails")
+
+
+class TestMarginRowsOnOneState:
     @pytest.mark.parametrize("strict", [False, True])
-    def test_monogamy_grid_matches_per_spec(self, strict):
+    def test_monogamy_matches_single_target_calls(self, strict):
         alphas = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0]
         for mv in mvs_for_bounds():
             for a in (None, 1.0, 2.5):
                 for variant in ("ours", "jfq", "zjz2"):
                     spec = BoundSpec("monogamy", 2, 1.0, a=a, variant=variant)
-                    assert_grid_matches_loop(mv, spec, alphas, strict)
+                    loop = assert_row_matches_loop(mv, spec, alphas)
+                    if strict and isinstance(loop, list):
+                        assert_strict_loop(mv, spec, alphas, loop)
 
-    def test_zjz_grid_within_domain(self):
+    def test_zjz_within_domain(self):
         for mv in mvs_for_bounds():
             if len(mv.pairwise) != 2:
                 continue
             spec = BoundSpec("monogamy", 2, 1.0, variant="zjz1", p=0.75)
-            grid = assert_grid_matches_loop(mv, spec, [0.25, 0.5, 1.0], strict=False)
-            assert len(grid) == 3
+            assert len(assert_row_matches_loop(mv, spec, [0.25, 0.5, 1.0])) == 3
 
-    def test_polygamy_grid_matches_per_spec(self):
+    def test_polygamy_matches_single_target_calls(self):
         for mv in mvs_for_bounds():
             for s in (0.5, 1.0):
                 betas = list(np.linspace(s, 3.0, 6))
                 for a in (None, 1.2):
                     spec = BoundSpec("polygamy", s, s, a=a)
-                    assert_grid_matches_loop(mv, spec, betas, strict=False)
+                    loop = assert_row_matches_loop(mv, spec, betas)
+                    assert_strict_loop(mv, spec, betas, loop)
 
     def test_product_state_takes_a_cap(self):
         mv = mv_list(product_amps(5)[None], (2,) * 5, "concurrence")[0]
-        reports = bound_grid(mv, BoundSpec("monogamy", 2.0, 2.0), [0.5, 1.0])
+        reports = assert_row_matches_loop(mv, BoundSpec("monogamy", 2.0, 2.0), [0.5, 1.0])
         assert all(r.a == A_CAP and r.max_admissible_a == np.inf for r in reports)
 
     @pytest.mark.parametrize("spec,targets,seen", [
         (BoundSpec("monogamy", 2.0, 1.0), [2.0, 2.5], "target exponent"),
         (BoundSpec("polygamy", 0.5, 0.5), [0.5, 0.4], "target exponent"),
-        # the ratio check fails before the bad second target is reached ...
+        # a strict call checks the ratio before its own target's variant
+        # checks; the non-strict loop goes on to the bad second target
         (BoundSpec("monogamy", 2.0, 1.0, a=1e6), [1.0, 2.5], "ratio condition fails"),
         # ... but after a bad first one
         (BoundSpec("monogamy", 2.0, 1.0, a=1e6), [2.5, 1.0], "target exponent"),
@@ -582,40 +526,29 @@ class TestBoundGrid:
         (BoundSpec("polygamy", 0.5, 0.5, a=1e6), [0.5, 2.0], "max admissible"),
     ])
     def test_errors_match_the_first_failing_single_target_call(self, spec, targets, seen):
-        grids = [assert_grid_matches_loop(mv, spec, targets, strict=True)
-                 for mv in mvs_for_bounds()[::4]]
-        assert any(g[0] == "ValueError" and seen in g[1] for g in grids)
+        """``margin_rows`` has the errors of the non-strict loop; ``seen`` is
+        in the first error of the strict loop on some state."""
+        mvs = mvs_for_bounds()[::4]
+        for mv in mvs:
+            assert_row_matches_loop(mv, spec, targets)
+        strict = [outcome(lambda: single_target_loop(mv, spec, targets)) for mv in mvs]
+        assert any(g[0] == "ValueError" and seen in g[1] for g in strict)
 
-    def test_empty_grid(self):
+    def test_no_targets(self):
+        """No target, so no error, though the ratio condition fails."""
         mv = mvs_for_bounds()[0]
-        assert bound_grid(mv, BoundSpec("monogamy", 2.0, 1.0, a=1e6), []) == []
+        spec = BoundSpec("monogamy", 2.0, 1.0, a=1e6)
+        margins, ok = margin_rows([mv.one_vs_rest], [mv.pairwise], spec, [])
+        assert margins.shape == (1, 0) and ok.tolist() == [False]
 
     def test_per_target_arithmetic(self):
-        """Each report is within PARENT_RTOL of the parent's arithmetic on its
-        target alone: Python floats for two pairwise values, NumPy's pow one
-        exponent at a time for more."""
+        """At the suite's alphas, each report is within PARENT_RTOL of the
+        parent's arithmetic on its target alone: Python floats for two
+        pairwise values, NumPy's pow one exponent at a time for more."""
         alphas = [float(t) for t in default_alpha_grid()]
         spec = BoundSpec("monogamy", 2.0, 2.0)
         for mv in mvs_for_bounds():
-            assert_near_parent(bound_grid(mv, spec, alphas, strict=False), mv, spec, alphas)
-
-
-def bound_grid_loop(mvs, spec, targets):
-    """The loop ``margin_grid`` replaces: one ``bound_grid`` call per state."""
-    return [[rep.margin for rep in bound_grid(mv, spec, targets)] for mv in mvs]
-
-
-def assert_margins_match_loop(mvs, spec, targets):
-    got = outcome(lambda: margin_grid([mv.one_vs_rest for mv in mvs],
-                                      [mv.pairwise for mv in mvs], spec, targets).tolist())
-    assert got == outcome(lambda: bound_grid_loop(mvs, spec, targets))
-    return got
-
-
-def admissible(mvs, spec):
-    """The measure vectors whose ratio condition holds at ``spec.a``."""
-    return [mv for mv in mvs
-            if spec.a is None or ratio_condition(mv.pairwise, spec.a, spec.base_exp)]
+            assert len(assert_row_matches_loop(mv, spec, alphas)) == len(alphas)
 
 
 def unchecked_mv(one_vs_rest, pairwise):
@@ -636,7 +569,8 @@ def parent_max_admissible_a(values, exponent):
 
 
 def parent_ratio_condition(values, a, exponent, rtol=1e-12):
-    """ratio_condition as it was: NumPy scalars over a sorted array."""
+    """The ratio condition as the parent took it: NumPy scalars over a
+    sorted array."""
     v = np.sort(np.asarray(values, dtype=float))[::-1]
     for hi, lo in zip(v[:-1], v[1:]):
         if lo == 0:
@@ -646,82 +580,112 @@ def parent_ratio_condition(values, a, exponent, rtol=1e-12):
     return True
 
 
-class TestMarginGrid:
+def ratio_mask(values, a, exponent):
+    """The ratio condition of one row, from the mask of ``margin_rows`` with
+    no targets; an ``a`` of None is resolved from max_admissible_a."""
+    spec = BoundSpec("monogamy" if exponent >= 2 else "polygamy", exponent, exponent)
+    return bool(margin_rows([0.0], [values], spec, [], a=a)[1][0])
+
+
+def row_loop(first, pairwise, spec, targets, s_rows, a_rows):
+    """One non-strict single-target call per row and target, at the row's
+    own s, a and targets: the loop whose values, mask and errors
+    ``margin_rows`` has."""
+    reports = [single_target_loop(unchecked_mv(f, pw),
+                                  dataclasses.replace(spec, base_exp=s, target_exp=s, a=a), t,
+                                  strict=False)
+               for f, pw, t, s, a in zip(first, pairwise, targets, s_rows, a_rows)]
+    return ([[r.margin for r in reps] for reps in reports],
+            [reps[0].ratio_condition_ok for reps in reports])
+
+
+def assert_margins_match_loop(mvs, spec, targets):
+    """``margin_rows`` at the spec's own s and a equals the row loop on the
+    states ``mvs``, errors included."""
+    first, pairwise = [mv.one_vs_rest for mv in mvs], [mv.pairwise for mv in mvs]
+    got = outcome(lambda: tuple(v.tolist() for v in margin_rows(first, pairwise, spec, targets)))
+    n = len(mvs)
+    assert got == outcome(lambda: row_loop(first, pairwise, spec, [targets] * n,
+                                           [spec.base_exp] * n, [spec.a] * n))
+    return got
+
+
+class TestMarginRowsAtTheSpec:
     @pytest.mark.parametrize("n_qubits", [3, 4, 5, 6])
-    def test_rows_match_bound_grid(self, n_qubits):
+    def test_rows_match_single_target_calls(self, n_qubits):
         amps = state_stack(n_qubits, seed=50 + n_qubits)
         alphas = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0]
-        kept = 0
+        failing = 0
         for kind in KINDS:
             mvs = mv_list(amps, (2,) * n_qubits, kind)
             for a in (None, 1.0, 1.3):
                 for r in (2.0, 3.0):
-                    spec = BoundSpec("monogamy", r, r, a=a)
-                    rows = admissible(mvs, spec)
-                    got = assert_margins_match_loop(rows, spec, alphas + [r])
-                    assert len(got) == len(rows) and all(len(g) == 7 for g in got)
-                    kept += len(rows) if a == 1.3 else 0
+                    margins, ok = assert_margins_match_loop(mvs, BoundSpec("monogamy", r, r, a=a),
+                                                            alphas + [r])
+                    assert len(margins) == len(mvs) and all(len(g) == 7 for g in margins)
+                    failing += ok.count(False)
                 for s in (0.3, 0.5, 1.0):
                     spec = BoundSpec("polygamy", s, s, a=a)
-                    assert_margins_match_loop(admissible(mvs, spec), spec,
-                                              list(np.linspace(s, 3.0, 5)))
-        assert kept
+                    assert_margins_match_loop(mvs, spec, list(np.linspace(s, 3.0, 5)))
+        assert failing  # rows whose ratio condition fails are evaluated too
 
     def test_tripartite_variants(self):
         mvs = mv_list(state_stack(3, seed=60), (2, 2, 2), "concurrence")
         for variant, p in (("jfq", 0.5), ("zjz1", 0.75), ("zjz2", 0.5)):
             for a in (None, 1.2):
                 spec = BoundSpec("monogamy", 2.0, 1.0, a=a, variant=variant, p=p)
-                assert admissible(mvs, spec)
-                assert_margins_match_loop(admissible(mvs, spec), spec, [0.0, 0.5, 1.0])
+                assert_margins_match_loop(mvs, spec, [0.0, 0.5, 1.0])
                 spec = BoundSpec("polygamy", 0.6, 0.6, a=a, variant=variant, p=p)
-                assert_margins_match_loop(admissible(mvs, spec), spec, [0.6, 1.5, 3.0])
+                assert_margins_match_loop(mvs, spec, [0.6, 1.5, 3.0])
 
     def test_product_state_row(self):
         first, pairwise = measure_vectors(product_amps(4)[None], (2,) * 4, "concurrence")
-        reports = bound_grid(measure_vector(PureState((2,) * 4, product_amps(4)), "concurrence"),
-                             BoundSpec("monogamy", 2.0, 2.0), [0.0, 1.0])
+        spec = BoundSpec("monogamy", 2.0, 2.0)
+        reports = single_target_loop(
+            measure_vector(PureState((2,) * 4, product_amps(4)), "concurrence"), spec, [0.0, 1.0])
         assert all(r.a == A_CAP and r.max_admissible_a == math.inf for r in reports)
-        got = margin_grid(first, pairwise, BoundSpec("monogamy", 2.0, 2.0), [0.0, 1.0])
-        assert got.tolist() == [[r.margin for r in reports]]
+        got, ok = margin_rows(first, pairwise, spec, [0.0, 1.0])
+        assert got.tolist() == [[r.margin for r in reports]] and ok.tolist() == [True]
 
     def test_empty_inputs(self):
         first, pairwise = measure_vectors(state_stack(3, seed=61, n_haar=2), (2, 2, 2),
                                           "concurrence")
         spec = BoundSpec("monogamy", 2.0, 2.0)
-        assert margin_grid(first, pairwise, spec, []).shape == (len(first), 0)
-        assert margin_grid([], [], spec, [1.0, 2.5]).shape == (0, 2)
+        assert margin_rows(first, pairwise, spec, [])[0].shape == (len(first), 0)
+        assert margin_rows([], [], spec, [1.0, 2.5])[0].shape == (0, 2)
         with pytest.raises(ValueError, match="pairwise must be"):
-            margin_grid(first, pairwise[:-1], spec, [1.0])
+            margin_rows(first, pairwise[:-1], spec, [1.0])
 
     @pytest.mark.parametrize("spec,pairwise,targets,seen", [
         # a bad target is checked before any state
         (BoundSpec("monogamy", 2.0, 1.0), [(0.5, 0.1), (math.nan, 0.1)], [2.5, 1.0],
          "target exponent"),
-        # a strict ratio failure in the second state
-        (BoundSpec("monogamy", 2.0, 1.0, a=1.5), [(0.5, 0.1), (0.5, 0.49)], [1.0, 2.0],
-         "ratio condition fails"),
-        # ... comes after the targets' own checks, which follow the first state
+        # a failing ratio condition in the second state is no error
+        (BoundSpec("monogamy", 2.0, 1.0, a=1.5), [(0.5, 0.1), (0.5, 0.49)], [1.0, 2.0], None),
+        # so the targets' own checks, which follow the first state, raise
         (BoundSpec("monogamy", 2.0, 1.0, a=1.5), [(0.5, 0.1), (0.5, 0.49)], [1.0, 2.5],
          "target exponent"),
         (BoundSpec("monogamy", 2.0, 1.0, a=1.5), [(0.5, 0.49), (0.5, 0.1)], [1.0, 2.5],
-         "ratio condition fails"),
-        # NaN and negative values, after or before a ratio failure
+         "target exponent"),
+        # NaN and negative values, after or before a failing ratio condition
         (BoundSpec("monogamy", 2.0, 1.0), [(0.5, 0.1, 0.0), (0.4, math.nan, 0.1)], [1.0],
          "finite and nonnegative"),
         (BoundSpec("monogamy", 2.0, 1.0, a=3.0), [(0.5, 0.1), (0.5, 0.4), (0.2, -0.1)],
-         [1.0], "ratio condition fails"),
+         [1.0], "finite and nonnegative"),
         (BoundSpec("polygamy", 0.5, 0.5), [(0.2, -0.1), (0.5, 0.4)], [1.0],
          "finite and nonnegative"),
         (BoundSpec("monogamy", 2.0, 0.5, variant="jfq"), [(0.5, 0.1, 0.05)], [0.5],
          "tripartite"),
     ])
-    def test_errors_match_a_bound_grid_loop(self, spec, pairwise, targets, seen):
+    def test_errors_match_a_single_target_loop(self, spec, pairwise, targets, seen):
         mvs = [unchecked_mv(0.9, pw) for pw in pairwise]
         got = assert_margins_match_loop(mvs, spec, targets)
-        assert got[0] == "ValueError" and seen in got[1]
+        if seen is None:
+            assert got[1] == [True, False]
+        else:
+            assert got[0] == "ValueError" and seen in got[1]
 
-    def test_ratio_helpers_on_unsorted_values(self):
+    def test_ratio_mask_on_unsorted_values(self):
         rng = np.random.default_rng(12)
         for _ in range(1000):
             v = rng.random(rng.integers(1, 7)) ** rng.integers(1, 4)
@@ -733,13 +697,12 @@ class TestMarginGrid:
                 assert type(got) is float
                 assert_close_rel(got, parent_max_admissible_a(v, e), AMAX_RTOL)
                 for a in (1.0, 1.7, got if 1 <= got < math.inf else 2.0):
-                    got_ok = ratio_condition(tuple(v), a, e)
-                    assert got_ok is parent_ratio_condition(v, a, e)
+                    assert ratio_mask(tuple(v), a, e) is parent_ratio_condition(v, a, e)
         # an overflowing ratio power is inf, as NumPy's scalar pow gives it
         with np.errstate(over="ignore"):
             for v, e in (([1e-17, 1.0], 40.0), ([1e200, 1e100], 2.0)):
                 assert_close_rel(max_admissible_a(v, e), parent_max_admissible_a(v, e), AMAX_RTOL)
-                assert ratio_condition(v, 1.5, e) is parent_ratio_condition(v, 1.5, e)
+                assert ratio_mask(v, 1.5, e) is parent_ratio_condition(v, 1.5, e)
 
 
 def polygamy_block(seed, n=90):
@@ -764,38 +727,29 @@ def per_sample_s(pairwise):
 
 
 def grouped_calls(first, pairwise, targets, s_rows, a_rows):
-    """The calls ``margin_rows`` replaces: one ``ratio_condition`` call per
-    row, at a resolved as max(1, max_admissible_a), capped at A_CAP, where a
-    is None, and one ``margin_grid`` call per (s, a, targets) group of the
-    rows that pass it.  Returns the margins (NaN on failing rows), the mask
-    and the a of each row."""
+    """The calls ``margin_rows`` replaces in the polygamy suite: the parent's
+    ratio check of each row, at a resolved as max(1, max_admissible_a),
+    capped at A_CAP, where a is None, and one ``margin_rows`` call at the
+    spec's own s and a per (s, a, targets) group of the rows that pass it.
+    Returns the margins (NaN on failing rows), the mask and the a of each
+    row."""
     resolved = [min(max(1.0, max_admissible_a(row, s)), A_CAP) if a is None else a
                 for row, s, a in zip(pairwise, s_rows, a_rows)]
-    ok = np.array([ratio_condition(row, a, s) for row, a, s in zip(pairwise, resolved, s_rows)],
-                  dtype=bool)
+    ok = np.array([parent_ratio_condition(row, a, s)
+                   for row, a, s in zip(pairwise, resolved, s_rows)], dtype=bool)
     groups = {}
     for i in np.flatnonzero(ok).tolist():
         groups.setdefault((s_rows[i], a_rows[i], tuple(targets[i].tolist())), []).append(i)
     margins = np.full(targets.shape, math.nan)
     for (s, a, betas), members in groups.items():
         spec = BoundSpec("polygamy", s, s, a=a)
-        margins[members] = margin_grid(first[members], pairwise[members], spec, list(betas))
+        margins[members] = margin_rows(first[members], pairwise[members], spec, list(betas))[0]
     return margins, ok, np.array(resolved)
-
-
-def row_loop(first, pairwise, spec, targets, s_rows, a_rows):
-    """One non-strict ``bound_grid`` call per row, at the row's own s, a and
-    targets: the loop whose values and errors ``margin_rows`` has."""
-    reports = [bound_grid(unchecked_mv(f, pw),
-                          dataclasses.replace(spec, base_exp=s, target_exp=s, a=a), t, strict=False)
-               for f, pw, t, s, a in zip(first, pairwise, targets, s_rows, a_rows)]
-    return ([[r.margin for r in reps] for reps in reports],
-            [reps[0].ratio_condition_ok for reps in reports])
 
 
 def assert_rows_match(first, pairwise, targets, s_rows, a_rows, **kwargs):
     """``margin_rows`` equals the grouped calls on the rows that pass, and
-    the per-row loop on every row, bit for bit."""
+    the single-target loop on every row, bit for bit."""
     spec = BoundSpec("polygamy", 1.0, 1.0)
     got, ok = margin_rows(first, pairwise, spec, targets, **kwargs)
     want, want_ok, resolved = grouped_calls(first, pairwise, targets, s_rows, a_rows)
@@ -939,9 +893,10 @@ class TestMarginRows:
 
     @pytest.mark.parametrize("call", [
         lambda first, pairwise, spec: margin_rows(first, pairwise, spec, 1.0),
-        lambda first, pairwise, spec: margin_grid(first, pairwise, spec, 1.0),
-        lambda first, pairwise, spec: bound_grid(unchecked_mv(first[0], pairwise[0]), spec, 1.0),
-        lambda first, pairwise, spec: margin_grid(first, pairwise, spec, np.ones((2, 1, 1))),
+        lambda first, pairwise, spec: margin_rows(first[:1], pairwise[:1], spec, 1.0),
+        lambda first, pairwise, spec: margin_rows(first, pairwise, spec, np.ones((2, 1, 1))),
+        lambda first, pairwise, spec: margin_rows(first, pairwise, spec, 1.0,
+                                                  base_exp=[0.6, 0.6], a=[2.0, 2.0]),
     ])
     def test_targets_of_the_wrong_rank_raise(self, call):
         spec = BoundSpec("polygamy", 0.6, 0.6)
@@ -975,7 +930,7 @@ class TestMarginRows:
         margins, ok = margin_rows([0.9, 0.9], [(0.5, 0.1), (0.5, 0.4)], spec, [0.5, 1.0])
         assert ok.tolist() == [True, False] and np.isfinite(margins).all()
         with pytest.raises(ValueError, match="ratio condition fails"):
-            margin_grid([0.9, 0.9], [(0.5, 0.1), (0.5, 0.4)], spec, [0.5, 1.0])
+            polygamy_bound(unchecked_mv(0.9, (0.5, 0.4)), spec)
 
 
 ALPHAS = [float(alpha) for alpha in default_alpha_grid(2.0)]
@@ -1017,19 +972,19 @@ def reference_polygamy(n, seed, s, beta_grid, tol):
         mv = measure_vector(w_class_state(*coeffs), MeasureKind.SCRENOA)
         v = np.sort(np.asarray(mv.pairwise))[::-1]
         if v[1] == 0 or v[0] == 0:
-            report.skip()
+            report.skipped += 1
             continue
         if s is None:
             log2_ratio = math.log2(v[0] / v[1])
             if log2_ratio < MIN_LOG2_RATIO:
-                report.skip()
+                report.skipped += 1
                 continue
             s_k = min(1.0, log2_ratio)
             a_k = 2.0**s_k
         else:
             s_k, a_k = float(s), None
-        if not ratio_condition(v, a_k if a_k is not None else 1.0, s_k):
-            report.skip()
+        if not parent_ratio_condition(v, a_k if a_k is not None else 1.0, s_k):
+            report.skipped += 1
             continue
         grid = np.linspace(s_k, 3.0, 8) if beta_grid is None else beta_grid
         for beta in grid:
@@ -1038,7 +993,7 @@ def reference_polygamy(n, seed, s, beta_grid, tol):
             spec = BoundSpec("polygamy", s_k, float(beta), a=a_k)
             rep = polygamy_bound(mv, spec, strict=False)
             if not rep.ratio_condition_ok:
-                report.skip()
+                report.skipped += 1
                 continue
             margins.append(rep.margin)
             samples.append((k, s_k, float(beta)))
@@ -1088,17 +1043,18 @@ class TestBlockedSuites:
 
     def test_fixed_s_pre_check_implies_bound_check(self):
         """With a fixed s, a resolves to at most max_admissible_a, which the
-        ratio condition accepts within its rtol: the per-beta skip of the
-        per-state loop never fires."""
+        ratio condition accepts within its rtol, whether ``margin_rows``
+        resolves it or is given it: the per-beta skip of the per-state loop
+        never fires."""
         rng = np.random.default_rng(11)
         for _ in range(2000):
             v = np.sort(rng.random(rng.integers(2, 6)) ** rng.integers(1, 4))[::-1]
             v[rng.random(v.size) < 0.1] = v[0]  # ties, where a = max_admissible_a = 1
             for s in (0.1, 0.6, 1.0):
-                if not ratio_condition(v, 1.0, s):
+                if not parent_ratio_condition(v, 1.0, s):
                     continue
                 a = min(max(1.0, max_admissible_a(v, s)), A_CAP)
-                assert ratio_condition(v, a, s)
+                assert ratio_mask(v, a, s) and ratio_mask(v, None, s)
 
     @pytest.mark.parametrize("n_qubits", [3, 4, 5, 6])
     def test_monogamy_does_not_depend_on_block_size(self, monkeypatch, n_qubits):
@@ -1153,7 +1109,7 @@ class TestBlockedSuites:
         assert len({s for (_, s, _), _ in reports[1]["failure_samples"]}) >= 4
 
     @pytest.mark.parametrize("block", [1, 7, 64])
-    def test_polygamy_makes_one_kernel_call_per_block(self, monkeypatch, block):
+    def test_suites_make_one_kernel_call_per_block(self, monkeypatch, block):
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -1162,7 +1118,7 @@ class TestBlockedSuites:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("_grid", "ratio_condition", "margin_grid", "max_admissible_a"):
+        for name in ("_grid", "max_admissible_a", "monogamy_bound", "polygamy_bound"):
             monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
         monkeypatch.setattr(verify, "STATE_BLOCK", block)
         for s, beta_grid in ((None, None), (0.7, None), (None, [0.3, 0.7, 1.0, 2.5])):
@@ -1170,6 +1126,31 @@ class TestBlockedSuites:
             rep = verify_polygamy_states(150, seed=8, s=s, beta_grid=beta_grid)
             assert rep.total > 0 and (rep.skipped > 0) == (s is None)
             assert calls == {"_grid": -(-150 // block)}
+        for n_qubits in (3, 6):
+            calls.clear()
+            assert verify_monogamy_states(150, seed=8, n_qubits=n_qubits).total == 150 * 8
+            assert calls == {"_grid": -(-150 // block)}
+
+    @pytest.mark.parametrize("n_qubits", [3, 4, 5, 6])
+    def test_monogamy_ratio_mask_is_all_true(self, monkeypatch, n_qubits):
+        """The monogamy suite resolves a = max(1, max_admissible_a), capped at
+        A_CAP, so ``margin_rows`` passes the ratio condition on every row: the
+        suite ignores the mask, and no row it records fails the condition."""
+        masks = []
+        real = bounds.margin_rows
+
+        def recording(*args, **kwargs):
+            margins, ok = real(*args, **kwargs)
+            masks.append(ok)
+            return margins, ok
+
+        monkeypatch.setattr(bounds, "margin_rows", recording)
+        n = 2 * STATE_BLOCK + 5
+        for seed in (0, 3, 4242):
+            masks.clear()
+            assert verify_monogamy_states(n, seed=seed, n_qubits=n_qubits).total == 8 * n
+            assert len(masks) == 3 and sum(map(len, masks)) == n
+            assert all(ok.all() for ok in masks)
 
     @pytest.mark.parametrize("suite", [verify_monogamy_states, verify_polygamy_states])
     def test_zero_samples(self, suite):

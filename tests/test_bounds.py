@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -8,12 +10,10 @@ from hypothesis import strategies as st
 from monogamy.bounds import (
     A_CAP,
     BoundSpec,
-    margin_grid,
+    margin_rows,
     max_admissible_a,
     monogamy_bound,
-    ordered_weighted_sum,
     polygamy_bound,
-    ratio_condition,
     scalar_lower_bound,
     scalar_upper_bound,
     tripartite_bound,
@@ -133,68 +133,144 @@ class TestScalarBoundBits:
             assert fn(t[0], np.full(300, x), a[0], variant, p=p).tobytes() == full.tobytes()
 
 
-class TestOrderedWeightedSum:
-    def test_single_value(self):
-        assert abs(ordered_weighted_sum([2.0], 0.5, 3.0) - 4**-0.5 * 2**0.5) < 1e-12
-
-    def test_two_values_lower_bound(self):
-        t, a, x = 5.0, 2.0, 0.5
-        got = ordered_weighted_sum([t, 1.0], x, a)
-        expected = (1 + a) ** (x - 1) * ((1 + 1 / a) ** (x - 1) * t**x + 1)
-        assert abs(got - expected) < 1e-12
-        assert (1 + t) ** x >= got
-
-    def test_x_one_degenerate(self):
-        assert abs(ordered_weighted_sum([4.0, 2.0, 1.0], 1.0, 2.0) - 7.0) < 1e-12
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError, match="descending"):
-            ordered_weighted_sum([1.0, 2.0], 0.5, 1.0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ordered_weighted_sum([2.0, -1.0], 0.5, 1.0)
-
-    def test_bits_do_not_depend_on_layout(self):
-        # a reversed view once took the C library's pow instead of NumPy's
-        rng = np.random.default_rng(0)
-        for _ in range(2000):
-            v = np.sort(rng.random(4))[::-1]
-            assert ordered_weighted_sum(v, 0.37, 1.5) == ordered_weighted_sum(v.copy(), 0.37, 1.5)
-
+class TestChainInequality:
     @given(st.integers(2, 5), st.floats(1.0, 3.0), st.floats(0.1, 1.0), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_chain_inequality(self, n, a, x, data):
-        # build a descending tuple satisfying the ratio condition at a
+    def test_bounds_hold_under_the_ratio_condition(self, n, a, x, data):
+        """Descending values v with v_i >= a v_(i+1): the monogamy bound at
+        alpha/r = x is below (sum v)^x, and the polygamy bound at
+        beta/s = 1 + 1/x is above (sum v)^(1 + 1/x)."""
         vals = [data.draw(st.floats(1.0, 10.0))]
         for _ in range(n - 1):
             vals.append(vals[-1] / (a * data.draw(st.floats(1.0, 3.0))))
         v = np.array(vals)
-        assert ratio_condition(v, a, 1.0)
         total = v.sum()
-        low = ordered_weighted_sum(v, x, a)
-        high = ordered_weighted_sum(v, 1 + 1 / x, a)
-        assert total**x - low >= -1e-10 * max(1.0, total**x)
-        assert high - total ** (1 + 1 / x) >= -1e-10 * max(1.0, high)
+        # r = 2 on the square roots of v, so that the bound's terms are v^x
+        margins, ok = margin_rows([math.sqrt(total)], [np.sqrt(v)],
+                                  BoundSpec("monogamy", 2.0, 2.0, a=a), [2 * x])
+        assert ok.all() and margins[0, 0] >= -1e-10 * max(1.0, total**x)
+        high = 1 + 1 / x
+        margins, ok = margin_rows([total], [v], BoundSpec("polygamy", 1.0, 1.0, a=a), [high])
+        assert ok.all() and margins[0, 0] >= -1e-10 * max(1.0, total**high)
 
 
 class TestRatioCondition:
-    def test_example1(self):
-        assert ratio_condition((0.5, S6), EX1_A, 2.0)
+    """The ratio condition v_(i)^e >= a v_(i+1)^e on sorted values, read
+    from the mask of ``margin_rows`` with no targets and from the
+    ``ratio_condition_ok`` of a single-target report."""
+
+    @pytest.mark.parametrize("values,a,e,want", [
+        ((0.5, S6), EX1_A, 2.0, True),  # example 1
+        ((0.5, 0.25), 2**0.6, 0.6, True),  # example 2, at equality
+        ((1.0, 3.0, 2.0), 1.0, 1.0, True),  # a = 1 holds for any values
+        ((1.0, 0.9), 2.0, 1.0, False),
+        ((1.0, 0.0), 100.0, 2.0, True),  # a zero successor passes
+    ])
+    def test_cases(self, values, a, e, want):
+        mode = "monogamy" if e >= 2 else "polygamy"
+        spec = BoundSpec(mode, e, e, a=a)
+        margins, ok = margin_rows([0.9], [values], spec, [])
+        assert margins.shape == (1, 0) and ok.tolist() == [want]
+        fn = monogamy_bound if mode == "monogamy" else polygamy_bound
+        rep = fn(MeasureVector(MeasureKind.CONCURRENCE, 0.9, values), spec, strict=False)
+        assert rep.ratio_condition_ok is want
+
+    def test_max_admissible_a(self):
         assert abs(max_admissible_a((S6, 0.5), 2.0) - 1.5) < 1e-12
-
-    def test_example2_equality(self):
-        assert ratio_condition((0.5, 0.25), 2**0.6, 0.6)
-
-    def test_a_one_always_true_sorted(self):
-        assert ratio_condition((3.0, 2.0, 1.0), 1.0, 1.0)
-
-    def test_failing(self):
-        assert not ratio_condition((1.0, 0.9), 2.0, 1.0)
-
-    def test_zero_successor_vacuous(self):
-        assert ratio_condition((1.0, 0.0), 100.0, 2.0)
         assert max_admissible_a((1.0, 0.0), 2.0) == math.inf
+
+
+# A reference for the bound in stdlib decimal at 50 digits, which shares no
+# arithmetic with the kernel: for descending v_1 >= ... >= v_m at x = target/s,
+# m = 2 takes the two-term form (1+a)^(x-1) v_2^target + w v_1^target and
+# m >= 3 the ordered sum (1+a)^(x-1) sum_k w^(m-k) (v_k^s)^x, with
+# w = (1+1/a)^(x-1).
+#
+# The tolerance is relative to the bound.  The kernel rounds x = target/s, the
+# bases v^s, 1+a and 1+1/a, and each pow, product and sum, each by about half
+# an ulp u = eps/2.  A power y^x turns a relative error d of its base into
+# x d, and the error x u of x into x |ln y| u; every weight and term of the
+# bound is such a power, and all terms are positive, so to first order the
+# bound's relative error is a few u plus x u times a sum of logarithms
+# (ln(1+a) <= 2.4 at a <= 10, (m-1) ln(1+1/a) <= 2.8 at m <= 5, and the
+# |ln v^s| of the terms that carry the sum).  So the tolerance is c (1+x) eps.
+# Over 400 rows per (mode, m) and two targets each, with a from {1} and
+# U[1, 10] and the draws of ``decimal_rows``, the largest error seen was
+# 2.1 (1+x) eps (polygamy, m = 5; at most 2.9 eps in monogamy mode, where
+# x <= 1, and 9.7 eps in polygamy mode, where x <= 6); c = 4 doubles it.
+DECIMAL_EPS = np.finfo(float).eps
+
+
+def decimal_rtol(x):
+    return 4 * (1 + x) * DECIMAL_EPS
+
+
+def decimal_bound(values, s, target, a):
+    """The bound at ``target`` of the pairwise ``values`` at base exponent
+    ``s`` and ratio parameter ``a``, to 50 digits, rounded to a float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        v = sorted((Decimal(float(value)) for value in values), reverse=True)
+        s, target, a = Decimal(float(s)), Decimal(float(target)), Decimal(float(a))
+        one = Decimal(1)
+        x = target / s
+        scale, w = (one + a) ** (x - one), (one + one / a) ** (x - one)
+        if len(v) == 2:
+            return float(scale * v[1] ** target + w * v[0] ** target)
+        m = len(v)
+        return float(scale * sum(w ** (m - k) * (vk**s) ** x for k, vk in enumerate(v, 1)))
+
+
+def decimal_rows(mode, m, n, seed):
+    """n rows of m pairwise values from U(0, 1), with a from {1} and
+    U[1, 10], and two positive targets per row: alpha in (0, 2] at r = 2,
+    or s from U[0.5, 1] and beta in [s, 3]."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 1.0, (n, m))
+    a = rng.uniform(1.0, 10.0, n)
+    a[::4] = 1.0
+    if mode == "monogamy":
+        s = np.full(n, 2.0)
+        targets = rng.uniform(0.0, 2.0, (n, 2))
+        targets[:, 1] = 2.0  # alpha = r: x = 1
+    else:
+        s = rng.uniform(0.5, 1.0, n)
+        targets = rng.uniform(s[:, None], 3.0, (n, 2))
+        targets[::3, 0] = s[::3]  # beta = s: x = 1
+    targets[targets == 0.0] = 1.0
+    return values, s, a, targets
+
+
+class TestDecimalReference:
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("mode", ["monogamy", "polygamy"])
+    def test_margin_rows(self, mode, m):
+        values, s, a, targets = decimal_rows(mode, m, 150, seed=m)
+        spec = BoundSpec(mode, s[0], s[0])
+        # a one-vs-rest value of 0 measures 0 at a positive target, so the
+        # margin is the bound, negated in monogamy mode
+        margins, _ = margin_rows(np.zeros(len(values)), values, spec, targets, base_exp=s, a=a)
+        bounds = -margins if mode == "monogamy" else margins
+        for row, s_i, a_i, row_targets, got in zip(values, s, a, targets, bounds):
+            for target, value in zip(row_targets.tolist(), got.tolist()):
+                want = decimal_bound(row, s_i, target, a_i)
+                assert abs(value - want) <= decimal_rtol(target / s_i) * want, (row, target)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("mode", ["monogamy", "polygamy"])
+    def test_single_target_reports(self, mode, m):
+        """Reports at given and resolved a, and at x = 0 (alpha = 0)."""
+        values, s, a, targets = decimal_rows(mode, m, 40, seed=10 + m)
+        fn = monogamy_bound if mode == "monogamy" else polygamy_bound
+        for i, (row, s_i, row_targets) in enumerate(zip(values, s.tolist(), targets)):
+            mv = MeasureVector(MeasureKind.CONCURRENCE, 0.5, row)
+            extra = [0.0] if mode == "monogamy" else []
+            for target in row_targets.tolist() + extra:
+                a_i = None if i % 2 else float(a[i])
+                rep = fn(mv, BoundSpec(mode, s_i, target, a=a_i), strict=False)
+                assert a_i is None or rep.a == a_i
+                want = decimal_bound(row, s_i, target, rep.a)
+                assert abs(rep.bound_value - want) <= decimal_rtol(target / s_i) * want
 
 
 def with_nan(kwargs, name, form):
@@ -230,22 +306,6 @@ class TestNaNArguments:
         kwargs = with_nan(dict(t=3.0, x=2.0, a=1.5, variant="zjz1", p=0.7), name, form)
         with pytest.raises(ValueError, match=seen):
             scalar_upper_bound(**kwargs)
-
-    @pytest.mark.parametrize("name,seen", [
-        ("x", "exponent ratio x must be nonnegative, got nan"),
-        ("a", "ratio parameter a must be >= 1, got nan"),
-    ])
-    def test_ordered_weighted_sum(self, name, seen):
-        with pytest.raises(ValueError, match=seen):
-            ordered_weighted_sum(**with_nan(dict(values=[0.5, 0.1], x=0.5, a=2.0), name, "scalar"))
-
-    @pytest.mark.parametrize("name,seen", [
-        ("a", "ratio parameter a must be >= 1, got nan"),
-        ("exponent", "exponent must be positive, got nan"),
-    ])
-    def test_ratio_condition(self, name, seen):
-        with pytest.raises(ValueError, match=seen):
-            ratio_condition(**with_nan(dict(values=[0.5, 0.1], a=1.0, exponent=1.0), name, "scalar"))
 
     @pytest.mark.parametrize("name,seen", [("exponent", "exponent must be positive, got nan")])
     def test_max_admissible_a(self, name, seen):
@@ -295,10 +355,11 @@ class TestMonogamyBound:
             monogamy_bound(ex1_mv, BoundSpec("monogamy", 2, 1.5, a=EX1_A, variant="zjz2"))
 
     def test_four_party_uses_ordered_sum(self):
-        mv = MeasureVector(MeasureKind.CONCURRENCE, 0.9, (0.6, 0.3, 0.1))
+        mv = MeasureVector(MeasureKind.CONCURRENCE, 0.9, (0.1, 0.6, 0.3))
         rep = monogamy_bound(mv, BoundSpec("monogamy", 2, 1))
-        expected = ordered_weighted_sum(np.array([0.6, 0.3, 0.1]) ** 2, 0.5, rep.a)
-        assert abs(rep.bound_value - expected) < 1e-14
+        assert rep.a == (0.6 / 0.3) ** 2
+        expected = decimal_bound((0.6, 0.3, 0.1), 2, 1, rep.a)
+        assert abs(rep.bound_value - expected) <= decimal_rtol(0.5) * expected
 
     def test_alpha_zero_four_party(self):
         mv = MeasureVector(MeasureKind.CONCURRENCE, 0.9, (0.6, 0.3, 0.0))
@@ -578,7 +639,8 @@ class TestTightOnWClass:
         # the equality needs a = max_admissible_a, which A_CAP would cut
         assert all(max_admissible_a(row, 2.0) <= A_CAP for row in pairwise)
         alphas = np.array(default_alpha_grid(2.0))
-        margins = margin_grid(first, pairwise, BoundSpec("monogamy", 2.0, 2.0), alphas)
+        margins, ok = margin_rows(first, pairwise, BoundSpec("monogamy", 2.0, 2.0), alphas)
+        assert ok.all()
         eps = np.finfo(float).eps
         tol = eps * (8 * alphas * first[:, None] ** (alphas - 2) + 8)
         assert np.all(np.abs(margins) <= tol)

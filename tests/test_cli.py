@@ -399,6 +399,12 @@ def test_oversize_haar_spec_exit_2(capsys):
     assert err.startswith("error: haar dims") and "1125899906842624 amplitudes" in err
 
 
+@pytest.mark.parametrize("dims", ["-2x2x2", "0x2x2"])
+def test_haar_dims_below_one_exit_2(capsys, dims):
+    code, out, err = run(capsys, "measure", "--state", f"haar:{dims}", "--kind", "concurrence")
+    assert (code, out, err) == (2, "", f"error: haar dims {dims!r} must all be at least 1\n")
+
+
 class TestVerify:
     def test_scalar_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "scalar", "--n", "2000", "--seed", "1")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -162,3 +164,25 @@ class TestPsdSqrt:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="PSD"):
             linalg.psd_sqrt(np.diag([1.0, -1e-6]))
+
+
+@pytest.mark.parametrize("fn", [
+    linalg.hermitian_eigen, linalg.psd_sqrt, linalg.trace_norm,
+    lambda m: linalg.partial_trace(m, (2, 2), [0]),
+    lambda m: linalg.partial_transpose(m, (2, 2), 0),
+], ids=["hermitian_eigen", "psd_sqrt", "trace_norm", "partial_trace", "partial_transpose"])
+class TestMatrixInput:
+    """Each function takes one matrix: a vector or a stack of matrices is
+    rejected, and so is a matrix with a NaN or Inf entry."""
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 4, 4)])
+    def test_rejects_other_ranks(self, fn, shape):
+        seen = f"expected a 2-d matrix, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(seen)):
+            fn(np.ones(shape))
+
+    def test_rejects_non_finite(self, fn):
+        m = random_density(4)
+        m[2, 2] = np.nan
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            fn(m)

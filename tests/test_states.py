@@ -130,6 +130,20 @@ def test_w_class_amps_raises_w_class_state_message(bad):
         wclass_outcome(lambda: w_class_state(2.0, 0, 0))
 
 
+@pytest.mark.parametrize("bad", [
+    [math.nan, 0.0, 1.0],
+    [0.6, math.nan, 0.8],
+    [math.nan] * 3,
+])
+def test_nan_coefficients_raise_the_norm_message(bad):
+    """A NaN coefficient has a NaN norm, which fails the norm check."""
+    want = "coefficients have norm nan, more than 1e-06 away from 1"
+    assert wclass_outcome(lambda: w_class_state(*bad)) == want
+    assert wclass_outcome(lambda: w_class_amps([[0.6, 0.8, 0.0], bad])) == want
+    with pytest.raises(ValueError, match="norm nan"):
+        schmidt3_state(*bad, 0.0, 0.0)
+
+
 def test_w_class_amps_needs_rows_of_three():
     with pytest.raises(ValueError, match="rows of three"):
         w_class_amps([1.0, 0.0, 0.0])
@@ -253,6 +267,16 @@ class TestParseStateSpec:
         monkeypatch.setattr(states, "haar_random_pure", draw)
         with pytest.raises(StateSpecError, match=f"amplitudes, more than {MAX_HAAR_AMPLITUDES}"):
             parse_state_spec(f"haar:{dims}:1")
+
+    @pytest.mark.parametrize("dims", ["-2x2x2", "0x2x2", "2x0", "-2x-2", "-1"])
+    def test_haar_dims_below_one(self, monkeypatch, dims):
+        def draw(*args):
+            raise AssertionError("drew a state with a dimension below 1")
+
+        monkeypatch.setattr(states, "haar_random_pure", draw)
+        with pytest.raises(StateSpecError) as exc:
+            parse_state_spec(f"haar:{dims}:1")
+        assert str(exc.value) == f"haar dims {dims!r} must all be at least 1"
 
     @pytest.mark.parametrize(
         "bad",
