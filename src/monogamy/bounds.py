@@ -10,7 +10,7 @@ the weighted monogamy and polygamy evaluators for measure vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,21 +57,17 @@ class BoundSpec:
             raise ValueError(f"monogamy base exponent must be >= 2, got {r}")
         if not mono and not 0 < r <= 1:
             raise ValueError(f"polygamy base exponent must be in (0, 1], got {r}")
-        self._check_target(self.target_exp)
+        e = float(self.target_exp)
+        if mono and not 0 <= e <= r:
+            raise ValueError(f"monogamy target exponent must be in [0, {r}], got {e}")
+        if not mono and not e >= r:
+            raise ValueError(f"polygamy target exponent must be >= {r}, got {e}")
         if zjz1 and mono and not 0.5 <= self.p <= 1:
             raise ValueError(f"zjz1 requires 1/2 <= p <= 1, got {self.p}")
         if zjz1 and not mono and not 0 < self.p <= 1:
             raise ValueError(f"zjz1 requires 0 < p <= 1 in polygamy mode, got {self.p}")
         if self.a is not None and not self.a >= 1:
             raise ValueError(f"ratio parameter a must be >= 1, got {self.a}")
-
-    def _check_target(self, e):
-        """Raise ValueError unless ``e`` is a valid target_exp for this spec."""
-        r, e = float(self.base_exp), float(e)
-        if self.mode == "monogamy" and not 0 <= e <= r:
-            raise ValueError(f"monogamy target exponent must be in [0, {r}], got {e}")
-        if self.mode == "polygamy" and not e >= r:
-            raise ValueError(f"polygamy target exponent must be >= {r}, got {e}")
 
     @property
     def x(self) -> float:
@@ -95,10 +91,9 @@ def _weights(variants: tuple[str, ...], x: np.ndarray, a, p: float):
     for each name of ``variants`` in turn.
 
     The powers that jfq, zjz1 and zjz2 share, (1+a)^x and a^x, are taken
-    once, by the first of them; so a loop that consumes each pair as it
-    comes raises the error of the first failing one-name loop.  ``x`` is an
-    array, which should have the full shape of the weights so that every
-    power runs NumPy's pow loop elementwise (see ``_power``).
+    once, by the first of them.  ``x`` is an array, which should have the
+    full shape of the weights so that every power runs NumPy's pow loop
+    elementwise (see ``_power``).
     """
     shared = None
     for variant in variants:
@@ -123,32 +118,29 @@ def _names(variant: str | tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _check_tax(t, a, x, variants: tuple[str, ...], p, lower: bool):
-    """``t``, ``a`` and ``x`` as float arrays, after the checks of a one-name
-    call for each name of ``variants`` in turn; a range of x that an earlier
-    name passed is not checked again."""
+    """``t``, ``a`` and ``x`` as float arrays, after one check of each range
+    that a name of ``variants`` needs."""
     t, a, x = (np.asarray(v, dtype=float) for v in (t, a, x))
-    q, passed = np.asarray(p), set()
-    for variant in variants:
-        if variant == "zjz1" and lower and (not np.all(q >= 0.5) or not np.all(q <= 1)):
-            raise ValueError(f"zjz1 lower bound requires 1/2 <= p <= 1, got {p}")
-        if variant == "zjz1" and not lower and (not np.all(q > 0) or not np.all(q <= 1)):
-            raise ValueError(f"zjz1 upper bound requires 0 < q <= 1, got {p}")
-        if not passed and not np.all(a >= 1):
-            raise ValueError("ratio parameter a must satisfy a >= 1")
-        if not passed and not np.all(t >= a):
-            raise ValueError("t must satisfy t >= a")
-        kind = "upper" if not lower else "full" if variant in ("ours", "jfq") else "half"
-        if kind in passed:
-            pass
-        elif kind == "full" and (not np.all(x > 0) or not np.all(x <= 1)):
-            raise ValueError(f"variant {variant!r} needs 0 < x <= 1, got {x}")
-        elif kind == "half" and (not np.all(x >= 0) or not np.all(x <= 0.5)):
-            raise ValueError(f"variant {variant!r} needs 0 <= x <= 1/2, got {x}")
-        elif kind == "upper" and not np.all(x >= 1):
-            raise ValueError(f"upper bounds need x >= 1, got {x}")
-        passed.add(kind)
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
+    q = np.asarray(p)
+    unknown = [variant for variant in variants if variant not in VARIANTS]
+    if unknown:
+        raise ValueError(f"unknown variant {unknown[0]!r}")
+    if "zjz1" in variants and lower and (not np.all(q >= 0.5) or not np.all(q <= 1)):
+        raise ValueError(f"zjz1 lower bound requires 1/2 <= p <= 1, got {p}")
+    if "zjz1" in variants and not lower and (not np.all(q > 0) or not np.all(q <= 1)):
+        raise ValueError(f"zjz1 upper bound requires 0 < q <= 1, got {p}")
+    if not np.all(a >= 1):
+        raise ValueError("ratio parameter a must satisfy a >= 1")
+    if not np.all(t >= a):
+        raise ValueError("t must satisfy t >= a")
+    full = [variant for variant in variants if variant in ("ours", "jfq")]
+    half = [variant for variant in variants if variant in ("zjz1", "zjz2")]
+    if lower and full and (not np.all(x > 0) or not np.all(x <= 1)):
+        raise ValueError(f"variant {full[0]!r} needs 0 < x <= 1, got {x}")
+    if lower and half and (not np.all(x >= 0) or not np.all(x <= 0.5)):
+        raise ValueError(f"variant {half[0]!r} needs 0 <= x <= 1/2, got {x}")
+    if not lower and variants and not np.all(x >= 1):
+        raise ValueError(f"upper bounds need x >= 1, got {x}")
     return t, a, x
 
 
@@ -178,10 +170,8 @@ def _scalar_bound(t, a, x, variant: str | tuple[str, ...], p: float):
             return tuple(_scalar_bound(t, a, x, name, p) for name in names)
         shape = wide
     t1, a1, x1 = (_full(v, shape or (1,)) for v in (t, a, x))
-    tx, vals = None, []
-    for w_small, w_large in _weights(names, x1, a1, p):
-        tx = t1**x1 if tx is None else tx
-        vals.append(w_small + w_large * tx)
+    tx = t1**x1
+    vals = [w_small + w_large * tx for w_small, w_large in _weights(names, x1, a1, p)]
     vals = vals if shape else [float(val[0]) for val in vals]
     return vals[0] if isinstance(variant, str) else tuple(vals)
 
@@ -192,9 +182,8 @@ def scalar_lower_bound(t, x, a, variant: str | tuple[str, ...] = "ours", p: floa
     The zjz variants are only valid for 0 <= x <= 1/2 (with 1/2 <= p <= 1);
     evaluating them outside that region is an error.  Accepts scalars or
     broadcastable arrays.  A tuple of variant names returns a tuple of their
-    bounds, each with the bits of its one-name call, and raises what the
-    first failing one-name call would raise; the powers the names share are
-    taken once.
+    bounds, each with the bits of its one-name call, after one check of the
+    ranges the names need; the powers the names share are taken once.
     """
     t, a, x = _check_tax(t, a, x, _names(variant), p, lower=True)
     return _scalar_bound(t, a, x, variant, p)
@@ -208,15 +197,6 @@ def scalar_upper_bound(t, x, a, variant: str | tuple[str, ...] = "ours", p: floa
     """
     t, a, x = _check_tax(t, a, x, _names(variant), p, lower=False)
     return _scalar_bound(t, a, x, variant, p)
-
-
-def _check_values(values) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("values must be a nonempty 1-d sequence")
-    if np.any(v < 0) or not np.all(np.isfinite(v)):
-        raise ValueError(f"values must be finite and nonnegative, got {list(v)}")
-    return v
 
 
 def _power(base, exponent) -> np.ndarray:
@@ -258,11 +238,15 @@ def _ordered_sums(terms: np.ndarray, xs: np.ndarray, a: np.ndarray) -> np.ndarra
 def max_admissible_a(values, exponent: float) -> float:
     """Largest a satisfying the ratio condition: min over consecutive sorted
     pairs of (v_(i)/v_(i+1))^exponent, +inf when every successor is zero."""
-    rows = np.sort(_check_values(values))[None, ::-1]
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("values must be a nonempty 1-d sequence")
+    if np.any(v < 0) or not np.all(np.isfinite(v)):
+        raise ValueError(f"values must be finite and nonnegative, got {v.tolist()}")
     exponent = float(exponent)
     if not exponent > 0:
         raise ValueError(f"exponent must be positive, got {exponent}")
-    return float(_max_a(rows, exponent)[0])
+    return float(_max_a(np.sort(v)[None, ::-1], exponent)[0])
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
@@ -277,40 +261,45 @@ def tripartite_bound(smaller: float, larger: float, target: float, x: float,
     call, and a scalar call returns that element as a float.  An overflow,
     a division by zero or an invalid operation raises FloatingPointError.
     A tuple of variant names returns a tuple of their bounds, each with the
-    bits of its one-name call, and raises what the first failing one-name
-    call would raise; smaller^target, larger^target and the powers the
-    weights share are taken once.
+    bits of its one-name call; smaller^target, larger^target and the powers
+    the weights share are taken once.
     """
     shape = np.broadcast_shapes(*map(np.shape, (smaller, larger, target, x, a)))
     target, x, a = (_full(v, shape or (1,)) for v in (target, x, a))
-    small = large = None
-    vals = []
-    for w_small, w_large in _weights(_names(variant), x, a, p):
-        # each power where a one-name call takes it: small, its term, large
-        small = _power(smaller, target) if small is None else small
-        term = w_small * small
-        large = _power(larger, target) if large is None else large
-        vals.append(term + w_large * large)
+    small, large = _power(smaller, target), _power(larger, target)
+    vals = [w_small * small + w_large * large
+            for w_small, w_large in _weights(_names(variant), x, a, p)]
     vals = vals if shape else [float(val[0]) for val in vals]
     return vals[0] if isinstance(variant, str) else tuple(vals)
 
 
+def _require(ok: np.ndarray, message) -> None:
+    """Raise ValueError unless ``ok`` (N,) or (N, T) is all true: the text
+    ``message(*at)`` at the first index ``at`` where it is false, and, if
+    ``ok`` has more than one entry, that row, or row and target."""
+    if not ok.all():
+        at = [int(i) for i in np.unravel_index(np.argmin(ok), ok.shape)]
+        where = f" (row {', target '.join(map(str, at))})" if ok.size > 1 else ""
+        raise ValueError(message(*at) + where)
+
+
 @np.errstate(all="ignore")
-def _grid(one_vs_rest, pairwise, spec: BoundSpec, targets, strict: bool, base_exp=None, a=None):
+def _grid(one_vs_rest, pairwise, spec: BoundSpec, targets, base_exp=None, a=None):
     """The kernel of ``margin_rows`` and of the single-target reports, with
-    their arguments and errors; ``strict`` raises a failing ratio condition.
-    Returns the measured values, bounds and margins as (N, T) arrays, and the
-    (N,) arrays of ratio_condition_ok, max_admissible_a (None unless ``a`` is
-    resolved from it) and a.  Each kind of power is one pow over the block on
-    operands of its full shape (see ``_power``), so a value's bits depend
-    neither on N nor on T.  An overflow gives inf, and no floating-point
-    error warns.
+    their arguments.  Every check runs once, on the whole block and before
+    any power.  Returns the measured values, bounds and margins as
+    (N, T) arrays, and the (N,) arrays of ratio_condition_ok,
+    max_admissible_a (None unless ``a`` is resolved from it) and a.  Each
+    kind of power is one pow over the block on operands of its full shape
+    (see ``_power``), so a value's bits depend neither on N nor on T.  An
+    overflow gives inf, and no floating-point error warns.
     """
     one_vs_rest, targets = np.asarray(one_vs_rest, dtype=float), np.asarray(targets, dtype=float)
     pairwise = np.asarray(pairwise, dtype=float)
     n = len(one_vs_rest)
-    if n and (pairwise.ndim != 2 or len(pairwise) != n):
-        raise ValueError(f"pairwise must be an ({n}, m) array, got shape {pairwise.shape}")
+    if n and (pairwise.ndim != 2 or len(pairwise) != n or not pairwise.shape[1]):
+        raise ValueError(f"pairwise must be an ({n}, m) array with m >= 1, "
+                         f"got shape {pairwise.shape}")
     if targets.ndim not in (1, 2):
         raise ValueError(f"targets must be a list of T exponents or an ({n}, T) array, "
                          f"got shape {targets.shape}")
@@ -318,46 +307,40 @@ def _grid(one_vs_rest, pairwise, spec: BoundSpec, targets, strict: bool, base_ex
     if not n:
         empty = np.empty(full.shape)
         return empty, empty, empty, np.empty(0, dtype=bool), np.empty(0), np.empty(0)
-    s = float(spec.base_exp) if base_exp is None else _full(base_exp, (n,))[:, None]
+    s = _full(spec.base_exp if base_exp is None else base_exp, (n,))[:, None]
+    mono, m = spec.mode == "monogamy", pairwise.shape[1]
+    # BoundSpec has checked a spec-level s and a
+    if base_exp is not None and mono:
+        _require(s[:, 0] >= 2, lambda i: f"monogamy base exponent must be >= 2, got {s[i, 0]}")
+    elif base_exp is not None:
+        _require((s[:, 0] > 0) & (s[:, 0] <= 1),
+                 lambda i: f"polygamy base exponent must be in (0, 1], got {s[i, 0]}")
+    if a is not None:
+        a = _full(a, (n,))
+        _require(a >= 1, lambda i: f"ratio parameter a must be >= 1, got {a[i]}")
+    if spec.variant != "ours" and m != 2:
+        raise ValueError(f"variant {spec.variant!r} is defined for tripartite states only")
+    _require(((pairwise >= 0) & (pairwise < math.inf)).all(axis=1),
+             lambda i: f"values must be finite and nonnegative, got {pairwise[i].tolist()}")
+    if mono:
+        _require((full >= 0) & (full <= s), lambda i, k: "monogamy target exponent must be "
+                 f"in [0, {s[i, 0]}], got {full[i, k]}")
+    else:
+        _require(full >= s, lambda i, k: f"polygamy target exponent must be >= {s[i, 0]}, "
+                 f"got {full[i, k]}")
+    xs = full / s
+    if mono and spec.variant in ("zjz1", "zjz2"):
+        _require(xs <= 0.5, lambda i, k: f"variant {spec.variant!r} requires alpha/r <= 1/2, "
+                 f"got {xs[i, k]}")
     a_given = spec.a if a is None else a
     rows = np.sort(pairwise, axis=1)[:, ::-1]
-    m = rows.shape[1]
     powers = _power(rows, s)  # for the ratio condition and the ordered sums
     amax = _max_a(rows, s) if a_given is None else None
     a = np.minimum(np.maximum(amax, 1.0), A_CAP) if a_given is None else _full(a_given, (n,))
     ok = _ratio_ok(powers, a[:, None])
-    if not full.size:  # no target, so nothing to check or evaluate
+    if not full.size:  # no target to evaluate
         empty = np.empty(full.shape)
         return empty, empty, empty, ok, amax, a
-    xs = full / s
-    # the one-state loop's checks, on the whole block and on s and the targets
-    # as passed; a comparison with NaN fails, so NaN inputs take the loop
-    s_min, s_max = (s, s) if base_exp is None else (s.min(), s.max())
-    if spec.mode == "monogamy":
-        valid = s_min >= 2 and ((targets >= 0) & (targets <= s)).all() and (
-            spec.variant not in ("zjz1", "zjz2") or (xs <= 0.5).all())
-    else:
-        valid = s_min > 0 and s_max <= 1 and (targets >= s).all()
-    # rows are sorted, with any NaN first
-    valid = (valid and m > 0 and rows[:, -1].min() >= 0 and rows[:, 0].max() < math.inf
-             and (a_given is None or a.min() >= 1) and (not strict or ok.all())
-             and (spec.variant == "ours" or m == 2))
-    for i, r in enumerate([] if valid else np.broadcast_to(s, (n, 1))[:, 0].tolist()):
-        row_spec = replace(spec, base_exp=r, target_exp=r,
-                           a=None if a_given is None else float(a[i]))
-        row_spec._check_target(full[i, 0])
-        _check_values(rows[i])
-        if strict and not ok[i]:
-            amax_i = (amax if amax is not None else _max_a(rows, s))[i]
-            raise ValueError(f"ratio condition fails at a={a[i]} (max admissible {amax_i})")
-        for target in full[i].tolist():
-            row_spec._check_target(target)
-            if spec.mode == "monogamy" and spec.variant in ("zjz1", "zjz2") and target / r > 0.5:
-                raise ValueError(f"variant {spec.variant!r} requires alpha/r <= 1/2, "
-                                 f"got {target / r}")
-            if spec.variant != "ours" and m != 2:
-                raise ValueError(f"variant {spec.variant!r} is defined for tripartite "
-                                 "states only")
     # one pow gives the measured values and the bound's terms: the pairwise
     # values at the targets for two of them, their s-th powers at xs for more
     # (alpha = 0 collapses every power to 1; 0^0 is 1 in NumPy)
@@ -389,19 +372,23 @@ def margin_rows(one_vs_rest, pairwise, spec: BoundSpec, targets, *, base_exp=Non
     supplies mode, variant and p.  Entry (i, k) is the margin of
     ``monogamy_bound`` or ``polygamy_bound`` on state i at
     ``replace(spec, base_exp=base_exp[i], target_exp=targets[i][k], a=a[i])``
-    with ``strict=False``, and mask entry i its ``ratio_condition_ok``: a
-    loop of those calls over states and then targets, bit for bit and error
-    for error.  A failing ratio condition is no error.
+    with ``strict=False``, bit for bit, and mask entry i its
+    ``ratio_condition_ok``.  A failing ratio condition is no error.  The
+    arguments are checked once, with or without targets, and an error names
+    the first failing row, or row and target.
     """
-    _, _, margin, ok, _, _ = _grid(one_vs_rest, pairwise, spec, targets, False, base_exp, a)
+    _, _, margin, ok, _, _ = _grid(one_vs_rest, pairwise, spec, targets, base_exp, a)
     return margin, ok
 
 
 def _report(mv: MeasureVector, spec: BoundSpec, strict: bool) -> BoundReport:
-    """The report of one state at ``spec.target_exp``, by one ``_grid`` call."""
+    """The report of one state at ``spec.target_exp``, by one ``_grid`` call;
+    ``strict`` raises a failing ratio condition."""
     measured, bound, margin, ok, amax, a = _grid([mv.one_vs_rest], [mv.pairwise], spec,
-                                                 [spec.target_exp], strict)
+                                                 [spec.target_exp])
     amax = max_admissible_a(mv.pairwise, spec.base_exp) if amax is None else float(amax[0])
+    if strict and not ok[0]:
+        raise ValueError(f"ratio condition fails at a={a[0]} (max admissible {amax})")
     verified = _VERIFIED_MONOGAMY if spec.mode == "monogamy" else _VERIFIED_POLYGAMY
     return BoundReport(float(bound[0, 0]), float(measured[0, 0]), float(margin[0, 0]),
                        bool(ok[0]), amax, float(a[0]), mv.kind not in verified)

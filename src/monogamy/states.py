@@ -112,7 +112,7 @@ class DensityMatrix:
 def _normalized(coeffs: Sequence[float]) -> np.ndarray:
     v = np.asarray(coeffs, dtype=float)
     if np.any(v < 0):
-        raise ValueError(f"coefficients must be nonnegative, got {list(v)}")
+        raise ValueError(f"coefficients must be nonnegative, got {v.tolist()}")
     norm = float(np.linalg.norm(v))
     if not abs(norm - 1.0) <= RENORM_TOL:
         raise ValueError(

@@ -16,6 +16,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import re
 import types
 
 import numpy as np
@@ -449,8 +450,10 @@ def assert_near_parent(reports, mv, spec, targets):
 
 def assert_row_matches_loop(mv, spec, targets):
     """``margin_rows`` on one state equals the non-strict single-target loop
-    bit for bit, errors included, and the loop is within PARENT_RTOL of the
-    parent's arithmetic.  Returns the loop's reports, or its error."""
+    bit for bit, and the loop is within PARENT_RTOL of the parent's
+    arithmetic; where the loop raises, ``margin_rows`` raises the same
+    message, naming the failing target.  Returns the loop's reports, or its
+    error."""
     got = outcome(lambda: margin_rows([mv.one_vs_rest], [mv.pairwise], spec, targets))
     loop = outcome(lambda: single_target_loop(mv, spec, targets, strict=False))
     if isinstance(loop, list):
@@ -459,7 +462,7 @@ def assert_row_matches_loop(mv, spec, targets):
         assert [bool(ok[0])] * len(loop) == [rep.ratio_condition_ok for rep in loop]
         assert_near_parent(loop, mv, spec, targets)
     else:
-        assert type(got[0]) is str and got == loop
+        assert got[0] == "ValueError" and re.sub(r" \(row 0, target \d+\)$", "", got[1]) == loop[1]
     return loop
 
 
@@ -506,33 +509,6 @@ class TestMarginRowsOnOneState:
         mv = mv_list(product_amps(5)[None], (2,) * 5, "concurrence")[0]
         reports = assert_row_matches_loop(mv, BoundSpec("monogamy", 2.0, 2.0), [0.5, 1.0])
         assert all(r.a == A_CAP and r.max_admissible_a == np.inf for r in reports)
-
-    @pytest.mark.parametrize("spec,targets,seen", [
-        (BoundSpec("monogamy", 2.0, 1.0), [2.0, 2.5], "target exponent"),
-        (BoundSpec("polygamy", 0.5, 0.5), [0.5, 0.4], "target exponent"),
-        # a strict call checks the ratio before its own target's variant
-        # checks; the non-strict loop goes on to the bad second target
-        (BoundSpec("monogamy", 2.0, 1.0, a=1e6), [1.0, 2.5], "ratio condition fails"),
-        # ... but after a bad first one
-        (BoundSpec("monogamy", 2.0, 1.0, a=1e6), [2.5, 1.0], "target exponent"),
-        # zjz's alpha/r <= 1/2 is per target, tripartite-only per state
-        (BoundSpec("monogamy", 2.0, 0.5, variant="zjz2"), [0.5, 1.5], "alpha/r <= 1/2"),
-        (BoundSpec("monogamy", 2.0, 0.5, variant="jfq"), [0.5, 1.5], "tripartite"),
-        # a bad value, and a NaN, late in the shared target list
-        (BoundSpec("monogamy", 2.0, 1.0), [0.5, 1.0, -0.5], "must be in [0, 2.0], got -0.5"),
-        (BoundSpec("monogamy", 2.0, 1.0), [0.5, math.nan], "must be in [0, 2.0], got nan"),
-        (BoundSpec("polygamy", 0.5, 0.5), [0.5, 2.0, 0.25], "must be >= 0.5, got 0.25"),
-        # with a given, max_admissible_a is reported and named in the error
-        (BoundSpec("polygamy", 0.5, 0.5, a=1e6), [0.5, 2.0], "max admissible"),
-    ])
-    def test_errors_match_the_first_failing_single_target_call(self, spec, targets, seen):
-        """``margin_rows`` has the errors of the non-strict loop; ``seen`` is
-        in the first error of the strict loop on some state."""
-        mvs = mvs_for_bounds()[::4]
-        for mv in mvs:
-            assert_row_matches_loop(mv, spec, targets)
-        strict = [outcome(lambda: single_target_loop(mv, spec, targets)) for mv in mvs]
-        assert any(g[0] == "ValueError" and seen in g[1] for g in strict)
 
     def test_no_targets(self):
         """No target, so no error, though the ratio condition fails."""
@@ -656,35 +632,6 @@ class TestMarginRowsAtTheSpec:
         with pytest.raises(ValueError, match="pairwise must be"):
             margin_rows(first, pairwise[:-1], spec, [1.0])
 
-    @pytest.mark.parametrize("spec,pairwise,targets,seen", [
-        # a bad target is checked before any state
-        (BoundSpec("monogamy", 2.0, 1.0), [(0.5, 0.1), (math.nan, 0.1)], [2.5, 1.0],
-         "target exponent"),
-        # a failing ratio condition in the second state is no error
-        (BoundSpec("monogamy", 2.0, 1.0, a=1.5), [(0.5, 0.1), (0.5, 0.49)], [1.0, 2.0], None),
-        # so the targets' own checks, which follow the first state, raise
-        (BoundSpec("monogamy", 2.0, 1.0, a=1.5), [(0.5, 0.1), (0.5, 0.49)], [1.0, 2.5],
-         "target exponent"),
-        (BoundSpec("monogamy", 2.0, 1.0, a=1.5), [(0.5, 0.49), (0.5, 0.1)], [1.0, 2.5],
-         "target exponent"),
-        # NaN and negative values, after or before a failing ratio condition
-        (BoundSpec("monogamy", 2.0, 1.0), [(0.5, 0.1, 0.0), (0.4, math.nan, 0.1)], [1.0],
-         "finite and nonnegative"),
-        (BoundSpec("monogamy", 2.0, 1.0, a=3.0), [(0.5, 0.1), (0.5, 0.4), (0.2, -0.1)],
-         [1.0], "finite and nonnegative"),
-        (BoundSpec("polygamy", 0.5, 0.5), [(0.2, -0.1), (0.5, 0.4)], [1.0],
-         "finite and nonnegative"),
-        (BoundSpec("monogamy", 2.0, 0.5, variant="jfq"), [(0.5, 0.1, 0.05)], [0.5],
-         "tripartite"),
-    ])
-    def test_errors_match_a_single_target_loop(self, spec, pairwise, targets, seen):
-        mvs = [unchecked_mv(0.9, pw) for pw in pairwise]
-        got = assert_margins_match_loop(mvs, spec, targets)
-        if seen is None:
-            assert got[1] == [True, False]
-        else:
-            assert got[0] == "ValueError" and seen in got[1]
-
     def test_ratio_mask_on_unsorted_values(self):
         rng = np.random.default_rng(12)
         for _ in range(1000):
@@ -804,81 +751,6 @@ class TestMarginRows:
         got, ok = margin_rows([0.5], [[0.3, 0.1]], spec, [], base_exp=[0.5])
         assert got.shape == (1, 0) and ok.shape == (1,)
 
-    @pytest.mark.parametrize("spec,pairwise,targets,s_rows,a_rows,seen", [
-        # s out of range in row 1 comes before row 2's bad target
-        (BoundSpec("polygamy", 1.0, 1.0), [(0.5, 0.1)] * 3, [[1.0, 2.0]] * 2 + [[0.1, 2.0]],
-         [0.5, 1.5, 0.5], [2.0] * 3, "polygamy base exponent"),
-        (BoundSpec("polygamy", 1.0, 1.0), [(0.5, 0.1)] * 2, [[1.0, 2.0], [1.5, 2.0]],
-         [0.5, 1.5], [2.0] * 2, "polygamy base exponent must be in (0, 1], got 1.5"),
-        (BoundSpec("polygamy", 1.0, 1.0), [(0.5, 0.1)] * 2, [[1.0, 2.0]] * 2,
-         [0.5, 0.5], [2.0, 0.5], "ratio parameter a must be >= 1, got 0.5"),
-        # a target below its own row's s, though above the other rows' s
-        (BoundSpec("polygamy", 1.0, 1.0), [(0.5, 0.1)] * 2, [[0.3, 2.0], [0.5, 0.3]],
-         [0.3, 0.6], [None] * 2, "polygamy target exponent must be >= 0.6"),
-        # in one row s comes before a, a before the first target, which comes
-        # before the values, which come before the other targets
-        (BoundSpec("polygamy", 1.0, 1.0), [(0.5, 0.1), (0.5, 0.1)], [[1.0, 2.0], [0.1, 2.0]],
-         [0.5, 0.5], [2.0, 0.5], "ratio parameter a must be >= 1"),
-        (BoundSpec("polygamy", 1.0, 1.0), [(0.5, 0.1), (0.5, math.nan)], [[1.0, 2.0], [0.1, 2.0]],
-         [0.5, 0.5], [2.0, 2.0], "polygamy target exponent"),
-        (BoundSpec("polygamy", 1.0, 1.0), [(0.5, 0.1), (0.5, math.nan)], [[1.0, 2.0], [1.0, 0.1]],
-         [0.5, 0.5], [2.0, 2.0], "finite and nonnegative"),
-        (BoundSpec("monogamy", 2.0, 2.0), [(0.5, 0.1)] * 3, [[1.0]] * 3, [2.0, 1.5, 3.0],
-         [None] * 3, "monogamy base exponent"),
-        (BoundSpec("monogamy", 2.0, 2.0), [(0.5, 0.1)] * 2, [[1.0, 2.5], [1.0, 2.5]], [3.0, 2.0],
-         [1.0, 1.0], "monogamy target exponent must be in [0, 2.0]"),
-        # alpha/r <= 1/2 at each row's own r
-        (BoundSpec("monogamy", 2.0, 2.0, variant="zjz2"), [(0.5, 0.1)] * 2, [[1.2], [1.2]],
-         [3.0, 2.0], [None] * 2, "requires alpha/r <= 1/2, got 0.6"),
-        (BoundSpec("monogamy", 2.0, 2.0, variant="jfq"), [(0.5, 0.1, 0.05)], [[1.0]], [2.0],
-         [None], "tripartite"),
-        # a bad value, and a NaN, in a shared list of targets
-        (BoundSpec("polygamy", 1.0, 1.0), [(0.5, 0.1)] * 2, [1.0, 2.0, 0.4], [0.5, 0.6],
-         [2.0] * 2, "polygamy target exponent must be >= 0.5, got 0.4"),
-        (BoundSpec("polygamy", 1.0, 1.0), [(0.5, 0.1)] * 2, [0.55, 2.0], [0.5, 0.6],
-         [2.0] * 2, "polygamy target exponent must be >= 0.6, got 0.55"),
-        (BoundSpec("monogamy", 2.0, 2.0), [(0.5, 0.1)] * 2, [1.0, math.nan], [2.0, 2.0],
-         [None] * 2, "must be in [0, 2.0], got nan"),
-        # a later row's s out of range, or its a below 1
-        (BoundSpec("polygamy", 1.0, 1.0), [(0.5, 0.1)] * 4, [[1.0, 2.0]] * 4,
-         [0.5, 0.7, 1.0, 0.0], [2.0] * 4, "polygamy base exponent must be in (0, 1], got 0.0"),
-        (BoundSpec("monogamy", 2.0, 2.0), [(0.5, 0.1)] * 4, [[1.0, 2.0]] * 4, [2.0] * 4,
-         [1.0, 1.5, 2.0, 0.999], "ratio parameter a must be >= 1, got 0.999"),
-        # with an explicit a, max_admissible_a is never taken; a failing ratio
-        # condition is no error, so a later row's NaN value is the first one
-        (BoundSpec("polygamy", 1.0, 1.0), [(0.5, 0.45), (0.5, 0.1), (math.nan, 0.1)],
-         [[1.0, 2.0]] * 3, [0.5, 0.5, 0.5], [1e6] * 3, "finite and nonnegative"),
-        (BoundSpec("monogamy", 2.0, 2.0, a=1e6), [(0.5, 0.45), (0.5, -0.1)], [[1.0, 2.0]] * 2,
-         [2.0, 2.0], [None] * 2, "finite and nonnegative"),
-    ])
-    def test_errors_match_the_first_failing_row_call(self, spec, pairwise, targets, s_rows,
-                                                     a_rows, seen):
-        first = [0.9] * len(pairwise)
-        shared = not isinstance(targets[0], list)
-        row_targets = [targets] * len(pairwise) if shared else targets
-        want = outcome(lambda: row_loop(first, pairwise, spec, row_targets, s_rows, a_rows))
-        assert want[0] == "ValueError" and seen in want[1]
-        a = None if a_rows[0] is None else a_rows
-        got = outcome(lambda: margin_rows(first, pairwise, spec, targets, base_exp=s_rows, a=a))
-        assert got == want
-
-    @pytest.mark.parametrize("spec,targets,kwargs,seen", [
-        (BoundSpec("polygamy", 0.6, 0.6), [1.0, math.nan], {},
-         "polygamy target exponent must be >= 0.6, got nan"),
-        (BoundSpec("polygamy", 0.6, 0.6), [[1.0], [math.nan]], {"base_exp": [0.6, 0.6]},
-         "polygamy target exponent must be >= 0.6, got nan"),
-        (BoundSpec("polygamy", 0.6, 0.6), [1.0], {"a": [2.0, math.nan]},
-         "ratio parameter a must be >= 1, got nan"),
-        (BoundSpec("monogamy", 2.0, 2.0), [1.0], {"a": [math.nan, 2.0]},
-         "ratio parameter a must be >= 1, got nan"),
-        (BoundSpec("monogamy", 2.0, 2.0), [1.0], {"base_exp": [2.0, math.nan]},
-         "monogamy base exponent must be >= 2, got nan"),
-    ])
-    def test_nan_parameters_raise(self, spec, targets, kwargs, seen):
-        with pytest.raises(ValueError) as exc:
-            margin_rows([0.9, 0.9], [(0.5, 0.1), (0.5, 0.2)], spec, targets, **kwargs)
-        assert str(exc.value) == seen
-
     def test_no_targets_keeps_the_ratio_mask(self):
         first, pairwise = polygamy_block(seed=76)
         s_rows, a_rows = per_sample_s(pairwise)
@@ -925,12 +797,183 @@ class TestMarginRows:
         want = row_loop(first, pairwise, spec, [[0.6, 1.5, 3.0]] * n, [0.6] * n, a_rows)
         assert (got.tolist(), ok.tolist()) == want
 
-    def test_failing_ratio_condition_is_not_an_error(self):
-        spec = BoundSpec("polygamy", 0.5, 0.5, a=1.9)
-        margins, ok = margin_rows([0.9, 0.9], [(0.5, 0.1), (0.5, 0.4)], spec, [0.5, 1.0])
-        assert ok.tolist() == [True, False] and np.isfinite(margins).all()
-        with pytest.raises(ValueError, match="ratio condition fails"):
-            polygamy_bound(unchecked_mv(0.9, (0.5, 0.4)), spec)
+    @pytest.mark.parametrize("spec,pairwise,targets,mask", [
+        (BoundSpec("polygamy", 0.5, 0.5, a=1.9), [(0.5, 0.1), (0.5, 0.4)], [0.5, 1.0],
+         [True, False]),
+        (BoundSpec("monogamy", 2.0, 1.0, a=1.5), [(0.5, 0.1), (0.5, 0.49)], [1.0, 2.0],
+         [True, False]),
+        (BoundSpec("polygamy", 0.5, 0.5, a=1e6), [(0.5, 0.45), (0.5, 0.1)], [0.5, 2.0],
+         [False, False]),
+    ])
+    def test_failing_ratio_condition_is_not_an_error(self, spec, pairwise, targets, mask):
+        """A failing ratio condition is no error to ``margin_rows``; a strict
+        single-state call raises it, naming a and max_admissible_a."""
+        mvs = [unchecked_mv(0.9, pw) for pw in pairwise]
+        margins, ok = assert_margins_match_loop(mvs, spec, targets)
+        assert ok == mask and np.isfinite(margins).all()
+        fn = monogamy_bound if spec.mode == "monogamy" else polygamy_bound
+        failing = pairwise[mask.index(False)]
+        with pytest.raises(ValueError) as exc:
+            fn(unchecked_mv(0.9, failing), spec)
+        amax = max_admissible_a(failing, spec.base_exp)
+        assert str(exc.value) == f"ratio condition fails at a={spec.a} (max admissible {amax})"
+
+
+MONO = BoundSpec("monogamy", 2.0, 2.0)
+POLY = BoundSpec("polygamy", 1.0, 1.0)
+VALUES_MESSAGE = "values must be finite and nonnegative, got "
+
+
+def assert_raises(spec, pairwise, targets, kwargs, want):
+    """``margin_rows`` on the rows ``pairwise`` raises exactly ``want``."""
+    first = [0.9] * len(pairwise)
+    with pytest.raises(ValueError) as exc:
+        margin_rows(first, pairwise, spec, targets, **kwargs)
+    assert str(exc.value) == want
+
+
+class TestMarginRowsErrors:
+    """``margin_rows`` checks its arguments once, before any power, and
+    raises one message per rule, naming the first failing row, or row and
+    target, of a block with more than one.  One table per rule; a call that
+    breaks several rules raises the first of base exponent, ratio parameter,
+    tripartite-only variant, values, target exponent and alpha/r."""
+
+    @pytest.mark.parametrize("spec,pairwise,targets,kwargs,want", [
+        # before a later row's bad target, and before the values
+        (POLY, [(0.5, 0.1)] * 3, [[1.0, 2.0]] * 2 + [[0.1, 2.0]],
+         {"base_exp": [0.5, 1.5, 0.5], "a": [2.0] * 3},
+         "polygamy base exponent must be in (0, 1], got 1.5 (row 1)"),
+        (POLY, [(0.5, 0.1)] * 2, [[1.0, 2.0], [1.5, 2.0]],
+         {"base_exp": [0.5, 1.5], "a": [2.0] * 2},
+         "polygamy base exponent must be in (0, 1], got 1.5 (row 1)"),
+        (POLY, [(0.5, 0.1)] * 4, [[1.0, 2.0]] * 4,
+         {"base_exp": [0.5, 0.7, 1.0, 0.0], "a": [2.0] * 4},
+         "polygamy base exponent must be in (0, 1], got 0.0 (row 3)"),
+        (MONO, [(0.5, 0.1)] * 3, [[1.0]] * 3, {"base_exp": [2.0, 1.5, 3.0]},
+         "monogamy base exponent must be >= 2, got 1.5 (row 1)"),
+        (MONO, [(0.5, 0.1), (0.5, 0.2)], [1.0], {"base_exp": [2.0, math.nan]},
+         "monogamy base exponent must be >= 2, got nan (row 1)"),
+    ])
+    def test_base_exponent(self, spec, pairwise, targets, kwargs, want):
+        assert_raises(spec, pairwise, targets, kwargs, want)
+
+    @pytest.mark.parametrize("spec,pairwise,targets,kwargs,want", [
+        (POLY, [(0.5, 0.1)] * 2, [[1.0, 2.0]] * 2, {"base_exp": [0.5, 0.5], "a": [2.0, 0.5]},
+         "ratio parameter a must be >= 1, got 0.5 (row 1)"),
+        # before row 1's bad target
+        (POLY, [(0.5, 0.1)] * 2, [[1.0, 2.0], [0.1, 2.0]],
+         {"base_exp": [0.5, 0.5], "a": [2.0, 0.5]},
+         "ratio parameter a must be >= 1, got 0.5 (row 1)"),
+        (MONO, [(0.5, 0.1)] * 4, [[1.0, 2.0]] * 4,
+         {"base_exp": [2.0] * 4, "a": [1.0, 1.5, 2.0, 0.999]},
+         "ratio parameter a must be >= 1, got 0.999 (row 3)"),
+        (BoundSpec("polygamy", 0.6, 0.6), [(0.5, 0.1), (0.5, 0.2)], [1.0],
+         {"a": [2.0, math.nan]}, "ratio parameter a must be >= 1, got nan (row 1)"),
+        (MONO, [(0.5, 0.1), (0.5, 0.2)], [1.0], {"a": [math.nan, 2.0]},
+         "ratio parameter a must be >= 1, got nan (row 0)"),
+    ])
+    def test_ratio_parameter(self, spec, pairwise, targets, kwargs, want):
+        assert_raises(spec, pairwise, targets, kwargs, want)
+
+    @pytest.mark.parametrize("spec,pairwise,targets,kwargs,want", [
+        (BoundSpec("monogamy", 2.0, 0.5, variant="jfq"), [(0.5, 0.1, 0.05)], [0.5], {},
+         "variant 'jfq' is defined for tripartite states only"),
+        (BoundSpec("monogamy", 2.0, 0.5, variant="jfq"), [(0.5, 0.1, 0.05)], [0.5, 1.5], {},
+         "variant 'jfq' is defined for tripartite states only"),
+        # before zjz's alpha/r <= 1/2
+        (BoundSpec("monogamy", 2.0, 0.5, variant="zjz2"), [(0.5, 0.1, 0.05)], [0.5, 1.5], {},
+         "variant 'zjz2' is defined for tripartite states only"),
+        (BoundSpec("monogamy", 2.0, 2.0, variant="jfq"), [(0.5, 0.1, 0.05)], [[1.0]],
+         {"base_exp": [2.0]}, "variant 'jfq' is defined for tripartite states only"),
+    ])
+    def test_tripartite_only_variant(self, spec, pairwise, targets, kwargs, want):
+        assert_raises(spec, pairwise, targets, kwargs, want)
+
+    @pytest.mark.parametrize("spec,pairwise,targets,kwargs,want", [
+        # before any target, bad or not, and whatever the ratio condition
+        (BoundSpec("monogamy", 2.0, 1.0), [(0.5, 0.1), (math.nan, 0.1)], [2.5, 1.0], {},
+         VALUES_MESSAGE + "[nan, 0.1] (row 1)"),
+        (BoundSpec("monogamy", 2.0, 1.0), [(0.5, 0.1, 0.0), (0.4, math.nan, 0.1)], [1.0], {},
+         VALUES_MESSAGE + "[0.4, nan, 0.1] (row 1)"),
+        (BoundSpec("monogamy", 2.0, 1.0, a=3.0), [(0.5, 0.1), (0.5, 0.4), (0.2, -0.1)], [1.0],
+         {}, VALUES_MESSAGE + "[0.2, -0.1] (row 2)"),
+        (BoundSpec("polygamy", 0.5, 0.5), [(0.2, -0.1), (0.5, 0.4)], [1.0], {},
+         VALUES_MESSAGE + "[0.2, -0.1] (row 0)"),
+        (POLY, [(0.5, 0.1), (0.5, math.nan)], [[1.0, 2.0], [0.1, 2.0]],
+         {"base_exp": [0.5, 0.5], "a": [2.0, 2.0]}, VALUES_MESSAGE + "[0.5, nan] (row 1)"),
+        (POLY, [(0.5, 0.1), (0.5, math.nan)], [[1.0, 2.0], [1.0, 0.1]],
+         {"base_exp": [0.5, 0.5], "a": [2.0, 2.0]}, VALUES_MESSAGE + "[0.5, nan] (row 1)"),
+        (POLY, [(0.5, 0.45), (0.5, 0.1), (math.nan, 0.1)], [[1.0, 2.0]] * 3,
+         {"base_exp": [0.5] * 3, "a": [1e6] * 3}, VALUES_MESSAGE + "[nan, 0.1] (row 2)"),
+        (BoundSpec("monogamy", 2.0, 2.0, a=1e6), [(0.5, 0.45), (0.5, -0.1)], [[1.0, 2.0]] * 2,
+         {"base_exp": [2.0, 2.0]}, VALUES_MESSAGE + "[0.5, -0.1] (row 1)"),
+    ])
+    def test_values(self, spec, pairwise, targets, kwargs, want):
+        assert_raises(spec, pairwise, targets, kwargs, want)
+
+    @pytest.mark.parametrize("spec,pairwise,targets,kwargs,want", [
+        (BoundSpec("monogamy", 2.0, 1.0), [(0.5, 0.1)], [2.0, 2.5], {},
+         "monogamy target exponent must be in [0, 2.0], got 2.5 (row 0, target 1)"),
+        (BoundSpec("polygamy", 0.5, 0.5), [(0.5, 0.1)], [0.5, 0.4], {},
+         "polygamy target exponent must be >= 0.5, got 0.4 (row 0, target 1)"),
+        # a failing ratio condition is no error, before or after the bad target
+        (BoundSpec("monogamy", 2.0, 1.0, a=1e6), [(0.5, 0.1)], [1.0, 2.5], {},
+         "monogamy target exponent must be in [0, 2.0], got 2.5 (row 0, target 1)"),
+        (BoundSpec("monogamy", 2.0, 1.0, a=1e6), [(0.5, 0.1)], [2.5, 1.0], {},
+         "monogamy target exponent must be in [0, 2.0], got 2.5 (row 0, target 0)"),
+        (BoundSpec("monogamy", 2.0, 1.0, a=1.5), [(0.5, 0.1), (0.5, 0.49)], [1.0, 2.5], {},
+         "monogamy target exponent must be in [0, 2.0], got 2.5 (row 0, target 1)"),
+        (BoundSpec("monogamy", 2.0, 1.0, a=1.5), [(0.5, 0.49), (0.5, 0.1)], [1.0, 2.5], {},
+         "monogamy target exponent must be in [0, 2.0], got 2.5 (row 0, target 1)"),
+        # a bad value, and a NaN, late in a shared list of targets
+        (BoundSpec("monogamy", 2.0, 1.0), [(0.5, 0.1)], [0.5, 1.0, -0.5], {},
+         "monogamy target exponent must be in [0, 2.0], got -0.5 (row 0, target 2)"),
+        (BoundSpec("monogamy", 2.0, 1.0), [(0.5, 0.1)], [0.5, math.nan], {},
+         "monogamy target exponent must be in [0, 2.0], got nan (row 0, target 1)"),
+        (BoundSpec("polygamy", 0.5, 0.5), [(0.5, 0.1)], [0.5, 2.0, 0.25], {},
+         "polygamy target exponent must be >= 0.5, got 0.25 (row 0, target 2)"),
+        (MONO, [(0.5, 0.1)] * 2, [1.0, math.nan], {"base_exp": [2.0, 2.0]},
+         "monogamy target exponent must be in [0, 2.0], got nan (row 0, target 1)"),
+        (BoundSpec("polygamy", 0.6, 0.6), [(0.5, 0.1), (0.5, 0.2)], [1.0, math.nan], {},
+         "polygamy target exponent must be >= 0.6, got nan (row 0, target 1)"),
+        # at each row's own s
+        (POLY, [(0.5, 0.1)] * 2, [[0.3, 2.0], [0.5, 0.3]], {"base_exp": [0.3, 0.6]},
+         "polygamy target exponent must be >= 0.6, got 0.5 (row 1, target 0)"),
+        (POLY, [(0.5, 0.1)] * 2, [1.0, 2.0, 0.4], {"base_exp": [0.5, 0.6], "a": [2.0] * 2},
+         "polygamy target exponent must be >= 0.5, got 0.4 (row 0, target 2)"),
+        (POLY, [(0.5, 0.1)] * 2, [0.55, 2.0], {"base_exp": [0.5, 0.6], "a": [2.0] * 2},
+         "polygamy target exponent must be >= 0.6, got 0.55 (row 1, target 0)"),
+        (MONO, [(0.5, 0.1)] * 2, [[1.0, 2.5], [1.0, 2.5]], {"base_exp": [3.0, 2.0], "a": [1.0] * 2},
+         "monogamy target exponent must be in [0, 2.0], got 2.5 (row 1, target 1)"),
+        (BoundSpec("polygamy", 0.6, 0.6), [(0.5, 0.1), (0.5, 0.2)], [[1.0], [math.nan]],
+         {"base_exp": [0.6, 0.6]},
+         "polygamy target exponent must be >= 0.6, got nan (row 1, target 0)"),
+    ])
+    def test_target_exponent(self, spec, pairwise, targets, kwargs, want):
+        assert_raises(spec, pairwise, targets, kwargs, want)
+
+    @pytest.mark.parametrize("spec,pairwise,targets,kwargs,want", [
+        (BoundSpec("monogamy", 2.0, 0.5, variant="zjz2"), [(0.5, 0.1)], [0.5, 1.5], {},
+         "variant 'zjz2' requires alpha/r <= 1/2, got 0.75 (row 0, target 1)"),
+        # at each row's own r
+        (BoundSpec("monogamy", 2.0, 2.0, variant="zjz2"), [(0.5, 0.1)] * 2, [[1.2], [1.2]],
+         {"base_exp": [3.0, 2.0]},
+         "variant 'zjz2' requires alpha/r <= 1/2, got 0.6 (row 1, target 0)"),
+    ])
+    def test_zjz_alpha_over_r(self, spec, pairwise, targets, kwargs, want):
+        assert_raises(spec, pairwise, targets, kwargs, want)
+
+    @pytest.mark.parametrize("pairwise,kwargs,want", [
+        ((math.nan, 0.1), {}, VALUES_MESSAGE + "[nan, 0.1]"),
+        ((0.5, -0.1), {}, VALUES_MESSAGE + "[0.5, -0.1]"),
+        ((0.5, 0.1), {"a": 0.5}, "ratio parameter a must be >= 1, got 0.5"),
+        ((0.5, 0.1), {"base_exp": 7.0}, "polygamy base exponent must be in (0, 1], got 7.0"),
+    ])
+    def test_no_targets_validate(self, pairwise, kwargs, want):
+        """With no targets a call raises what it raises with one."""
+        for targets in ([], [1.0]):
+            assert_raises(BoundSpec("polygamy", 0.5, 0.5), [pairwise], targets, kwargs, want)
 
 
 ALPHAS = [float(alpha) for alpha in default_alpha_grid(2.0)]

@@ -179,6 +179,15 @@ class TestRatioCondition:
         assert abs(max_admissible_a((S6, 0.5), 2.0) - 1.5) < 1e-12
         assert max_admissible_a((1.0, 0.0), 2.0) == math.inf
 
+    @pytest.mark.parametrize("values,seen", [
+        ([math.nan, 0.1], "[nan, 0.1]"),
+        (np.array([0.5, -0.1]), "[0.5, -0.1]"),
+    ])
+    def test_bad_values_are_named_as_plain_floats(self, values, seen):
+        with pytest.raises(ValueError) as exc:
+            max_admissible_a(values, 2)
+        assert str(exc.value) == f"values must be finite and nonnegative, got {seen}"
+
 
 # A reference for the bound in stdlib decimal at 50 digits, which shares no
 # arithmetic with the kernel: for descending v_1 >= ... >= v_m at x = target/s,
@@ -460,8 +469,7 @@ def failure(call):
 
 
 class TestVariantTuples:
-    """A tuple of variant names returns the one-name results bit for bit, and
-    raises what the first failing one-name call would raise."""
+    """A tuple of variant names returns the one-name results bit for bit."""
 
     SCALAR = [
         # all four variants at one x each: 0 < x <= 1/2 below, x >= 1 above
@@ -536,25 +544,35 @@ class TestVariantTuples:
                 assert type(value) is type(want)
                 assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
 
-    @pytest.mark.parametrize("fn,args,variants,seen", [
-        # the first name's checks come first, whatever the later names need
-        (scalar_lower_bound, (0.5, 0.4, 1.0), ("ours", "zjz1"), "t must satisfy"),
-        (scalar_lower_bound, (0.5, 0.4, 1.0), ("zjz1", "ours"), "requires 1/2 <= p"),
-        (scalar_lower_bound, (3.0, 0.7, 1.0), ("ours", "zjz2"), "needs 0 <= x <= 1/2"),
-        (scalar_lower_bound, (3.0, 0.7, 1.0), ("zjz2", "ours"), "needs 0 <= x <= 1/2"),
-        (scalar_lower_bound, (3.0, 0.4, 1.0), ("jfq", "zjz1"), "requires 1/2 <= p"),
-        (scalar_lower_bound, (3.0, 0.4, 1.0), ("ours", "bogus", "zjz1"), "unknown variant"),
-        (scalar_upper_bound, (3.0, 0.5, 1.0), ("jfq", "zjz1"), "upper bounds need x >= 1"),
-        (scalar_upper_bound, (3.0, 0.5, 1.0), ("zjz1", "jfq"), "requires 0 < q <= 1"),
-        (scalar_upper_bound, (3.0, 2.0, 0.5), ("ours", "jfq"), "a >= 1"),
+    @pytest.mark.parametrize("fn,args,variants,want", [
+        # one check per rule, over the ranges all the names need, in the order
+        # unknown name, p, a, t, x; p is 0.2 below and 0.0 above
+        (scalar_lower_bound, (3.0, 0.4, 1.0), ("ours", "bogus", "zjz1"), "unknown variant 'bogus'"),
         (scalar_upper_bound, (3.0, 2.0, 1.0), ("zjz2", "xyz"), "unknown variant 'xyz'"),
+        (scalar_lower_bound, (0.5, 0.4, 1.0), ("ours", "zjz1"),
+         "zjz1 lower bound requires 1/2 <= p <= 1, got 0.2"),
+        (scalar_lower_bound, (0.5, 0.4, 1.0), ("zjz1", "ours"),
+         "zjz1 lower bound requires 1/2 <= p <= 1, got 0.2"),
+        (scalar_lower_bound, (3.0, 0.4, 1.0), ("jfq", "zjz1"),
+         "zjz1 lower bound requires 1/2 <= p <= 1, got 0.2"),
+        (scalar_upper_bound, (3.0, 0.5, 1.0), ("jfq", "zjz1"),
+         "zjz1 upper bound requires 0 < q <= 1, got 0.0"),
+        (scalar_upper_bound, (3.0, 0.5, 1.0), ("zjz1", "jfq"),
+         "zjz1 upper bound requires 0 < q <= 1, got 0.0"),
+        (scalar_upper_bound, (3.0, 2.0, 0.5), ("ours", "jfq"),
+         "ratio parameter a must satisfy a >= 1"),
+        (scalar_lower_bound, (0.5, 0.4, 1.0), ("ours", "jfq"), "t must satisfy t >= a"),
+        (scalar_lower_bound, (3.0, 1.5, 1.0), ("zjz2", "ours"),
+         "variant 'ours' needs 0 < x <= 1, got 1.5"),
+        (scalar_lower_bound, (3.0, 0.7, 1.0), ("ours", "zjz2"),
+         "variant 'zjz2' needs 0 <= x <= 1/2, got 0.7"),
+        (scalar_lower_bound, (3.0, 0.7, 1.0), ("zjz2", "ours"),
+         "variant 'zjz2' needs 0 <= x <= 1/2, got 0.7"),
+        (scalar_upper_bound, (3.0, 0.5, 1.0), ("jfq", "ours"), "upper bounds need x >= 1, got 0.5"),
     ])
-    def test_scalar_errors_match_the_first_failing_one_name_call(self, fn, args, variants,
-                                                                  seen):
+    def test_scalar_errors_check_each_rule_once(self, fn, args, variants, want):
         p = 0.2 if fn is scalar_lower_bound else 0.0
-        want = first_failure([lambda v=v: fn(*args, v, p=p) for v in variants])
-        assert want is not None and seen in want[1]
-        assert failure(lambda: fn(*args, variants, p=p)) == want
+        assert failure(lambda: fn(*args, variants, p=p)) == (ValueError, want)
 
     @pytest.mark.parametrize("variants", [("ours", "jfq"), ("jfq", "ours"), ("zjz2", "bogus"),
                                           ("bogus", "ours"), ("ours", "zjz1")])

@@ -49,6 +49,12 @@ def test_schmidt3_rejects_bad_norm():
         schmidt3_state(1, 1, 0, 0, 0)
 
 
+def test_negative_coefficients_are_named_as_plain_floats():
+    with pytest.raises(ValueError) as exc:
+        schmidt3_state(0.6, -0.8, 0, 0, 0)
+    assert str(exc.value) == "coefficients must be nonnegative, got [0.6, -0.8, 0.0, 0.0, 0.0]"
+
+
 def test_wclass_example_instance():
     psi = w_class_state(0.5, 0.5, math.sqrt(2) / 2)
     assert abs(psi.amps[0b100] - 0.5) < 1e-15
