@@ -51,7 +51,8 @@ class MeasureVector:
     def __post_init__(self):
         vals = (self.one_vs_rest, *self.pairwise)
         if not all(math.isfinite(v) and v >= 0 for v in vals):
-            raise ValueError(f"measure values must be finite and nonnegative: {vals}")
+            raise ValueError(f"measure values must be finite and nonnegative: "
+                             f"{tuple(map(float, vals))}")
         object.__setattr__(self, "pairwise", tuple(float(v) for v in self.pairwise))
         object.__setattr__(self, "one_vs_rest", float(self.one_vs_rest))
 

@@ -176,12 +176,7 @@ def haar_random_pure(dims: Sequence[int], seed: int) -> PureState:
     if not dims:
         raise ValueError("dims must be nonempty")
     rng = np.random.default_rng(int(seed))
-    return PureState(dims, haar_random_amps(math.prod(dims), rng))
-
-
-def haar_random_amps(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Raw Haar-uniform amplitudes: the one-row view of ``haar_random_block``."""
-    return haar_random_block(1, dim, rng)[0]
+    return PureState(dims, haar_random_block(1, math.prod(dims), rng)[0])
 
 
 def haar_random_block(k: int, dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -188,12 +188,15 @@ def verify_scalar(n: int, seed: int = 0, tol: float = 1e-12,
     return report
 
 
-def _blocks(n: int, draw):
-    """Yield ``(start, amps)`` for consecutive blocks of up to STATE_BLOCK of
-    ``n`` states; ``draw(k)`` returns the next k states' amplitudes, taken
-    from the random stream in the order of a per-state loop."""
+def _measured_blocks(n: int, seed: int, draw, dims: tuple[int, ...], kind: MeasureKind):
+    """Yield ``(start, one_vs_rest, pairwise)`` for consecutive blocks of up
+    to STATE_BLOCK of ``n`` states, each measured by one ``measure_vectors``
+    call; ``draw(rng, k)`` returns the next k states' amplitudes from the
+    one ``default_rng(seed)`` stream, in the order of a per-state loop."""
+    n = _sample_count(n)
+    rng = np.random.default_rng(seed)
     for start in range(0, n, STATE_BLOCK):
-        yield start, draw(min(STATE_BLOCK, n - start))
+        yield start, *measure_vectors(draw(rng, min(STATE_BLOCK, n - start)), dims, kind)
 
 
 def _w_class_block(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -230,15 +233,13 @@ def verify_monogamy_states(n: int, seed: int = 0, r: float = 2.0,
     always true at that a.
     """
     report = VerificationReport()
-    n = _sample_count(n)
-    rng = np.random.default_rng(seed)
+    spec = bounds.BoundSpec("monogamy", r, r)
     alphas = (default_alpha_grid(float(r)) if alpha_grid is None
               else [float(alpha) for alpha in alpha_grid])
     dims = (2,) * int(n_qubits)
-    for start, amps in _blocks(n, lambda k: haar_random_block(k, 2 ** len(dims), rng)):
-        # built inside the loop, so that n = 0 validates no parameter
-        spec = bounds.BoundSpec("monogamy", r, r)
-        first, pairwise = measure_vectors(amps, dims, MeasureKind.CONCURRENCE)
+    for start, first, pairwise in _measured_blocks(
+            n, seed, lambda rng, k: haar_random_block(k, 2 ** len(dims), rng), dims,
+            MeasureKind.CONCURRENCE):
         report.record(bounds.margin_rows(first, pairwise, spec, alphas)[0], tol,
                       lambda i: (start + i // len(alphas), alphas[i % len(alphas)]))
     return report
@@ -258,17 +259,15 @@ def verify_polygamy_states(n: int, seed: int = 0, s: float | None = None,
     condition of each sample with the margins.
     """
     report = VerificationReport()
-    n = _sample_count(n)
-    rng = np.random.default_rng(seed)
     spec = bounds.BoundSpec("polygamy", 1.0, 1.0)  # s and a are given per sample
-    for start, amps in _blocks(n, lambda k: _w_class_block(rng, k)):
-        first, pairwise = measure_vectors(amps, (2, 2, 2), MeasureKind.SCRENOA)
-        kept, s_k = [], []  # the samples that are not degenerate
-        for i, (lo, hi) in enumerate(np.sort(pairwise, axis=1).tolist()):
+    for start, first, pairwise in _measured_blocks(n, seed, _w_class_block, (2, 2, 2),
+                                                   MeasureKind.SCRENOA):
+        # a degenerate sample is evaluated at s = 1 (or the fixed s) and dropped
+        keep, s_k = [], []
+        for lo, hi in np.sort(pairwise, axis=1).tolist():
             log2_ratio = math.log2(hi / lo) if lo != 0 and s is None else math.inf
-            if lo != 0 and log2_ratio >= MIN_LOG2_RATIO:
-                kept.append(i)
-                s_k.append(min(1.0, log2_ratio) if s is None else float(s))
+            keep.append(lo != 0 and log2_ratio >= MIN_LOG2_RATIO)
+            s_k.append(min(1.0, log2_ratio if keep[-1] else 1.0) if s is None else float(s))
         a_k = [2.0**s_i for s_i in s_k] if s is None else None
         s_k = np.array(s_k)
         grid = (_default_beta_rows(s_k) if beta_grid is None
@@ -276,13 +275,13 @@ def verify_polygamy_states(n: int, seed: int = 0, s: float | None = None,
         # a beta below its sample's s is cut off; it is evaluated at s and dropped
         cells = grid >= s_k[:, None]
         betas = np.where(cells, grid, s_k[:, None])
-        margins, ok = bounds.margin_rows(first[kept], pairwise[kept], spec, betas,
-                                         base_exp=s_k, a=a_k)
+        margins, ok = bounds.margin_rows(first, pairwise, spec, betas, base_exp=s_k, a=a_k)
+        ok &= keep
         report.skipped += len(first) - int(np.count_nonzero(ok))
         cells &= ok[:, None]
         rows, cols = np.nonzero(cells)
         report.record(margins[cells], tol, lambda j: (
-            start + kept[rows[j]], float(s_k[rows[j]]), float(betas[rows[j], cols[j]])))
+            start + int(rows[j]), float(s_k[rows[j]]), float(betas[rows[j], cols[j]])))
     return report
 
 

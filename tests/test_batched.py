@@ -47,7 +47,6 @@ from monogamy.measures import (
 from monogamy.states import (
     DensityMatrix,
     PureState,
-    haar_random_amps,
     haar_random_block,
     reduce_density,
     to_density,
@@ -167,7 +166,7 @@ def state_stack(n_qubits, seed, n_haar=12, n_w=4):
     """Haar states, a product state, the n-qubit W state and random W-class
     states."""
     rng = np.random.default_rng(seed)
-    rows = [haar_random_amps(2**n_qubits, rng) for _ in range(n_haar)]
+    rows = [haar_random_block(1, 2**n_qubits, rng)[0] for _ in range(n_haar)]
     rows += [product_amps(n_qubits), w_amps(np.ones(n_qubits))]
     rows += [w_amps(np.abs(rng.standard_normal(n_qubits))) for _ in range(n_w)]
     return np.stack(rows)
@@ -361,7 +360,7 @@ class TestHaarBlock:
         for seed in range(20):
             block_rng, row_rng, old_rng = (np.random.default_rng(seed) for _ in range(3))
             block = haar_random_block(k, d, block_rng)
-            rows = np.stack([haar_random_amps(d, row_rng) for _ in range(k)])
+            rows = np.stack([haar_random_block(1, d, row_rng)[0] for _ in range(k)])
             old = []
             for _ in range(k):
                 v = old_rng.standard_normal(d) + 1j * old_rng.standard_normal(d)
@@ -983,7 +982,7 @@ def reference_states(n, seed, n_qubits):
     """The per-state loop's measure vectors, one Haar state at a time."""
     rng = np.random.default_rng(seed)
     dims = (2,) * n_qubits
-    return [measure_vector(PureState(dims, haar_random_amps(2**n_qubits, rng)),
+    return [measure_vector(PureState(dims, haar_random_block(1, 2**n_qubits, rng)[0]),
                            MeasureKind.CONCURRENCE) for _ in range(n)]
 
 

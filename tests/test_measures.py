@@ -249,6 +249,12 @@ class TestMeasureVector:
         with pytest.raises(ValueError):
             MeasureVector(MeasureKind.CONCURRENCE, -0.1, (0.0,))
 
+    def test_rejection_names_plain_floats(self):
+        with pytest.raises(ValueError) as err:
+            MeasureVector(MeasureKind.CONCURRENCE, np.float64(math.nan),
+                          tuple(np.array([0.5, 0.1])))
+        assert str(err.value) == "measure values must be finite and nonnegative: (nan, 0.5, 0.1)"
+
 
 class TestBaseRelations:
     def test_ckw_haar_states(self):

@@ -7,6 +7,7 @@ import pytest
 
 from monogamy import bounds, verify
 from monogamy.verify import (
+    MIN_LOG2_RATIO,
     SweepGrid,
     VerificationReport,
     default_grid,
@@ -137,6 +138,82 @@ class TestVerifyStates:
         empty = verify_polygamy_states(40, seed=1, beta_grid=[])
         assert (empty.skipped, empty.total) == (default.skipped, 0)
         assert default.skipped == 8
+
+
+def test_monogamy_base_exponent_is_checked_without_samples():
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="monogamy base exponent must be >= 2, got 1.0"):
+            verify_monogamy_states(n, r=1.0)
+
+
+def patch_pairwise(monkeypatch, rows):
+    """Make the suites measure the pairwise values ``rows``, one row per
+    sample in sample order, with their true one-vs-rest values; return the
+    list that collects the ``base_exp`` and ``a`` of each ``margin_rows`` call."""
+    rows, real_measure, real_rows, calls = iter(rows), verify.measure_vectors, bounds.margin_rows, []
+
+    def measure(amps, dims, kind):
+        first, _ = real_measure(amps, dims, kind)
+        return first, np.array([next(rows) for _ in first])
+
+    def margin_rows(*args, base_exp=None, a=None):
+        calls.append((base_exp, a))
+        return real_rows(*args, base_exp=base_exp, a=a)
+
+    monkeypatch.setattr(verify, "measure_vectors", measure)
+    monkeypatch.setattr(bounds, "margin_rows", margin_rows)
+    monkeypatch.setattr(verify, "MAX_FAILURE_SAMPLES", 10**5)
+    return calls
+
+
+def test_polygamy_s_rule_keeps_math_log2_bits(monkeypatch):
+    """Each sample's s is min(1, math.log2(hi / lo)) and its a is 2.0**s, bit
+    for bit: an array log2 may differ from math.log2 in the last bit."""
+    rng = np.random.default_rng(5)
+    ratios = 2.0 ** rng.uniform(MIN_LOG2_RATIO, 1.0, 2000)
+    # ratios this close to 2 pass the ratio condition at a = 2^s, so that
+    # their s also shows in the failure descriptors
+    ratios[::4] = 2.0 * (1.0 - rng.integers(1, 50, 500) * 1e-14)
+    lo = rng.uniform(0.05, 0.45, ratios.size)
+    rows = np.column_stack((lo, lo * ratios))
+    rows[::2] = rows[::2, ::-1]  # either order
+    calls = patch_pairwise(monkeypatch, rows)
+    rep = verify_polygamy_states(len(rows), seed=3, tol=-math.inf)
+    want = [min(1.0, math.log2(hi / lo)) for lo, hi in np.sort(rows, axis=1).tolist()]
+    assert np.concatenate([s for s, _ in calls]).tolist() == want
+    assert np.concatenate([a for _, a in calls]).tolist() == [2.0**s for s in want]
+    assert rep.failures == len(rep.failure_samples) > 0
+    assert all(s == want[k] for (k, s, _), _ in rep.failure_samples)
+
+
+@pytest.mark.parametrize("s", [None, 0.7])
+def test_polygamy_skips_degenerate_rows(monkeypatch, s):
+    """One block mixes zero pairwise values, log2 ratios below MIN_LOG2_RATIO,
+    failing ratio conditions (at a = 2^s, ratios below 2) and ordinary rows:
+    the first kind is skipped at any s, the other two only at s = None, and
+    every other row is recorded under its own state index."""
+    kinds = {
+        "zero": [(0.0, 0.3), (0.4, 0.0), (0.0, 0.0)],
+        "close": [(0.3, 0.3), (0.2, 0.2 * 2**0.01)],
+        "ratio": [(0.2, 0.3), (0.5, 0.3)],
+        "ordinary": [(0.1, 0.3), (0.4, 0.1), (0.05, 0.5)],
+    }
+    order = ["ordinary", "zero", "close", "ordinary", "ratio", "zero", "close", "ordinary",
+             "ratio", "zero"]
+    counters = {kind: iter(rows) for kind, rows in kinds.items()}
+    rows = [next(counters[kind]) for kind in order]
+    calls = patch_pairwise(monkeypatch, rows)
+    rep = verify_polygamy_states(len(rows), seed=4, s=s, tol=-math.inf)
+    [(base_exp, _)] = calls  # one block
+    dropped = ("zero", "close", "ratio") if s is None else ("zero",)
+    kept = [i for i, kind in enumerate(order) if kind not in dropped]
+    # a degenerate row is evaluated at s = 1, or at the fixed s
+    assert all(base_exp[i] == (s or 1.0) for i, kind in enumerate(order)
+               if kind in ("zero", "close"))
+    assert rep.skipped == len(rows) - len(kept)
+    assert rep.failures == rep.total == len(rep.failure_samples) == 8 * len(kept)
+    assert sorted({k for (k, _, _), _ in rep.failure_samples}) == kept
+    assert all(type(k) is int for (k, _, _), _ in rep.failure_samples)
 
 
 def counting(monkeypatch, name):
