@@ -37,13 +37,19 @@ class BoundSpec:
     ``a`` may be None, in which case the tightest admissible value
     max(1, max_admissible_a) is used (capped at A_CAP).  ``p`` parametrizes
     the zjz1 variant (1/2 <= p <= 1 in monogamy mode, 0 < p <= 1 in
-    polygamy mode); zjz2 is zjz1 with p = 1/2.
+    polygamy mode); zjz2 is zjz1 with p = 1/2, and both need alpha/r <= 1/2
+    in monogamy mode.
+
+    For N states (see ``margin_rows``) ``base_exp`` and ``a`` may be (N,)
+    arrays and ``target_exp`` a list of T values or an (N, T) array, kept as
+    read-only float arrays; scalars are kept as given.  Each rule is checked
+    here, and an error names the first failing row, or row and target.
     """
 
     mode: str
-    base_exp: float
-    target_exp: float
-    a: float | None = None
+    base_exp: float | np.ndarray
+    target_exp: float | np.ndarray
+    a: float | np.ndarray | None = None
     variant: str = "ours"
     p: float = 0.5
 
@@ -52,22 +58,40 @@ class BoundSpec:
             raise ValueError(f"mode must be 'monogamy' or 'polygamy', got {self.mode!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        r, mono, zjz1 = float(self.base_exp), self.mode == "monogamy", self.variant == "zjz1"
-        if mono and not r >= 2:
-            raise ValueError(f"monogamy base exponent must be >= 2, got {r}")
-        if not mono and not 0 < r <= 1:
-            raise ValueError(f"polygamy base exponent must be in (0, 1], got {r}")
-        e = float(self.target_exp)
-        if mono and not 0 <= e <= r:
-            raise ValueError(f"monogamy target exponent must be in [0, {r}], got {e}")
-        if not mono and not e >= r:
-            raise ValueError(f"polygamy target exponent must be >= {r}, got {e}")
+        for name in ("base_exp", "target_exp", "a"):
+            if np.asarray(getattr(self, name)).ndim:
+                value = np.array(getattr(self, name), dtype=float)
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
+        r, mono = np.asarray(self.base_exp, dtype=float), self.mode == "monogamy"
+        if mono:
+            _require(r >= 2, lambda *at: f"monogamy base exponent must be >= 2, got {r[at]}")
+        else:
+            _require((r > 0) & (r <= 1),
+                     lambda *at: f"polygamy base exponent must be in (0, 1], got {r[at]}")
+        e = np.asarray(self.target_exp, dtype=float)
+        if e.ndim <= 2:  # margin_rows rejects a target array of higher rank
+            # each row's r, (N, 1) or (1, 1), against its targets, (N or 1, T);
+            # a first axis of length 1 is shared by every row
+            r, e = r.reshape(-1, 1), np.atleast_2d(e)
+            if mono:
+                _require((e >= 0) & (e <= r), lambda i, k: "monogamy target exponent must be "
+                         f"in [0, {r[i % len(r), 0]}], got {e[i % len(e), k]}")
+            else:
+                _require(e >= r, lambda i, k: "polygamy target exponent must be >= "
+                         f"{r[i % len(r), 0]}, got {e[i % len(e), k]}")
+            if mono and self.variant in ("zjz1", "zjz2"):
+                x = e / r
+                _require(x <= 0.5, lambda i, k: f"variant {self.variant!r} requires alpha/r "
+                         f"<= 1/2, got {x[i, k]}")
+        zjz1 = self.variant == "zjz1"
         if zjz1 and mono and not 0.5 <= self.p <= 1:
             raise ValueError(f"zjz1 requires 1/2 <= p <= 1, got {self.p}")
         if zjz1 and not mono and not 0 < self.p <= 1:
             raise ValueError(f"zjz1 requires 0 < p <= 1 in polygamy mode, got {self.p}")
-        if self.a is not None and not self.a >= 1:
-            raise ValueError(f"ratio parameter a must be >= 1, got {self.a}")
+        if self.a is not None:
+            a = np.asarray(self.a)
+            _require(a >= 1, lambda *at: f"ratio parameter a must be >= 1, got {a[at]}")
 
     @property
     def x(self) -> float:
@@ -274,73 +298,47 @@ def tripartite_bound(smaller: float, larger: float, target: float, x: float,
 
 
 def _require(ok: np.ndarray, message) -> None:
-    """Raise ValueError unless ``ok`` (N,) or (N, T) is all true: the text
-    ``message(*at)`` at the first index ``at`` where it is false, and, if
-    ``ok`` has more than one entry, that row, or row and target."""
-    if not ok.all():
+    """Raise ValueError unless ``ok`` (a scalar, (N,) or (N, T)) is all true:
+    the text ``message(*at)`` at the first index ``at`` where it is false,
+    and, if ``ok`` has more than one entry, that row, or row and target."""
+    if np.count_nonzero(ok) < ok.size:  # half the cost of ok.all() on small arrays
         at = [int(i) for i in np.unravel_index(np.argmin(ok), ok.shape)]
         where = f" (row {', target '.join(map(str, at))})" if ok.size > 1 else ""
         raise ValueError(message(*at) + where)
 
 
 @np.errstate(all="ignore")
-def _grid(one_vs_rest, pairwise, spec: BoundSpec, targets, base_exp=None, a=None):
-    """The kernel of ``margin_rows`` and of the single-target reports, with
-    their arguments.  Every check runs once, on the whole block and before
-    any power.  Returns the measured values, bounds and margins as
-    (N, T) arrays, and the (N,) arrays of ratio_condition_ok,
-    max_admissible_a (None unless ``a`` is resolved from it) and a.  Each
-    kind of power is one pow over the block on operands of its full shape
-    (see ``_power``), so a value's bits depend neither on N nor on T.  An
-    overflow gives inf, and no floating-point error warns.
+def _grid(one_vs_rest, pairwise, spec: BoundSpec):
+    """The kernel of ``margin_rows`` and of the single-target reports.  It
+    checks what depends on the values, once, on the whole block and before
+    any power; ``spec`` has checked its own fields.  Returns the measured
+    values, bounds and margins as (N, T) arrays, and the (N,) arrays of
+    ratio_condition_ok, max_admissible_a (None unless ``a`` is resolved from
+    it) and a.  Each kind of power is one pow over the block on operands of
+    its full shape (see ``_power``), so a value's bits depend neither on N
+    nor on T.  An overflow gives inf, and no floating-point error warns.
     """
-    one_vs_rest, targets = np.asarray(one_vs_rest, dtype=float), np.asarray(targets, dtype=float)
-    pairwise = np.asarray(pairwise, dtype=float)
+    one_vs_rest, pairwise = np.asarray(one_vs_rest, dtype=float), np.asarray(pairwise, dtype=float)
+    targets = np.atleast_1d(np.asarray(spec.target_exp, dtype=float))  # a scalar is one target
     n = len(one_vs_rest)
     if n and (pairwise.ndim != 2 or len(pairwise) != n or not pairwise.shape[1]):
         raise ValueError(f"pairwise must be an ({n}, m) array with m >= 1, "
                          f"got shape {pairwise.shape}")
-    if targets.ndim not in (1, 2):
-        raise ValueError(f"targets must be a list of T exponents or an ({n}, T) array, "
-                         f"got shape {targets.shape}")
     full = _full(targets, (n, targets.shape[-1]))
     if not n:
         empty = np.empty(full.shape)
         return empty, empty, empty, np.empty(0, dtype=bool), np.empty(0), np.empty(0)
-    s = _full(spec.base_exp if base_exp is None else base_exp, (n,))[:, None]
-    mono, m = spec.mode == "monogamy", pairwise.shape[1]
-    # BoundSpec has checked a spec-level s and a
-    if base_exp is not None and mono:
-        _require(s[:, 0] >= 2, lambda i: f"monogamy base exponent must be >= 2, got {s[i, 0]}")
-    elif base_exp is not None:
-        _require((s[:, 0] > 0) & (s[:, 0] <= 1),
-                 lambda i: f"polygamy base exponent must be in (0, 1], got {s[i, 0]}")
-    if a is not None:
-        a = _full(a, (n,))
-        _require(a >= 1, lambda i: f"ratio parameter a must be >= 1, got {a[i]}")
+    s, m = _full(spec.base_exp, (n,))[:, None], pairwise.shape[1]
     if spec.variant != "ours" and m != 2:
         raise ValueError(f"variant {spec.variant!r} is defined for tripartite states only")
     _require(((pairwise >= 0) & (pairwise < math.inf)).all(axis=1),
              lambda i: f"values must be finite and nonnegative, got {pairwise[i].tolist()}")
-    if mono:
-        _require((full >= 0) & (full <= s), lambda i, k: "monogamy target exponent must be "
-                 f"in [0, {s[i, 0]}], got {full[i, k]}")
-    else:
-        _require(full >= s, lambda i, k: f"polygamy target exponent must be >= {s[i, 0]}, "
-                 f"got {full[i, k]}")
     xs = full / s
-    if mono and spec.variant in ("zjz1", "zjz2"):
-        _require(xs <= 0.5, lambda i, k: f"variant {spec.variant!r} requires alpha/r <= 1/2, "
-                 f"got {xs[i, k]}")
-    a_given = spec.a if a is None else a
     rows = np.sort(pairwise, axis=1)[:, ::-1]
     powers = _power(rows, s)  # for the ratio condition and the ordered sums
-    amax = _max_a(rows, s) if a_given is None else None
-    a = np.minimum(np.maximum(amax, 1.0), A_CAP) if a_given is None else _full(a_given, (n,))
+    amax = _max_a(rows, s) if spec.a is None else None
+    a = np.minimum(np.maximum(amax, 1.0), A_CAP) if spec.a is None else _full(spec.a, (n,))
     ok = _ratio_ok(powers, a[:, None])
-    if not full.size:  # no target to evaluate
-        empty = np.empty(full.shape)
-        return empty, empty, empty, ok, amax, a
     # one pow gives the measured values and the bound's terms: the pairwise
     # values at the targets for two of them, their s-th powers at xs for more
     # (alpha = 0 collapses every power to 1; 0^0 is 1 in NumPy)
@@ -359,33 +357,35 @@ def _grid(one_vs_rest, pairwise, spec: BoundSpec, targets, base_exp=None, a=None
     return measured, bound, margin, ok, amax, a
 
 
-def margin_rows(one_vs_rest, pairwise, spec: BoundSpec, targets, *, base_exp=None,
-                a=None) -> tuple[np.ndarray, np.ndarray]:
+def margin_rows(one_vs_rest, pairwise, spec: BoundSpec) -> tuple[np.ndarray, np.ndarray]:
     """Margins of the bound of ``spec`` for N states, from the arrays
-    ``one_vs_rest`` (N,) and ``pairwise`` (N, m) of ``measure_vectors``, with
-    a base exponent, a ratio parameter and targets for each state: returns
-    the (N, T) margins and the (N,) mask of ratio conditions.
+    ``one_vs_rest`` (N,) and ``pairwise`` (N, m) of ``measure_vectors``:
+    returns the (N, T) margins and the (N,) mask of ratio conditions.
 
-    ``targets`` is (N, T) or a shared list of T, and ``base_exp`` and ``a``
-    are (N,) or shared scalars; None takes the spec's value (an ``a`` of None
-    is max(1, max_admissible_a) per row, capped at A_CAP).  ``spec``
-    supplies mode, variant and p.  Entry (i, k) is the margin of
-    ``monogamy_bound`` or ``polygamy_bound`` on state i at
-    ``replace(spec, base_exp=base_exp[i], target_exp=targets[i][k], a=a[i])``
-    with ``strict=False``, bit for bit, and mask entry i its
-    ``ratio_condition_ok``.  A failing ratio condition is no error.  The
-    arguments are checked once, with or without targets, and an error names
-    the first failing row, or row and target.
+    ``spec.target_exp`` is an (N, T) array or a shared list of T targets, and
+    ``spec.base_exp`` and ``spec.a`` are (N,) arrays or shared scalars (an
+    ``a`` of None is max(1, max_admissible_a) per row, capped at A_CAP).
+    Entry (i, k) is the margin of ``monogamy_bound`` or ``polygamy_bound``
+    on state i at ``replace(spec, base_exp=base_exp[i],
+    target_exp=targets[i][k], a=a[i])`` with ``strict=False``, bit for bit,
+    and mask entry i its ``ratio_condition_ok``.  A failing ratio condition
+    is no error.  The values are checked once, with or without targets, and
+    an error names the first failing row.
     """
-    _, _, margin, ok, _, _ = _grid(one_vs_rest, pairwise, spec, targets, base_exp, a)
+    targets = np.asarray(spec.target_exp)
+    if targets.ndim not in (1, 2):
+        raise ValueError(f"targets must be a list of T exponents or an ({len(one_vs_rest)}, T) "
+                         f"array, got shape {targets.shape}")
+    _, _, margin, ok, _, _ = _grid(one_vs_rest, pairwise, spec)
     return margin, ok
 
 
 def _report(mv: MeasureVector, spec: BoundSpec, strict: bool) -> BoundReport:
     """The report of one state at ``spec.target_exp``, by one ``_grid`` call;
     ``strict`` raises a failing ratio condition."""
-    measured, bound, margin, ok, amax, a = _grid([mv.one_vs_rest], [mv.pairwise], spec,
-                                                 [spec.target_exp])
+    if any(np.asarray(v).ndim for v in (spec.base_exp, spec.target_exp, spec.a)):
+        raise ValueError("a single-state bound needs scalar base_exp, target_exp and a")
+    measured, bound, margin, ok, amax, a = _grid([mv.one_vs_rest], [mv.pairwise], spec)
     amax = max_admissible_a(mv.pairwise, spec.base_exp) if amax is None else float(amax[0])
     if strict and not ok[0]:
         raise ValueError(f"ratio condition fails at a={a[0]} (max admissible {amax})")

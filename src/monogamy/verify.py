@@ -195,7 +195,8 @@ def _measured_blocks(n: int, seed: int, draw, dims: tuple[int, ...], kind: Measu
     one ``default_rng(seed)`` stream, in the order of a per-state loop."""
     n = _sample_count(n)
     rng = np.random.default_rng(seed)
-    for start in range(0, n, STATE_BLOCK):
+    # n = 0 gives one empty block, so that the parameters are checked at every n
+    for start in range(0, max(n, 1), STATE_BLOCK):
         yield start, *measure_vectors(draw(rng, min(STATE_BLOCK, n - start)), dims, kind)
 
 
@@ -233,14 +234,14 @@ def verify_monogamy_states(n: int, seed: int = 0, r: float = 2.0,
     always true at that a.
     """
     report = VerificationReport()
-    spec = bounds.BoundSpec("monogamy", r, r)
     alphas = (default_alpha_grid(float(r)) if alpha_grid is None
               else [float(alpha) for alpha in alpha_grid])
+    spec = bounds.BoundSpec("monogamy", r, alphas)
     dims = (2,) * int(n_qubits)
     for start, first, pairwise in _measured_blocks(
             n, seed, lambda rng, k: haar_random_block(k, 2 ** len(dims), rng), dims,
             MeasureKind.CONCURRENCE):
-        report.record(bounds.margin_rows(first, pairwise, spec, alphas)[0], tol,
+        report.record(bounds.margin_rows(first, pairwise, spec)[0], tol,
                       lambda i: (start + i // len(alphas), alphas[i % len(alphas)]))
     return report
 
@@ -254,12 +255,11 @@ def verify_polygamy_states(n: int, seed: int = 0, s: float | None = None,
     ratio parameter is then a = 2^s.  With a fixed ``s``, a is resolved per
     sample as max(1, max_admissible_a), capped at A_CAP.  Samples whose
     ratio condition fails (or whose pairwise ratio is degenerate) are
-    skipped, not failed.  Each block of states makes one ``margin_rows``
-    call, which takes each sample's s, a and betas and returns the ratio
-    condition of each sample with the margins.
+    skipped, not failed.  Each block of states makes one ``BoundSpec``, of
+    each sample's s, a and betas, and one ``margin_rows`` call, which returns
+    the ratio condition of each sample with the margins.
     """
     report = VerificationReport()
-    spec = bounds.BoundSpec("polygamy", 1.0, 1.0)  # s and a are given per sample
     for start, first, pairwise in _measured_blocks(n, seed, _w_class_block, (2, 2, 2),
                                                    MeasureKind.SCRENOA):
         # a degenerate sample is evaluated at s = 1 (or the fixed s) and dropped
@@ -272,11 +272,12 @@ def verify_polygamy_states(n: int, seed: int = 0, s: float | None = None,
         s_k = np.array(s_k)
         grid = (_default_beta_rows(s_k) if beta_grid is None
                 else np.array([float(beta) for beta in beta_grid]))
-        # a beta below its sample's s is cut off; it is evaluated at s and dropped
-        cells = grid >= s_k[:, None]
+        # a beta below its sample's s, not a NaN, is cut off: evaluated at s, dropped
+        cells = ~(grid < s_k[:, None])
         betas = np.where(cells, grid, s_k[:, None])
-        margins, ok = bounds.margin_rows(first, pairwise, spec, betas, base_exp=s_k, a=a_k)
-        ok &= keep
+        spec = bounds.BoundSpec("polygamy", s_k if s is None else s, betas, a=a_k)
+        margins, ok = bounds.margin_rows(first, pairwise, spec)
+        ok &= np.array(keep, dtype=bool)  # bool also for an empty block
         report.skipped += len(first) - int(np.count_nonzero(ok))
         cells &= ok[:, None]
         rows, cols = np.nonzero(cells)

@@ -386,10 +386,12 @@ def mvs_for_bounds():
 
 
 def single_target_loop(mv, spec, targets, strict=True):
-    """One ``monogamy_bound`` or ``polygamy_bound`` call per target."""
+    """One ``monogamy_bound`` or ``polygamy_bound`` call per target, after
+    the spec of every target is built: ``margin_rows`` takes a spec that has
+    checked all its targets before the kernel checks the values."""
     fn = monogamy_bound if spec.mode == "monogamy" else polygamy_bound
-    return [fn(mv, dataclasses.replace(spec, target_exp=t), strict=strict)
-            for t in targets]
+    specs = [dataclasses.replace(spec, target_exp=t) for t in targets]
+    return [fn(mv, one, strict=strict) for one in specs]
 
 
 # The parent's bound arithmetic, kept as the reference oracle of the kernel.
@@ -453,7 +455,8 @@ def assert_row_matches_loop(mv, spec, targets):
     arithmetic; where the loop raises, ``margin_rows`` raises the same
     message, naming the failing target.  Returns the loop's reports, or its
     error."""
-    got = outcome(lambda: margin_rows([mv.one_vs_rest], [mv.pairwise], spec, targets))
+    got = outcome(lambda: margin_rows([mv.one_vs_rest], [mv.pairwise],
+                                      dataclasses.replace(spec, target_exp=targets)))
     loop = outcome(lambda: single_target_loop(mv, spec, targets, strict=False))
     if isinstance(loop, list):
         margins, ok = got
@@ -512,8 +515,8 @@ class TestMarginRowsOnOneState:
     def test_no_targets(self):
         """No target, so no error, though the ratio condition fails."""
         mv = mvs_for_bounds()[0]
-        spec = BoundSpec("monogamy", 2.0, 1.0, a=1e6)
-        margins, ok = margin_rows([mv.one_vs_rest], [mv.pairwise], spec, [])
+        spec = BoundSpec("monogamy", 2.0, [], a=1e6)
+        margins, ok = margin_rows([mv.one_vs_rest], [mv.pairwise], spec)
         assert margins.shape == (1, 0) and ok.tolist() == [False]
 
     def test_per_target_arithmetic(self):
@@ -558,18 +561,19 @@ def parent_ratio_condition(values, a, exponent, rtol=1e-12):
 def ratio_mask(values, a, exponent):
     """The ratio condition of one row, from the mask of ``margin_rows`` with
     no targets; an ``a`` of None is resolved from max_admissible_a."""
-    spec = BoundSpec("monogamy" if exponent >= 2 else "polygamy", exponent, exponent)
-    return bool(margin_rows([0.0], [values], spec, [], a=a)[1][0])
+    spec = BoundSpec("monogamy" if exponent >= 2 else "polygamy", exponent, [], a=a)
+    return bool(margin_rows([0.0], [values], spec)[1][0])
 
 
 def row_loop(first, pairwise, spec, targets, s_rows, a_rows):
     """One non-strict single-target call per row and target, at the row's
-    own s, a and targets: the loop whose values, mask and errors
-    ``margin_rows`` has."""
-    reports = [single_target_loop(unchecked_mv(f, pw),
-                                  dataclasses.replace(spec, base_exp=s, target_exp=s, a=a), t,
-                                  strict=False)
-               for f, pw, t, s, a in zip(first, pairwise, targets, s_rows, a_rows)]
+    own s, a and targets, after the spec of every row and target is built:
+    the loop whose values, mask and errors ``margin_rows`` has."""
+    fn = monogamy_bound if spec.mode == "monogamy" else polygamy_bound
+    specs = [[dataclasses.replace(spec, base_exp=s, target_exp=t, a=a) for t in row]
+             for row, s, a in zip(targets, s_rows, a_rows)]
+    reports = [[fn(unchecked_mv(f, pw), one, strict=False) for one in row]
+               for f, pw, row in zip(first, pairwise, specs)]
     return ([[r.margin for r in reps] for reps in reports],
             [reps[0].ratio_condition_ok for reps in reports])
 
@@ -578,7 +582,8 @@ def assert_margins_match_loop(mvs, spec, targets):
     """``margin_rows`` at the spec's own s and a equals the row loop on the
     states ``mvs``, errors included."""
     first, pairwise = [mv.one_vs_rest for mv in mvs], [mv.pairwise for mv in mvs]
-    got = outcome(lambda: tuple(v.tolist() for v in margin_rows(first, pairwise, spec, targets)))
+    got = outcome(lambda: tuple(v.tolist() for v in margin_rows(
+        first, pairwise, dataclasses.replace(spec, target_exp=targets))))
     n = len(mvs)
     assert got == outcome(lambda: row_loop(first, pairwise, spec, [targets] * n,
                                            [spec.base_exp] * n, [spec.a] * n))
@@ -619,17 +624,17 @@ class TestMarginRowsAtTheSpec:
         reports = single_target_loop(
             measure_vector(PureState((2,) * 4, product_amps(4)), "concurrence"), spec, [0.0, 1.0])
         assert all(r.a == A_CAP and r.max_admissible_a == math.inf for r in reports)
-        got, ok = margin_rows(first, pairwise, spec, [0.0, 1.0])
+        got, ok = margin_rows(first, pairwise, dataclasses.replace(spec, target_exp=[0.0, 1.0]))
         assert got.tolist() == [[r.margin for r in reports]] and ok.tolist() == [True]
 
     def test_empty_inputs(self):
         first, pairwise = measure_vectors(state_stack(3, seed=61, n_haar=2), (2, 2, 2),
                                           "concurrence")
-        spec = BoundSpec("monogamy", 2.0, 2.0)
-        assert margin_rows(first, pairwise, spec, [])[0].shape == (len(first), 0)
-        assert margin_rows([], [], spec, [1.0, 2.5])[0].shape == (0, 2)
+        assert margin_rows(first, pairwise, BoundSpec("monogamy", 2.0, []))[0].shape == (
+            len(first), 0)
+        assert margin_rows([], [], BoundSpec("monogamy", 3.0, [1.0, 2.5]))[0].shape == (0, 2)
         with pytest.raises(ValueError, match="pairwise must be"):
-            margin_rows(first, pairwise[:-1], spec, [1.0])
+            margin_rows(first, pairwise[:-1], BoundSpec("monogamy", 2.0, [1.0]))
 
     def test_ratio_mask_on_unsorted_values(self):
         rng = np.random.default_rng(12)
@@ -688,8 +693,8 @@ def grouped_calls(first, pairwise, targets, s_rows, a_rows):
         groups.setdefault((s_rows[i], a_rows[i], tuple(targets[i].tolist())), []).append(i)
     margins = np.full(targets.shape, math.nan)
     for (s, a, betas), members in groups.items():
-        spec = BoundSpec("polygamy", s, s, a=a)
-        margins[members] = margin_rows(first[members], pairwise[members], spec, list(betas))[0]
+        spec = BoundSpec("polygamy", s, list(betas), a=a)
+        margins[members] = margin_rows(first[members], pairwise[members], spec)[0]
     return margins, ok, np.array(resolved)
 
 
@@ -697,7 +702,7 @@ def assert_rows_match(first, pairwise, targets, s_rows, a_rows, **kwargs):
     """``margin_rows`` equals the grouped calls on the rows that pass, and
     the single-target loop on every row, bit for bit."""
     spec = BoundSpec("polygamy", 1.0, 1.0)
-    got, ok = margin_rows(first, pairwise, spec, targets, **kwargs)
+    got, ok = margin_rows(first, pairwise, dataclasses.replace(spec, target_exp=targets, **kwargs))
     want, want_ok, resolved = grouped_calls(first, pairwise, targets, s_rows, a_rows)
     assert ok.dtype == bool and ok.tolist() == want_ok.tolist()
     assert got[ok].tobytes() == want[ok].tobytes()
@@ -731,7 +736,8 @@ class TestMarginRows:
         spec = BoundSpec("polygamy", 0.6, 0.6)
         # the spec's own s and a, shared targets, or the resolved a passed in
         for kwargs in ({}, {"base_exp": s_rows}, {"a": resolved}):
-            again, again_ok = margin_rows(first, pairwise, spec, [0.6, 1.0, 2.5], **kwargs)
+            again, again_ok = margin_rows(
+                first, pairwise, dataclasses.replace(spec, target_exp=[0.6, 1.0, 2.5], **kwargs))
             assert again.tobytes() == got.tobytes() and again_ok.tolist() == ok.tolist()
 
     def test_ragged_targets(self):
@@ -744,10 +750,10 @@ class TestMarginRows:
         assert_rows_match(first, pairwise, targets, s_rows, a_rows, base_exp=s_rows, a=a_rows)
 
     def test_empty(self):
-        spec = BoundSpec("polygamy", 1.0, 1.0)
-        got, ok = margin_rows([], np.empty((0, 2)), spec, np.empty((0, 8)), base_exp=[], a=[])
+        spec = BoundSpec("polygamy", [], np.empty((0, 8)), a=[])
+        got, ok = margin_rows([], np.empty((0, 2)), spec)
         assert got.shape == (0, 8) and ok.shape == (0,)
-        got, ok = margin_rows([0.5], [[0.3, 0.1]], spec, [], base_exp=[0.5])
+        got, ok = margin_rows([0.5], [[0.3, 0.1]], BoundSpec("polygamy", [0.5], []))
         assert got.shape == (1, 0) and ok.shape == (1,)
 
     def test_no_targets_keeps_the_ratio_mask(self):
@@ -755,19 +761,24 @@ class TestMarginRows:
         s_rows, a_rows = per_sample_s(pairwise)
         spec = BoundSpec("polygamy", 1.0, 1.0)
         for kwargs in ({"base_exp": s_rows, "a": a_rows}, {"base_exp": s_rows}, {}):
-            got, ok = margin_rows(first, pairwise, spec, [], **kwargs)
-            _, want = margin_rows(first, pairwise, spec, [3.0], **kwargs)
+            got, ok = margin_rows(first, pairwise, dataclasses.replace(spec, target_exp=[],
+                                                                       **kwargs))
+            _, want = margin_rows(first, pairwise, dataclasses.replace(spec, target_exp=[3.0],
+                                                                       **kwargs))
             assert got.shape == (len(first), 0)
             assert ok.tolist() == want.tolist()
             # a = 2^s fails on some rows; a resolved from max_admissible_a never does
             assert (np.count_nonzero(ok) < len(ok)) == ("a" in kwargs)
 
     @pytest.mark.parametrize("call", [
-        lambda first, pairwise, spec: margin_rows(first, pairwise, spec, 1.0),
-        lambda first, pairwise, spec: margin_rows(first[:1], pairwise[:1], spec, 1.0),
-        lambda first, pairwise, spec: margin_rows(first, pairwise, spec, np.ones((2, 1, 1))),
-        lambda first, pairwise, spec: margin_rows(first, pairwise, spec, 1.0,
-                                                  base_exp=[0.6, 0.6], a=[2.0, 2.0]),
+        lambda first, pairwise, spec: margin_rows(
+            first, pairwise, dataclasses.replace(spec, target_exp=1.0)),
+        lambda first, pairwise, spec: margin_rows(
+            first[:1], pairwise[:1], dataclasses.replace(spec, target_exp=1.0)),
+        lambda first, pairwise, spec: margin_rows(
+            first, pairwise, dataclasses.replace(spec, target_exp=np.ones((2, 1, 1)))),
+        lambda first, pairwise, spec: margin_rows(first, pairwise, dataclasses.replace(
+            spec, target_exp=1.0, base_exp=[0.6, 0.6], a=[2.0, 2.0])),
     ])
     def test_targets_of_the_wrong_rank_raise(self, call):
         spec = BoundSpec("polygamy", 0.6, 0.6)
@@ -791,7 +802,8 @@ class TestMarginRows:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bounds, "_max_a", counting)
-            got, ok = margin_rows(first, pairwise, spec, [0.6, 1.5, 3.0], a=a_rows)
+            got, ok = margin_rows(first, pairwise,
+                                  dataclasses.replace(spec, target_exp=[0.6, 1.5, 3.0], a=a_rows))
         assert not amax_calls and 0 < np.count_nonzero(ok) < n
         want = row_loop(first, pairwise, spec, [[0.6, 1.5, 3.0]] * n, [0.6] * n, a_rows)
         assert (got.tolist(), ok.tolist()) == want
@@ -827,16 +839,18 @@ def assert_raises(spec, pairwise, targets, kwargs, want):
     """``margin_rows`` on the rows ``pairwise`` raises exactly ``want``."""
     first = [0.9] * len(pairwise)
     with pytest.raises(ValueError) as exc:
-        margin_rows(first, pairwise, spec, targets, **kwargs)
+        margin_rows(first, pairwise, dataclasses.replace(spec, target_exp=targets, **kwargs))
     assert str(exc.value) == want
 
 
 class TestMarginRowsErrors:
-    """``margin_rows`` checks its arguments once, before any power, and
-    raises one message per rule, naming the first failing row, or row and
-    target, of a block with more than one.  One table per rule; a call that
-    breaks several rules raises the first of base exponent, ratio parameter,
-    tripartite-only variant, values, target exponent and alpha/r."""
+    """A ``BoundSpec`` checks its fields when it is built and ``margin_rows``
+    checks the values once, before any power; each raises one message per
+    rule, naming the first failing row, or row and target, of a block with
+    more than one.  One table per rule; a call that breaks several rules
+    raises the first of base exponent, target exponent, alpha/r and ratio
+    parameter (the spec's), then tripartite-only variant and values (the
+    kernel's)."""
 
     @pytest.mark.parametrize("spec,pairwise,targets,kwargs,want", [
         # before a later row's bad target, and before the values
@@ -860,10 +874,10 @@ class TestMarginRowsErrors:
     @pytest.mark.parametrize("spec,pairwise,targets,kwargs,want", [
         (POLY, [(0.5, 0.1)] * 2, [[1.0, 2.0]] * 2, {"base_exp": [0.5, 0.5], "a": [2.0, 0.5]},
          "ratio parameter a must be >= 1, got 0.5 (row 1)"),
-        # before row 1's bad target
+        # after row 1's bad target
         (POLY, [(0.5, 0.1)] * 2, [[1.0, 2.0], [0.1, 2.0]],
          {"base_exp": [0.5, 0.5], "a": [2.0, 0.5]},
-         "ratio parameter a must be >= 1, got 0.5 (row 1)"),
+         "polygamy target exponent must be >= 0.5, got 0.1 (row 1, target 0)"),
         (MONO, [(0.5, 0.1)] * 4, [[1.0, 2.0]] * 4,
          {"base_exp": [2.0] * 4, "a": [1.0, 1.5, 2.0, 0.999]},
          "ratio parameter a must be >= 1, got 0.999 (row 3)"),
@@ -880,9 +894,9 @@ class TestMarginRowsErrors:
          "variant 'jfq' is defined for tripartite states only"),
         (BoundSpec("monogamy", 2.0, 0.5, variant="jfq"), [(0.5, 0.1, 0.05)], [0.5, 1.5], {},
          "variant 'jfq' is defined for tripartite states only"),
-        # before zjz's alpha/r <= 1/2
+        # after zjz's alpha/r <= 1/2
         (BoundSpec("monogamy", 2.0, 0.5, variant="zjz2"), [(0.5, 0.1, 0.05)], [0.5, 1.5], {},
-         "variant 'zjz2' is defined for tripartite states only"),
+         "variant 'zjz2' requires alpha/r <= 1/2, got 0.75 (row 0, target 1)"),
         (BoundSpec("monogamy", 2.0, 2.0, variant="jfq"), [(0.5, 0.1, 0.05)], [[1.0]],
          {"base_exp": [2.0]}, "variant 'jfq' is defined for tripartite states only"),
     ])
@@ -890,9 +904,9 @@ class TestMarginRowsErrors:
         assert_raises(spec, pairwise, targets, kwargs, want)
 
     @pytest.mark.parametrize("spec,pairwise,targets,kwargs,want", [
-        # before any target, bad or not, and whatever the ratio condition
+        # after a bad target, and whatever the ratio condition
         (BoundSpec("monogamy", 2.0, 1.0), [(0.5, 0.1), (math.nan, 0.1)], [2.5, 1.0], {},
-         VALUES_MESSAGE + "[nan, 0.1] (row 1)"),
+         "monogamy target exponent must be in [0, 2.0], got 2.5 (row 0, target 0)"),
         (BoundSpec("monogamy", 2.0, 1.0), [(0.5, 0.1, 0.0), (0.4, math.nan, 0.1)], [1.0], {},
          VALUES_MESSAGE + "[0.4, nan, 0.1] (row 1)"),
         (BoundSpec("monogamy", 2.0, 1.0, a=3.0), [(0.5, 0.1), (0.5, 0.4), (0.2, -0.1)], [1.0],
@@ -900,9 +914,11 @@ class TestMarginRowsErrors:
         (BoundSpec("polygamy", 0.5, 0.5), [(0.2, -0.1), (0.5, 0.4)], [1.0], {},
          VALUES_MESSAGE + "[0.2, -0.1] (row 0)"),
         (POLY, [(0.5, 0.1), (0.5, math.nan)], [[1.0, 2.0], [0.1, 2.0]],
-         {"base_exp": [0.5, 0.5], "a": [2.0, 2.0]}, VALUES_MESSAGE + "[0.5, nan] (row 1)"),
+         {"base_exp": [0.5, 0.5], "a": [2.0, 2.0]},
+         "polygamy target exponent must be >= 0.5, got 0.1 (row 1, target 0)"),
         (POLY, [(0.5, 0.1), (0.5, math.nan)], [[1.0, 2.0], [1.0, 0.1]],
-         {"base_exp": [0.5, 0.5], "a": [2.0, 2.0]}, VALUES_MESSAGE + "[0.5, nan] (row 1)"),
+         {"base_exp": [0.5, 0.5], "a": [2.0, 2.0]},
+         "polygamy target exponent must be >= 0.5, got 0.1 (row 1, target 1)"),
         (POLY, [(0.5, 0.45), (0.5, 0.1), (math.nan, 0.1)], [[1.0, 2.0]] * 3,
          {"base_exp": [0.5] * 3, "a": [1e6] * 3}, VALUES_MESSAGE + "[nan, 0.1] (row 2)"),
         (BoundSpec("monogamy", 2.0, 2.0, a=1e6), [(0.5, 0.45), (0.5, -0.1)], [[1.0, 2.0]] * 2,
@@ -956,7 +972,7 @@ class TestMarginRowsErrors:
         (BoundSpec("monogamy", 2.0, 0.5, variant="zjz2"), [(0.5, 0.1)], [0.5, 1.5], {},
          "variant 'zjz2' requires alpha/r <= 1/2, got 0.75 (row 0, target 1)"),
         # at each row's own r
-        (BoundSpec("monogamy", 2.0, 2.0, variant="zjz2"), [(0.5, 0.1)] * 2, [[1.2], [1.2]],
+        (BoundSpec("monogamy", 2.0, 1.0, variant="zjz2"), [(0.5, 0.1)] * 2, [[1.2], [1.2]],
          {"base_exp": [3.0, 2.0]},
          "variant 'zjz2' requires alpha/r <= 1/2, got 0.6 (row 1, target 0)"),
     ])

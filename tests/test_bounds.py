@@ -147,10 +147,10 @@ class TestChainInequality:
         total = v.sum()
         # r = 2 on the square roots of v, so that the bound's terms are v^x
         margins, ok = margin_rows([math.sqrt(total)], [np.sqrt(v)],
-                                  BoundSpec("monogamy", 2.0, 2.0, a=a), [2 * x])
+                                  BoundSpec("monogamy", 2.0, [2 * x], a=a))
         assert ok.all() and margins[0, 0] >= -1e-10 * max(1.0, total**x)
         high = 1 + 1 / x
-        margins, ok = margin_rows([total], [v], BoundSpec("polygamy", 1.0, 1.0, a=a), [high])
+        margins, ok = margin_rows([total], [v], BoundSpec("polygamy", 1.0, [high], a=a))
         assert ok.all() and margins[0, 0] >= -1e-10 * max(1.0, total**high)
 
 
@@ -168,11 +168,11 @@ class TestRatioCondition:
     ])
     def test_cases(self, values, a, e, want):
         mode = "monogamy" if e >= 2 else "polygamy"
-        spec = BoundSpec(mode, e, e, a=a)
-        margins, ok = margin_rows([0.9], [values], spec, [])
+        margins, ok = margin_rows([0.9], [values], BoundSpec(mode, e, [], a=a))
         assert margins.shape == (1, 0) and ok.tolist() == [want]
         fn = monogamy_bound if mode == "monogamy" else polygamy_bound
-        rep = fn(MeasureVector(MeasureKind.CONCURRENCE, 0.9, values), spec, strict=False)
+        rep = fn(MeasureVector(MeasureKind.CONCURRENCE, 0.9, values), BoundSpec(mode, e, e, a=a),
+                 strict=False)
         assert rep.ratio_condition_ok is want
 
     def test_max_admissible_a(self):
@@ -255,10 +255,10 @@ class TestDecimalReference:
     @pytest.mark.parametrize("mode", ["monogamy", "polygamy"])
     def test_margin_rows(self, mode, m):
         values, s, a, targets = decimal_rows(mode, m, 150, seed=m)
-        spec = BoundSpec(mode, s[0], s[0])
+        spec = BoundSpec(mode, s, targets, a=a)
         # a one-vs-rest value of 0 measures 0 at a positive target, so the
         # margin is the bound, negated in monogamy mode
-        margins, _ = margin_rows(np.zeros(len(values)), values, spec, targets, base_exp=s, a=a)
+        margins, _ = margin_rows(np.zeros(len(values)), values, spec)
         bounds = -margins if mode == "monogamy" else margins
         for row, s_i, a_i, row_targets, got in zip(values, s, a, targets, bounds):
             for target, value in zip(row_targets.tolist(), got.tolist()):
@@ -628,6 +628,51 @@ class TestBoundSpec:
             BoundSpec(**kwargs)
         assert str(exc.value) == seen
 
+    @pytest.mark.parametrize("kwargs,seen", [
+        (dict(mode="polygamy", base_exp=[0.5, 1.5], target_exp=[2.0]),
+         "polygamy base exponent must be in (0, 1], got 1.5 (row 1)"),
+        (dict(mode="monogamy", base_exp=[3.0, 2.0], target_exp=[1.0, 2.5]),
+         "monogamy target exponent must be in [0, 2.0], got 2.5 (row 1, target 1)"),
+        (dict(mode="polygamy", base_exp=0.6, target_exp=[[1.0], [0.5]]),
+         "polygamy target exponent must be >= 0.6, got 0.5 (row 1, target 0)"),
+        (dict(mode="monogamy", base_exp=2.0, target_exp=[0.5, 1.5], variant="zjz2"),
+         "variant 'zjz2' requires alpha/r <= 1/2, got 0.75 (row 0, target 1)"),
+        (dict(mode="monogamy", base_exp=2, target_exp=1.5, variant="zjz2"),
+         "variant 'zjz2' requires alpha/r <= 1/2, got 0.75"),
+        (dict(mode="polygamy", base_exp=0.5, target_exp=1.0, a=[2.0, 0.5]),
+         "ratio parameter a must be >= 1, got 0.5 (row 1)"),
+        (dict(mode="monogamy", base_exp=2, target_exp=1, a=0),
+         "ratio parameter a must be >= 1, got 0"),
+    ])
+    def test_messages_name_the_failing_entry(self, kwargs, seen):
+        with pytest.raises(ValueError) as exc:
+            BoundSpec(**kwargs)
+        assert str(exc.value) == seen
+
+    def test_array_fields_are_read_only_copies(self):
+        s, betas, a = [0.5, 1], [[0.5, 2], [1, 3]], np.array([2.0, 1.5])
+        spec = BoundSpec("polygamy", s, betas, a=a)
+        for field, given in ((spec.base_exp, s), (spec.target_exp, betas), (spec.a, a)):
+            assert field.dtype == float and field.tolist() == np.asarray(given).tolist()
+            assert not field.flags.writeable
+        a[0] = 0.5
+        assert spec.a[0] == 2.0
+
+    def test_scalar_fields_are_kept_as_given(self):
+        spec = BoundSpec("monogamy", 2, 1, a=3)
+        assert repr(spec) == ("BoundSpec(mode='monogamy', base_exp=2, target_exp=1, a=3, "
+                              "variant='ours', p=0.5)")
+
+    @pytest.mark.parametrize("fields", [
+        dict(base_exp=[2.0]), dict(target_exp=[1.0]), dict(a=[1.5]),
+    ])
+    def test_single_state_bounds_need_scalar_fields(self, fields):
+        mv = MeasureVector(MeasureKind.CONCURRENCE, 0.9, (0.5, 0.1))
+        spec = BoundSpec(**{"mode": "monogamy", "base_exp": 2.0, "target_exp": 1.0, **fields})
+        with pytest.raises(ValueError) as exc:
+            monogamy_bound(mv, spec)
+        assert str(exc.value) == "a single-state bound needs scalar base_exp, target_exp and a"
+
     def test_x_property(self):
         assert BoundSpec("monogamy", 2, 1).x == 0.5
         assert abs(BoundSpec("polygamy", 0.6, 1.5).x - 2.5) < 1e-12
@@ -657,7 +702,7 @@ class TestTightOnWClass:
         # the equality needs a = max_admissible_a, which A_CAP would cut
         assert all(max_admissible_a(row, 2.0) <= A_CAP for row in pairwise)
         alphas = np.array(default_alpha_grid(2.0))
-        margins, ok = margin_rows(first, pairwise, BoundSpec("monogamy", 2.0, 2.0), alphas)
+        margins, ok = margin_rows(first, pairwise, BoundSpec("monogamy", 2.0, alphas))
         assert ok.all()
         eps = np.finfo(float).eps
         tol = eps * (8 * alphas * first[:, None] ** (alphas - 2) + 8)

@@ -204,10 +204,18 @@ def test_reduce_composes():
     assert np.max(np.abs(twice.mat - direct.mat)) < 1e-12
 
 
-def test_reduce_index_out_of_range():
-    rho = to_density(haar_random_pure([2, 2], seed=1))
-    with pytest.raises(ValueError):
-        reduce_density(rho, [2])
+@pytest.mark.parametrize("keep,want", [
+    ([5], "keep indices [5] out of range for 3 subsystems"),
+    ([-1], "keep indices [-1] out of range for 3 subsystems"),
+    ([2, 0, 7], "keep indices [0, 2, 7] out of range for 3 subsystems"),
+    ([], "must keep at least one subsystem"),
+])
+def test_reduce_names_a_bad_keep(keep, want):
+    """The keep indices are checked by ``linalg.partial_trace``."""
+    rho = to_density(w_class_state(0.5, 0.5, math.sqrt(0.5)))
+    with pytest.raises(ValueError) as exc:
+        reduce_density(rho, keep)
+    assert str(exc.value) == want
 
 
 def test_density_matrix_invariants_enforced():

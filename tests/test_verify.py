@@ -140,25 +140,52 @@ class TestVerifyStates:
         assert default.skipped == 8
 
 
-def test_monogamy_base_exponent_is_checked_without_samples():
+@pytest.mark.parametrize("suite,kwargs,want", [
+    (verify_monogamy_states, {"r": 1.0}, "monogamy base exponent must be >= 2, got 1.0"),
+    (verify_monogamy_states, {"alpha_grid": [5]},
+     "monogamy target exponent must be in [0, 2.0], got 5.0"),
+    (verify_monogamy_states, {"alpha_grid": [0.5, 5]},
+     "monogamy target exponent must be in [0, 2.0], got 5.0 (row 0, target 1)"),
+    (verify_monogamy_states, {"n_qubits": 9}, "measure_vector needs an n-qubit pure state "
+     "with 3 <= n <= 6, got dims (2, 2, 2, 2, 2, 2, 2, 2, 2)"),
+    (verify_polygamy_states, {"s": 1.5}, "polygamy base exponent must be in (0, 1], got 1.5"),
+    (verify_polygamy_states, {"s": 0.0}, "polygamy base exponent must be in (0, 1], got 0.0"),
+])
+def test_bad_parameters_raise_without_samples(suite, kwargs, want):
+    """n = 0 raises the message of n = 1."""
     for n in (0, 1):
-        with pytest.raises(ValueError, match="monogamy base exponent must be >= 2, got 1.0"):
-            verify_monogamy_states(n, r=1.0)
+        with pytest.raises(ValueError) as exc:
+            suite(n, **kwargs)
+        assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("s,beta_grid,want", [
+    (0.5, [math.nan], "polygamy target exponent must be >= 0.5, got nan"),
+    (0.5, [0.25, 1.0, math.nan], "polygamy target exponent must be >= 0.5, got nan "
+     "(row 0, target 2)"),
+    (None, [math.nan], "polygamy target exponent must be >= 1.0, got nan"),
+])
+def test_polygamy_nan_beta_raises(s, beta_grid, want):
+    """A NaN beta is not cut off like a beta below s: the spec rejects it."""
+    with pytest.raises(ValueError) as exc:
+        verify_polygamy_states(1, s=s, beta_grid=beta_grid)
+    assert str(exc.value) == want
 
 
 def patch_pairwise(monkeypatch, rows):
     """Make the suites measure the pairwise values ``rows``, one row per
     sample in sample order, with their true one-vs-rest values; return the
-    list that collects the ``base_exp`` and ``a`` of each ``margin_rows`` call."""
+    list that collects the ``base_exp`` and ``a`` of the spec of each
+    ``margin_rows`` call."""
     rows, real_measure, real_rows, calls = iter(rows), verify.measure_vectors, bounds.margin_rows, []
 
     def measure(amps, dims, kind):
         first, _ = real_measure(amps, dims, kind)
         return first, np.array([next(rows) for _ in first])
 
-    def margin_rows(*args, base_exp=None, a=None):
-        calls.append((base_exp, a))
-        return real_rows(*args, base_exp=base_exp, a=a)
+    def margin_rows(one_vs_rest, pairwise, spec):
+        calls.append((spec.base_exp, spec.a))
+        return real_rows(one_vs_rest, pairwise, spec)
 
     monkeypatch.setattr(verify, "measure_vectors", measure)
     monkeypatch.setattr(bounds, "margin_rows", margin_rows)
@@ -208,6 +235,7 @@ def test_polygamy_skips_degenerate_rows(monkeypatch, s):
     dropped = ("zero", "close", "ratio") if s is None else ("zero",)
     kept = [i for i, kind in enumerate(order) if kind not in dropped]
     # a degenerate row is evaluated at s = 1, or at the fixed s
+    base_exp = np.broadcast_to(base_exp, len(rows))
     assert all(base_exp[i] == (s or 1.0) for i, kind in enumerate(order)
                if kind in ("zero", "close"))
     assert rep.skipped == len(rows) - len(kept)
