@@ -28,7 +28,7 @@ _VERIFIED_MONOGAMY = {MeasureKind.CONCURRENCE, MeasureKind.NEGATIVITY_SCREN}
 _VERIFIED_POLYGAMY = {MeasureKind.SCRENOA, MeasureKind.CONCURRENCE_ASSISTANCE}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundSpec:
     """Parameters of one weighted-bound evaluation.
 
@@ -38,7 +38,7 @@ class BoundSpec:
     max(1, max_admissible_a) is used (capped at A_CAP).  ``p`` parametrizes
     the zjz1 variant (1/2 <= p <= 1 in monogamy mode, 0 < p <= 1 in
     polygamy mode); zjz2 is zjz1 with p = 1/2, and both need alpha/r <= 1/2
-    in monogamy mode.
+    in monogamy mode.  Specs compare and hash by identity.
 
     For N states (see ``margin_rows``) ``base_exp`` and ``a`` may be (N,)
     arrays and ``target_exp`` a list of T values or an (N, T) array, kept as
@@ -183,19 +183,13 @@ def _full(v, shape) -> np.ndarray:
 def _scalar_bound(t, a, x, variant: str | tuple[str, ...], p: float):
     """The bound of ``variant``, or a tuple with the bound of each name of a
     tuple ``variant``, taking t^x and the shared weight powers once."""
-    names = _names(variant)
     # operands of the full shape (1-d for scalar calls), so that every
     # element takes NumPy's pow loop whatever the shapes passed
-    shape = np.broadcast_shapes(*map(np.shape, (t, a, x)))
-    if "zjz1" in names:
-        wide = np.broadcast_shapes(shape, np.shape(p))
-        if wide != shape and len(names) > 1:
-            # p widens the zjz1 operands alone, so each name takes its own
-            return tuple(_scalar_bound(t, a, x, name, p) for name in names)
-        shape = wide
+    shape = np.broadcast_shapes(*map(np.shape, (t, a, x, p)))
     t1, a1, x1 = (_full(v, shape or (1,)) for v in (t, a, x))
     tx = t1**x1
-    vals = [w_small + w_large * tx for w_small, w_large in _weights(names, x1, a1, p)]
+    vals = [w_small + w_large * tx
+            for w_small, w_large in _weights(_names(variant), x1, a1, p)]
     vals = vals if shape else [float(val[0]) for val in vals]
     return vals[0] if isinstance(variant, str) else tuple(vals)
 
@@ -204,8 +198,8 @@ def scalar_lower_bound(t, x, a, variant: str | tuple[str, ...] = "ours", p: floa
     """Lower bound on (1+t)^x for t >= a >= 1 and 0 < x <= 1.
 
     The zjz variants are only valid for 0 <= x <= 1/2 (with 1/2 <= p <= 1);
-    evaluating them outside that region is an error.  Accepts scalars or
-    broadcastable arrays.  A tuple of variant names returns a tuple of their
+    evaluating them outside that region is an error.  ``t``, ``x``, ``a``
+    and ``p`` broadcast.  A tuple of variant names returns a tuple of their
     bounds, each with the bits of its one-name call, after one check of the
     ranges the names need; the powers the names share are taken once.
     """
@@ -279,16 +273,16 @@ def tripartite_bound(smaller: float, larger: float, target: float, x: float,
     """Tripartite bound w_small * smaller^target + w_large * larger^target,
     with the scalar-bound weights of ``variant`` at exponent ratio ``x``.
 
-    ``target``, ``x`` and ``a`` may be broadcastable arrays, and an array
-    call returns an array.  Every power is taken on operands expanded to the
-    full shape (see ``_power``), so an element has the bits of the one-cell
-    call, and a scalar call returns that element as a float.  An overflow,
-    a division by zero or an invalid operation raises FloatingPointError.
-    A tuple of variant names returns a tuple of their bounds, each with the
-    bits of its one-name call; smaller^target, larger^target and the powers
-    the weights share are taken once.
+    ``target``, ``x``, ``a`` and ``p`` may be broadcastable arrays, and an
+    array call returns an array.  Every power is taken on operands expanded
+    to the full shape (see ``_power``), so an element has the bits of the
+    one-cell call, and a scalar call returns that element as a float.  An
+    overflow, a division by zero or an invalid operation raises
+    FloatingPointError.  A tuple of variant names returns a tuple of their
+    bounds, each with the bits of its one-name call; smaller^target,
+    larger^target and the powers the weights share are taken once.
     """
-    shape = np.broadcast_shapes(*map(np.shape, (smaller, larger, target, x, a)))
+    shape = np.broadcast_shapes(*map(np.shape, (smaller, larger, target, x, a, p)))
     target, x, a = (_full(v, shape or (1,)) for v in (target, x, a))
     small, large = _power(smaller, target), _power(larger, target)
     vals = [w_small * small + w_large * large

@@ -79,8 +79,6 @@ def _csv_tables():
     return quads.view(np.uint64).ravel(), quad_zeros.ravel(), keep
 
 
-
-
 def _default_seed() -> int:
     text = os.environ.get("MONOGAMY_SEED", "0")
     try:
@@ -177,7 +175,7 @@ def _write_csv(path: str, header: Sequence[str], table: np.ndarray):
 
 
 def _parse_grid(text: str) -> verify.SweepGrid:
-    """Grid spec 'start:stop:step,start:stop:step' (axis names positional)."""
+    """Grid spec 'start:stop:step,start:stop:step', the example's two axes in order."""
     try:
         ax1, ax2 = text.split(",")
         s1 = [float(v) for v in ax1.split(":")]
@@ -186,7 +184,7 @@ def _parse_grid(text: str) -> verify.SweepGrid:
             raise ValueError
     except ValueError:
         raise StateSpecError(f"cannot parse grid {text!r}") from None
-    return verify.SweepGrid("axis1", *s1, "axis2", *s2)
+    return verify.SweepGrid(*s1, *s2)
 
 
 def cmd_measure(args) -> int:

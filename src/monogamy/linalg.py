@@ -42,10 +42,10 @@ def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
-def _check_hermitian(m: np.ndarray, atol: float) -> np.ndarray:
+def _check_hermitian(m: np.ndarray) -> np.ndarray:
     _check_square(m)
     asym = np.max(np.abs(m - m.conj().T), initial=0.0)
-    if asym > atol:
+    if asym > HERMITICITY_ATOL:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
     return m
 
@@ -96,13 +96,13 @@ def partial_transpose(rho, dims: Sequence[int], part: int) -> np.ndarray:
     return t.transpose(axes).reshape(d, d)
 
 
-def hermitian_eigen(m, atol: float = HERMITICITY_ATOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real and sorted
     in descending order and eigenvectors as the corresponding columns.
     """
-    m = _check_hermitian(_as_matrix(m), atol)
+    m = _check_hermitian(_as_matrix(m))
     w, v = np.linalg.eigh(m)
     return w[::-1].copy(), v[:, ::-1].copy()
 
@@ -110,17 +110,17 @@ def hermitian_eigen(m, atol: float = HERMITICITY_ATOL) -> tuple[np.ndarray, np.n
 def trace_norm(m) -> float:
     """Sum of singular values of a Hermitian matrix: the sum of its absolute
     eigenvalues.  Non-Hermitian input raises ``ValueError``."""
-    m = _check_hermitian(_as_matrix(m), HERMITICITY_ATOL)
+    m = _check_hermitian(_as_matrix(m))
     return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
-def psd_sqrt(m, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+def psd_sqrt(m) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
     Eigenvalues in ``[PSD_EIG_FLOOR, 0)`` are treated as round-off and
     clipped to zero; more negative eigenvalues raise ``ValueError``.
     """
-    w, v = hermitian_eigen(m, atol=atol)
+    w, v = hermitian_eigen(m)
     wmin = w[-1] if w.size else 0.0
     if wmin < PSD_EIG_FLOOR:
         raise ValueError(f"matrix is not PSD (min eigenvalue {wmin:.3e})")

@@ -48,16 +48,21 @@ class PureState:
         return len(self.dims)
 
 
+def _positive_dims(dims: Sequence[int]) -> tuple[int, ...]:
+    dims = tuple(int(d) for d in dims)
+    if any(d < 1 for d in dims):
+        raise ValueError(f"subsystem dimensions must be positive, got {dims}")
+    return dims
+
+
 def check_amplitudes(dims: Sequence[int], amps) -> tuple[tuple[int, ...], np.ndarray]:
     """Validate a stack of amplitude vectors, one state over ``dims`` per row.
 
     Returns ``(dims, amps)`` as a tuple of ints and an ``(N, prod(dims))``
     complex array.  Every row must be finite and normalized to ``NORM_ATOL``.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = _positive_dims(dims)
     amps = np.asarray(amps, dtype=complex)
-    if any(d < 1 for d in dims):
-        raise ValueError(f"subsystem dimensions must be positive, got {dims}")
     if amps.ndim != 2:
         raise ValueError(f"expected one amplitude vector per row, got shape {amps.shape}")
     if amps.shape[1] != math.prod(dims):
@@ -83,23 +88,17 @@ class DensityMatrix:
     check: InitVar[bool] = True
 
     def __post_init__(self, check):
-        dims = tuple(int(d) for d in self.dims)
-        mat = np.asarray(self.mat, dtype=complex)
+        dims = _positive_dims(self.dims)
+        mat = np.array(self.mat, dtype=complex)
         if check:
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ValueError(f"density matrix must be square, got {mat.shape}")
-            if int(np.prod(dims)) != mat.shape[0]:
+            w, _ = linalg.hermitian_eigen(mat)  # finite, 2-d, square and Hermitian
+            if math.prod(dims) != mat.shape[0]:
                 raise ValueError(f"dims {dims} do not match matrix side {mat.shape[0]}")
-            asym = float(np.max(np.abs(mat - mat.conj().T)))
-            if asym > linalg.HERMITICITY_ATOL:
-                raise ValueError(f"density matrix not Hermitian (asymmetry {asym:.3e})")
             tr = complex(np.trace(mat))
             if abs(tr - 1.0) > 1e-10:
                 raise ValueError(f"density matrix trace {tr} differs from 1")
-            wmin = float(np.min(np.linalg.eigvalsh(mat)))
-            if wmin < linalg.PSD_EIG_FLOOR:
-                raise ValueError(f"density matrix not PSD (min eigenvalue {wmin:.3e})")
-        mat = mat.copy()
+            if w[-1] < linalg.PSD_EIG_FLOOR:  # w descends, and the side is prod(dims) >= 1
+                raise ValueError(f"density matrix not PSD (min eigenvalue {w[-1]:.3e})")
         mat.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", mat)

@@ -40,13 +40,11 @@ MIN_LOG2_RATIO = 0.05
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Two named, evenly stepped axes (end points inclusive)."""
+    """Two evenly stepped axes (end points inclusive), named by ``dominance_scan``."""
 
-    axis1: str
     start1: float
     stop1: float
     step1: float
-    axis2: str
     start2: float
     stop2: float
     step2: float
@@ -260,18 +258,21 @@ def verify_polygamy_states(n: int, seed: int = 0, s: float | None = None,
     the ratio condition of each sample with the margins.
     """
     report = VerificationReport()
+    s_max = 1.0 if s is None else s  # the largest s a sample takes
+    shared = None if beta_grid is None else np.array([float(beta) for beta in beta_grid])
+    if shared is not None:  # checked once, as at s_max, so at every n
+        bounds.BoundSpec("polygamy", s_max, np.maximum(shared, s_max))
     for start, first, pairwise in _measured_blocks(n, seed, _w_class_block, (2, 2, 2),
                                                    MeasureKind.SCRENOA):
-        # a degenerate sample is evaluated at s = 1 (or the fixed s) and dropped
+        # a degenerate sample is evaluated at s_max and dropped
         keep, s_k = [], []
         for lo, hi in np.sort(pairwise, axis=1).tolist():
             log2_ratio = math.log2(hi / lo) if lo != 0 and s is None else math.inf
             keep.append(lo != 0 and log2_ratio >= MIN_LOG2_RATIO)
-            s_k.append(min(1.0, log2_ratio if keep[-1] else 1.0) if s is None else float(s))
+            s_k.append(min(s_max, log2_ratio) if keep[-1] else s_max)
         a_k = [2.0**s_i for s_i in s_k] if s is None else None
-        s_k = np.array(s_k)
-        grid = (_default_beta_rows(s_k) if beta_grid is None
-                else np.array([float(beta) for beta in beta_grid]))
+        s_k = np.array(s_k, dtype=float)
+        grid = _default_beta_rows(s_k) if shared is None else shared
         # a beta below its sample's s, not a NaN, is cut off: evaluated at s, dropped
         cells = ~(grid < s_k[:, None])
         betas = np.where(cells, grid, s_k[:, None])
@@ -290,9 +291,9 @@ def default_grid(example: str) -> SweepGrid:
     """Default scan grids for the worked examples; only the axis ranges are
     fixed, the step sizes are this library's choice."""
     if example == "example1":
-        return SweepGrid("alpha", 0.0, 1.0, 0.02, "r", 2.0, 5.0, 0.05)
+        return SweepGrid(0.0, 1.0, 0.02, 2.0, 5.0, 0.05)  # alpha, then r
     if example == "example2":
-        return SweepGrid("s", 0.6, 1.0, 0.01, "beta", 0.6, 3.0, 0.05)
+        return SweepGrid(0.6, 1.0, 0.01, 0.6, 3.0, 0.05)  # s, then beta
     raise ValueError(f"unknown example {example!r}")
 
 

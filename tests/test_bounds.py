@@ -1,4 +1,5 @@
 import decimal
+import functools
 import math
 from decimal import Decimal
 
@@ -522,10 +523,25 @@ class TestVariantTuples:
             assert [v.tolist() for v in one] == [[w[i]] for w in whole]
 
     @pytest.mark.parametrize("fn,xs", SCALAR)
-    def test_p_widens_zjz1_alone(self, fn, xs):
+    def test_p_widens_every_name(self, fn, xs):
+        """``p`` is one more broadcast operand, for every name of a tuple."""
         p = np.array([0.6, 0.8, 1.0])
         got = self.assert_tuple_matches(fn, 20.0, xs[0], 2.0, p)
-        assert [np.shape(v) for v in got] == [(), (), (3,), ()]
+        assert [np.shape(v) for v in got] == [(3,)] * len(VARIANTS)
+
+    @pytest.mark.parametrize("fn,args", [
+        (scalar_lower_bound, (20.0, 0.25, 2.0)),
+        (scalar_upper_bound, (20.0, 1.5, 2.0)),
+        (functools.partial(tripartite_bound, 0.25, 0.5), (0.5, 0.25, 1.2)),
+    ], ids=["scalar_lower_bound", "scalar_upper_bound", "tripartite_bound"])
+    def test_wide_p_is_the_loop_of_one_p_calls(self, fn, args):
+        """A ``p`` wider than the other operands gives, at each of its
+        entries, the bits of the call with that one ``p``."""
+        p = np.array([0.6, 0.8, 1.0])
+        assert fn(*args, "zjz1", p).tolist() == [fn(*args, "zjz1", q) for q in p.tolist()]
+        first, rest = np.array([[args[0]], [1.5 * args[0]]]), args[1:]
+        assert fn(first, *rest, "zjz1", p).tolist() == [
+            [fn(v, *rest, "zjz1", q) for q in p.tolist()] for v in first[:, 0].tolist()]
 
     @pytest.mark.parametrize("variant,p", [("ours", 0.5), ("jfq", 0.5), ("zjz1", 0.7),
                                            ("zjz2", 0.5)])
@@ -662,6 +678,18 @@ class TestBoundSpec:
         spec = BoundSpec("monogamy", 2, 1, a=3)
         assert repr(spec) == ("BoundSpec(mode='monogamy', base_exp=2, target_exp=1, a=3, "
                               "variant='ours', p=0.5)")
+
+    @pytest.mark.parametrize("fields", [
+        dict(base_exp=2.0, target_exp=1.0),
+        dict(base_exp=2.0, target_exp=[1.0, 2.0]),
+        dict(base_exp=[2.0, 3.0], target_exp=[[1.0], [2.0]], a=[1.0, 2.0]),
+    ])
+    def test_specs_compare_and_hash_by_identity(self, fields):
+        """Array fields have no one truth value, so no spec compares by value."""
+        spec, twin = BoundSpec("monogamy", **fields), BoundSpec("monogamy", **fields)
+        assert spec == spec and not spec != spec
+        assert spec != twin and not spec == twin
+        assert hash(spec) == hash(spec) and len({spec, twin, spec}) == 2
 
     @pytest.mark.parametrize("fields", [
         dict(base_exp=[2.0]), dict(target_exp=[1.0]), dict(a=[1.5]),

@@ -225,6 +225,36 @@ def test_density_matrix_invariants_enforced():
         DensityMatrix((2,), np.array([[0.5, 0.5], [0.0, 0.5]]))
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("dims,mat,want", [
+    ((2,), [[NAN, 0], [0, NAN]], "matrix contains NaN or Inf entries"),
+    ((2, 2), np.full((4, 4), NAN), "matrix contains NaN or Inf entries"),
+    ((2,), [[math.inf, 0], [0, 0.5]], "matrix contains NaN or Inf entries"),
+    ((-2, -2), np.eye(4) / 4, "subsystem dimensions must be positive, got (-2, -2)"),
+    ((0, 2), np.eye(2) / 2, "subsystem dimensions must be positive, got (0, 2)"),
+    ((2,), np.full((2, 3), 0.5), "expected a square matrix, got shape (2, 3)"),
+    ((2,), [0.5, 0.5], "expected a 2-d matrix, got shape (2,)"),
+    ((2,), np.eye(4) / 4, "dims (2,) do not match matrix side 4"),
+    ((2,), [[0.5, 0.5], [0.0, 0.5]], "matrix is not Hermitian (max asymmetry 5.000e-01)"),
+    ((2,), np.eye(2), "density matrix trace (2+0j) differs from 1"),
+    ((2,), np.diag([1 + 2e-10, -2e-10]),
+     "density matrix not PSD (min eigenvalue -2.000e-10)"),
+], ids=["nan", "nan-4x4", "inf", "negative-dims", "zero-dim", "not-square", "not-2d",
+        "dims-vs-side", "not-hermitian", "trace", "below-psd-floor"])
+def test_density_matrix_rejects(dims, mat, want):
+    """Finite, 2-d, square and Hermitian are linalg's checks and messages."""
+    with pytest.raises(ValueError) as exc:
+        DensityMatrix(dims, mat)
+    assert str(exc.value) == want
+
+
+def test_density_matrix_accepts_eigenvalues_at_the_psd_floor():
+    rho = DensityMatrix((2,), np.diag([1 + 5e-11, -5e-11]))
+    assert rho.dims == (2,) and not rho.mat.flags.writeable
+
+
 def test_schmidt3_closed_forms_random():
     from monogamy.measures import measure_vector
 

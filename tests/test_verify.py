@@ -21,19 +21,19 @@ from monogamy.verify import (
 
 class TestSweepGrid:
     def test_values_inclusive(self):
-        grid = SweepGrid("a", 0.0, 1.0, 0.25, "b", 2.0, 3.0, 0.5)
+        grid = SweepGrid(0.0, 1.0, 0.25, 2.0, 3.0, 0.5)
         assert np.allclose(grid.values1(), [0, 0.25, 0.5, 0.75, 1.0])
         assert np.allclose(grid.values2(), [2, 2.5, 3])
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
-            SweepGrid("a", 0, 1, 0, "b", 0, 1, 0.1)
+            SweepGrid(0, 1, 0, 0, 1, 0.1)
         with pytest.raises(ValueError):
-            SweepGrid("a", 1, 0, 0.1, "b", 0, 1, 0.1)
+            SweepGrid(1, 0, 0.1, 0, 1, 0.1)
 
     def test_rejects_huge_grid(self):
         with pytest.raises(ValueError, match="10\\^6"):
-            SweepGrid("a", 0, 1, 1e-7, "b", 0, 1, 1e-3)
+            SweepGrid(0, 1, 1e-7, 0, 1, 1e-3)
 
     @pytest.mark.parametrize("fields", [
         (0, 1, 1e-7, 0, 1, 1e-3),
@@ -48,7 +48,7 @@ class TestSweepGrid:
         monkeypatch.setattr(verify, "_axis", no_axis)
         start1, stop1, step1, start2, stop2, step2 = fields
         with pytest.raises(ValueError, match="10\\^6"):
-            SweepGrid("a", start1, stop1, step1, "b", start2, stop2, step2)
+            SweepGrid(start1, stop1, step1, start2, stop2, step2)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_fields(self, bad):
@@ -56,12 +56,12 @@ class TestSweepGrid:
             fields = [0.0, 1.0, 0.5, 0.0, 1.0, 0.5]
             fields[i] = bad
             with pytest.raises(ValueError, match="finite"):
-                SweepGrid("a", *fields[:3], "b", *fields[3:])
+                SweepGrid(*fields[:3], *fields[3:])
 
     def test_end_point_kept_at_large_magnitude(self):
         # start + step * k lands one ulp (3.6e-12) above 20999.67 at the last
         # k, which an absolute 1e-12 tolerance would drop
-        grid = SweepGrid("a", 6.47, 20999.67, 0.62, "b", 0, 0, 1)
+        grid = SweepGrid(6.47, 20999.67, 0.62, 0, 0, 1)
         values = grid.values1()
         assert len(values) == 33_861
         assert values[-1] == pytest.approx(20999.67, rel=1e-15)
@@ -69,12 +69,12 @@ class TestSweepGrid:
     def test_cap_is_exact_below_the_count_check(self):
         # 1000 x 1000 cells pass; 1000 x 1001 pass the count check
         # (999 * 1000 <= 10^6) and are rejected by the exact one
-        grid = SweepGrid("a", 0, 999, 1, "b", 0, 999, 1)
+        grid = SweepGrid(0, 999, 1, 0, 999, 1)
         assert len(grid.values1()) * len(grid.values2()) == 10**6
         with pytest.raises(ValueError, match="10\\^6"):
-            SweepGrid("a", 0, 999, 1, "b", 0, 1000, 1)
+            SweepGrid(0, 999, 1, 0, 1000, 1)
         # an axis that drops its last value: 0.4 > 0.3 leaves 2 of 3 values
-        grid = SweepGrid("a", 0, 0.3, 0.2, "b", 0, 0.3, 0.2)
+        grid = SweepGrid(0, 0.3, 0.2, 0, 0.3, 0.2)
         assert grid.values1().tolist() == [0.0, 0.2]
 
 
@@ -170,6 +170,23 @@ def test_polygamy_nan_beta_raises(s, beta_grid, want):
     with pytest.raises(ValueError) as exc:
         verify_polygamy_states(1, s=s, beta_grid=beta_grid)
     assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("s,beta_grid,want", [
+    (0.5, [math.nan], "polygamy target exponent must be >= 0.5, got nan"),
+    (0.5, [0.25, math.nan], "polygamy target exponent must be >= 0.5, got nan "
+     "(row 0, target 1)"),
+    (None, [math.nan], "polygamy target exponent must be >= 1.0, got nan"),
+    (None, [0.25, 1.0, math.nan], "polygamy target exponent must be >= 1.0, got nan "
+     "(row 0, target 2)"),
+])
+def test_polygamy_nan_beta_raises_without_samples(s, beta_grid, want):
+    """n = 0 raises the message of n = 1: the betas are checked as at the
+    largest s a sample takes, 1 or the fixed s, whatever n is."""
+    for n in (0, 1):
+        with pytest.raises(ValueError) as exc:
+            verify_polygamy_states(n, s=s, beta_grid=beta_grid)
+        assert str(exc.value) == want
 
 
 def patch_pairwise(monkeypatch, rows):
@@ -290,7 +307,7 @@ class TestDominance:
 
     def test_example1_fixture_values(self):
         _, rows = dominance_scan(
-            "example1", SweepGrid("alpha", 1, 1, 1, "r", 2, 2, 1)
+            "example1", SweepGrid(1, 1, 1, 2, 2, 1)
         )
         alpha, r, z1, z2, z3 = rows[0]
         assert abs(z3 - 0.644687860538) < 1e-9
@@ -299,7 +316,7 @@ class TestDominance:
 
     def test_example2_collapse_at_beta_equals_s(self):
         _, rows = dominance_scan(
-            "example2", SweepGrid("s", 0.7, 0.7, 1, "beta", 0.7, 0.7, 1)
+            "example2", SweepGrid(0.7, 0.7, 1, 0.7, 0.7, 1)
         )
         beta, s, w1, w2, w3, d1, d2 = rows[0]
         # exponent ratio collapses to 1: our bound is the bare power sum
@@ -327,13 +344,13 @@ class TestDominance:
         assert np.array_equal(np.concatenate(parts), table, equal_nan=True)
 
     def test_example1_z2_nan_outside_its_domain(self):
-        _, table = dominance_scan("example1", SweepGrid("alpha", 1, 2, 0.5, "r", 2, 2, 1))
+        _, table = dominance_scan("example1", SweepGrid(1, 2, 0.5, 2, 2, 1))
         assert table[:, 1].tolist() == [2.0] * 3
         assert not np.isnan(table[0, 3]) and np.isnan(table[1:, 3]).all()
         assert not np.isnan(np.delete(table, 3, axis=1)).any()
 
     def test_overflowing_cell_raises(self):
-        grid = SweepGrid("s", 0.6, 0.6, 0.1, "beta", 0.6, 2000, 500)
+        grid = SweepGrid(0.6, 0.6, 0.1, 0.6, 2000, 500)
         with pytest.raises(FloatingPointError, match="overflow"):
             dominance_scan("example2", grid)
 
