@@ -35,10 +35,10 @@ class BoundSpec:
     mode "monogamy": base_exp is r >= 2, target_exp is alpha in [0, r].
     mode "polygamy": base_exp is s in (0, 1], target_exp is beta >= s.
     ``a`` may be None, in which case the tightest admissible value
-    max(1, max_admissible_a) is used (capped at A_CAP).  ``p`` parametrizes
-    the zjz1 variant (1/2 <= p <= 1 in monogamy mode, 0 < p <= 1 in
-    polygamy mode); zjz2 is zjz1 with p = 1/2, and both need alpha/r <= 1/2
-    in monogamy mode.  Specs compare and hash by identity.
+    max(1, max_admissible_a) is used (capped at A_CAP).  ``p``, a scalar,
+    parametrizes the zjz1 variant (1/2 <= p <= 1 in monogamy mode,
+    0 < p <= 1 in polygamy mode); zjz2 is zjz1 with p = 1/2, and both need
+    alpha/r <= 1/2 in monogamy mode.  Specs compare and hash by identity.
 
     For N states (see ``margin_rows``) ``base_exp`` and ``a`` may be (N,)
     arrays and ``target_exp`` a list of T values or an (N, T) array, kept as
@@ -84,6 +84,8 @@ class BoundSpec:
                 x = e / r
                 _require(x <= 0.5, lambda i, k: f"variant {self.variant!r} requires alpha/r "
                          f"<= 1/2, got {x[i, k]}")
+        if np.ndim(self.p):  # _grid broadcasts no per-row p against its rows
+            raise ValueError(f"p must be a scalar, got an array of shape {np.shape(self.p)}")
         zjz1 = self.variant == "zjz1"
         if zjz1 and mono and not 0.5 <= self.p <= 1:
             raise ValueError(f"zjz1 requires 1/2 <= p <= 1, got {self.p}")

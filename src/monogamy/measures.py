@@ -19,6 +19,9 @@ import numpy as np
 from . import linalg
 from .states import DensityMatrix, PureState, check_amplitudes
 
+# the least positive double: a floor that changes no positive number
+_SMALLEST = np.finfo(float).smallest_subnormal
+
 # Eigenvalues of rho @ rho_tilde above this floor are treated as round-off
 # negatives and clipped before the square root.
 _MU_EIG_FLOOR = -1e-10
@@ -66,6 +69,22 @@ def _check_bipartition(n: int, part_a: Sequence[int]) -> list[int]:
     return part
 
 
+def _qubit_concurrence(m: np.ndarray) -> np.ndarray:
+    """Concurrence across a one-qubit cut of pure states whose amplitudes
+    have shape (..., 2, k), the qubit on the middle axis.
+
+    It is 2 sqrt(det rho_A) = 2 |m_0| |m_1 - (<m_0, m_1> / |m_0|^2) m_0| for
+    the rows m_0, m_1, accurate to a few eps absolute: no 1 - purity
+    cancels.  A qubit's pure-state negativity has the same value.
+    """
+    m0 = m[..., 0, :]
+    g = np.vecdot(m0[..., None, :], m)  # <m_0, m_0>, <m_0, m_1>
+    n0 = g[..., 0].real
+    # a zero row m_0 has a zero projection: the floor turns 0 / 0 into 0
+    perp = (m[..., 1, :] - (g[..., 1] / np.maximum(n0, _SMALLEST))[..., None] * m0).view(float)
+    return 2.0 * np.sqrt(n0 * np.vecdot(perp, perp))
+
+
 def _concurrence_of_reduced(rho_a: np.ndarray) -> np.ndarray:
     """sqrt(2 (1 - Tr rho_A^2)) of reduced matrices of shape (..., d, d)."""
     y = 2.0 * (1.0 - (rho_a @ rho_a).trace(axis1=-2, axis2=-1).real)
@@ -88,31 +107,49 @@ def _pair_index(n: int) -> np.ndarray:
     return idx
 
 
-def _reduced(psi: PureState, part_a: Sequence[int]) -> np.ndarray:
+def _split(psi: PureState, part_a: Sequence[int]) -> np.ndarray:
+    """The amplitudes as a matrix M with the smaller side of the bipartition
+    (the one with subsystem 0 on a tie) on the rows: rho = M M^dagger on that
+    side has the same nonzero spectrum as the other, and no zero eigenvalues
+    for round-off to disturb."""
     part = _check_bipartition(psi.n_subsystems, part_a)
     rest = [i for i in range(psi.n_subsystems) if i not in part]
-    # the smaller side (the one with subsystem 0 on a tie) has the same
-    # nonzero spectrum and no zero eigenvalues for round-off to disturb
     part = min(part, rest, key=lambda p: (math.prod(psi.dims[i] for i in p), p[0]))
-    # M M^dagger, with the part's axes leading the rows of M
     m = np.moveaxis(psi.amps.reshape(psi.dims), part, range(len(part)))
-    m = m.reshape(math.prod(psi.dims[i] for i in part), -1)
-    return m @ m.conj().T
+    return m.reshape(math.prod(psi.dims[i] for i in part), -1)
+
+
+def _pure_value(psi: PureState, part_a: Sequence[int], of_reduced) -> float:
+    """Concurrence, or with ``of_reduced`` the negativity, of a pure state
+    across a bipartition: on a qubit side both are ``_qubit_concurrence``
+    (a stack of one, so the bits are those of ``measure_vectors``), on a
+    larger side ``of_reduced`` of the Gram reduction."""
+    m = _split(psi, part_a)
+    if len(m) == 2:
+        return float(_qubit_concurrence(m[None])[0])
+    return float(of_reduced(m @ m.conj().T))
 
 
 def concurrence_pure(psi: PureState, part_a: Sequence[int]) -> float:
     """Pure-state concurrence sqrt(2 (1 - Tr rho_A^2)) across a bipartition."""
-    return float(_concurrence_of_reduced(_reduced(psi, part_a)))
+    return _pure_value(psi, part_a, _concurrence_of_reduced)
 
 
 def _spin_flip_roots(f: np.ndarray) -> np.ndarray:
     """Square roots of the eigenvalues of rho @ rho_tilde, descending, for
-    two-qubit states rho = f f^dagger given by factors f of shape (..., 4, k).
+    two-qubit states rho = f f^dagger given by factors f of shape (..., 4, k),
+    k >= 2.
 
-    They are the singular values of the complex symmetric K = f^T YY f, taken
-    as square roots of the eigenvalues of the Hermitian K K^dagger; below
-    k = 4 the missing roots are zeros.
+    They are the singular values of the complex symmetric K = f^T YY f, of
+    shape (..., min(k, 4)); rho has rank <= k, so the other roots are zeros.
+    For k = 2 (three-qubit pure states) they come in closed form from
+    ``_two_column_roots``; otherwise as the square roots of the eigenvalues
+    of the Hermitian K K^dagger.
     """
+    if f.shape[-1] == 2:
+        # on stacks of 2 x 2 products einsum is cheaper than matmul's
+        # per-matrix BLAS calls
+        return _two_column_roots(np.einsum("...ji,...jk->...ik", f, f[..., ::-1, :] * _YY_SIGNS))
     if f.shape[-1] > 4:
         # f^T = Q R, so f f^dagger = R^T R^*: R^T is a 4 x 4 factor of rho
         f = np.linalg.qr(f.mT, mode="r").mT
@@ -122,8 +159,25 @@ def _spin_flip_roots(f: np.ndarray) -> np.ndarray:
         raise ValueError(f"spin-flip spectrum has eigenvalue {ev.min():.3e} < 0")
     # round-off residue of structural zeros would blow up to ~1e-8 under the
     # square root; clip relative to the last (largest), negatives included
-    mu = np.zeros(ev.shape[:-1] + (4,))
-    mu[..., :ev.shape[-1]] = np.sqrt(np.where(ev < 1e-13 * ev[..., -1:], 0.0, ev)[..., ::-1])
+    return np.sqrt(np.where(ev < 1e-13 * ev[..., -1:], 0.0, ev)[..., ::-1])
+
+
+def _two_column_roots(k: np.ndarray) -> np.ndarray:
+    """Singular values sigma_1 >= sigma_2 of 2 x 2 matrices K, shape (..., 2).
+
+    sigma_1^2 is the larger eigenvalue of H = K K^dagger, and
+    sigma_2 = |det K| / sigma_1.  Neither takes a difference of nearly equal
+    numbers, so both are accurate to a few eps sigma_1 absolute, also where
+    sigma_1 = sigma_2 (GHZ-like pairs) and sigma_2 = 0 (W-like pairs).
+    """
+    h = np.einsum("...ij,...kj->...ik", k, k.conj())
+    h11, h22 = h[..., 0, 0].real, h[..., 1, 1].real
+    mu = np.empty(h.shape[:-1])
+    s1 = np.sqrt((h11 + h22 + np.hypot(h11 - h22, 2.0 * np.abs(h[..., 0, 1]))) / 2.0,
+                 out=mu[..., 0])
+    det = np.abs(k[..., 0, 0] * k[..., 1, 1] - k[..., 0, 1] * k[..., 1, 0])
+    # K = 0 gives s1 = det = 0, and the floor turns 0 / 0 into 0
+    np.divide(det, np.maximum(s1, _SMALLEST), out=mu[..., 1])
     return mu
 
 
@@ -132,12 +186,14 @@ def _pair_values(f: np.ndarray, kind: MeasureKind) -> np.ndarray:
     shape (...).
 
     All four kinds come from the spin-flip roots: concurrence is
-    max(0, mu_1 - mu_2 - mu_3 - mu_4), its assisted value the sum of the
-    roots, and SCREN / SCRENoA their squares.
+    max(0, mu_1 - mu_2 - ...), its assisted value the sum of the roots, and
+    SCREN / SCRENoA their squares.
     """
     mu = _spin_flip_roots(f)
     if kind in (MeasureKind.CONCURRENCE, MeasureKind.NEGATIVITY_SCREN):
-        d = mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3]
+        d = mu[..., 0] - mu[..., 1]
+        for i in range(2, mu.shape[-1]):
+            d -= mu[..., i]
         vals = np.where(d > 0.0, d, 0.0)
     else:
         vals = np.sum(mu, axis=-1)
@@ -173,12 +229,13 @@ def negativity(rho: DensityMatrix, part_a: Sequence[int], halved: bool = False) 
 
 def negativity_pure(psi: PureState, part_a: Sequence[int]) -> float:
     """Pure-state negativity (Tr sqrt(rho_A))^2 - 1."""
-    return float(_negativity_of_reduced(_reduced(psi, part_a)))
+    return _pure_value(psi, part_a, _negativity_of_reduced)
 
 
 def scren_pure(psi: PureState, part_a: Sequence[int]) -> float:
     """Squared negativity of a pure state (SCREN and SCRENoA coincide here)."""
-    return float(np.square(_negativity_of_reduced(_reduced(psi, part_a))))
+    value = negativity_pure(psi, part_a)
+    return value * value
 
 
 def scren_2q(rho: DensityMatrix) -> float:
@@ -216,14 +273,12 @@ def _measure(amps: np.ndarray, dims: tuple[int, ...], kind: MeasureKind):
             f"measure_vector needs an n-qubit pure state with 3 <= n <= {MAX_QUBITS}, "
             f"got dims {dims}"
         )
-    # sized from n, not -1, so that an empty stack reshapes too
-    m = amps.reshape(len(amps), 2, 2 ** (n - 1))
-    rho_0 = m @ m.conj().mT
-    if kind in (MeasureKind.CONCURRENCE, MeasureKind.CONCURRENCE_ASSISTANCE):
-        # on pure states the assisted value has a single-term decomposition
-        first = _concurrence_of_reduced(rho_0)
-    else:
-        first = np.square(_negativity_of_reduced(rho_0))
+    # sized from n, not -1, so that an empty stack reshapes too; on pure
+    # states the assisted value has a single-term decomposition, and a
+    # qubit's negativity equals its concurrence
+    first = _qubit_concurrence(amps.reshape(len(amps), 2, 2 ** (n - 1)))
+    if kind in (MeasureKind.NEGATIVITY_SCREN, MeasureKind.SCRENOA):
+        first = np.square(first)
     return first, _pair_values(amps[:, _pair_index(n)], kind)
 
 

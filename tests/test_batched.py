@@ -6,14 +6,16 @@ give, so every comparison between them uses ``==``.  In the bound kernel every p
 through ``bounds._power``, which gives each element the bits of NumPy's pow
 loop on that element alone, so that a one-state, one-target call and a block
 get the same bits.  The exceptions are the references, compared within the
-bounds stated below: measures are taken from Gram matrices and factors of
-the amplitudes, and are compared with the partial traces of |psi><psi| and
-the square-root form of the spin-flip spectrum; bounds are compared with the
-parent's arithmetic, which took Python-float and per-exponent pows.
+bounds stated below: measures are taken from the amplitudes and factors of
+them, and are compared with the partial traces of |psi><psi|, the
+square-root form of the spin-flip spectrum and exact closed-form values;
+bounds are compared with the parent's arithmetic, which took Python-float
+and per-exponent pows.
 """
 
 import collections
 import dataclasses
+import decimal
 import itertools
 import math
 import re
@@ -72,31 +74,33 @@ PAIR_FN = {
 
 
 # Absolute bounds of the amplitude paths against the density-matrix reference.
-# The one-vs-rest reduction is a Gram matrix: both paths sum the same
-# 2**(n-1) amplitude products into each entry, in different orders, and the
-# entries differ by at most 5.6e-16 (3 to 6 qubits, 184 states).  A measure is
-# a smooth function of those entries except where it takes the square root of
-# a small quantity y (1 - purity, an eigenvalue of rho_0); there the slope
-# 1/(2 sqrt(y)) amplifies an entry change.
+# The library takes the one-vs-rest value, and the pair roots at 3 qubits, in
+# closed forms accurate to a few eps (TestExactValues); elsewhere both paths
+# solve Hermitian eigenvalue problems on matrices whose entries sum the same
+# amplitude products in different orders.  Where a path takes the square root
+# of a small quantity y (1 - purity or an eigenvalue of rho_0 in the
+# reference, an eigenvalue of K K^dagger in the library), the slope
+# 1/(2 sqrt(y)) amplifies the round-off in y.
 EPS = np.finfo(float).eps
-# One-vs-rest: on these states sqrt(y) is exactly 0 or at least 0.01, so the
-# slope stays below 50; observed <= 4.7e-15 here and <= 2.8e-14 over 720
-# states per qubit count.
+# One-vs-rest: on these states the reference's sqrt(y) is exactly 0 or at
+# least 0.01, so the slope stays below 50; observed <= 1.8e-14 here and
+# <= 4.9e-14 over 920 states per qubit count.
 ONE_VS_REST_ATOL = 5e-14
-# Pairwise: each value is a sum of spin-flip roots mu = sqrt(ev).  The
-# library takes ev as the eigenvalues of K K^dagger, K = t^T YY t for the
-# gathered amplitude matrix t (its 4 x 4 QR factor at 5 and 6 qubits); the
-# reference takes them from sqrt(rho) rho~ sqrt(rho) of the partial trace
-# rho = t t^dagger.  Each is a Hermitian eigenvalue problem solved to a few
-# eps ev_max, so the two ev differ by some d of that order, and d moves mu by
-# about d / (2 mu).  At 3 qubits, and for the W class, the pair reductions
-# have rank 2 and their structurally zero roots are exactly 0 in both paths:
-# clipped, or at 3 qubits never computed by the library (K is 2 x 2, padded
-# with zeros); observed <= 7.9e-15 at 3 qubits.  At 5 and 6 qubits the
-# reductions are near maximally mixed and all roots are large (observed
-# <= 3.7e-15).  At 4 qubits a Haar state's pair reduction has full rank and
-# its smallest root can be ~4e-6 (observed differences up to 9.9e-13).
-# Observations are over about 780 states per qubit count, all four kinds.
+# Pairwise: each value is a sum of spin-flip roots mu, the singular values of
+# K = t^T YY t for the gathered amplitude matrix t.  At 3 qubits the library
+# takes them in closed form; at 4 to 6 qubits as sqrt(ev) for the eigenvalues
+# ev of K K^dagger (of the 4 x 4 QR factor of t at 5 and 6 qubits).  The
+# reference takes ev from sqrt(rho) rho~ sqrt(rho) of the partial trace
+# rho = t t^dagger.  Each eigenvalue problem is solved to a few eps ev_max, so
+# the two ev differ by some d of that order, and d moves mu by about
+# d / (2 mu).  For the W class the pair reductions have rank 2 and their
+# structurally zero roots are exactly 0 in both paths: clipped, or at 3
+# qubits never computed by the library (K is 2 x 2); observed <= 4.7e-15 at
+# 3 qubits.  At 5 and 6 qubits the reductions are near maximally mixed and
+# all roots are large (observed <= 3.5e-15).  At 4 qubits a Haar state's pair
+# reduction has full rank and its smallest root can be ~4e-6 (observed
+# differences up to 1.3e-12).  Observations are over about 920 states per
+# qubit count, all four kinds.
 # The relative clip keeps only ev >= 1e-13 ev_max, with ev_max <= 1, so a
 # kept root moves by at most d / (2 sqrt(1e-13 ev_max)), 3.5e-10 for
 # d = eps ev_max; the 4-qubit bound allows about three such steps.  A root
@@ -194,12 +198,13 @@ class TestMeasureVectors:
                 assert mv.one_vs_rest == scren_pure(psi, [0])
 
     def test_one_vs_rest_clipping(self):
-        """Product states hit the clip of 2 (1 - purity) at zero.
+        """Product states, where the reference hits the clip of
+        y = 2 (1 - purity) at zero.
 
-        Here y = 2 (1 - purity) is round-off, and |sqrt(y) - sqrt(y')| <=
-        sqrt(|y - y'|): the Gram and reference values of y differ by at most
-        8 eps (observed), so the values differ by at most sqrt(16 eps) = 6e-8
-        (observed 3.0e-8)."""
+        There y is round-off of a few eps, and the reference's sqrt(y) is up
+        to about sqrt(8 eps) = 4.2e-8; the library's value is within 4 eps of
+        the true 0 (the rows are products up to the rounding of their
+        entries), so the two agree within sqrt(16 eps) = 6e-8."""
         rng = np.random.default_rng(41)
         rows = []
         for _ in range(200):
@@ -214,6 +219,7 @@ class TestMeasureVectors:
             purity = float(np.trace(rho_a @ rho_a).real)
             want = float(np.sqrt(max(0.0, 2.0 * (1.0 - purity))))
             assert_within(mv.one_vs_rest, want, math.sqrt(16 * EPS))
+            assert mv.one_vs_rest <= 4 * EPS
 
     def test_empty_stack(self):
         first, pairwise = measure_vectors(np.empty((0, 8), dtype=complex), (2, 2, 2), "screnoa")
@@ -238,6 +244,20 @@ class TestMeasureVectors:
             negativity_pure(psi, [0, 2])
         assert verify_monogamy_states(70, seed=1, n_qubits=5).total == 70 * 8
         assert verify_polygamy_states(70, seed=1).total > 0
+
+    def test_no_lapack_at_three_qubits(self, monkeypatch):
+        """Three-qubit measures take every qubit-sized spectrum in closed
+        form, so the polygamy suite runs without eigvalsh and QR."""
+        for name in ("eigvalsh", "qr"):
+            def refuse(*args, name=name, **kwargs):
+                raise AssertionError(f"np.linalg.{name} called at three qubits")
+
+            monkeypatch.setattr(np.linalg, name, refuse)
+        amps = state_stack(3, seed=6)
+        for kind in KINDS:
+            assert measure_vectors(amps, (2, 2, 2), kind)[1].shape == (len(amps), 2)
+        assert verify_polygamy_states(70, seed=1).total > 0
+        assert verify_monogamy_states(70, seed=1, n_qubits=3).total == 70 * 8
 
     def test_a_pure_state_is_validated_once(self, monkeypatch):
         """``measure_vector`` trusts the checks its ``PureState`` ran, and is
@@ -276,6 +296,75 @@ class TestMeasureVectors:
             measure_vectors(amps[:, :4], (2, 2, 2), "concurrence")
         with pytest.raises(ValueError, match="n-qubit"):
             measure_vectors(state_stack(2, seed=8, n_haar=3), (2, 2), "concurrence")
+
+
+def exact_abs2(z):
+    """|z|^2 of a complex double as a Decimal of the current precision."""
+    return decimal.Decimal(z.real) ** 2 + decimal.Decimal(z.imag) ** 2
+
+
+def squared_kind(kind):
+    return kind in (MeasureKind.NEGATIVITY_SCREN, MeasureKind.SCRENOA)
+
+
+class TestExactValues:
+    """``measure_vectors`` against closed-form values, within 4 eps absolute.
+
+    Each reference is taken in 60-digit decimal arithmetic from the
+    amplitudes as stored, so its only sizable error is the final rounding to
+    a double.
+    Both closed forms are homogeneous of degree 2 in the amplitudes, so the
+    rows need not be normalized exactly.  Concurrence and C_a carry the value
+    v, SCREN and SCRENoA carry v^2.
+    """
+
+    ATOL = 4 * EPS
+
+    @pytest.mark.parametrize("n_qubits", [3, 4, 5, 6])
+    def test_w_class(self, n_qubits):
+        """W_n rows sum_q c_q |0..1_q..0> with qubit q excited and |c_0| down
+        to 1e-8.  The one-vs-rest value is v = 2 |c_0| sqrt(sum_{i>0} |c_i|^2).
+        The pair (0, i) has the roots 2 |c_0| |c_i| and 0, so concurrence and
+        C_a are both v = 2 |c_0| |c_i|.  Squaring 1 - purity left an error
+        of about eps / v here, 3e-8 at c_0 = 1e-8."""
+        rng = np.random.default_rng(80 + n_qubits)
+        mags = 10.0 ** rng.uniform(-8.0, 0.0, (40, n_qubits))
+        mags[:8, 0] = [1e-8, 3e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2]
+        coeffs = mags * np.exp(2j * np.pi * rng.random(mags.shape))
+        columns = [1 << (n_qubits - 1 - q) for q in range(n_qubits)]
+        amps = np.zeros((len(coeffs), 2**n_qubits), dtype=complex)
+        amps[:, columns] = coeffs / np.linalg.norm(coeffs, axis=1, keepdims=True)
+        with decimal.localcontext(prec=60):
+            squares = []  # (one-vs-rest v^2, pairwise v^2) per row
+            for row in amps[:, columns]:
+                c2 = [exact_abs2(z) for z in row]
+                squares.append((4 * c2[0] * sum(c2[1:]), [4 * c2[0] * x for x in c2[1:]]))
+            roots = [(first.sqrt(), [x.sqrt() for x in pairwise]) for first, pairwise in squares]
+        for kind in KINDS:
+            first, pairwise = measure_vectors(amps, (2,) * n_qubits, kind)
+            want = squares if squared_kind(kind) else roots
+            assert_within(first, [float(w) for w, _ in want], self.ATOL)
+            assert_within(pairwise, [[float(x) for x in p] for _, p in want], self.ATOL)
+
+    @pytest.mark.parametrize("n_qubits", [3, 4, 5, 6])
+    def test_ghz_class(self, n_qubits):
+        """a|0..0> + b|1..1>: the one-vs-rest value is v = 2 |a| |b|, and each
+        pair has two equal roots |a| |b|, so concurrence and SCREN are 0 and
+        C_a = 2 |a| |b|, SCRENoA its square."""
+        rng = np.random.default_rng(90 + n_qubits)
+        theta = np.concatenate(([np.pi / 4, 1e-8, 1e-4], rng.uniform(0.0, np.pi / 2, 37)))
+        amps = np.zeros((len(theta), 2**n_qubits), dtype=complex)
+        amps[:, 0] = np.cos(theta)
+        amps[:, -1] = np.sin(theta) * np.exp(2j * np.pi * rng.random(len(theta)))
+        with decimal.localcontext(prec=60):
+            v2 = [4 * exact_abs2(a) * exact_abs2(b) for a, b in amps[:, [0, -1]]]
+            v = [x.sqrt() for x in v2]
+        for kind in KINDS:
+            first, pairwise = measure_vectors(amps, (2,) * n_qubits, kind)
+            want = np.array([float(x) for x in (v2 if squared_kind(kind) else v)])
+            assert_within(first, want, self.ATOL)
+            assisted = kind in (MeasureKind.SCRENOA, MeasureKind.CONCURRENCE_ASSISTANCE)
+            assert_within(pairwise, (want if assisted else 0.0 * want)[:, None], self.ATOL)
 
 
 class TestSpinFlipRoots:

@@ -659,6 +659,11 @@ class TestBoundSpec:
          "ratio parameter a must be >= 1, got 0.5 (row 1)"),
         (dict(mode="monogamy", base_exp=2, target_exp=1, a=0),
          "ratio parameter a must be >= 1, got 0"),
+        (dict(mode="monogamy", base_exp=2.0, target_exp=0.5, variant="zjz1",
+              p=np.array([0.6, 0.7])),
+         "p must be a scalar, got an array of shape (2,)"),
+        (dict(mode="polygamy", base_exp=0.5, target_exp=1.0, p=[[0.5]]),
+         "p must be a scalar, got an array of shape (1, 1)"),
     ])
     def test_messages_name_the_failing_entry(self, kwargs, seen):
         with pytest.raises(ValueError) as exc:

@@ -91,6 +91,23 @@ class TestBound:
         assert code == 0
         assert "margin: -" in out
 
+    @pytest.mark.parametrize("c0,measured", [
+        ("1e-8", "0.01189207115"), ("1e-6", "0.0376060309309"),
+    ])
+    def test_near_product_w_state_meets_its_bound(self, capsys, c0, measured):
+        # CKW is an equality on W states and a = max_admissible_a makes the
+        # bound exact, so the margin is 0 up to round-off; (2 c0)^(1/4) is
+        # measured from C = 2 c0, which squaring 1 - purity lost near c0 = 0
+        code, out, _ = run(
+            capsys,
+            "bound", "--state", f"wclass:{c0},0.6,0.8", "--kind", "concurrence",
+            "--mode", "monogamy", "--base-exp", "2", "--target-exp", "0.25",
+        )
+        assert code == 0
+        assert f"measured_value: {measured}\n" in out
+        margin = next(line for line in out.splitlines() if line.startswith("margin: "))
+        assert float(margin.removeprefix("margin: ")) >= 0.0
+
     def test_domain_error_exit_3(self, capsys):
         code, _, _ = run(
             capsys,

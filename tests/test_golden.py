@@ -27,7 +27,7 @@ POLY = "--kind screnoa --mode polygamy --base-exp 0.6 --target-exp 1.5"
 
 GOLDEN = {
     "verify --suite all --n 300 --seed 1":
-        "a7c6cf6846565adf5360bf3ca4f728df91368d37961272cee422586073d74da9",
+        "0aef76ba25ee49517a822925cbb60966383d9854e198fda52236e3e4c7e1c360",
     "repro example1":
         "3cd29baa4834a8b70fc70030d1c3da6eca3d24bce36fc0e748b23eeaddd413ba",
     "repro example2":
@@ -86,9 +86,9 @@ def test_output_digest(capsys, command):
 # verify_monogamy_states(150, seed=3, n_qubits=q) summaries, worst margins in
 # full precision: the ordered weighted sum of four or more parties
 MONOGAMY_SUMMARIES = {
-    4: {"total": 1200, "failures": 0, "skipped": 0, "worst_margin": "0.26086645251278695"},
-    5: {"total": 1200, "failures": 0, "skipped": 0, "worst_margin": "0.6781351924028658"},
-    6: {"total": 1200, "failures": 0, "skipped": 0, "worst_margin": "0.7977100237780959"},
+    4: {"total": 1200, "failures": 0, "skipped": 0, "worst_margin": "0.26086645251278684"},
+    5: {"total": 1200, "failures": 0, "skipped": 0, "worst_margin": "0.6781351924028647"},
+    6: {"total": 1200, "failures": 0, "skipped": 0, "worst_margin": "0.7977100237780962"},
 }
 
 
@@ -104,12 +104,12 @@ def test_monogamy_summary(n_qubits):
 # cuts at its own s
 POLYGAMY_SUMMARIES = {
     "per-sample s": ({}, {"total": 904, "failures": 0, "skipped": 37,
-                          "worst_margin": "-1.2212453270876722e-15"}),
+                          "worst_margin": "-3.3306690738754696e-16"}),
     "s = 0.7": ({"s": 0.7}, {"total": 1200, "failures": 0, "skipped": 0,
-                             "worst_margin": "6.758390878687401e-14"}),
+                             "worst_margin": "6.758390878688431e-14"}),
     "ragged grid": ({"beta_grid": [0.3, 0.7, 1.0, 2.5]},
                     {"total": 226, "failures": 0, "skipped": 37,
-                     "worst_margin": "-1.2212453270876722e-15"}),
+                     "worst_margin": "-3.3306690738754696e-16"}),
 }
 
 
