@@ -220,6 +220,14 @@ def default_alpha_grid(r: float = 2.0) -> tuple[float, ...]:
     return tuple(np.linspace(0.25, float(r), 8).tolist())
 
 
+@functools.lru_cache(maxsize=64)
+def _monogamy_spec(r: float, alphas: tuple[float, ...]) -> bounds.BoundSpec:
+    """The monogamy suite's spec, built once per (r, alphas): it is frozen and
+    its arrays are read-only, so calls share it.  A bad r or alpha raises on
+    every call, as ``lru_cache`` keeps no exception."""
+    return bounds.BoundSpec("monogamy", r, alphas)
+
+
 def verify_monogamy_states(n: int, seed: int = 0, r: float = 2.0,
                            alpha_grid=None, tol: float = 1e-8,
                            n_qubits: int = 3) -> VerificationReport:
@@ -233,8 +241,8 @@ def verify_monogamy_states(n: int, seed: int = 0, r: float = 2.0,
     """
     report = VerificationReport()
     alphas = (default_alpha_grid(float(r)) if alpha_grid is None
-              else [float(alpha) for alpha in alpha_grid])
-    spec = bounds.BoundSpec("monogamy", r, alphas)
+              else tuple(float(alpha) for alpha in alpha_grid))
+    spec = _monogamy_spec(float(r), alphas)
     dims = (2,) * int(n_qubits)
     for start, first, pairwise in _measured_blocks(
             n, seed, lambda rng, k: haar_random_block(k, 2 ** len(dims), rng), dims,

@@ -82,9 +82,17 @@ PAIR_FN = {
 # reference, an eigenvalue of K K^dagger in the library), the slope
 # 1/(2 sqrt(y)) amplifies the round-off in y.
 EPS = np.finfo(float).eps
-# One-vs-rest: on these states the reference's sqrt(y) is exactly 0 or at
-# least 0.01, so the slope stays below 50; observed <= 1.8e-14 here and
-# <= 4.9e-14 over 920 states per qubit count.
+# One-vs-rest against the exact value 2 sqrt(det rho_0), or its square 4 det
+# rho_0 for SCREN and SCRENoA, from rho_0's Gram entries summed in 50-digit
+# decimal: the library's closed form is accurate to a few eps absolute
+# (TestExactValues), and the reference's only sizable error is its rounding
+# to a double; observed <= 2.5 eps over 20 seeds of 46 states per qubit
+# count, all four kinds.
+ONE_VS_REST_EXACT_ATOL = 4 * EPS
+# One-vs-rest of a bipartition against sqrt(2 (1 - purity)) of a partial
+# trace, or the eigenvalues of that trace: on these states the reference's
+# sqrt(y) is exactly 0 or at least 0.01, so the slope stays below 50;
+# observed <= 4.9e-14 over 920 states per qubit count.
 ONE_VS_REST_ATOL = 5e-14
 # Pairwise: each value is a sum of spin-flip roots mu, the singular values of
 # K = t^T YY t for the gathered amplitude matrix t.  At 3 qubits the library
@@ -126,18 +134,30 @@ def reference_pair_value(rho, kind):
     return value**2 if kind in (MeasureKind.NEGATIVITY_SCREN, MeasureKind.SCRENOA) else value
 
 
+def exact_one_vs_rest(row, kind):
+    """The one-vs-rest value v = 2 sqrt(det rho_0) of ``kind``, or v^2 for
+    SCREN and SCRENoA, with the Gram entries <m_j, m_k> of rho_0 summed from
+    the rows m_0, m_1 of the amplitudes in 50-digit decimal: a qubit's
+    concurrence and pure-state negativity both equal v."""
+    m0, m1 = row.reshape(2, -1)
+    with decimal.localcontext(prec=50):
+        x0, y0, x1, y1 = ([decimal.Decimal(v) for v in part]
+                          for part in (m0.real, m0.imag, m1.real, m1.imag))
+        cross_re = sum(a * c + b * d for a, b, c, d in zip(x0, y0, x1, y1))
+        cross_im = sum(a * d - b * c for a, b, c, d in zip(x0, y0, x1, y1))
+        v2 = 4 * (sum(map(exact_abs2, m0)) * sum(map(exact_abs2, m1))
+                  - cross_re**2 - cross_im**2)
+        return float(v2 if squared_kind(kind) else v2.sqrt())
+
+
 def reference_vector(row, n_qubits, kind):
-    """(one-vs-rest, pairwise) of ``kind`` from partial traces of |psi><psi|,
-    the density-matrix path that ``measure_vectors`` replaced."""
+    """(one-vs-rest, pairwise) of ``kind``: the exact one-vs-rest value, and
+    pair values from partial traces of |psi><psi|, the density-matrix path
+    that ``measure_vectors`` replaced."""
     rho = to_density(PureState((2,) * n_qubits, row))
-    rho_0 = reduce_density(rho, [0]).mat
-    if kind in (MeasureKind.CONCURRENCE, MeasureKind.CONCURRENCE_ASSISTANCE):
-        first = math.sqrt(max(0.0, 2.0 * (1.0 - float(np.trace(rho_0 @ rho_0).real))))
-    else:
-        lam = np.clip(np.linalg.eigvalsh(rho_0), 0.0, None)
-        first = max(0.0, float(np.sum(np.sqrt(lam))) ** 2 - 1.0) ** 2
-    return first, [reference_pair_value(reduce_density(rho, [0, i]).mat, kind)
-                   for i in range(1, n_qubits)]
+    return exact_one_vs_rest(row, kind), [
+        reference_pair_value(reduce_density(rho, [0, i]).mat, kind)
+        for i in range(1, n_qubits)]
 
 
 def assert_within(got, want, atol):
@@ -396,8 +416,8 @@ class TestSpinFlipRoots:
 
 
 class TestDensityMatrixReference:
-    """The Gram path against partial traces of |psi><psi|, within the
-    absolute bounds stated at the top of this module."""
+    """The Gram path against exact one-vs-rest values and partial traces of
+    |psi><psi|, within the absolute bounds stated at the top of this module."""
 
     @pytest.mark.parametrize("n_qubits", [3, 4, 5, 6])
     @pytest.mark.parametrize("kind", KINDS)
@@ -405,7 +425,7 @@ class TestDensityMatrixReference:
         amps = state_stack(n_qubits, seed=50 + n_qubits, n_haar=40)
         for row, mv in zip(amps, mv_list(amps, (2,) * n_qubits, kind)):
             first, pairwise = reference_vector(row, n_qubits, kind)
-            assert_within(mv.one_vs_rest, first, ONE_VS_REST_ATOL)
+            assert_within(mv.one_vs_rest, first, ONE_VS_REST_EXACT_ATOL)
             assert_within(mv.pairwise, pairwise, PAIR_ATOL[n_qubits])
 
     @pytest.mark.parametrize("dims,part", [
@@ -436,6 +456,62 @@ class TestDensityMatrixReference:
                           ONE_VS_REST_ATOL)
             assert negativity_pure(psi, part) == negativity_pure(psi, rest)
             assert concurrence_pure(psi, part) == concurrence_pure(psi, rest)
+
+
+def haar_unitaries(rng, k):
+    """k Haar-random 2 x 2 unitaries: QR of complex Gaussians, with the
+    phases of R's diagonal moved into Q."""
+    q, r = np.linalg.qr(rng.standard_normal((k, 2, 2)) + 1j * rng.standard_normal((k, 2, 2)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+class TestMetamorphic:
+    """Relations that need no reference arithmetic.  Every measure is
+    invariant under local unitaries U_0 x ... x U_{n-1}, and relabelling
+    qubits 1..n-1 permutes the pairwise values.  The two sides take their
+    sums in different orders, so they agree within absolute bounds: the
+    one-vs-rest value, in closed form, within ONE_VS_REST_META_ATOL at every
+    n (observed <= 2.5e-15), and the pairwise values within PAIR_META_ATOL
+    (observed <= 2.8e-15 at 3, 5 and 6 qubits).  At 4 qubits a Haar pair's
+    smallest root can be ~4e-6 of its largest, and the square root of
+    eigvalsh amplifies round-off there (PAIR_ATOL); observed <= 2.0e-12.
+    Observations are over these tests' states and 1,160 more per qubit
+    count, all four kinds."""
+
+    ONE_VS_REST_META_ATOL = 1e-14
+    PAIR_META_ATOL = {3: 1e-14, 4: 1e-10, 5: 1e-14, 6: 1e-14}
+
+    @pytest.mark.parametrize("n_qubits", [3, 4, 5, 6])
+    def test_local_unitaries(self, n_qubits):
+        rng = np.random.default_rng(60 + n_qubits)
+        amps = state_stack(n_qubits, seed=60 + n_qubits, n_haar=100)
+        psi = amps.reshape((len(amps),) + (2,) * n_qubits)
+        for q, u in enumerate(haar_unitaries(rng, n_qubits)):
+            psi = np.moveaxis(np.tensordot(u, psi, axes=([1], [q + 1])), 0, q + 1)
+        moved = psi.reshape(amps.shape)
+        for kind in KINDS:
+            first, pairwise = measure_vectors(amps, (2,) * n_qubits, kind)
+            first_u, pairwise_u = measure_vectors(moved, (2,) * n_qubits, kind)
+            assert_within(first_u, first, self.ONE_VS_REST_META_ATOL)
+            assert_within(pairwise_u, pairwise, self.PAIR_META_ATOL[n_qubits])
+
+    @pytest.mark.parametrize("n_qubits", [3, 4, 5, 6])
+    def test_qubit_permutations(self, n_qubits):
+        """Qubit j of the relabelled state is qubit perm[j] of the original,
+        so its pair (0, j) is the original pair (0, perm[j])."""
+        rng = np.random.default_rng(70 + n_qubits)
+        amps = state_stack(n_qubits, seed=70 + n_qubits, n_haar=100)
+        psi = amps.reshape((len(amps),) + (2,) * n_qubits)
+        values = {kind: measure_vectors(amps, (2,) * n_qubits, kind) for kind in KINDS}
+        for _ in range(3):
+            perm = [0, *(1 + rng.permutation(n_qubits - 1))]
+            moved = psi.transpose(0, *(1 + np.array(perm))).reshape(amps.shape)
+            for kind, (first, pairwise) in values.items():
+                first_p, pairwise_p = measure_vectors(moved, (2,) * n_qubits, kind)
+                assert_within(first_p, first, self.ONE_VS_REST_META_ATOL)
+                assert_within(pairwise_p, pairwise[:, np.array(perm[1:]) - 1],
+                              self.PAIR_META_ATOL[n_qubits])
 
 
 class TestHaarBlock:

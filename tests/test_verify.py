@@ -152,11 +152,44 @@ class TestVerifyStates:
     (verify_polygamy_states, {"s": 0.0}, "polygamy base exponent must be in (0, 1], got 0.0"),
 ])
 def test_bad_parameters_raise_without_samples(suite, kwargs, want):
-    """n = 0 raises the message of n = 1."""
-    for n in (0, 1):
+    """n = 0 raises the message of n = 1, on every call: the monogamy suite's
+    cached spec keeps no exception."""
+    for n in (0, 1, 0, 1):
         with pytest.raises(ValueError) as exc:
             suite(n, **kwargs)
         assert str(exc.value) == want
+
+
+def test_monogamy_spec_is_built_once_per_r_and_alphas(monkeypatch):
+    """Calls with the same r and alphas share one spec, whatever the sample
+    count, seed or qubit count; the spec is frozen and its arrays read-only."""
+    built, specs, real_spec, real_rows = [], [], bounds.BoundSpec, bounds.margin_rows
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real_spec(*args, **kwargs)
+
+    def recording(one_vs_rest, pairwise, spec):
+        specs.append(spec)
+        return real_rows(one_vs_rest, pairwise, spec)
+
+    monkeypatch.setattr(bounds, "BoundSpec", counting)
+    monkeypatch.setattr(bounds, "margin_rows", recording)
+    verify._monogamy_spec.cache_clear()
+    try:
+        for n_qubits in (3, 5):
+            for seed in (1, 2):
+                verify_monogamy_states(70, seed=seed, n_qubits=n_qubits)
+                verify_monogamy_states(0, seed=seed, n_qubits=n_qubits)
+                verify_monogamy_states(5, seed=seed, r=3, alpha_grid=np.array([0.5, 3.0]))
+                verify_monogamy_states(5, seed=seed, r=3.0, alpha_grid=(0.5, 3))
+    finally:
+        verify._monogamy_spec.cache_clear()
+    assert built == [("monogamy", 2.0, verify.default_alpha_grid(2.0)),
+                     ("monogamy", 3.0, (0.5, 3.0))]
+    assert len(specs) == 4 * (2 + 1 + 1 + 1) and len({id(spec) for spec in specs}) == 2
+    assert not any(spec.target_exp.flags.writeable for spec in specs)
+    assert all(type(alpha) is float for _, _, alphas in built for alpha in alphas)
 
 
 @pytest.mark.parametrize("s,beta_grid,want", [
