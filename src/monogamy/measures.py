@@ -40,9 +40,9 @@ _PT_MINORS = np.arange(16).reshape(2, 2, 2, 2).swapaxes(1, 3).reshape(4, 4)[
               [[2, 1, 1, 0, 0, 0], [3, 3, 2, 3, 2, 1]]])[:, None]]
 _PT_MINOR_SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
 
-# Absolute error bound of ``_pt_det``, derived there: a larger determinant is
-# positive in exact arithmetic.
-_PT_DET_ATOL = 24 * 100 * np.finfo(float).eps / 2
+# Absolute error bound of ``_pt_det`` for every factor width k <= 2**(MAX_QUBITS
+# - 2), derived there: a larger determinant is positive in exact arithmetic.
+_PT_DET_ATOL = 24 * (4 * (2 ** (MAX_QUBITS - 2) + 2) + 28) * np.finfo(float).eps / 2
 
 # sigma_y (x) sigma_y is real and anti-diagonal, (-1, 1, 1, -1) read from the
 # top row: YY @ f reverses the rows of f and negates the outer two
@@ -204,11 +204,12 @@ def _pt_det(f: np.ndarray) -> np.ndarray:
     rho^{T_B} is a permutation of rho's entries, so it is exact, and the
     determinant is six products of complementary 2 x 2 minors of its rows
     (0, 1) and (2, 3), taken by one gather and one sum.  Its absolute error is
-    at most ``_PT_DET_ATOL`` = 2400 u = 2.7e-13, u = eps / 2: each entry of
-    rho is a dot product of two rows of f, of modulus <= 1 and off by at most
-    (k + 2) u <= 18 u for k <= 16 (Cauchy-Schwarz), and det is a sum of 24
-    products of four entries, each off by at most 4 * 18 u from its entries
-    and 28 u from the products, differences and sums that form it.  A
+    at most 24 (4 (k + 2) + 28) u, u = eps / 2: each entry of rho is a dot
+    product of two rows of f, of modulus <= 1 and off by at most (k + 2) u
+    (Cauchy-Schwarz), and det is a sum of 24 products of four entries, each
+    off by at most 4 (k + 2) u from its entries and 28 u from the products,
+    differences and sums that form it.  ``_PT_DET_ATOL`` is this bound at the
+    widest factor, k = 2**(MAX_QUBITS - 2) = 16: 2400 u = 2.7e-13.  A
     40-digit reference put the float determinant within 3.5e-18 on 2,250 Haar
     pairs at 4 to 6 qubits, and on Haar pairs with C = 0 the least positive
     det is near 1e-8, so the bound sits far from both.  Every row at or
@@ -238,12 +239,10 @@ def _pair_values(f: np.ndarray, kind: MeasureKind) -> np.ndarray:
     """
     if f.shape[-1] > 4 and kind in (MeasureKind.CONCURRENCE, MeasureKind.NEGATIVITY_SCREN):
         live = _pt_det(f) <= _PT_DET_ATOL
-        count = np.count_nonzero(live)
-        if count < live.size:
-            vals = np.zeros(live.shape)
-            if count:
-                vals[live] = _root_values(f[live], kind)
-            return vals
+        vals = np.zeros(live.shape)
+        if live.any():
+            vals[live] = _root_values(f[live], kind)
+        return vals
     return _root_values(f, kind)
 
 

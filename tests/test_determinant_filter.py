@@ -173,10 +173,10 @@ def test_all_filtered_block_makes_no_lapack_call(monkeypatch):
 
 
 @pytest.mark.parametrize("n_qubits", [5, 6])
-def test_an_all_entangled_block_is_not_gathered(monkeypatch, n_qubits):
-    """W-class pairs are all entangled, so the roots take the whole stack as
-    it is; a mixed block hands them the live rows only.  The assisted kinds
-    never take the determinant."""
+def test_only_live_rows_take_the_roots(monkeypatch, n_qubits):
+    """The roots take the rows at or below the determinant's bound, and only
+    those: every W-class pair (all entangled), and the live rows of a Haar
+    block.  The assisted kinds never take the determinant."""
     rng = np.random.default_rng(n_qubits)
     w = pair_factors(w_class_rows(n_qubits, rng, 20), n_qubits)
     haar = pair_factors(haar_random_block(20, 2**n_qubits, rng), n_qubits)
@@ -188,14 +188,12 @@ def test_an_all_entangled_block_is_not_gathered(monkeypatch, n_qubits):
 
     monkeypatch.setattr(measures, "_root_values", recording)
     for kind in FILTERED:
-        seen.clear()
-        measures._pair_values(w, kind)
-        assert len(seen) == 1 and seen[0] is w
-        seen.clear()
-        measures._pair_values(haar, kind)
-        live = np.count_nonzero(measures._pt_det(haar) <= ATOL)
-        assert 0 < live < haar.shape[0] * haar.shape[1]  # a mixed block
-        assert len(seen) == 1 and seen[0].shape == (live, 4, haar.shape[-1])
+        for f, mixed in ((w, False), (haar, True)):
+            seen.clear()
+            measures._pair_values(f, kind)
+            live = measures._pt_det(f) <= ATOL
+            assert live.any() and (not live.all()) == mixed
+            assert len(seen) == 1 and np.array_equal(seen[0], f[live])
 
     def refuse(f):
         raise AssertionError("determinant taken for an assisted kind")
