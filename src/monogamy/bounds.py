@@ -65,7 +65,8 @@ class BoundSpec:
                 object.__setattr__(self, name, value)
         r, mono = np.asarray(self.base_exp, dtype=float), self.mode == "monogamy"
         if mono:
-            _require(r >= 2, lambda *at: f"monogamy base exponent must be >= 2, got {r[at]}")
+            _require((r >= 2) & (r < math.inf),
+                     lambda *at: _exponent_message("monogamy base", ">= 2", r[at]))
         else:
             _require((r > 0) & (r <= 1),
                      lambda *at: f"polygamy base exponent must be in (0, 1], got {r[at]}")
@@ -78,8 +79,8 @@ class BoundSpec:
                 _require((e >= 0) & (e <= r), lambda i, k: "monogamy target exponent must be "
                          f"in [0, {r[i % len(r), 0]}], got {e[i % len(e), k]}")
             else:
-                _require(e >= r, lambda i, k: "polygamy target exponent must be >= "
-                         f"{r[i % len(r), 0]}, got {e[i % len(e), k]}")
+                _require((e >= r) & (e < math.inf), lambda i, k: _exponent_message(
+                    "polygamy target", f">= {r[i % len(r), 0]}", e[i % len(e), k]))
             if mono and self.variant in ("zjz1", "zjz2"):
                 x = e / r
                 _require(x <= 0.5, lambda i, k: f"variant {self.variant!r} requires alpha/r "
@@ -283,7 +284,18 @@ def tripartite_bound(smaller: float, larger: float, target: float, x: float,
     FloatingPointError.  A tuple of variant names returns a tuple of their
     bounds, each with the bits of its one-name call; smaller^target,
     larger^target and the powers the weights share are taken once.
+
+    Before any power, ``a < 1`` raises ValueError with the message of
+    ``scalar_lower_bound``, and so does a negative operand; NaN fails both
+    checks.  The x-domain of zjz1 and zjz2 is left to the caller:
+    ``dominance_scan`` tabulates zjz2 beyond it and blanks those cells.
     """
+    if not np.all(np.asarray(a) >= 1):
+        raise ValueError("ratio parameter a must satisfy a >= 1")
+    for name, v in (("smaller", smaller), ("larger", larger), ("target", target), ("x", x),
+                    ("p", p)):
+        if not np.all(np.asarray(v) >= 0):
+            raise ValueError(f"{name} must be nonnegative, got {v}")
     shape = np.broadcast_shapes(*map(np.shape, (smaller, larger, target, x, a, p)))
     target, x, a = (_full(v, shape or (1,)) for v in (target, x, a))
     small, large = _power(smaller, target), _power(larger, target)
@@ -291,6 +303,11 @@ def tripartite_bound(smaller: float, larger: float, target: float, x: float,
             for w_small, w_large in _weights(_names(variant), x, a, p)]
     vals = vals if shape else [float(val[0]) for val in vals]
     return vals[0] if isinstance(variant, str) else tuple(vals)
+
+
+def _exponent_message(name: str, rule: str, got) -> str:
+    """The error text of an exponent ``got`` that breaks ``rule``, or is +inf."""
+    return f"{name} exponent must be {'finite' if got == math.inf else rule}, got {got}"
 
 
 def _require(ok: np.ndarray, message) -> None:
@@ -316,6 +333,8 @@ def _grid(one_vs_rest, pairwise, spec: BoundSpec):
     """
     one_vs_rest, pairwise = np.asarray(one_vs_rest, dtype=float), np.asarray(pairwise, dtype=float)
     targets = np.atleast_1d(np.asarray(spec.target_exp, dtype=float))  # a scalar is one target
+    if one_vs_rest.ndim != 1:
+        raise ValueError(f"one_vs_rest must be an (N,) array, got shape {one_vs_rest.shape}")
     n = len(one_vs_rest)
     if n and (pairwise.ndim != 2 or len(pairwise) != n or not pairwise.shape[1]):
         raise ValueError(f"pairwise must be an ({n}, m) array with m >= 1, "
@@ -327,8 +346,10 @@ def _grid(one_vs_rest, pairwise, spec: BoundSpec):
     s, m = _full(spec.base_exp, (n,))[:, None], pairwise.shape[1]
     if spec.variant != "ours" and m != 2:
         raise ValueError(f"variant {spec.variant!r} is defined for tripartite states only")
-    _require(((pairwise >= 0) & (pairwise < math.inf)).all(axis=1),
-             lambda i: f"values must be finite and nonnegative, got {pairwise[i].tolist()}")
+    first_ok = (one_vs_rest >= 0) & (one_vs_rest < math.inf)
+    _require(first_ok & ((pairwise >= 0) & (pairwise < math.inf)).all(axis=1),
+             lambda i: "values must be finite and nonnegative, got " + (
+                 str(pairwise[i].tolist()) if first_ok[i] else f"one-vs-rest {one_vs_rest[i]}"))
     xs = full / s
     rows = np.sort(pairwise, axis=1)[:, ::-1]
     powers = _power(rows, s)  # for the ratio condition and the ordered sums

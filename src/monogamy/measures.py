@@ -22,10 +22,6 @@ from .states import DensityMatrix, PureState, check_amplitudes
 # the least positive double: a floor that changes no positive number
 _SMALLEST = np.finfo(float).smallest_subnormal
 
-# Eigenvalues of rho @ rho_tilde above this floor are treated as round-off
-# negatives and clipped before the square root.
-_MU_EIG_FLOOR = -1e-10
-
 MAX_QUBITS = 6
 
 # det(rho^{T_B}) by Laplace expansion along rows (0, 1): for each column pair
@@ -101,16 +97,17 @@ def _qubit_concurrence(m: np.ndarray) -> np.ndarray:
     return 2.0 * np.sqrt(n0 * np.vecdot(perp, perp))
 
 
-def _concurrence_of_reduced(rho_a: np.ndarray) -> np.ndarray:
-    """sqrt(2 (1 - Tr rho_A^2)) of reduced matrices of shape (..., d, d)."""
-    y = 2.0 * (1.0 - (rho_a @ rho_a).trace(axis1=-2, axis2=-1).real)
+def _concurrence_of_split(m: np.ndarray) -> np.ndarray:
+    """sqrt(2 (1 - Tr rho_A^2)) of the reduction rho_A = m m^dagger."""
+    rho_a = m @ m.conj().T
+    y = 2.0 * (1.0 - np.trace(rho_a @ rho_a).real)
     return np.sqrt(np.where(y > 0.0, y, 0.0))
 
 
-def _negativity_of_reduced(rho_a: np.ndarray) -> np.ndarray:
-    """(Tr sqrt(rho_A))^2 - 1 of reduced matrices of shape (..., d, d)."""
-    lam = np.clip(np.linalg.eigvalsh(rho_a), 0.0, None)
-    return np.maximum(np.square(np.sum(np.sqrt(lam), axis=-1)) - 1.0, 0.0)
+def _negativity_of_split(m: np.ndarray) -> np.ndarray:
+    """(Tr sqrt(rho_A))^2 - 1 for rho_A = m m^dagger, from the singular values
+    of m; round-off below 0 (product states) is floored."""
+    return np.maximum(np.square(np.sum(np.linalg.svd(m, compute_uv=False))) - 1.0, 0.0)
 
 
 @functools.cache
@@ -125,9 +122,9 @@ def _pair_index(n: int) -> np.ndarray:
 
 def _split(psi: PureState, part_a: Sequence[int]) -> np.ndarray:
     """The amplitudes as a matrix M with the smaller side of the bipartition
-    (the one with subsystem 0 on a tie) on the rows: rho = M M^dagger on that
-    side has the same nonzero spectrum as the other, and no zero eigenvalues
-    for round-off to disturb."""
+    (the one with subsystem 0 on a tie) on the rows, so that a part and its
+    complement give the same M and the same bits; rho = M M^dagger on that
+    side has no zero eigenvalues for round-off to disturb."""
     part = _check_bipartition(psi.n_subsystems, part_a)
     rest = [i for i in range(psi.n_subsystems) if i not in part]
     part = min(part, rest, key=lambda p: (math.prod(psi.dims[i] for i in p), p[0]))
@@ -135,20 +132,20 @@ def _split(psi: PureState, part_a: Sequence[int]) -> np.ndarray:
     return m.reshape(math.prod(psi.dims[i] for i in part), -1)
 
 
-def _pure_value(psi: PureState, part_a: Sequence[int], of_reduced) -> float:
-    """Concurrence, or with ``of_reduced`` the negativity, of a pure state
+def _pure_value(psi: PureState, part_a: Sequence[int], of_split) -> float:
+    """Concurrence, or with ``of_split`` the negativity, of a pure state
     across a bipartition: on a qubit side both are ``_qubit_concurrence``
     (a stack of one, so the bits are those of ``measure_vectors``), on a
-    larger side ``of_reduced`` of the Gram reduction."""
+    larger side ``of_split`` of the amplitude matrix of ``_split``."""
     m = _split(psi, part_a)
     if len(m) == 2:
         return float(_qubit_concurrence(m[None])[0])
-    return float(of_reduced(m @ m.conj().T))
+    return float(of_split(m))
 
 
 def concurrence_pure(psi: PureState, part_a: Sequence[int]) -> float:
     """Pure-state concurrence sqrt(2 (1 - Tr rho_A^2)) across a bipartition."""
-    return _pure_value(psi, part_a, _concurrence_of_reduced)
+    return _pure_value(psi, part_a, _concurrence_of_split)
 
 
 def _spin_flip_roots(f: np.ndarray) -> np.ndarray:
@@ -159,8 +156,8 @@ def _spin_flip_roots(f: np.ndarray) -> np.ndarray:
     They are the singular values of the complex symmetric K = f^T YY f, of
     shape (..., min(k, 4)); rho has rank <= k, so the other roots are zeros.
     For k = 2 (three-qubit pure states) they come in closed form from
-    ``_two_column_roots``; otherwise as the square roots of the eigenvalues
-    of the Hermitian K K^dagger.
+    ``_two_column_roots``; otherwise from an SVD of K, after a 4 x 4 QR
+    factor of a wider f.
     """
     if f.shape[-1] == 2:
         # on stacks of 2 x 2 products einsum is cheaper than matmul's
@@ -169,13 +166,7 @@ def _spin_flip_roots(f: np.ndarray) -> np.ndarray:
     if f.shape[-1] > 4:
         # f^T = Q R, so f f^dagger = R^T R^*: R^T is a 4 x 4 factor of rho
         f = np.linalg.qr(f.mT, mode="r").mT
-    k = f.mT @ (f[..., ::-1, :] * _YY_SIGNS)
-    ev = np.linalg.eigvalsh(k @ k.conj().mT)
-    if ev.min(initial=np.inf) < _MU_EIG_FLOOR:
-        raise ValueError(f"spin-flip spectrum has eigenvalue {ev.min():.3e} < 0")
-    # round-off residue of structural zeros would blow up to ~1e-8 under the
-    # square root; clip relative to the last (largest), negatives included
-    return np.sqrt(np.where(ev < 1e-13 * ev[..., -1:], 0.0, ev)[..., ::-1])
+    return np.linalg.svd(f.mT @ (f[..., ::-1, :] * _YY_SIGNS), compute_uv=False)
 
 
 def _two_column_roots(k: np.ndarray) -> np.ndarray:
@@ -213,8 +204,7 @@ def _pt_det(f: np.ndarray) -> np.ndarray:
     40-digit reference put the float determinant within 3.5e-18 on 2,250 Haar
     pairs at 4 to 6 qubits, and on Haar pairs with C = 0 the least positive
     det is near 1e-8, so the bound sits far from both.  Every row at or
-    below the bound takes the spectrum route, and ``_MU_EIG_FLOOR``'s check
-    still runs on each of them.
+    below the bound takes the roots.
     """
     rho = f @ f.conj().mT
     g = rho.reshape(*rho.shape[:-2], 16)[..., _PT_MINORS]
@@ -288,7 +278,7 @@ def negativity(rho: DensityMatrix, part_a: Sequence[int], halved: bool = False) 
 
 def negativity_pure(psi: PureState, part_a: Sequence[int]) -> float:
     """Pure-state negativity (Tr sqrt(rho_A))^2 - 1."""
-    return _pure_value(psi, part_a, _negativity_of_reduced)
+    return _pure_value(psi, part_a, _negativity_of_split)
 
 
 def scren_pure(psi: PureState, part_a: Sequence[int]) -> float:

@@ -8,7 +8,7 @@ loop on that element alone, so that a one-state, one-target call and a block
 get the same bits.  The exceptions are the references, compared within the
 bounds stated below: measures are taken from the amplitudes and factors of
 them, and are compared with the partial traces of |psi><psi|, the
-square-root form of the spin-flip spectrum and exact closed-form values;
+spin-flip roots of their square roots and exact closed-form values;
 bounds are compared with the parent's arithmetic, which took Python-float
 and per-exponent pows.
 """
@@ -76,10 +76,9 @@ PAIR_FN = {
 # Absolute bounds of the amplitude paths against the density-matrix reference.
 # The library takes the one-vs-rest value, and the pair roots at 3 qubits, in
 # closed forms accurate to a few eps (TestExactValues); elsewhere both paths
-# solve Hermitian eigenvalue problems on matrices whose entries sum the same
-# amplitude products in different orders.  Where a path takes the square root
-# of a small quantity y (1 - purity or an eigenvalue of rho_0 in the
-# reference, an eigenvalue of K K^dagger in the library), the slope
+# take spectra of matrices whose entries sum the same amplitude products in
+# different orders.  Where the reference takes the square root of a small
+# quantity y (1 - purity or an eigenvalue of rho_A), the slope
 # 1/(2 sqrt(y)) amplifies the round-off in y.
 EPS = np.finfo(float).eps
 # One-vs-rest against the exact value 2 sqrt(det rho_0), or its square 4 det
@@ -90,43 +89,26 @@ EPS = np.finfo(float).eps
 # count, all four kinds.
 ONE_VS_REST_EXACT_ATOL = 4 * EPS
 # One-vs-rest of a bipartition against sqrt(2 (1 - purity)) of a partial
-# trace, or the eigenvalues of that trace: on these states the reference's
-# sqrt(y) is exactly 0 or at least 0.01, so the slope stays below 50;
-# observed <= 4.9e-14 over 920 states per qubit count.
+# trace, or the singular values of the amplitudes: on these states the
+# reference's sqrt(y) is exactly 0 or at least 0.01, so the slope stays below
+# 50; observed <= 4.9e-14 over 920 states per qubit count.
 ONE_VS_REST_ATOL = 5e-14
 # Pairwise: each value is a sum of spin-flip roots mu, the singular values of
-# K = t^T YY t for the gathered amplitude matrix t.  At 3 qubits the library
-# takes them in closed form; at 4 to 6 qubits as sqrt(ev) for the eigenvalues
-# ev of K K^dagger (of the 4 x 4 QR factor of t at 5 and 6 qubits).  The
-# reference takes ev from sqrt(rho) rho~ sqrt(rho) of the partial trace
-# rho = t t^dagger.  Each eigenvalue problem is solved to a few eps ev_max, so
-# the two ev differ by some d of that order, and d moves mu by about
-# d / (2 mu).  For the W class the pair reductions have rank 2 and their
-# structurally zero roots are exactly 0 in both paths: clipped, or at 3
-# qubits never computed by the library (K is 2 x 2); observed <= 4.7e-15 at
-# 3 qubits.  At 5 and 6 qubits the reductions are near maximally mixed and
-# all roots are large (observed <= 3.5e-15).  At 4 qubits a Haar state's pair
-# reduction has full rank and its smallest root can be ~4e-6 (observed
-# differences up to 1.3e-12).  Observations are over about 920 states per
-# qubit count, all four kinds.
-# The relative clip keeps only ev >= 1e-13 ev_max, with ev_max <= 1, so a
-# kept root moves by at most d / (2 sqrt(1e-13 ev_max)), 3.5e-10 for
-# d = eps ev_max; the 4-qubit bound allows about three such steps.  A root
-# that crossed the clip would jump by up to sqrt(1e-13) = 3.2e-7; no state
-# here is at the clip.
-PAIR_ATOL = {3: 5e-14, 4: 1e-9, 5: 5e-14, 6: 5e-14}
+# K = f^T YY f.  The library takes f from the amplitudes (closed forms at 3
+# qubits, an SVD of K elsewhere), the reference from psd_sqrt of the partial
+# trace.  Neither takes the square root of a small eigenvalue, so a small
+# root keeps the absolute accuracy of a large one.  Observed <= 1.4e-14 over
+# 920 states per qubit count, all four kinds.
+PAIR_ATOL = 5e-14
 YY = np.kron([[0.0, -1.0j], [1.0j, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]])
 
 
 def reference_pair_value(rho, kind):
-    """``kind`` on a two-qubit density matrix from the eigenvalues of
-    sqrt(rho) rho~ sqrt(rho), with rho~ = YY rho* YY: the spin-flip route the
-    library took before it worked from a factor of rho."""
-    w, v = np.linalg.eigh(rho)
-    s = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    ev = np.clip(np.linalg.eigvalsh(s @ YY @ rho.conj() @ YY @ s), 0.0, None)
-    ev[ev < 1e-13 * ev.max()] = 0.0
-    mu = np.sort(np.sqrt(ev))[::-1]
+    """``kind`` on a two-qubit density matrix from the singular values of
+    K = f^T YY f for the factor f = psd_sqrt(rho) of the partial trace, with
+    no amplitude gather and no QR."""
+    f = linalg.psd_sqrt(rho)
+    mu = np.linalg.svd(f.T @ YY @ f, compute_uv=False)
     if kind in (MeasureKind.CONCURRENCE, MeasureKind.NEGATIVITY_SCREN):
         value = max(0.0, float(mu[0] - mu[1] - mu[2] - mu[3]))
     else:
@@ -211,7 +193,7 @@ class TestMeasureVectors:
             psi = PureState(dims, row)
             assert mv == measure_vector(psi, kind)
             _, pairwise = reference_vector(row, n_qubits, kind)
-            assert_within(mv.pairwise, pairwise, PAIR_ATOL[n_qubits])
+            assert_within(mv.pairwise, pairwise, PAIR_ATOL)
             if kind in (MeasureKind.CONCURRENCE, MeasureKind.CONCURRENCE_ASSISTANCE):
                 assert mv.one_vs_rest == concurrence_pure(psi, [0])
             else:
@@ -267,8 +249,8 @@ class TestMeasureVectors:
 
     def test_no_lapack_at_three_qubits(self, monkeypatch):
         """Three-qubit measures take every qubit-sized spectrum in closed
-        form, so the polygamy suite runs without eigvalsh and QR."""
-        for name in ("eigvalsh", "qr"):
+        form, so the polygamy suite runs without eigvalsh, SVD and QR."""
+        for name in ("eigvalsh", "svd", "qr"):
             def refuse(*args, name=name, **kwargs):
                 raise AssertionError(f"np.linalg.{name} called at three qubits")
 
@@ -388,15 +370,24 @@ class TestExactValues:
 
 
 class TestSpinFlipRoots:
+    def test_small_root_keeps_its_digits(self):
+        """Pair (0, 3) of ``haar:2x2x2x2:1948594976`` has roots from 0.45 down
+        to 1.3e-6, and concurrence 0.068776609903097425 in 40-digit
+        arithmetic.  A square root of the eigenvalue 1.6e-12 of K K^dagger
+        is 1.5e-11 off there; singular values of K are within 4 eps
+        absolute."""
+        psi = states.parse_state_spec("haar:2x2x2x2:1948594976")
+        assert_within(measure_vector(psi, "concurrence").pairwise[2],
+                      0.068776609903097425, 4 * EPS)
+
     @pytest.mark.parametrize("n_qubits", [5, 6])
     def test_qr_factor_matches_other_routes(self, n_qubits):
         """The gathered pair factor t is 4 x 8 or 4 x 16 here, so the kernel
         first reduces it to a 4 x 4 QR factor.  Its roots match the kernel on
         the factor sqrt(t t^dagger) and the singular values of K = t^T YY t
-        from a full SVD, within PAIR_ATOL: the roots are large at these
-        qubit counts, and those that are structurally zero come out as exact
-        zeros or at the SVD's round-off.  The two-qubit functions on t t^dagger
-        give the values of ``measure_vectors`` within the same bound."""
+        from a full SVD, within PAIR_ATOL.  The two-qubit functions on
+        t t^dagger give the values of ``measure_vectors`` within the same
+        bound."""
         amps = state_stack(n_qubits, seed=70 + n_qubits, n_haar=40)
         t = amps[:, measures._pair_index(n_qubits)]
         qr_route = measures._spin_flip_roots(t)
@@ -405,14 +396,14 @@ class TestSpinFlipRoots:
         sqrt_route = measures._spin_flip_roots(np.reshape(roots, gram.shape))
         svd_route = np.linalg.svd(t.mT @ YY @ t, compute_uv=False)[..., :4]
         assert qr_route.shape == sqrt_route.shape == svd_route.shape == t.shape[:2] + (4,)
-        assert_within(qr_route, svd_route, PAIR_ATOL[n_qubits])
-        assert_within(sqrt_route, svd_route, PAIR_ATOL[n_qubits])
+        assert_within(qr_route, svd_route, PAIR_ATOL)
+        assert_within(sqrt_route, svd_route, PAIR_ATOL)
         for kind in KINDS:
             mvs = mv_list(amps, (2,) * n_qubits, kind)
             for pair_factors, mv in zip(t, mvs):
                 want = [PAIR_FN[kind](DensityMatrix((2, 2), f @ f.conj().T))
                         for f in pair_factors]
-                assert_within(mv.pairwise, want, PAIR_ATOL[n_qubits])
+                assert_within(mv.pairwise, want, PAIR_ATOL)
 
 
 class TestDensityMatrixReference:
@@ -426,7 +417,7 @@ class TestDensityMatrixReference:
         for row, mv in zip(amps, mv_list(amps, (2,) * n_qubits, kind)):
             first, pairwise = reference_vector(row, n_qubits, kind)
             assert_within(mv.one_vs_rest, first, ONE_VS_REST_EXACT_ATOL)
-            assert_within(mv.pairwise, pairwise, PAIR_ATOL[n_qubits])
+            assert_within(mv.pairwise, pairwise, PAIR_ATOL)
 
     @pytest.mark.parametrize("dims,part", [
         ((2, 2, 2, 2), [1]), ((2, 2, 2, 2), [3, 1]), ((2, 2, 2, 2, 2), [0, 2, 4]),
@@ -436,26 +427,28 @@ class TestDensityMatrixReference:
     def test_pure_state_bipartitions(self, dims, part):
         """Any bipartition of any dims: the part's axes lead the Gram matrix.
 
-        Negativity is compared with the reference on the smaller side.  A
-        larger reduction has zero eigenvalues, and the square root turns their
-        round-off into noise of order sqrt(eps) = 1.5e-8; the library reduces
-        onto the smaller side too, so a part and its complement give the same
-        bits."""
-        rng = np.random.default_rng(len(dims) + sum(part))
+        Concurrence is compared with sqrt(2 (1 - purity)) of the partial
+        trace, and negativity with (sum of sigma)^2 - 1 for the singular
+        values sigma of the amplitudes with the part's axes on the rows, in
+        the order given; the library reduces onto the smaller side, so a part
+        and its complement give the same bits.  Observed <= 7.1e-15 for
+        negativity over 60 seeds of 20 states per bipartition."""
         rest = [i for i in range(len(dims)) if i not in part]
-        smaller = part if math.prod(dims[i] for i in part) ** 2 <= math.prod(dims) else rest
-        for row in haar_random_block(20, math.prod(dims), rng):
-            psi = PureState(dims, row)
-            rho_a = reduce_density(to_density(psi), part).mat
-            purity = float(np.trace(rho_a @ rho_a).real)
-            assert_within(concurrence_pure(psi, part),
-                          math.sqrt(max(0.0, 2.0 * (1.0 - purity))), ONE_VS_REST_ATOL)
-            lam = np.linalg.eigvalsh(reduce_density(to_density(psi), smaller).mat)
-            assert_within(negativity_pure(psi, part),
-                          max(0.0, float(np.sum(np.sqrt(np.clip(lam, 0.0, None)))) ** 2 - 1.0),
-                          ONE_VS_REST_ATOL)
-            assert negativity_pure(psi, part) == negativity_pure(psi, rest)
-            assert concurrence_pure(psi, part) == concurrence_pure(psi, rest)
+        rows = math.prod(dims[i] for i in part)
+        for seed in range(5):
+            rng = np.random.default_rng((seed, len(dims) + sum(part)))
+            for row in haar_random_block(20, math.prod(dims), rng):
+                psi = PureState(dims, row)
+                rho_a = reduce_density(to_density(psi), part).mat
+                purity = float(np.trace(rho_a @ rho_a).real)
+                assert_within(concurrence_pure(psi, part),
+                              math.sqrt(max(0.0, 2.0 * (1.0 - purity))), ONE_VS_REST_ATOL)
+                sigma = np.linalg.svd(row.reshape(dims).transpose(*part, *rest).reshape(rows, -1),
+                                      compute_uv=False)
+                assert_within(negativity_pure(psi, part), np.sum(sigma) ** 2 - 1.0,
+                              ONE_VS_REST_ATOL)
+                assert negativity_pure(psi, part) == negativity_pure(psi, rest)
+                assert concurrence_pure(psi, part) == concurrence_pure(psi, rest)
 
 
 def haar_unitaries(rng, k):
@@ -473,14 +466,11 @@ class TestMetamorphic:
     sums in different orders, so they agree within absolute bounds: the
     one-vs-rest value, in closed form, within ONE_VS_REST_META_ATOL at every
     n (observed <= 2.5e-15), and the pairwise values within PAIR_META_ATOL
-    (observed <= 2.8e-15 at 3, 5 and 6 qubits).  At 4 qubits a Haar pair's
-    smallest root can be ~4e-6 of its largest, and the square root of
-    eigvalsh amplifies round-off there (PAIR_ATOL); observed <= 2.0e-12.
-    Observations are over these tests' states and 1,160 more per qubit
-    count, all four kinds."""
+    at every n (observed <= 4.9e-15).  Observations are over these tests'
+    states and 1,160 more per qubit count, all four kinds."""
 
     ONE_VS_REST_META_ATOL = 1e-14
-    PAIR_META_ATOL = {3: 1e-14, 4: 1e-10, 5: 1e-14, 6: 1e-14}
+    PAIR_META_ATOL = 1e-14
 
     @pytest.mark.parametrize("n_qubits", [3, 4, 5, 6])
     def test_local_unitaries(self, n_qubits):
@@ -494,7 +484,7 @@ class TestMetamorphic:
             first, pairwise = measure_vectors(amps, (2,) * n_qubits, kind)
             first_u, pairwise_u = measure_vectors(moved, (2,) * n_qubits, kind)
             assert_within(first_u, first, self.ONE_VS_REST_META_ATOL)
-            assert_within(pairwise_u, pairwise, self.PAIR_META_ATOL[n_qubits])
+            assert_within(pairwise_u, pairwise, self.PAIR_META_ATOL)
 
     @pytest.mark.parametrize("n_qubits", [3, 4, 5, 6])
     def test_qubit_permutations(self, n_qubits):
@@ -511,7 +501,7 @@ class TestMetamorphic:
                 first_p, pairwise_p = measure_vectors(moved, (2,) * n_qubits, kind)
                 assert_within(first_p, first, self.ONE_VS_REST_META_ATOL)
                 assert_within(pairwise_p, pairwise[:, np.array(perm[1:]) - 1],
-                              self.PAIR_META_ATOL[n_qubits])
+                              self.PAIR_META_ATOL)
 
 
 class TestHaarBlock:
@@ -1091,6 +1081,25 @@ class TestMarginRowsErrors:
     ])
     def test_values(self, spec, pairwise, targets, kwargs, want):
         assert_raises(spec, pairwise, targets, kwargs, want)
+
+    @pytest.mark.parametrize("first,pairwise,want", [
+        ([-1.0], [(0.5, 0.1)], VALUES_MESSAGE + "one-vs-rest -1.0"),
+        ([math.nan], [(0.5, 0.1)], VALUES_MESSAGE + "one-vs-rest nan"),
+        ([0.9, math.inf, 0.9], [(0.5, 0.1)] * 3, VALUES_MESSAGE + "one-vs-rest inf (row 1)"),
+        # the first bad row, whichever of its values is bad
+        ([0.9, -1.0], [(0.5, math.nan), (0.5, 0.1)], VALUES_MESSAGE + "[0.5, nan] (row 0)"),
+        ([0.9, -1.0], [(0.5, 0.1), (0.5, math.nan)], VALUES_MESSAGE + "one-vs-rest -1.0 (row 1)"),
+        ([[0.9]], [(0.5, 0.1)], "one_vs_rest must be an (N,) array, got shape (1, 1)"),
+        (0.9, [(0.5, 0.1)], "one_vs_rest must be an (N,) array, got shape ()"),
+    ])
+    def test_one_vs_rest(self, first, pairwise, want):
+        """The one-vs-rest values pass the checks of ``MeasureVector`` on the
+        single-state path, before any power: shape (N,), finite and
+        nonnegative."""
+        for spec in (MONO, POLY):
+            with pytest.raises(ValueError) as exc:
+                margin_rows(first, pairwise, dataclasses.replace(spec, target_exp=[1.0]))
+            assert str(exc.value) == want
 
     @pytest.mark.parametrize("spec,pairwise,targets,kwargs,want", [
         (BoundSpec("monogamy", 2.0, 1.0), [(0.5, 0.1)], [2.0, 2.5], {},

@@ -448,6 +448,27 @@ class TestTripartiteBound:
         want = S6 + ((1 + a) ** 0.5 - 1) / a**0.5 * 0.5
         assert abs(tripartite_bound(S6, 0.5, 1.0, 0.5, a, "jfq") - want) < 1e-15
 
+    @pytest.mark.parametrize("args,want", [
+        ((0.25, 0.5, math.nan, 0.5, 1.2), "target must be nonnegative, got nan"),
+        ((0.25, 0.5, np.array([1.0, -1.0]), 0.5, 1.2),
+         "target must be nonnegative, got [ 1. -1.]"),
+        ((-0.25, 0.5, 1.0, 0.5, 1.2), "smaller must be nonnegative, got -0.25"),
+        ((0.25, math.nan, 1.0, 0.5, 1.2), "larger must be nonnegative, got nan"),
+        ((0.25, 0.5, 1.0, -0.5, 1.2), "x must be nonnegative, got -0.5"),
+        ((0.25, 0.5, 1.0, 0.5, 1.2, "zjz1", math.nan), "p must be nonnegative, got nan"),
+        ((0.25, 0.5, 1.0, 0.5, 0.5), "ratio parameter a must satisfy a >= 1"),
+        ((0.25, 0.5, 1.0, 0.5, math.nan), "ratio parameter a must satisfy a >= 1"),
+        ((0.25, 0.5, 1.0, 0.5, np.array([2.0, 0.999])), "ratio parameter a must satisfy a >= 1"),
+        # a is checked first
+        ((-0.25, 0.5, 1.0, 0.5, 0.5), "ratio parameter a must satisfy a >= 1"),
+    ])
+    def test_bad_operands_raise(self, args, want):
+        assert failure(lambda: tripartite_bound(*args)) == (ValueError, want)
+
+    def test_zjz_x_domain_is_not_checked(self):
+        """``dominance_scan`` tabulates zjz2 beyond x = 1/2 and blanks it."""
+        assert math.isfinite(tripartite_bound(0.25, 0.5, 1.5, 0.75, 1.2, "zjz2"))
+
     @pytest.mark.parametrize("target", [2000.0, np.array([1.0, 2000.0])])
     def test_overflow_raises(self, target):
         # (1 + a)^x overflows at x = 2000 / 0.6
@@ -594,7 +615,7 @@ class TestVariantTuples:
                                           ("bogus", "ours"), ("ours", "zjz1")])
     @pytest.mark.parametrize("target,x,a", [
         (np.array([1.0, 2000.0]), np.array([1.0, 2000.0]) / 0.6, 2**0.6),  # overflow
-        (1.0, 2.0, 0.0),  # division by zero
+        (1.0, 2.0, 0.0),  # a < 1, rejected before any power
         (1.0, 0.5, 1.3),  # no error from a known name
     ])
     def test_tripartite_errors_match_the_first_failing_one_name_call(self, variants, target,
@@ -638,6 +659,23 @@ class TestBoundSpec:
          "polygamy base exponent must be in (0, 1], got nan"),
         (dict(mode="monogamy", base_exp=2, target_exp=math.nan),
          "monogamy target exponent must be in [0, 2.0], got nan"),
+        # an infinite exponent would give a NaN margin
+        (dict(mode="polygamy", base_exp=0.6, target_exp=math.inf),
+         "polygamy target exponent must be finite, got inf"),
+        (dict(mode="polygamy", base_exp=0.6, target_exp=[1.0, math.inf]),
+         "polygamy target exponent must be finite, got inf (row 0, target 1)"),
+        (dict(mode="polygamy", base_exp=0.6, target_exp=-math.inf),
+         "polygamy target exponent must be >= 0.6, got -inf"),
+        (dict(mode="polygamy", base_exp=math.inf, target_exp=1.0),
+         "polygamy base exponent must be in (0, 1], got inf"),
+        (dict(mode="monogamy", base_exp=math.inf, target_exp=1.0),
+         "monogamy base exponent must be finite, got inf"),
+        (dict(mode="monogamy", base_exp=[2.0, math.inf], target_exp=[1.0]),
+         "monogamy base exponent must be finite, got inf (row 1)"),
+        (dict(mode="monogamy", base_exp=-math.inf, target_exp=1.0),
+         "monogamy base exponent must be >= 2, got -inf"),
+        (dict(mode="monogamy", base_exp=2, target_exp=math.inf),
+         "monogamy target exponent must be in [0, 2.0], got inf"),
     ])
     def test_nan_is_rejected(self, kwargs, seen):
         with pytest.raises(ValueError) as exc:

@@ -121,6 +121,9 @@ class TestBound:
         ("polygamy", "0.6", ["--target-exp", "1", "--a", "nan"], "a must be >= 1, got nan"),
         ("monogamy", "2", ["--target-exp", "1", "--a", "nan"], "a must be >= 1, got nan"),
         ("monogamy", "nan", ["--target-exp", "1"], "base exponent must be >= 2, got nan"),
+        # an infinite exponent would print ``margin: nan`` and exit 0
+        ("polygamy", "0.6", ["--target-exp", "inf"], "target exponent must be finite, got inf"),
+        ("monogamy", "inf", ["--target-exp", "1"], "base exponent must be finite, got inf"),
     ])
     def test_nan_parameter_exit_3(self, capsys, mode, base, extra, seen):
         state, kind = (("wclass:1/2,1/2,sqrt(2)/2", "screnoa") if mode == "polygamy"

@@ -154,15 +154,15 @@ def test_empty_stack(n_qubits, kind):
 
 
 def test_all_filtered_block_makes_no_lapack_call(monkeypatch):
-    """A block whose pairs are all separable takes no QR and no eigvalsh,
-    not even on an empty stack."""
+    """A block whose pairs are all separable takes no QR and no SVD, not
+    even on an empty stack."""
     rng = np.random.default_rng(3)
     amps = haar_random_block(400, 64, rng)
     f = pair_factors(amps, 6)
     separable = (measures._pt_det(f) > ATOL).all(axis=1)
     amps = amps[separable][:64]
     assert len(amps) == 64
-    for name in ("eigvalsh", "qr"):
+    for name in ("svd", "qr"):
         def refuse(*args, name=name, **kwargs):
             raise AssertionError(f"np.linalg.{name} called on a filtered block")
 

@@ -86,7 +86,7 @@ def test_output_digest(capsys, command):
 # verify_monogamy_states(150, seed=3, n_qubits=q) summaries, worst margins in
 # full precision: the ordered weighted sum of four or more parties
 MONOGAMY_SUMMARIES = {
-    4: {"total": 1200, "failures": 0, "skipped": 0, "worst_margin": "0.26086645251278684"},
+    4: {"total": 1200, "failures": 0, "skipped": 0, "worst_margin": "0.2608664525127766"},
     5: {"total": 1200, "failures": 0, "skipped": 0, "worst_margin": "0.6781351924028647"},
     6: {"total": 1200, "failures": 0, "skipped": 0, "worst_margin": "0.7977100237780962"},
 }

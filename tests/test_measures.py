@@ -64,12 +64,10 @@ BELL_BASIS = np.array([[S2, 0, 0, S2], [S2, 0, 0, -S2], [0, S2, S2, 0], [0, S2, 
                       dtype=complex)
 # concurrence, SCREN, concurrence of assistance, SCRENoA
 PAIR_FNS = (concurrence_2q, scren_2q, concurrence_assistance_2q, screnoa_2q)
-# Absolute.  Every nonzero spin-flip root below is at least 0.0125 (a Werner
-# weight at p = 0.95, a Bell-diagonal weight >= 0.1 / 4.4), and an eigenvalue
-# error d of a few eps moves a root mu by about d / (2 mu) <= 1e-13.  Roots
-# that are exactly zero fall under the kernel's relative clip, or, when all
-# are zero (product states), come out at the round-off of K's entries.
-# Observed <= 5.3e-15.
+# Absolute.  The spin-flip roots are the singular values of K = f^T YY f for
+# f = psd_sqrt(rho), each within a few eps of the true one (the largest is at
+# most 1); roots that are exactly zero, all four on product states, come out
+# at that round-off.  Observed <= 5.8e-15.
 CLOSED_FORM_ATOL = 1e-12
 
 
