@@ -22,6 +22,12 @@ MAX_FAILURE_SAMPLES = 100
 # stays flat in n: the pair gather of 64 six-qubit states takes 320 KiB.
 STATE_BLOCK = 64
 
+# Samples drawn and checked per block in the scalar suite, so that memory stays
+# flat in n: 4096 gives 32 KB arrays and a working set of about 0.8 MB.  A
+# 2048-sample block measured slower, as it makes twice the NumPy calls; an
+# 8192-sample block ran at about the same speed with about 1 MB more RSS.
+SCALAR_BLOCK = 4096
+
 # Worked-example fixtures: pairwise values, the associated ratio parameter and
 # the measured one-vs-rest value.
 EXAMPLE1_PAIRWISE = (math.sqrt(6) / 6, 0.5)  # concurrences C_{A1A2}, C_{A1A3}
@@ -133,11 +139,6 @@ def _sample_count(n) -> int:
     return n
 
 
-def _indexed(label: str):
-    """Failure descriptor ``label[i]`` for entry i of a sampled family."""
-    return lambda i: f"{label}[{i}]"
-
-
 def verify_scalar(n: int, seed: int = 0, tol: float = 1e-12,
                   rtol: float = 1e-9) -> VerificationReport:
     """Sample the scalar inequality families and count violations.
@@ -147,42 +148,66 @@ def verify_scalar(n: int, seed: int = 0, tol: float = 1e-12,
     variants, and upper dominance below them.  Absolute tolerance ``tol``
     for O(1) magnitudes, relative tolerance ``rtol`` for the large-x upper
     families.
+
+    The eight sampled arrays (a, t, x_lo, x_half, x_up, x_dom, p, q) are
+    consecutive segments of the ``default_rng(seed)`` stream, n draws each.
+    They are drawn and checked in blocks of SCALAR_BLOCK samples, each array
+    from its own copy of the stream advanced to its segment, so that memory
+    stays flat in n and the report has the bits of one unblocked pass.
     """
-    report = VerificationReport()
     n = _sample_count(n)
-    rng = np.random.default_rng(seed)
+    state = np.random.default_rng(seed).bit_generator.state
+    streams = []
+    for i in range(8):
+        bit_generator = np.random.PCG64()
+        bit_generator.state = state
+        # uniform takes one 64-bit draw per double
+        streams.append(np.random.Generator(bit_generator.advance(i * n)))
+    rng_a, rng_t, rng_lo, rng_half, rng_up, rng_dom, rng_p, rng_q = streams
+    families: dict[str, VerificationReport] = {}  # the first block adds them in order
 
-    a = rng.uniform(1.0, 10.0, n)
-    t = rng.uniform(a, 100.0)
-    x_lo = rng.uniform(0.0, 1.0, n)
-    x_lo[x_lo == 0.0] = 1.0
-    x_half = rng.uniform(0.0, 0.5, n)
-    x_half[x_half == 0.0] = 0.5
-    x_up = rng.uniform(1.0, 8.0, n)
-    x_dom = rng.uniform(1.0, 6.0, n)
-    p = rng.uniform(0.5, 1.0, n)
-    q = rng.uniform(0.0, 1.0, n)
-    q[q == 0.0] = 1.0
+    def record(label: str, margins, tol: float):
+        families.setdefault(label, VerificationReport()).record(
+            margins, tol, lambda i: f"{label}[{start + i}]")
 
-    # each family's arrays replace the last ones, so that few are alive at once
-    t1 = 1 + t
-    ours, jfq = bounds.scalar_lower_bound(t, x_lo, a, ("ours", "jfq"))
-    report.record(np.power(t1, x_lo) - ours, tol, _indexed("scalar-lower"))
-    ours_up = bounds.scalar_upper_bound(t, x_up, a)
-    exact = np.power(t1, x_up)
-    report.record((ours_up - exact) / exact, rtol, _indexed("scalar-upper"))
-    report.record(ours - jfq, tol, _indexed("dominance-lower-jfq"))
-    del ours_up, jfq
+    for start in range(0, n, SCALAR_BLOCK):
+        k = min(SCALAR_BLOCK, n - start)
+        a = rng_a.uniform(1.0, 10.0, k)
+        t = rng_t.uniform(a, 100.0)
+        x_lo = rng_lo.uniform(0.0, 1.0, k)
+        x_lo[x_lo == 0.0] = 1.0
+        x_half = rng_half.uniform(0.0, 0.5, k)
+        x_half[x_half == 0.0] = 0.5
+        x_up = rng_up.uniform(1.0, 8.0, k)
+        x_dom = rng_dom.uniform(1.0, 6.0, k)
+        p = rng_p.uniform(0.5, 1.0, k)
+        q = rng_q.uniform(0.0, 1.0, k)
+        q[q == 0.0] = 1.0
 
-    ours, zjz1, zjz2 = bounds.scalar_lower_bound(t, x_half, a, ("ours", "zjz1", "zjz2"), p=p)
-    report.record(ours - zjz1, tol, _indexed("dominance-lower-zjz1"))
-    report.record(ours - zjz2, tol, _indexed("dominance-lower-zjz2"))
-    del zjz1, zjz2
+        # each family's arrays replace the last ones, so that few are alive at once
+        t1 = 1 + t
+        ours, jfq = bounds.scalar_lower_bound(t, x_lo, a, ("ours", "jfq"))
+        record("scalar-lower", np.power(t1, x_lo) - ours, tol)
+        ours_up = bounds.scalar_upper_bound(t, x_up, a)
+        exact = np.power(t1, x_up)
+        record("scalar-upper", (ours_up - exact) / exact, rtol)
+        record("dominance-lower-jfq", ours - jfq, tol)
+        del ours_up, jfq
 
-    ours, *others = bounds.scalar_upper_bound(t, x_dom, a, ("ours", "jfq", "zjz1", "zjz2"), p=q)
-    exact = np.power(t1, x_dom)
-    for name, other in zip(("jfq", "zjz1", "zjz2"), others):
-        report.record((other - ours) / exact, rtol, _indexed(f"dominance-upper-{name}"))
+        ours, zjz1, zjz2 = bounds.scalar_lower_bound(t, x_half, a, ("ours", "zjz1", "zjz2"), p=p)
+        record("dominance-lower-zjz1", ours - zjz1, tol)
+        record("dominance-lower-zjz2", ours - zjz2, tol)
+        del zjz1, zjz2
+
+        ours, *others = bounds.scalar_upper_bound(t, x_dom, a, ("ours", "jfq", "zjz1", "zjz2"),
+                                                  p=q)
+        exact = np.power(t1, x_dom)
+        for name, other in zip(("jfq", "zjz1", "zjz2"), others):
+            record(f"dominance-upper-{name}", (other - ours) / exact, rtol)
+
+    report = VerificationReport()
+    for family in families.values():
+        report.merge(family)
     return report
 
 

@@ -98,6 +98,29 @@ class TestConcurrencePure:
         with pytest.raises(ValueError):
             concurrence_pure(bell(), [0, 1])
 
+    def test_two_qubit_parts_of_product_states(self):
+        # 1 - purity cancelled to up to 5e-8 here; the singular values give
+        # a few eps, and the complement gives the same bits
+        generator = np.random.default_rng(2024)
+        eps = np.finfo(float).eps
+        for _ in range(200):
+            left, right = (random_pure((2, 2), generator) for _ in range(2))
+            psi = PureState((2, 2, 2, 2), np.kron(left.amps, right.amps))
+            value = concurrence_pure(psi, [0, 1])
+            assert value <= 8 * eps
+            assert concurrence_pure(psi, [2, 3]) == value
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-5, 1e-8])
+    def test_near_product_keeps_its_digits(self, eps):
+        # sqrt(1 - eps^2)|0000> + eps|1111> has C = 2 eps sqrt(1 - eps^2)
+        # across 2 + 2 qubits; 1 - purity gave 2.98e-8 at eps = 1e-8
+        amps = np.zeros(16)
+        amps[0], amps[15] = math.sqrt(1 - eps**2), eps
+        psi = PureState((2, 2, 2, 2), amps)
+        want = 2 * eps * math.sqrt(1 - eps**2)
+        assert concurrence_pure(psi, [0, 1]) == pytest.approx(want, rel=1e-14, abs=0)
+        assert concurrence_pure(psi, [2, 3]) == concurrence_pure(psi, [0, 1])
+
 
 class TestConcurrence2q:
     def test_maximally_mixed(self):

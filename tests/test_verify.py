@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from monogamy import bounds, verify
 from monogamy.verify import (
     MIN_LOG2_RATIO,
+    SCALAR_BLOCK,
     SweepGrid,
     VerificationReport,
     default_grid,
@@ -309,12 +311,102 @@ def counting(monkeypatch, name):
     return calls
 
 
-def test_verify_scalar_makes_four_bound_calls(monkeypatch):
+@pytest.mark.parametrize("n,blocks", [(50, 1), (2 * SCALAR_BLOCK + 1, 3)])
+def test_verify_scalar_makes_four_bound_calls_per_block(monkeypatch, n, blocks):
     lower = counting(monkeypatch, "scalar_lower_bound")
     upper = counting(monkeypatch, "scalar_upper_bound")
-    verify_scalar(50, seed=3)
-    assert lower == [("ours", "jfq"), ("ours", "zjz1", "zjz2")]
-    assert upper == ["ours", ("ours", "jfq", "zjz1", "zjz2")]
+    verify_scalar(n, seed=3)
+    assert lower == [("ours", "jfq"), ("ours", "zjz1", "zjz2")] * blocks
+    assert upper == ["ours", ("ours", "jfq", "zjz1", "zjz2")] * blocks
+
+
+def unblocked_scalar(n, seed=0, tol=1e-12, rtol=1e-9):
+    """``verify_scalar`` as one pass over all n samples: the eight arrays are
+    drawn in turn from one ``default_rng(seed)`` stream and each family is
+    recorded once, labelled ``family[i]``."""
+    report = VerificationReport()
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(1.0, 10.0, n)
+    t = rng.uniform(a, 100.0)
+    x_lo = rng.uniform(0.0, 1.0, n)
+    x_lo[x_lo == 0.0] = 1.0
+    x_half = rng.uniform(0.0, 0.5, n)
+    x_half[x_half == 0.0] = 0.5
+    x_up = rng.uniform(1.0, 8.0, n)
+    x_dom = rng.uniform(1.0, 6.0, n)
+    p = rng.uniform(0.5, 1.0, n)
+    q = rng.uniform(0.0, 1.0, n)
+    q[q == 0.0] = 1.0
+
+    def record(label, margins, tol):
+        report.record(margins, tol, lambda i: f"{label}[{i}]")
+
+    t1 = 1 + t
+    ours, jfq = bounds.scalar_lower_bound(t, x_lo, a, ("ours", "jfq"))
+    record("scalar-lower", np.power(t1, x_lo) - ours, tol)
+    ours_up = bounds.scalar_upper_bound(t, x_up, a)
+    exact = np.power(t1, x_up)
+    record("scalar-upper", (ours_up - exact) / exact, rtol)
+    record("dominance-lower-jfq", ours - jfq, tol)
+    ours, zjz1, zjz2 = bounds.scalar_lower_bound(t, x_half, a, ("ours", "zjz1", "zjz2"), p=p)
+    record("dominance-lower-zjz1", ours - zjz1, tol)
+    record("dominance-lower-zjz2", ours - zjz2, tol)
+    ours, *others = bounds.scalar_upper_bound(t, x_dom, a, ("ours", "jfq", "zjz1", "zjz2"), p=q)
+    exact = np.power(t1, x_dom)
+    for name, other in zip(("jfq", "zjz1", "zjz2"), others):
+        record(f"dominance-upper-{name}", (other - ours) / exact, rtol)
+    return report
+
+
+B = SCALAR_BLOCK
+
+
+class TestScalarBlocks:
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 5, 20_000])
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_blocks_give_the_unblocked_report(self, n, seed):
+        assert dataclasses.asdict(verify_scalar(n, seed)) == dataclasses.asdict(
+            unblocked_scalar(n, seed))
+
+    @pytest.mark.parametrize("cut,shift,n,failing", [
+        (95.0, 1.0, 3 * B + 5, ["scalar-lower"]),
+        (99.9, 1.0, 20_000, ["scalar-lower"]),
+        (99.9, -1.0, 20_000, ["dominance-lower-jfq", "dominance-lower-zjz1",
+                              "dominance-lower-zjz2"]),
+    ])
+    def test_planted_failures_keep_labels_order_and_cap(self, monkeypatch, cut, shift, n,
+                                                        failing):
+        # ours moves by shift where t > cut: a gain fails scalar-lower there,
+        # a loss the three lower dominance families.  At t > 95 the cap of 100
+        # fills in the first block; at t > 99.9 a few failures fall in each
+        real = bounds.scalar_lower_bound
+
+        def planted(t, x, a, variant="ours", p=0.5):
+            ours, *others = real(t, x, a, variant, p=p)
+            return (ours + np.where(t > cut, shift, 0.0), *others)
+
+        monkeypatch.setattr(bounds, "scalar_lower_bound", planted)
+        got, want = verify_scalar(n, seed=2), unblocked_scalar(n, seed=2)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        labels = [label[:-1].split("[") for label, _ in got.failure_samples]
+        keys = [(failing.index(family), int(i)) for family, i in labels]
+        assert keys == sorted(keys)  # family by family, each in sample order
+        if cut == 95.0:
+            assert got.failures > len(labels) == verify.MAX_FAILURE_SAMPLES
+        else:
+            assert {family for family, _ in labels} == set(failing)
+            assert len({int(i) // B for _, i in labels}) > 1  # failures in several blocks
+
+    @pytest.mark.parametrize("n", [4 * B, 40 * B])
+    def test_memory_stays_flat_in_n(self, n):
+        verify_scalar(B)  # imports and caches outside the traced call
+        tracemalloc.start()
+        try:
+            verify_scalar(n, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("example", ["example1", "example2"])
