@@ -58,48 +58,41 @@ class BoundSpec:
             raise ValueError(f"mode must be 'monogamy' or 'polygamy', got {self.mode!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        mono = self.mode == "monogamy"
-        numbers = (isinstance(self.base_exp, (int, float))
-                   and isinstance(self.target_exp, (int, float))
-                   and isinstance(self.a, (int, float, type(None))))
-        # plain numbers that pass float comparisons skip the NumPy checks, a
-        # few times dearer; those that fail take them for their message
-        if not (numbers and _exponents_ok(mono, self.variant, self.base_exp, self.target_exp)):
-            for name in ("base_exp", "target_exp", "a"):
-                if np.asarray(getattr(self, name)).ndim:
-                    value = np.array(getattr(self, name), dtype=float)
-                    value.flags.writeable = False
-                    object.__setattr__(self, name, value)
-            r = np.asarray(self.base_exp, dtype=float)
+        for name in ("base_exp", "target_exp", "a"):
+            if np.asarray(getattr(self, name)).ndim:
+                value = np.array(getattr(self, name), dtype=float)
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
+        r, mono = np.asarray(self.base_exp, dtype=float), self.mode == "monogamy"
+        if mono:
+            _require((r >= 2) & (r < math.inf),
+                     lambda *at: _exponent_message("monogamy base", ">= 2", r[at]))
+        else:
+            _require((r > 0) & (r <= 1),
+                     lambda *at: f"polygamy base exponent must be in (0, 1], got {r[at]}")
+        e = np.asarray(self.target_exp, dtype=float)
+        if e.ndim <= 2:  # margin_rows rejects a target array of higher rank
+            # each row's r, (N, 1) or (1, 1), against its targets, (N or 1, T);
+            # a first axis of length 1 is shared by every row
+            r, e = r.reshape(-1, 1), np.atleast_2d(e)
             if mono:
-                _require((r >= 2) & (r < math.inf),
-                         lambda *at: _exponent_message("monogamy base", ">= 2", r[at]))
+                _require((e >= 0) & (e <= r), lambda i, k: "monogamy target exponent must be "
+                         f"in [0, {r[i % len(r), 0]}], got {e[i % len(e), k]}")
             else:
-                _require((r > 0) & (r <= 1),
-                         lambda *at: f"polygamy base exponent must be in (0, 1], got {r[at]}")
-            e = np.asarray(self.target_exp, dtype=float)
-            if e.ndim <= 2:  # margin_rows rejects a target array of higher rank
-                # each row's r, (N, 1) or (1, 1), against its targets, (N or 1, T);
-                # a first axis of length 1 is shared by every row
-                r, e = r.reshape(-1, 1), np.atleast_2d(e)
-                if mono:
-                    _require((e >= 0) & (e <= r), lambda i, k: "monogamy target exponent must be "
-                             f"in [0, {r[i % len(r), 0]}], got {e[i % len(e), k]}")
-                else:
-                    _require((e >= r) & (e < math.inf), lambda i, k: _exponent_message(
-                        "polygamy target", f">= {r[i % len(r), 0]}", e[i % len(e), k]))
-                if mono and self.variant in ("zjz1", "zjz2"):
-                    x = e / r
-                    _require(x <= 0.5, lambda i, k: f"variant {self.variant!r} requires alpha/r "
-                             f"<= 1/2, got {x[i, k]}")
-        if np.ndim(self.p):  # _grid broadcasts no per-row p against its rows
+                _require((e >= r) & (e < math.inf), lambda i, k: _exponent_message(
+                    "polygamy target", f">= {r[i % len(r), 0]}", e[i % len(e), k]))
+            if mono and self.variant in ("zjz1", "zjz2"):
+                x = e / r
+                _require(x <= 0.5, lambda i, k: f"variant {self.variant!r} requires alpha/r "
+                         f"<= 1/2, got {x[i, k]}")
+        if np.asarray(self.p).ndim:  # _grid broadcasts no per-row p against its rows
             raise ValueError(f"p must be a scalar, got an array of shape {np.shape(self.p)}")
         zjz1 = self.variant == "zjz1"
         if zjz1 and mono and not 0.5 <= self.p <= 1:
             raise ValueError(f"zjz1 requires 1/2 <= p <= 1, got {self.p}")
         if zjz1 and not mono and not 0 < self.p <= 1:
             raise ValueError(f"zjz1 requires 0 < p <= 1 in polygamy mode, got {self.p}")
-        if self.a is not None and not (numbers and self.a >= 1):
+        if self.a is not None:
             a = np.asarray(self.a)
             _require(a >= 1, lambda *at: f"ratio parameter a must be >= 1, got {a[at]}")
 
@@ -112,8 +105,8 @@ class BoundSpec:
 @dataclass(frozen=True)
 class BoundReport:
     bound_value: float
-    measured_value: float | None
-    margin: float | None
+    measured_value: float
+    margin: float
     ratio_condition_ok: bool
     max_admissible_a: float
     a: float
@@ -315,16 +308,6 @@ def tripartite_bound(smaller: float, larger: float, target: float, x: float,
 def _exponent_message(name: str, rule: str, got) -> str:
     """The error text of an exponent ``got`` that breaks ``rule``, or is +inf."""
     return f"{name} exponent must be {'finite' if got == math.inf else rule}, got {got}"
-
-
-def _exponents_ok(mono: bool, variant: str, r, e) -> bool:
-    """Whether the plain numbers r and e pass the exponent rules of a
-    ``BoundSpec`` of ``variant``, by float comparisons."""
-    r, e = float(r), float(e)
-    if mono:
-        return 2 <= r < math.inf and 0 <= e <= r and (
-            variant not in ("zjz1", "zjz2") or e / r <= 0.5)
-    return 0 < r <= 1 and r <= e < math.inf
 
 
 def _require(ok: np.ndarray, message) -> None:

@@ -291,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=_SUITES)
     p.add_argument("--n", type=int, default=10000, help="samples per family")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="margin tolerance of the monogamy and polygamy suites; the scalar "
+                   "suite keeps tol 1e-12 and rtol 1e-9, the dominance suite 1e-12")
     p.set_defaults(fn=cmd_verify)
     return parser
 

@@ -152,18 +152,14 @@ def verify_scalar(n: int, seed: int = 0, tol: float = 1e-12,
     The eight sampled arrays (a, t, x_lo, x_half, x_up, x_dom, p, q) are
     consecutive segments of the ``default_rng(seed)`` stream, n draws each.
     They are drawn and checked in blocks of SCALAR_BLOCK samples, each array
-    from its own copy of the stream advanced to its segment, so that memory
-    stays flat in n and the report has the bits of one unblocked pass.
+    from its own PCG64 of one SeedSequence advanced to its segment, so that
+    memory stays flat in n and the report has the bits of one unblocked pass.
     """
     n = _sample_count(n)
-    state = np.random.default_rng(seed).bit_generator.state
-    streams = []
-    for i in range(8):
-        bit_generator = np.random.PCG64()
-        bit_generator.state = state
-        # uniform takes one 64-bit draw per double
-        streams.append(np.random.Generator(bit_generator.advance(i * n)))
-    rng_a, rng_t, rng_lo, rng_half, rng_up, rng_dom, rng_p, rng_q = streams
+    seq = np.random.SeedSequence(seed)  # the seeding of default_rng(seed)
+    # uniform takes one 64-bit draw per double
+    rng_a, rng_t, rng_lo, rng_half, rng_up, rng_dom, rng_p, rng_q = (
+        np.random.Generator(np.random.PCG64(seq).advance(i * n)) for i in range(8))
     families: dict[str, VerificationReport] = {}  # the first block adds them in order
 
     def record(label: str, margins, tol: float):

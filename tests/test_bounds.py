@@ -755,14 +755,15 @@ class TestTightOnWClass:
     every concurrence margin is 0 up to round-off.
 
     The tolerance is absolute, per (state, alpha), and comes from the
-    one-vs-rest value C = sqrt(2 (1 - purity)): an error d in the purity
-    moves C^alpha by about alpha d C^(alpha - 2).  That is large for
-    near-product states, where 1 - purity cancels, and largest at
-    alpha = 0.25.  The bound takes d = 8 eps and adds 8 eps for the round-off
-    of the pows and weights at C ~ 1.  Over 2000 states at each of four seeds
-    |margin| stays below 0.46 of it.  Here the worst margin is 2.6e-12, at
-    alpha = 0.25 on a state with a coefficient of 7.5e-4 (C = 1.5e-3), where
-    the bound allows 3.9e-11; relative to the measured value it is 1e-10.
+    one-vs-rest value C = 2 |m_0| |m_1 perp|, which is accurate to a few eps
+    absolute: an error d in C moves C^alpha by about alpha d C^(alpha - 1).
+    That is largest for near-product states and at alpha = 0.25.  The scale
+    eps (alpha C^(alpha - 1) + 1) adds eps for the round-off of the pows and
+    weights at C ~ 1.  Over 40 seeds of 2000 states each (those whose a is
+    below A_CAP), the largest |margin| is 1.19 of that scale, and the median
+    of the per-seed maxima 0.85; the test allows 4 of it.  Here the worst
+    margin is 4.4e-16, at C = 0.99; at the smallest C, 1.5e-3, the test
+    allows 3e-14 at alpha = 0.25.
     """
 
     def test_margins_vanish(self):
@@ -776,5 +777,5 @@ class TestTightOnWClass:
         margins, ok = margin_rows(first, pairwise, BoundSpec("monogamy", 2.0, alphas))
         assert ok.all()
         eps = np.finfo(float).eps
-        tol = eps * (8 * alphas * first[:, None] ** (alphas - 2) + 8)
+        tol = 4 * eps * (alphas * first[:, None] ** (alphas - 1) + 1)
         assert np.all(np.abs(margins) <= tol)
