@@ -148,25 +148,31 @@ def _check_tax(t, a, x, variants: tuple[str, ...], p, lower: bool):
     """``t``, ``a`` and ``x`` as float arrays, after one check of each range
     that a name of ``variants`` needs."""
     t, a, x = (np.asarray(v, dtype=float) for v in (t, a, x))
-    q = np.asarray(p)
     unknown = [variant for variant in variants if variant not in VARIANTS]
     if unknown:
         raise ValueError(f"unknown variant {unknown[0]!r}")
-    if "zjz1" in variants and lower and (not np.all(q >= 0.5) or not np.all(q <= 1)):
-        raise ValueError(f"zjz1 lower bound requires 1/2 <= p <= 1, got {p}")
-    if "zjz1" in variants and not lower and (not np.all(q > 0) or not np.all(q <= 1)):
-        raise ValueError(f"zjz1 upper bound requires 0 < q <= 1, got {p}")
-    if not np.all(a >= 1):
+    # each range is one reduction: the least or greatest entry, NaN if there
+    # is one (so the comparison fails), and +-inf on an empty array (passes)
+    if "zjz1" in variants:
+        q = np.asarray(p, dtype=float)
+        q_lo, q_hi = q.min(initial=math.inf), q.max(initial=-math.inf)
+        if lower and not (q_lo >= 0.5 and q_hi <= 1):
+            raise ValueError(f"zjz1 lower bound requires 1/2 <= p <= 1, got {p}")
+        if not lower and not (q_lo > 0 and q_hi <= 1):
+            raise ValueError(f"zjz1 upper bound requires 0 < q <= 1, got {p}")
+    if not a.min(initial=math.inf) >= 1:
         raise ValueError("ratio parameter a must satisfy a >= 1")
     if not np.all(t >= a):
         raise ValueError("t must satisfy t >= a")
     full = [variant for variant in variants if variant in ("ours", "jfq")]
     half = [variant for variant in variants if variant in ("zjz1", "zjz2")]
-    if lower and full and (not np.all(x > 0) or not np.all(x <= 1)):
-        raise ValueError(f"variant {full[0]!r} needs 0 < x <= 1, got {x}")
-    if lower and half and (not np.all(x >= 0) or not np.all(x <= 0.5)):
-        raise ValueError(f"variant {half[0]!r} needs 0 <= x <= 1/2, got {x}")
-    if not lower and variants and not np.all(x >= 1):
+    if lower:
+        x_lo, x_hi = x.min(initial=math.inf), x.max(initial=-math.inf)
+        if full and not (x_lo > 0 and x_hi <= 1):
+            raise ValueError(f"variant {full[0]!r} needs 0 < x <= 1, got {x}")
+        if half and not (x_lo >= 0 and x_hi <= 0.5):
+            raise ValueError(f"variant {half[0]!r} needs 0 <= x <= 1/2, got {x}")
+    elif variants and not x.min(initial=math.inf) >= 1:
         raise ValueError(f"upper bounds need x >= 1, got {x}")
     return t, a, x
 

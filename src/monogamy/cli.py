@@ -20,6 +20,7 @@ import functools
 import json
 import os
 import sys
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -35,9 +36,10 @@ EXIT_DOMAIN = 3
 EXIT_IO = 4
 
 # Rows of a CSV table formatted and written per write call.  Larger chunks
-# make fewer NumPy calls; smaller ones fault in fewer fresh pages for the
-# kernel's temporaries (a 903-row table: about 200 minor faults in one
-# chunk, 80 at 512 rows, 10 at 256).
+# make fewer NumPy calls; smaller ones keep the kernel's temporaries and its
+# per-thread buffers (64 B per field) small.  With the buffers reused, a
+# 666-903-row repro tile of a mixed scalar-surface pass takes under one
+# minor fault, against about 78 when each chunk allocated them afresh.
 CSV_CHUNK = 512
 
 # The CSV kernel writes each field into _W byte slots and then drops the
@@ -48,6 +50,9 @@ _W = 32
 _HEAD = np.frombuffer(b"  -0.000", np.uint64)
 _P10 = np.array([float(10**k) for k in range(17)])  # each one exact
 _SEP_ONLY = 16 * 13 * 2  # the keep-table row after every (x, zeros, sign)
+# Each thread's text and keep buffers, grown on demand and reused: NumPy
+# drops the GIL inside its loops, so threads must not share them.
+_csv_buffers = threading.local()
 
 
 @functools.cache
@@ -141,20 +146,26 @@ def _csv_rows(chunk: np.ndarray) -> str:
     v = chunk.ravel()
     quad_digits, quad_zeros, keep_rows = _csv_tables()
     quads, code = _csv_codes(v, quad_zeros)
-    words = np.empty((len(v), _W // 8), np.uint64)
+    n = len(v)
+    if getattr(_csv_buffers, "n", -1) < n:
+        _csv_buffers.words = np.empty((n, _W // 8), np.uint64)
+        _csv_buffers.keep = np.empty((n, _W), bool)
+        _csv_buffers.n = n
+    words, keep = _csv_buffers.words[:n], _csv_buffers.keep[:n]
     words[:, 0] = _HEAD
     words[:, 1:] = quad_digits.take(quads.T)
     text = words.view(np.uint8)
     text.reshape(rows, k, _W)[:, :, -1] = ord(",")
     text.reshape(rows, k, _W)[:, -1, -1] = ord("\n")
-    keep = keep_rows.take(code, axis=0)
+    keep_rows.take(code, axis=0, out=keep, mode="clip")  # "raise" would buffer a copy
     slow = np.flatnonzero((code == _SEP_ONLY) & ~np.isnan(v))
     if slow.size:
         fields = ["%.12g" % f for f in v[slow].tolist()]
         fields = np.array(fields, "S19").view(np.uint8).reshape(-1, 19)
         text[slow, 8:27] = fields
         keep[slow, 8:27] = fields != 0
-    return np.compress(keep.ravel(), text.ravel()).tobytes().decode("ascii")
+    text *= keep  # no kept byte is 0: delete the dropped ones
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _write_csv(path: str, header: Sequence[str], table: np.ndarray):

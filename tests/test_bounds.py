@@ -317,6 +317,26 @@ class TestNaNArguments:
         with pytest.raises(ValueError, match=seen):
             scalar_upper_bound(**kwargs)
 
+    @pytest.mark.parametrize("variant,x,seen", [
+        ("ours", 0.25, "variant 'ours' needs 0 < x <= 1"),
+        ("jfq", 0.25, "variant 'jfq' needs 0 < x <= 1"),
+        ("zjz2", 0.25, "variant 'zjz2' needs 0 <= x <= 1/2"),
+    ])
+    def test_nan_x_fails_each_lower_range(self, variant, x, seen):
+        with pytest.raises(ValueError, match=seen):
+            scalar_lower_bound(3.0, np.array([x, math.nan, x]), 1.5, variant)
+
+    @pytest.mark.parametrize("fn", [scalar_lower_bound, scalar_upper_bound])
+    def test_empty_arrays_pass_every_range(self, fn):
+        empty = np.empty(0)
+        for got in fn(empty, empty, empty, VARIANTS, p=empty):
+            assert got.shape == (0,)
+
+    @pytest.mark.parametrize("fn,x", [(scalar_lower_bound, 0.25), (scalar_upper_bound, 2.0)])
+    def test_integer_p_is_a_number(self, fn, x):
+        assert fn(3.0, x, 1.5, "zjz1", p=1) == fn(3.0, x, 1.5, "zjz1", p=1.0)
+        assert fn(3.0, x, 1.5, "zjz1", p=np.array([1])) == fn(3.0, x, 1.5, "zjz1", p=1.0)
+
     @pytest.mark.parametrize("name,seen", [("exponent", "exponent must be positive, got nan")])
     def test_max_admissible_a(self, name, seen):
         with pytest.raises(ValueError, match=seen):

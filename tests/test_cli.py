@@ -1,12 +1,14 @@
 import argparse
 import json
 import math
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from monogamy import cli
+from monogamy import cli, verify
 from monogamy.cli import main
 
 EX1 = "schmidt3:0.5,sqrt(6)/6,sqrt(6)/6,0.5,sqrt(6)/6"
@@ -240,11 +242,11 @@ class TestWriteCsv:
         cli._write_csv("-", self.HEADER, np.empty((0, 5)))
         assert capsys.readouterr().out == "alpha,r,Z1,Z2,Z3\n"
 
-    def template(self, table):
+    def template(self, table, header=HEADER):
         """The writer's earlier form, one %-template per row, as the reference."""
-        row = ",".join(["%.12g"] * len(self.HEADER)) + "\n"
+        row = ",".join(["%.12g"] * len(header)) + "\n"
         text = row * len(table) % tuple(table.ravel().tolist())
-        return ",".join(self.HEADER) + "\n" + text.replace("nan", "")
+        return ",".join(header) + "\n" + text.replace("nan", "")
 
     @staticmethod
     def values(kind, rng):
@@ -273,13 +275,61 @@ class TestWriteCsv:
         cli._write_csv("-", self.HEADER, table)
         assert capsys.readouterr().out == self.template(table)
 
+    # every 5-column case runs before the 7-column ones, so that the 7-column
+    # chunks grow the buffers that the 5-column ones left
     @pytest.mark.parametrize("extra", [-1, 0, 1])
-    def test_rows_around_chunk(self, capsys, extra):
+    @pytest.mark.parametrize("cols", [5, 7])
+    def test_rows_around_chunk(self, capsys, cols, extra):
         rng = np.random.default_rng(15)
         values = np.concatenate([self.values(kind, rng) for kind in ("fixed-notation", "edges")])
-        table = rng.permutation(values)[:5 * (cli.CSV_CHUNK + extra)].reshape(-1, 5)
-        cli._write_csv("-", self.HEADER, table)
-        assert capsys.readouterr().out == self.template(table)
+        table = rng.permutation(values)[:cols * (cli.CSV_CHUNK + extra)].reshape(-1, cols)
+        header = [f"c{j}" for j in range(cols)]
+        cli._write_csv("-", header, table)
+        assert capsys.readouterr().out == self.template(table, header)
+
+    def test_threads_keep_their_own_buffers(self, tmp_path):
+        # NumPy drops the GIL inside its loops, so two threads formatting at
+        # once would overwrite each other's text in shared buffers
+        rng = np.random.default_rng(16)
+        tables = [np.resize(self.values(kind, rng), (1500, cols))
+                  for kind, cols in (("fixed-notation", 5), ("magnitudes", 7))]
+        header = [f"c{j}" for j in range(7)]
+
+        def write(table, path):
+            cli._write_csv(str(path), header[:table.shape[1]], table)
+            return path.read_bytes()
+
+        want = [write(table, tmp_path / f"want{i}.csv") for i, table in enumerate(tables)]
+        got = [[], []]
+        start = threading.Barrier(2)
+
+        def worker(i):
+            start.wait()
+            for _ in range(50):
+                got[i].append(write(tables[i], tmp_path / f"got{i}.csv"))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert got == [[want[0]] * 50, [want[1]] * 50]
+
+    def test_repeated_tile_reuses_its_buffers(self, tmp_path):
+        # an example2 tile of the benchmark's scalar-surface workload; the
+        # second write finds its buffers in place and builds no index array
+        header, table = verify.dominance_scan(
+            "example2", cli._parse_grid("0.600:0.604:0.002,0.6:3:0.01"))
+        assert table.shape == (721, 7)
+        path = str(tmp_path / "tile.csv")
+        cli._write_csv(path, header, table)
+        tracemalloc.start()
+        try:
+            cli._write_csv(path, header, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 450_000
 
 
 def test_parser_reused_after_parse_failure(capsys):
