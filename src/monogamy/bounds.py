@@ -34,11 +34,13 @@ class BoundSpec:
 
     mode "monogamy": base_exp is r >= 2, target_exp is alpha in [0, r].
     mode "polygamy": base_exp is s in (0, 1], target_exp is beta >= s.
-    ``a`` may be None, in which case the tightest admissible value
-    max(1, max_admissible_a) is used (capped at A_CAP).  ``p``, a scalar,
-    parametrizes the zjz1 variant (1/2 <= p <= 1 in monogamy mode,
-    0 < p <= 1 in polygamy mode); zjz2 is zjz1 with p = 1/2, and both need
-    alpha/r <= 1/2 in monogamy mode.  Specs compare and hash by identity.
+    ``a`` may be None, in which case max(1, max_admissible_a) is used
+    (capped at A_CAP): the tightest admissible value for two pairwise values,
+    but not always for more, where the ordered sum is not monotone in a.
+    ``p``, a scalar, parametrizes the zjz1 variant (1/2 <= p <= 1 in
+    monogamy mode, 0 < p <= 1 in polygamy mode); zjz2 is zjz1 with p = 1/2,
+    and both need alpha/r <= 1/2 in monogamy mode.  Specs compare and hash
+    by identity.
 
     For N states (see ``margin_rows``) ``base_exp`` and ``a`` may be (N,)
     arrays and ``target_exp`` a list of T values or an (N, T) array, kept as
@@ -117,16 +119,16 @@ def _weights(variants: tuple[str, ...], x: np.ndarray, a, p: float):
     """Yield (w_small, w_large) of the two-weight form w_small + w_large * t^x
     for each name of ``variants`` in turn.
 
-    The powers that jfq, zjz1 and zjz2 share, (1+a)^x and a^x, are taken
-    once, by the first of them.  ``x`` is an array, which should have the
-    full shape of the weights so that every power runs NumPy's pow loop
-    elementwise (see ``_power``).
+    1 + a is taken once, and the powers that jfq, zjz1 and zjz2 share,
+    (1+a)^x and a^x, once, by the first of them.  ``x`` is an array, which
+    should have the full shape of the weights so that every power runs
+    NumPy's pow loop elementwise (see ``_power``).
     """
-    shared = None
+    a1, shared = 1.0 + a, None
     for variant in variants:
         if variant == "ours":
             x1 = x - 1.0
-            yield (1.0 + a) ** x1, (1.0 + 1.0 / a) ** x1
+            yield a1**x1, (1.0 + 1.0 / a) ** x1
             continue
         if variant == "jfq":
             w0 = 1.0
@@ -135,7 +137,7 @@ def _weights(variants: tuple[str, ...], x: np.ndarray, a, p: float):
         else:
             raise ValueError(f"unknown variant {variant!r}")
         if shared is None:
-            shared = (1 + a) ** x, a**x
+            shared = a1**x, a**x
         yield w0, (shared[0] - w0) / shared[1]
 
 
@@ -292,19 +294,22 @@ def tripartite_bound(smaller: float, larger: float, target: float, x: float,
     larger^target and the powers the weights share are taken once.
 
     Before any power, ``a < 1`` raises ValueError with the message of
-    ``scalar_lower_bound``, and so does a negative operand; NaN fails both
-    checks.  The x-domain of zjz1 and zjz2 is left to the caller:
-    ``dominance_scan`` tabulates zjz2 beyond it and blanks those cells.
+    ``scalar_lower_bound``, and so does a negative operand, in the order of
+    the parameters after ``a``.  Each operand is checked by its least entry:
+    NaN fails both checks, and an empty operand passes them.  The x-domain
+    of zjz1 and zjz2 is left to the caller: ``dominance_scan`` tabulates
+    zjz2 beyond it and blanks those cells.
     """
-    if not np.all(np.asarray(a) >= 1):
+    given = {"smaller": smaller, "larger": larger, "target": target, "x": x, "a": a, "p": p}
+    ops = {name: np.asarray(v, dtype=float) for name, v in given.items()}
+    if not ops["a"].min(initial=math.inf) >= 1:
         raise ValueError("ratio parameter a must satisfy a >= 1")
-    for name, v in (("smaller", smaller), ("larger", larger), ("target", target), ("x", x),
-                    ("p", p)):
-        if not np.all(np.asarray(v) >= 0):
-            raise ValueError(f"{name} must be nonnegative, got {v}")
-    shape = np.broadcast_shapes(*map(np.shape, (smaller, larger, target, x, a, p)))
-    target, x, a = (_full(v, shape or (1,)) for v in (target, x, a))
-    small, large = _power(smaller, target), _power(larger, target)
+    for name in ("smaller", "larger", "target", "x", "p"):
+        if not ops[name].min(initial=math.inf) >= 0:
+            raise ValueError(f"{name} must be nonnegative, got {given[name]}")
+    shape = np.broadcast_shapes(*(v.shape for v in ops.values()))
+    target, x, a = (_full(ops[name], shape or (1,)) for name in ("target", "x", "a"))
+    small, large = _power(ops["smaller"], target), _power(ops["larger"], target)
     vals = [w_small * small + w_large * large
             for w_small, w_large in _weights(_names(variant), x, a, p)]
     vals = vals if shape else [float(val[0]) for val in vals]

@@ -57,19 +57,26 @@ _csv_buffers = threading.local()
 
 @functools.cache
 def _csv_tables():
-    """Digits and points ("d.d.d.d.") and trailing-zero counts of every
-    4-digit group, and the slots to keep for each (exponent x in [-4, 11],
-    trailing zeros of the mantissa, sign) code, plus a last code,
-    _SEP_ONLY, that keeps only the separator.  Built on first use: a
-    process that writes no CSV does not pay for them."""
+    """The 8-byte words of the text and the keep masks.
+
+    The words are the digits and points ("d.d.d.d.") of every 4-digit group,
+    then the group 10000, which prints as 1000 (the leading group of a
+    mantissa that rounded up to 10^12), then _HEAD.  The trailing-zero
+    counts cover the same 10001 groups; 10000 counts 3 zeros and 13 more,
+    one step of the exponent x in the keep table.  The keep table holds, as
+    four 64-bit masks, the slots to keep for each (x in [-4, 11], trailing
+    zeros of the mantissa, sign) code, plus a last code, _SEP_ONLY, that
+    keeps only the separator.  Built on first use: a process that writes no
+    CSV does not pay for them."""
     d = np.arange(100, dtype=np.uint8)
     pair = np.full((100, 4), ord("."), np.uint8)
     pair[:, 0], pair[:, 2] = d // 10 + 48, d % 10 + 48
     pair = pair.view(np.uint32).ravel()
     quads = np.empty((100, 100, 2), np.uint32)
     quads[:, :, 0], quads[:, :, 1] = pair[:, None], pair
+    quads = quads.view(np.uint64).ravel()
     zeros = (d % 10 == 0) + (d == 0).astype(np.uint8)
-    quad_zeros = np.where(d == 0, zeros[:, None] + np.uint8(2), zeros)
+    quad_zeros = np.where(d == 0, zeros[:, None] + np.uint8(2), zeros).ravel()
     slot = np.arange(_W)
     j = (slot - 8) // 2  # digit of a pair slot
     x = np.arange(-4, 12)[:, None, None, None]
@@ -81,7 +88,8 @@ def _csv_tables():
             | (slot >= 8) & (slot % 2 == 1) & (j == x) & (tz < 11 - x)
             | (slot == _W - 1))
     keep = np.concatenate([keep.reshape(-1, _W), [slot == _W - 1]])
-    return quads.view(np.uint64).ravel(), quad_zeros.ravel(), keep
+    return (np.concatenate([quads, quads[1000:1001], _HEAD]),
+            np.append(quad_zeros, np.uint8(3 + 13)), (keep * np.uint8(255)).view(np.uint64))
 
 
 def _default_seed() -> int:
@@ -105,38 +113,44 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_codes(v: np.ndarray, quad_zeros: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The three 4-digit groups of each value's 12-digit mantissa, as a
-    (3, N) array, and the keep-table row that prints it; a NaN, or a value
-    for Python's ``'%.12g'``, gets _SEP_ONLY.
+def _csv_codes(v: np.ndarray, quad_zeros: np.ndarray, quads: np.ndarray) -> np.ndarray:
+    """The keep-table row that prints each value, after writing the three
+    4-digit groups of its 12-digit mantissa into ``quads``, an (N, 3) array;
+    a NaN, or a value for Python's ``'%.12g'``, gets _SEP_ONLY.
 
-    A value v in [1e-5, 1e12) has decimal exponent e = floor(log10 |v|) and
-    12-digit mantissa m = rint(|v| * 10^(11 - e)), the rounding of |v| that
-    ``%.12g`` prints, unless the product is within 1e-3 of a rounding tie:
-    it is below 2^40, so the multiply by an exact power of ten errs by at
-    most 1.2e-4.  Such a field, and every value that prints in exponent form
-    or is not finite, is left to Python's ``'%.12g'``."""
+    A value v in [1e-4, 999999999999.5) has decimal exponent e =
+    floor(log10 |v|) and 12-digit mantissa m = rint(|v| * 10^(11 - e)), the
+    rounding of |v| that ``%.12g`` prints, unless the product is within 1e-3
+    of a rounding tie: it is below 2^40, so the multiply by an exact power of
+    ten errs by at most 1.2e-4.  An m of 10^12 takes the leading group
+    10000, which prints as 10^11 at exponent e + 1 (see ``_csv_tables``).
+    In that range m rounds up only at e <= 10, and an e of -5 (log10
+    rounding down at 1e-4) scales |v| to at least 10^12, so that only
+    m = 10^12 passes: every kept code is in the table.  A tie, and every
+    value outside the range, is left to Python's ``'%.12g'``."""
     a = np.abs(v)
-    fast = (a >= 1e-5) & (a < 1e12)
-    a[~fast] = 1.0
+    fast = (a >= 1e-4) & (a < 999999999999.5)
+    np.copyto(a, 1.0, where=~fast)
     e = np.floor(np.log10(a)).astype(np.intp)
-    p = a * _P10.take(11 - e, mode="clip")  # a clipped e leaves x out of range
+    p = a * _P10.take(11 - e, mode="clip")
     m = np.rint(p)
-    roll = m == 1e12
-    x = e + roll
-    fast &= (np.abs(p - m) < 0.499) & (m >= 1e11) & (m <= 1e12) & (x >= -4) & (x <= 11)
-    m[roll] = 1e11
-    m[~fast] = 0.0  # a zero, scaled as 1.0, has x = 0 and prints as "0"
-    q = np.floor(m / 1e4)
-    quads = np.empty((3, len(v)), np.intp)
-    quads[2] = m - q * 1e4
-    quads[0] = np.floor(q / 1e4)
-    quads[1] = q - quads[0] * 1e4
-    z = quad_zeros.take(quads)
+    fast &= (np.abs(p - m) < 0.499) & (m >= 1e11) & (m <= 1e12)
+    np.copyto(m, 0.0, where=~fast)  # a zero, scaled as 1.0, has e = 0 and prints as "0"
+    m = m.astype(np.intp)  # below 2^40: the groups are integer divisions
+    groups = np.empty((3, len(v)), np.intp)
+    high = m // 10**4
+    np.subtract(m, high * 10**4, out=groups[2])
+    np.floor_divide(high, 10**4, out=groups[0])
+    np.subtract(high, groups[0] * 10**4, out=groups[1])
+    for j in range(3):  # one strided copy per column beats one transposed copy
+        quads[:, j] = groups[j]
+    z = quad_zeros.take(groups)
     zeros = z[2] + (z[2] == 4) * (z[1] + (z[1] == 4) * z[0])
-    code = ((x + 4) * 13 + zeros) * 2 + np.signbit(v)
-    code[~(fast | (v == 0))] = _SEP_ONLY
-    return quads, code
+    code = e * 26  # ((e + 4) * 13 + zeros) * 2 + sign, the small terms in uint8
+    code += zeros * np.uint8(2) + np.signbit(v)
+    code += 4 * 26
+    np.copyto(code, _SEP_ONLY, where=~(fast | (v == 0)))
+    return code
 
 
 def _csv_rows(chunk: np.ndarray) -> str:
@@ -144,27 +158,28 @@ def _csv_rows(chunk: np.ndarray) -> str:
     value's ``'%.12g'`` text, and a NaN is an empty field."""
     rows, k = chunk.shape
     v = chunk.ravel()
-    quad_digits, quad_zeros, keep_rows = _csv_tables()
-    quads, code = _csv_codes(v, quad_zeros)
+    group_words, quad_zeros, keep_rows = _csv_tables()
     n = len(v)
     if getattr(_csv_buffers, "n", -1) < n:
         _csv_buffers.words = np.empty((n, _W // 8), np.uint64)
-        _csv_buffers.keep = np.empty((n, _W), bool)
+        _csv_buffers.keep = np.empty((n, _W // 8), np.uint64)
         _csv_buffers.n = n
     words, keep = _csv_buffers.words[:n], _csv_buffers.keep[:n]
-    words[:, 0] = _HEAD
-    words[:, 1:] = quad_digits.take(quads.T)
+    index = keep.view(np.intp)  # the word of each 8 slots, until the masks replace it
+    index[:, 0] = len(group_words) - 1  # _HEAD
+    code = _csv_codes(v, quad_zeros, index[:, 1:])
+    group_words.take(index, out=words, mode="clip")  # "raise" would buffer a copy
     text = words.view(np.uint8)
     text.reshape(rows, k, _W)[:, :, -1] = ord(",")
     text.reshape(rows, k, _W)[:, -1, -1] = ord("\n")
-    keep_rows.take(code, axis=0, out=keep, mode="clip")  # "raise" would buffer a copy
+    keep_rows.take(code, axis=0, out=keep, mode="clip")
     slow = np.flatnonzero((code == _SEP_ONLY) & ~np.isnan(v))
     if slow.size:
         fields = ["%.12g" % f for f in v[slow].tolist()]
         fields = np.array(fields, "S19").view(np.uint8).reshape(-1, 19)
         text[slow, 8:27] = fields
-        keep[slow, 8:27] = fields != 0
-    text *= keep  # no kept byte is 0: delete the dropped ones
+        keep.view(np.uint8)[slow, 8:27] = 255  # the zero padding is dropped as zero
+    words &= keep  # no kept byte is 0: delete the dropped ones
     return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -282,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=kinds)
     p.add_argument("--mode", required=True, choices=("monogamy", "polygamy"))
     p.add_argument("--a", type=float, default=None,
-                   help="ratio parameter (default: tightest admissible)")
+                   help="ratio parameter (default: max(1, max admissible a), the tightest "
+                   "admissible a for two pairwise values only)")
     p.add_argument("--base-exp", dest="base_exp", type=float, required=True,
                    help="base exponent r (monogamy) or s (polygamy)")
     p.add_argument("--target-exp", dest="target_exp", type=float, required=True,

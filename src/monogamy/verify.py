@@ -46,7 +46,8 @@ MIN_LOG2_RATIO = 0.05
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Two evenly stepped axes (end points inclusive), named by ``dominance_scan``."""
+    """Two evenly stepped axes (end points inclusive), named by ``dominance_scan``.
+    Each axis is built once, as a read-only array, when the grid is made."""
 
     start1: float
     stop1: float
@@ -54,6 +55,7 @@ class SweepGrid:
     start2: float
     stop2: float
     step2: float
+    _axes: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fields = (self.start1, self.stop1, self.step1, self.start2, self.stop2, self.step2)
@@ -67,14 +69,20 @@ class SweepGrid:
         # this rejects an oversize grid before any axis is built
         least = [max(1.0, (stop - start) / step - 0.5) for start, stop, step
                  in (fields[:3], fields[3:])]
-        if least[0] * least[1] > 10**6 or len(self.values1()) * len(self.values2()) > 10**6:
+        if least[0] * least[1] > 10**6:
             raise ValueError("grid size exceeds 10^6 cells")
+        axes = (_axis(*fields[:3]), _axis(*fields[3:]))
+        if len(axes[0]) * len(axes[1]) > 10**6:
+            raise ValueError("grid size exceeds 10^6 cells")
+        for axis in axes:
+            axis.flags.writeable = False
+        object.__setattr__(self, "_axes", axes)
 
     def values1(self) -> np.ndarray:
-        return _axis(self.start1, self.stop1, self.step1)
+        return self._axes[0]
 
     def values2(self) -> np.ndarray:
-        return _axis(self.start2, self.stop2, self.step2)
+        return self._axes[1]
 
 
 def _axis(start: float, stop: float, step: float) -> np.ndarray:
@@ -83,7 +91,8 @@ def _axis(start: float, stop: float, step: float) -> np.ndarray:
     |stop|), which covers the round-off of start + k * step."""
     n = int(round((stop - start) / step)) + 1
     vals = start + step * np.arange(n)
-    return vals[vals <= stop + 1e-12 * max(1.0, abs(start), abs(stop))]
+    # the values rise with k, so the kept ones are a prefix
+    return vals[:np.count_nonzero(vals <= stop + 1e-12 * max(1.0, abs(start), abs(stop)))]
 
 
 @dataclass
@@ -254,11 +263,12 @@ def verify_monogamy_states(n: int, seed: int = 0, r: float = 2.0,
                            n_qubits: int = 3) -> VerificationReport:
     """Check the weighted monogamy bound on Haar-random qubit states.
 
-    Uses concurrence with base exponent ``r`` and the tightest admissible
-    ratio parameter a = max(1, max_admissible_a).  Tripartite states use the
-    two-term bound; more parties use the ordered weighted sum.  Each block
-    of states goes through one ``margin_rows`` call, whose ratio mask is
-    always true at that a.
+    Uses concurrence with base exponent ``r`` and the ratio parameter
+    a = max(1, max_admissible_a), the tightest admissible one for the
+    two-term bound of tripartite states; more parties use the ordered
+    weighted sum, which is not monotone in a, so a smaller a can be tighter.
+    Each block of states goes through one ``margin_rows`` call, whose ratio
+    mask is always true at that a.
     """
     report = VerificationReport()
     alphas = (default_alpha_grid(float(r)) if alpha_grid is None

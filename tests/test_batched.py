@@ -88,10 +88,10 @@ EPS = np.finfo(float).eps
 # to a double; observed <= 2.5 eps over 20 seeds of 46 states per qubit
 # count, all four kinds.
 ONE_VS_REST_EXACT_ATOL = 4 * EPS
-# One-vs-rest of a bipartition against sqrt(2 (1 - purity)) of a partial
-# trace, or the singular values of the amplitudes: on these states the
-# reference's sqrt(y) is exactly 0 or at least 0.01, so the slope stays below
-# 50; observed <= 4.9e-14 over 920 states per qubit count.
+# One-vs-rest of a bipartition: concurrence against its exact value from the
+# amplitudes in 50-digit decimal, negativity against the singular values of
+# the amplitudes, which take no square root of a small quantity; observed
+# <= 1.1e-15 and 7.1e-15 over 60 seeds per bipartition.
 ONE_VS_REST_ATOL = 5e-14
 # Pairwise: each value is a sum of spin-flip roots mu, the singular values of
 # K = f^T YY f.  The library takes f from the amplitudes (closed forms at 3
@@ -427,28 +427,56 @@ class TestDensityMatrixReference:
     def test_pure_state_bipartitions(self, dims, part):
         """Any bipartition of any dims: the part's axes lead the Gram matrix.
 
-        Concurrence is compared with sqrt(2 (1 - purity)) of the partial
-        trace, and negativity with (sum of sigma)^2 - 1 for the singular
-        values sigma of the amplitudes with the part's axes on the rows, in
-        the order given; the library reduces onto the smaller side, so a part
-        and its complement give the same bits.  Observed <= 7.1e-15 for
-        negativity over 60 seeds of 20 states per bipartition."""
+        Concurrence is compared with its exact value from the amplitudes
+        (``exact_bipartition_concurrence``), and negativity with
+        (sum of sigma)^2 - 1 for the singular values sigma of the amplitudes
+        with the part's axes on the rows, in the order given; the library
+        reduces onto the smaller side, so a part and its complement give the
+        same bits.  Besides 20 Haar states per seed, three near-product
+        states a (x) b + eps g, whose concurrence is about eps: on them
+        sqrt(2 (1 - purity)) of the partial trace loses the digits that
+        1 - purity cancels, 1.9e-11 at eps = 1e-4 and 3.5e-8 at eps = 1e-8
+        over 60 seeds."""
         rest = [i for i in range(len(dims)) if i not in part]
         rows = math.prod(dims[i] for i in part)
+        inverse = np.argsort([*part, *rest])
         for seed in range(5):
             rng = np.random.default_rng((seed, len(dims) + sum(part)))
-            for row in haar_random_block(20, math.prod(dims), rng):
+            haar = haar_random_block(20, math.prod(dims), rng)
+            a, b, g = (rng.standard_normal((n, 2)) @ [1.0, 1.0j] for n in
+                       (rows, math.prod(dims) // rows, math.prod(dims)))
+            near = [(a[:, None] * b).ravel() + eps * g for eps in (1e-4, 1e-6, 1e-8)]
+            near = [m.reshape([dims[i] for i in (*part, *rest)]).transpose(inverse).ravel()
+                    for m in near]
+            for row in [*haar, *(m / np.linalg.norm(m) for m in near)]:
                 psi = PureState(dims, row)
-                rho_a = reduce_density(to_density(psi), part).mat
-                purity = float(np.trace(rho_a @ rho_a).real)
                 assert_within(concurrence_pure(psi, part),
-                              math.sqrt(max(0.0, 2.0 * (1.0 - purity))), ONE_VS_REST_ATOL)
+                              exact_bipartition_concurrence(row, dims, part), ONE_VS_REST_ATOL)
                 sigma = np.linalg.svd(row.reshape(dims).transpose(*part, *rest).reshape(rows, -1),
                                       compute_uv=False)
                 assert_within(negativity_pure(psi, part), np.sum(sigma) ** 2 - 1.0,
                               ONE_VS_REST_ATOL)
                 assert negativity_pure(psi, part) == negativity_pure(psi, rest)
                 assert concurrence_pure(psi, part) == concurrence_pure(psi, rest)
+
+
+def exact_bipartition_concurrence(row, dims, part):
+    """sqrt(2 ((Tr rho_A)^2 - Tr rho_A^2)) / Tr rho_A for rho_A = M M^dagger,
+    the amplitudes M with the axes of ``part`` on the rows, from the Gram
+    entries of M summed in 50-digit decimal: the difference keeps its digits
+    where 1 - purity of a double partial trace cancels them.  It is
+    homogeneous of degree 0, so the row need not be normalized exactly."""
+    rest = [i for i in range(len(dims)) if i not in part]
+    m = row.reshape(dims).transpose(*part, *rest).reshape(math.prod(dims[i] for i in part), -1)
+    with decimal.localcontext(prec=50):
+        re, im = ([[decimal.Decimal(v) for v in r] for r in arr] for arr in (m.real, m.imag))
+        norms = [sum(x * x + y * y for x, y in zip(xs, ys)) for xs, ys in zip(re, im)]
+        trace, purity = sum(norms), sum(n * n for n in norms)
+        for i, k in itertools.combinations(range(len(re)), 2):
+            g_re = sum(a * c + b * d for a, b, c, d in zip(re[i], im[i], re[k], im[k]))
+            g_im = sum(b * c - a * d for a, b, c, d in zip(re[i], im[i], re[k], im[k]))
+            purity += 2 * (g_re * g_re + g_im * g_im)
+        return float((2 * (trace * trace - purity)).sqrt() / trace)
 
 
 def haar_unitaries(rng, k):

@@ -485,6 +485,35 @@ class TestTripartiteBound:
     def test_bad_operands_raise(self, args, want):
         assert failure(lambda: tripartite_bound(*args)) == (ValueError, want)
 
+    SLOTS = ("smaller", "larger", "target", "x", "a", "p")
+
+    @pytest.mark.parametrize("slot", range(6))
+    @pytest.mark.parametrize("bad,shown", [
+        (math.nan, "nan"), (-0.5, "-0.5"), (np.array([0.5, math.nan]), "[0.5 nan]"),
+        (np.array([0.5, -2.0]), "[ 0.5 -2. ]"),
+    ])
+    def test_bad_value_in_each_slot(self, slot, bad, shown):
+        args = [0.25, 0.5, 1.0, 0.5, 1.2, 0.7]
+        args[slot] = bad
+        want = ("ratio parameter a must satisfy a >= 1" if self.SLOTS[slot] == "a"
+                else f"{self.SLOTS[slot]} must be nonnegative, got {shown}")
+        assert failure(lambda: tripartite_bound(*args[:5], ("ours", "jfq", "zjz1"),
+                                                args[5])) == (ValueError, want)
+
+    @pytest.mark.parametrize("slot", range(6))
+    def test_empty_array_in_each_slot(self, slot):
+        # an empty operand passes the checks and broadcasts like any other
+        args = [0.25, 0.5, 1.0, 0.5, 1.2, 0.7]
+        args[slot] = np.array([])
+        got = tripartite_bound(*args[:5], ("ours", "jfq", "zjz1"), args[5])
+        assert [v.shape for v in got] == [(0,)] * 3
+        other = 2 if slot != 2 else 3
+        args[other] = np.array([1.0, 0.5, 0.75])
+        want = ("shape mismatch: objects cannot be broadcast to a single shape.  Mismatch is "
+                f"between arg {min(slot, other)} with shape {(0,) if slot < other else (3,)} "
+                f"and arg {max(slot, other)} with shape {(3,) if slot < other else (0,)}.")
+        assert failure(lambda: tripartite_bound(*args[:5], "ours", args[5])) == (ValueError, want)
+
     def test_zjz_x_domain_is_not_checked(self):
         """``dominance_scan`` tabulates zjz2 beyond x = 1/2 and blanks it."""
         assert math.isfinite(tripartite_bound(0.25, 0.5, 1.5, 0.75, 1.2, "zjz2"))
@@ -799,3 +828,26 @@ class TestTightOnWClass:
         eps = np.finfo(float).eps
         tol = 4 * eps * (alphas * first[:, None] ** (alphas - 1) + 1)
         assert np.all(np.abs(margins) <= tol)
+
+    def test_bound_grows_with_a(self):
+        """With two pairwise values the bound is w_s + w_l t^x, whose
+        derivative (x - 1)(1 + a)^(x - 2)(1 - (t/a)^x) in a is >= 0 for
+        t >= a and x <= 1: the largest admissible a, the default, is the
+        tightest.  Twenty values of a from 1 to max_admissible_a per row;
+        each step may lower the bound by round-off only, 4 eps relative."""
+        rng = np.random.default_rng(3)
+        coeffs = np.abs(rng.standard_normal((200, 3)))
+        coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
+        first, pairwise = measure_vectors(w_class_amps(coeffs), (2, 2, 2), "concurrence")
+        alphas = np.array(default_alpha_grid(2.0))
+        amax = np.array([max_admissible_a(row, 2.0) for row in pairwise])
+        keep = amax <= A_CAP
+        first, pairwise, amax = first[keep], pairwise[keep], amax[keep]
+        bounds = np.array([
+            first[:, None] ** alphas - margin_rows(
+                first, pairwise, BoundSpec("monogamy", 2.0, alphas, a=1 + t * (amax - 1)))[0]
+            for t in np.linspace(0.0, 1.0, 20)])
+        eps = np.finfo(float).eps
+        assert np.all(np.diff(bounds, axis=0) >= -4 * eps * bounds[1:])
+        # at alpha = r (x = 1) every a gives the same bound
+        assert np.all(bounds[-1, amax > 1.01, :-1] > bounds[0, amax > 1.01, :-1])

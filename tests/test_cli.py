@@ -110,6 +110,26 @@ class TestBound:
         margin = next(line for line in out.splitlines() if line.startswith("margin: "))
         assert float(margin.removeprefix("margin: ")) >= 0.0
 
+    @pytest.mark.parametrize("a,shown,bound", [
+        (None, "5.57180969488", "0.286318491768"),
+        ("2", "2", "0.417878886416"),
+        ("1", "1", "0.452890537946"),
+    ])
+    def test_default_a_is_not_the_tightest_at_three_pairs(self, capsys, a, shown, bound):
+        # a = max(1, max_admissible_a) is the tightest admissible a for two
+        # pairwise values only: with three, the ordered sum at the default a
+        # is below its value at a = 2 and at a = 1, both admissible
+        code, out, _ = run(
+            capsys,
+            "bound", "--state", "haar:2x2x2x2:118", "--kind", "concurrence",
+            "--mode", "monogamy", "--base-exp", "2", "--target-exp", "0.5",
+            *(() if a is None else ("--a", a)),
+        )
+        assert code == 0
+        for line in (f"bound_value: {bound}", "measured_value: 0.979798435354", f"a: {shown}",
+                     "max_admissible_a: 5.57180969488", "ratio_condition_ok: true"):
+            assert line in out.splitlines()
+
     def test_domain_error_exit_3(self, capsys):
         code, _, _ = run(
             capsys,
@@ -209,6 +229,23 @@ class TestRepro:
     def test_io_error_exit_4(self, capsys):
         code, _, _ = run(capsys, "repro", "example1", "--out", "/nonexistent/dir/x.csv")
         assert code == 4
+
+    def test_grid_axes_built_once(self, capsys, monkeypatch):
+        # SweepGrid builds each axis when it is made; dominance_scan reads them
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return axis(*args)
+
+        axis = verify._axis
+        monkeypatch.setattr(verify, "_axis", counting)
+        for example, grid in (("example1", "0.300:0.310:0.005,2:5:0.01"),
+                              ("example2", "0.800:0.804:0.002,0.6:3:0.01")):
+            calls.clear()
+            code, out, _ = run(capsys, "repro", example, "--grid", grid)
+            assert code == 0 and out.count("\n") > 600
+            assert len(calls) == 2
 
 
 class TestWriteCsv:
@@ -315,12 +352,12 @@ class TestWriteCsv:
             thread.join()
         assert got == [[want[0]] * 50, [want[1]] * 50]
 
-    def test_repeated_tile_reuses_its_buffers(self, tmp_path):
-        # an example2 tile of the benchmark's scalar-surface workload; the
-        # second write finds its buffers in place and builds no index array
-        header, table = verify.dominance_scan(
-            "example2", cli._parse_grid("0.600:0.604:0.002,0.6:3:0.01"))
-        assert table.shape == (721, 7)
+    @staticmethod
+    def second_write_peak(tmp_path, example, grid):
+        """tracemalloc's peak over the second of two writes of a tile of the
+        benchmark's scalar-surface workload: the second write finds the
+        kernel's buffers in place and builds no index array."""
+        header, table = verify.dominance_scan(example, cli._parse_grid(grid))
         path = str(tmp_path / "tile.csv")
         cli._write_csv(path, header, table)
         tracemalloc.start()
@@ -329,7 +366,18 @@ class TestWriteCsv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return table.shape, peak
+
+    def test_repeated_tile_reuses_its_buffers(self, tmp_path):
+        shape, peak = self.second_write_peak(tmp_path, "example2", "0.600:0.604:0.002,0.6:3:0.01")
+        assert shape == (721, 7)
         assert peak < 450_000
+
+    def test_repeated_example1_tile_reuses_its_buffers(self, tmp_path):
+        # measured 244 KB; the bound has the headroom of the 721 x 7 tile's
+        shape, peak = self.second_write_peak(tmp_path, "example1", "0.000:0.010:0.005,2:5:0.01")
+        assert shape == (903, 5)
+        assert peak < 300_000
 
 
 def test_parser_reused_after_parse_failure(capsys):
