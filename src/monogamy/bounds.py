@@ -10,7 +10,7 @@ the weighted monogamy and polygamy evaluators for measure vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +45,9 @@ class BoundSpec:
     For N states (see ``margin_rows``) ``base_exp`` and ``a`` may be (N,)
     arrays and ``target_exp`` a list of T values or an (N, T) array, kept as
     read-only float arrays; scalars are kept as given.  Each rule is checked
-    here, and an error names the first failing row, or row and target.
+    here, and an error names the first failing row, or row and target.  A
+    spec keeps the exponent arrays of each block shape it has evaluated (see
+    ``_layout``), so that its later blocks of that shape reuse them.
     """
 
     mode: str
@@ -54,8 +56,10 @@ class BoundSpec:
     a: float | np.ndarray | None = None
     variant: str = "ours"
     p: float = 0.5
+    _layouts: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_layouts", {})
         if self.mode not in ("monogamy", "polygamy"):
             raise ValueError(f"mode must be 'monogamy' or 'polygamy', got {self.mode!r}")
         if self.variant not in VARIANTS:
@@ -239,11 +243,13 @@ def _power(base, exponent) -> np.ndarray:
     return np.power(base, exps)
 
 
-def _max_a(rows: np.ndarray, exponent) -> np.ndarray:
-    """``max_admissible_a`` of descending rows (N, m), NaN on invalid rows;
-    ``exponent`` is a scalar or an (N, 1) column."""
+def _max_a(rows: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """``max_admissible_a`` of descending rows (N, m) of finite nonnegative
+    values, at ``exponents`` (N, m-1) of the full shape.  A zero successor,
+    of either sign, gives inf, or NaN at 0/0, and ``fmin`` skips a NaN; so a
+    row with no positive successor gives +inf."""
     hi, lo = rows[:, :-1], rows[:, 1:]
-    return np.where(lo != 0, _power(hi / lo, exponent), math.inf).min(axis=1, initial=math.inf)
+    return np.fmin.reduce(np.power(hi / np.abs(lo), exponents), axis=1, initial=math.inf)
 
 
 def _ratio_ok(powers: np.ndarray, a) -> np.ndarray:
@@ -255,12 +261,13 @@ def _ratio_ok(powers: np.ndarray, a) -> np.ndarray:
     return ~(powers[:, :-1] < a * powers[:, 1:] * (1.0 - 1e-12)).any(axis=1)
 
 
-def _ordered_sums(terms: np.ndarray, xs: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _ordered_sums(terms: np.ndarray, xs: np.ndarray, a: np.ndarray,
+                  w_exps: np.ndarray) -> np.ndarray:
     """(N, T) ordered weighted sums of the powers ``terms`` (N, T, m) of
-    descending rows at the exponent ratios ``xs`` (N, T), one ``a`` (N,) per row."""
+    descending rows at the exponent ratios ``xs`` (N, T), one ``a`` (N,) per
+    row; ``w_exps`` (N, T, m) holds the weights' exponents m-1, ..., 0."""
     [(scale, w)] = _weights(("ours",), xs, a[:, None], 0.5)
-    weights = _power(w[..., None], np.arange(terms.shape[-1] - 1, -1, -1, dtype=float))
-    return scale * (weights * terms).sum(axis=-1)
+    return scale * (np.power(w[..., None], w_exps) * terms).sum(axis=-1)
 
 
 @np.errstate(all="ignore")
@@ -275,7 +282,7 @@ def max_admissible_a(values, exponent: float) -> float:
     exponent = float(exponent)
     if not exponent > 0:
         raise ValueError(f"exponent must be positive, got {exponent}")
-    return float(_max_a(np.sort(v)[None, ::-1], exponent)[0])
+    return float(_max_a(np.sort(v)[None, ::-1], np.full((1, v.size - 1), exponent))[0])
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
@@ -331,6 +338,31 @@ def _require(ok: np.ndarray, message) -> None:
         raise ValueError(message(*at) + where)
 
 
+def _layout(spec: BoundSpec, n: int, m: int) -> tuple:
+    """The exponent arrays of ``_grid`` for n states of m pairwise values,
+    which depend on nothing else: xs = targets / s (N, T), s as (N, m) and
+    (N, m-1), the (N, T, m+1) exponents of the terms' pow and, unless m = 2,
+    the (N, T, m) exponents of the ordered sums' weights; each of the full
+    shape of its pow (see ``_power``).  Built once per spec and block shape,
+    read-only, and kept in ``spec._layouts``."""
+    layout = spec._layouts.get((n, m))
+    if layout is None:
+        targets = np.atleast_1d(np.asarray(spec.target_exp, dtype=float))  # a scalar is one target
+        full = _full(targets, (n, targets.shape[-1]))
+        s = _full(spec.base_exp, (n,))[:, None]
+        xs = full / s
+        exps = np.empty(full.shape + (m + 1,))
+        exps[..., 0] = full
+        exps[..., 1:] = (full if m == 2 else xs)[..., None]
+        w_exps = None if m == 2 else _full(np.arange(m - 1.0, -1.0, -1.0), full.shape + (m,))
+        layout = (xs, _full(s, (n, m)), _full(s, (n, m - 1)), exps, w_exps)
+        for v in layout:
+            if v is not None:
+                v.flags.writeable = False
+        spec._layouts[n, m] = layout
+    return layout
+
+
 @np.errstate(all="ignore")
 def _grid(one_vs_rest, pairwise, spec: BoundSpec):
     """The kernel of ``margin_rows`` and of the single-target reports.  It
@@ -338,49 +370,52 @@ def _grid(one_vs_rest, pairwise, spec: BoundSpec):
     any power; ``spec`` has checked its own fields.  Returns the measured
     values, bounds and margins as (N, T) arrays, and the (N,) arrays of
     ratio_condition_ok, max_admissible_a (None unless ``a`` is resolved from
-    it) and a.  Each kind of power is one pow over the block on operands of
-    its full shape (see ``_power``), so a value's bits depend neither on N
-    nor on T.  An overflow gives inf, and no floating-point error warns.
+    it) and a.  Each kind of power is one pow over the block, at exponents
+    of its full shape from ``_layout``, so a value's bits depend neither on
+    N nor on T.  An overflow gives inf, and no floating-point error warns.
     """
     one_vs_rest, pairwise = np.asarray(one_vs_rest, dtype=float), np.asarray(pairwise, dtype=float)
-    targets = np.atleast_1d(np.asarray(spec.target_exp, dtype=float))  # a scalar is one target
     if one_vs_rest.ndim != 1:
         raise ValueError(f"one_vs_rest must be an (N,) array, got shape {one_vs_rest.shape}")
     n = len(one_vs_rest)
     if n and (pairwise.ndim != 2 or len(pairwise) != n or not pairwise.shape[1]):
         raise ValueError(f"pairwise must be an ({n}, m) array with m >= 1, "
                          f"got shape {pairwise.shape}")
-    full = _full(targets, (n, targets.shape[-1]))
-    if not n:
-        empty = np.empty(full.shape)
+    if not n:  # targets of more than one row raise, as on any other block
+        targets = np.atleast_1d(np.asarray(spec.target_exp, dtype=float))
+        empty = np.empty(_full(targets, (n, targets.shape[-1])).shape)
         return empty, empty, empty, np.empty(0, dtype=bool), np.empty(0), np.empty(0)
-    s, m = _full(spec.base_exp, (n,))[:, None], pairwise.shape[1]
+    m = pairwise.shape[1]
+    xs, s_rows, s_ratios, exps, w_exps = _layout(spec, n, m)
     if spec.variant != "ours" and m != 2:
         raise ValueError(f"variant {spec.variant!r} is defined for tripartite states only")
-    first_ok = (one_vs_rest >= 0) & (one_vs_rest < math.inf)
-    _require(first_ok & ((pairwise >= 0) & (pairwise < math.inf)).all(axis=1),
-             lambda i: "values must be finite and nonnegative, got " + (
-                 str(pairwise[i].tolist()) if first_ok[i] else f"one-vs-rest {one_vs_rest[i]}"))
-    xs = full / s
-    rows = np.sort(pairwise, axis=1)[:, ::-1]
-    powers = _power(rows, s)  # for the ratio condition and the ordered sums
-    amax = _max_a(rows, s) if spec.a is None else None
+    # each state's one-vs-rest value, then its pairwise values in descending
+    # order: the bases of the terms' pow, checked by their least and greatest
+    # entries (a NaN fails both), and row by row only if they fail
+    bases = np.concatenate((one_vs_rest[:, None], np.sort(pairwise, axis=1)[:, ::-1]), axis=1)
+    if not (bases.min() >= 0 and bases.max() < math.inf):
+        first_ok = (one_vs_rest >= 0) & (one_vs_rest < math.inf)
+        _require(first_ok & ((pairwise >= 0) & (pairwise < math.inf)).all(axis=1),
+                 lambda i: "values must be finite and nonnegative, got " + (
+                     str(pairwise[i].tolist()) if first_ok[i]
+                     else f"one-vs-rest {one_vs_rest[i]}"))
+    rows = bases[:, 1:]
+    amax = _max_a(rows, s_ratios) if spec.a is None else None
     a = np.minimum(np.maximum(amax, 1.0), A_CAP) if spec.a is None else _full(spec.a, (n,))
+    powers = np.power(rows, s_rows)  # for the ratio condition and the ordered sums
     ok = _ratio_ok(powers, a[:, None])
+    if m != 2:  # the terms' pow takes the powers; a pow in place on one
+        rows[...] = powers  # element would take another NumPy loop, other bits
     # one pow gives the measured values and the bound's terms: the pairwise
     # values at the targets for two of them, their s-th powers at xs for more
     # (alpha = 0 collapses every power to 1; 0^0 is 1 in NumPy)
-    exps = np.empty(full.shape + (m + 1,))
-    exps[..., 0] = full
-    exps[..., 1:] = (full if m == 2 else xs)[..., None]
-    bases = np.concatenate((one_vs_rest[:, None], rows if m == 2 else powers), axis=1)
-    terms = _power(bases[:, None], exps)
+    terms = np.power(bases[:, None], exps)
     measured = terms[..., 0]
     if m == 2:
         [(w_small, w_large)] = _weights((spec.variant,), xs, a[:, None], spec.p)
         bound = w_small * terms[..., 2] + w_large * terms[..., 1]
     else:
-        bound = _ordered_sums(terms[..., 1:], xs, a)
+        bound = _ordered_sums(terms[..., 1:], xs, a, w_exps)
     margin = measured - bound if spec.mode == "monogamy" else bound - measured
     return measured, bound, margin, ok, amax, a
 

@@ -44,6 +44,9 @@ _PT_DET_ATOL = 24 * (4 * (2 ** (MAX_QUBITS - 2) + 2) + 28) * np.finfo(float).eps
 # top row: YY @ f reverses the rows of f and negates the outer two
 _YY_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 
+# the entries of a 4 x 4 matrix below its diagonal, which are zero in R
+_BELOW_DIAGONAL = np.tri(4, k=-1, dtype=bool)
+
 
 class MeasureKind(str, Enum):
     CONCURRENCE = "concurrence"
@@ -167,8 +170,10 @@ def _spin_flip_roots(f: np.ndarray) -> np.ndarray:
         # per-matrix BLAS calls
         return _two_column_roots(np.einsum("...ji,...jk->...ik", f, f[..., ::-1, :] * _YY_SIGNS))
     if f.shape[-1] > 4:
-        # f^T = Q R, so f f^dagger = R^T R^*: R^T is a 4 x 4 factor of rho
-        f = np.linalg.qr(f.mT, mode="r").mT
+        # f^T = Q R, so f f^dagger = R^T R^*: R^T is a 4 x 4 factor of rho.
+        # R is the top of QR's raw output, transposed, zeroed below its
+        # diagonal as mode="r" zeroes it, in the same memory order
+        f = np.where(_BELOW_DIAGONAL, 0, np.linalg.qr(f.mT, mode="raw")[0].mT[..., :4, :]).mT
     return np.linalg.svd(f.mT @ (f[..., ::-1, :] * _YY_SIGNS), compute_uv=False)
 
 

@@ -2,10 +2,11 @@
 
 ``measure_vectors``, ``margin_rows``, the block Haar draw and the blocked
 state suites must give exactly what the per-state and per-exponent paths
-give, so every comparison between them uses ``==``.  In the bound kernel every power goes
-through ``bounds._power``, which gives each element the bits of NumPy's pow
-loop on that element alone, so that a one-state, one-target call and a block
-get the same bits.  The exceptions are the references, compared within the
+give, so every comparison between them uses ``==``.  In the bound kernel every power runs
+NumPy's pow loop on an exponent array of the power's full shape (through
+``bounds._power``, or from the spec's kept ``bounds._layout``), which gives
+each element the bits of that loop on the element alone, so that a
+one-state, one-target call and a block get the same bits.  The exceptions are the references, compared within the
 bounds stated below: measures are taken from the amplitudes and factors of
 them, and are compared with the partial traces of |psi><psi|, the
 spin-flip roots of their square roots and exact closed-form values;
@@ -404,6 +405,22 @@ class TestSpinFlipRoots:
                 want = [PAIR_FN[kind](DensityMatrix((2, 2), f @ f.conj().T))
                         for f in pair_factors]
                 assert_within(mv.pairwise, want, PAIR_ATOL)
+
+
+    @pytest.mark.parametrize("n_qubits", [5, 6])
+    def test_qr_factor_is_r_transposed(self, monkeypatch, n_qubits):
+        """The 4 x 4 factor taken from QR's raw output is R^T of the
+        triangular R of ``mode="r"``, sign bits included: the matrix K that
+        the SVD receives, and the roots, have the bytes of those from R^T."""
+        t = state_stack(n_qubits, seed=90 + n_qubits, n_haar=50)[:, measures._pair_index(n_qubits)]
+        r_t = np.linalg.qr(t.mT, mode="r").mT
+        want_k = r_t.mT @ (r_t[..., ::-1, :] * np.array([[-1.0], [1.0], [1.0], [-1.0]]))
+        seen, real = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda k, **kw: seen.append(k) or real(k, **kw))
+        roots = measures._spin_flip_roots(t)
+        [k] = seen
+        assert k.shape == want_k.shape and k.tobytes() == want_k.tobytes()
+        assert roots.tobytes() == real(want_k, compute_uv=False).tobytes()
 
 
 class TestDensityMatrixReference:
@@ -1128,6 +1145,61 @@ class TestMarginRowsErrors:
             with pytest.raises(ValueError) as exc:
                 margin_rows(first, pairwise, dataclasses.replace(spec, target_exp=[1.0]))
             assert str(exc.value) == want
+
+    @pytest.mark.parametrize("first,pairwise,want", [
+        # the first bad row, whatever the later rows hold
+        ([0.9] * 4, [(0.5, 0.1), (0.5, -0.2), (math.nan, 0.1), (math.inf, 0.2)],
+         VALUES_MESSAGE + "[0.5, -0.2] (row 1)"),
+        ([0.9] * 4, [(0.5, 0.1), (0.5, 0.2), (0.1, math.inf), (-1.0, math.nan)],
+         VALUES_MESSAGE + "[0.1, inf] (row 2)"),
+        ([0.9, 0.9, math.nan, -1.0], [(0.5, 0.1), (math.nan, 0.2), (0.5, 0.1), (0.5, -0.1)],
+         VALUES_MESSAGE + "[nan, 0.2] (row 1)"),
+        ([0.9, -0.5, 0.9, math.inf], [(0.5, 0.1), (0.5, 0.2), (math.inf, 0.1), (0.5, 0.1)],
+         VALUES_MESSAGE + "one-vs-rest -0.5 (row 1)"),
+        ([0.9, 0.9, 0.9], [(0.5, 0.1, 0.2), (0.5, 0.2, 0.1), (0.3, 0.1, -math.inf)],
+         VALUES_MESSAGE + "[0.3, 0.1, -inf] (row 2)"),
+        # a bad one-vs-rest value and a bad pairwise value in one row
+        ([0.9, math.nan], [(0.5, 0.1), (0.5, -0.1)], VALUES_MESSAGE + "one-vs-rest nan (row 1)"),
+        ([math.inf, 0.9], [(math.nan, 0.1), (0.5, -0.1)], VALUES_MESSAGE + "one-vs-rest inf (row 0)"),
+        ([-1.0], [(0.5, math.inf)], VALUES_MESSAGE + "one-vs-rest -1.0"),
+    ])
+    def test_first_bad_row_is_named(self, first, pairwise, want):
+        """The values are checked by the least and greatest of the block, and
+        a failing block row by row, so the error names the first bad row;
+        no power is taken before it."""
+        calls = []
+        real = np.power
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for spec in (MONO, POLY):
+            calls.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(np, "power", counting)
+                with pytest.raises(ValueError) as exc:
+                    margin_rows(first, pairwise, dataclasses.replace(spec, target_exp=[1.0, 2.0]))
+                assert str(exc.value) == want and not calls
+                margin_rows([0.9], [(0.5, 0.1)], dataclasses.replace(spec, target_exp=[1.0]))
+                assert calls  # the counter sees the kernel's powers
+
+    @pytest.mark.parametrize("spec", [
+        BoundSpec("monogamy", 2.0, [1.0, 2.0]), BoundSpec("monogamy", 3.0, [1.0, 3.0]),
+        BoundSpec("polygamy", 1.0, [1.0, 2.0]), BoundSpec("polygamy", 0.5, [0.5, 1.5]),
+    ])
+    def test_negative_zero_passes(self, spec):
+        """-0.0 is nonnegative: it passes the check, and it gives what 0.0
+        gives, a zero successor included (no -inf max_admissible_a at an odd
+        exponent)."""
+        for pairwise in ([(0.5, -0.0)], [(0.5, -0.0, 0.2)], [(-0.0, -0.0, 0.0, 0.3)]):
+            plus = np.abs(pairwise)
+            got = bounds._grid([-0.0], pairwise, spec)
+            want = bounds._grid([0.0], plus, spec)
+            assert [v.tolist() for v in got] == [v.tolist() for v in want]
+            assert got[4][0] == max_admissible_a(pairwise[0], spec.base_exp) > 0
+            assert max_admissible_a(pairwise[0], spec.base_exp) == max_admissible_a(
+                plus[0], spec.base_exp)
 
     @pytest.mark.parametrize("spec,pairwise,targets,kwargs,want", [
         (BoundSpec("monogamy", 2.0, 1.0), [(0.5, 0.1)], [2.0, 2.5], {},

@@ -1,5 +1,7 @@
+import dataclasses
 import decimal
 import functools
+import itertools
 import math
 from decimal import Decimal
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monogamy import bounds, verify
 from monogamy.bounds import (
     A_CAP,
     BoundSpec,
@@ -792,6 +795,40 @@ class TestBoundSpec:
         with pytest.raises(ValueError) as exc:
             monogamy_bound(mv, spec)
         assert str(exc.value) == "a single-state bound needs scalar base_exp, target_exp and a"
+
+    def test_kept_layouts_match_a_fresh_spec(self):
+        """The monogamy suite's cached spec keeps one exponent layout per block
+        shape (N, m), built on its first block of that shape, reused by the
+        later ones and read-only; every result of the kernel has the bits of
+        a spec built afresh for that block, whatever the order of the shapes."""
+        alphas = verify.default_alpha_grid(2.0)
+        spec = verify._monogamy_spec(2.0, alphas)
+        rng = np.random.default_rng(90)
+        for n, m in itertools.product([6, 64, 1, 0, 6], [2, 4]):
+            first, pairwise = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 0.5, (n, m))
+            pairwise[::3, -1] = 0.0  # a zero successor in every third row
+            kept = spec._layouts.get((n, m))
+            got = bounds._grid(first, pairwise, spec)
+            want = bounds._grid(first, pairwise, BoundSpec("monogamy", 2.0, alphas))
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+            assert [v.dtype for v in got] == [v.dtype for v in want]
+            assert all(v.shape == w.shape for v, w in zip(got, want))
+            if kept is not None:
+                assert spec._layouts[n, m] is kept
+        assert {(6, 2), (64, 2), (1, 2), (6, 4), (64, 4), (1, 4)} <= spec._layouts.keys()
+        for layout in spec._layouts.values():
+            for v in layout:
+                assert v is None or not v.flags.writeable
+
+    def test_replace_gives_its_own_empty_store(self):
+        spec = BoundSpec("monogamy", 2.0, [1.0, 2.0])
+        margin_rows([0.9], [(0.5, 0.1)], spec)
+        assert list(spec._layouts) == [(1, 2)]
+        twin = dataclasses.replace(spec, target_exp=[0.5])
+        assert twin._layouts == {} and twin._layouts is not spec._layouts
+        assert dataclasses.replace(spec)._layouts == {}
+        assert margin_rows([0.9], [(0.5, 0.1)], twin)[0].shape == (1, 1)
+        assert list(spec._layouts) == [(1, 2)]
 
     def test_x_property(self):
         assert BoundSpec("monogamy", 2, 1).x == 0.5
