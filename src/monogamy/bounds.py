@@ -22,6 +22,11 @@ VARIANTS = ("ours", "jfq", "zjz1", "zjz2")
 # trailing pairwise values vanish and any a is admissible.
 A_CAP = 1e8
 
+# Most bytes of exponent arrays a spec keeps for its later blocks (see
+# ``_layout``): some twenty of the suites' largest layouts, 64 states x 8
+# targets at m = 5, of about 50 KB each.
+LAYOUT_STORE_BYTES = 2**20
+
 # Measure kinds whose base relation is established (CKW r=2 for concurrence
 # and SCREN in monogamy mode; assisted measures at s<=1 in polygamy mode).
 _VERIFIED_MONOGAMY = {MeasureKind.CONCURRENCE, MeasureKind.NEGATIVITY_SCREN}
@@ -44,10 +49,11 @@ class BoundSpec:
 
     For N states (see ``margin_rows``) ``base_exp`` and ``a`` may be (N,)
     arrays and ``target_exp`` a list of T values or an (N, T) array, kept as
-    read-only float arrays; scalars are kept as given.  Each rule is checked
-    here, and an error names the first failing row, or row and target.  A
-    spec keeps the exponent arrays of each block shape it has evaluated (see
-    ``_layout``), so that its later blocks of that shape reuse them.
+    read-only float arrays by one conversion each; scalars are kept as given.
+    Each rule is checked here, and an error names the first failing row, or
+    row and target.  A spec keeps the exponent arrays of the block shapes it
+    has evaluated, up to a byte cap (see ``_layout``), so that its later
+    blocks of those shapes reuse them.
     """
 
     mode: str
@@ -65,8 +71,13 @@ class BoundSpec:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         for name in ("base_exp", "target_exp", "a"):
-            if np.asarray(getattr(self, name)).ndim:
+            try:
                 value = np.array(getattr(self, name), dtype=float)
+            except (TypeError, ValueError):
+                if np.asarray(getattr(self, name)).ndim:
+                    raise
+                continue  # a bad scalar raises below, where it is checked
+            if value.ndim:
                 value.flags.writeable = False
                 object.__setattr__(self, name, value)
         r, mono = np.asarray(self.base_exp, dtype=float), self.mode == "monogamy"
@@ -340,11 +351,14 @@ def _require(ok: np.ndarray, message) -> None:
 
 def _layout(spec: BoundSpec, n: int, m: int) -> tuple:
     """The exponent arrays of ``_grid`` for n states of m pairwise values,
-    which depend on nothing else: xs = targets / s (N, T), s as (N, m) and
-    (N, m-1), the (N, T, m+1) exponents of the terms' pow and, unless m = 2,
-    the (N, T, m) exponents of the ordered sums' weights; each of the full
-    shape of its pow (see ``_power``).  Built once per spec and block shape,
-    read-only, and kept in ``spec._layouts``."""
+    which depend on nothing else: xs = targets / s (N, T), s as (N, m) and,
+    only if ``a`` is resolved by ``_max_a``, as (N, m-1), the (N, T, m+1)
+    exponents of the terms' pow and, unless m = 2, the (N, T, m) exponents
+    of the ordered sums' weights; each of the full shape of its pow (see
+    ``_power``), and None where not needed.  Built once per spec and block
+    shape, read-only, and kept in ``spec._layouts`` while the kept arrays
+    total at most LAYOUT_STORE_BYTES; a layout beyond that is built anew for
+    each block."""
     layout = spec._layouts.get((n, m))
     if layout is None:
         targets = np.atleast_1d(np.asarray(spec.target_exp, dtype=float))  # a scalar is one target
@@ -355,11 +369,14 @@ def _layout(spec: BoundSpec, n: int, m: int) -> tuple:
         exps[..., 0] = full
         exps[..., 1:] = (full if m == 2 else xs)[..., None]
         w_exps = None if m == 2 else _full(np.arange(m - 1.0, -1.0, -1.0), full.shape + (m,))
-        layout = (xs, _full(s, (n, m)), _full(s, (n, m - 1)), exps, w_exps)
+        s_ratios = _full(s, (n, m - 1)) if spec.a is None else None
+        layout = (xs, _full(s, (n, m)), s_ratios, exps, w_exps)
         for v in layout:
             if v is not None:
                 v.flags.writeable = False
-        spec._layouts[n, m] = layout
+        if sum(v.nbytes for kept in (layout, *spec._layouts.values())
+               for v in kept if v is not None) <= LAYOUT_STORE_BYTES:
+            spec._layouts[n, m] = layout
     return layout
 
 

@@ -253,7 +253,7 @@ def _root_values(f: np.ndarray, kind: MeasureKind) -> np.ndarray:
             d -= mu[..., i]
         vals = np.where(d > 0.0, d, 0.0)
     else:
-        vals = np.sum(mu, axis=-1)
+        vals = np.add.reduce(mu, axis=-1)  # np.sum without its Python wrapper
     return np.square(vals) if kind in (MeasureKind.NEGATIVITY_SCREN, MeasureKind.SCRENOA) else vals
 
 

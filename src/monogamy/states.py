@@ -22,6 +22,9 @@ NORM_ATOL = 1e-12
 # Most amplitudes a ``haar:`` spec may ask for, far above the 2**6 of the
 # largest state a measure accepts; a larger spec is refused before the draw.
 MAX_HAAR_AMPLITUDES = 2**20
+# The amplitude slots of |100>, |010> and |001>, where a W-class state's a, b, c go.
+_W_SLOTS = np.array([0b100, 0b010, 0b001])
+_W_SLOTS.flags.writeable = False
 
 
 class StateSpecError(ValueError):
@@ -153,19 +156,21 @@ def w_class_amps(coeffs) -> np.ndarray:
     """(N, 8) amplitudes of the W-class states of the (N, 3) rows (a, b, c).
 
     Each row must be nonnegative with a norm within RENORM_TOL of 1, and is
-    divided by its norm; the first bad row raises the message that
-    ``w_class_state`` gives for it.
+    divided by its norm.  The stack is checked by its least coefficient and
+    its largest norm error (a NaN fails both), and only a failing stack row
+    by row: the first bad row raises the message that ``w_class_state``
+    gives for it.
     """
     v = np.asarray(coeffs, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3:
         raise ValueError(f"expected rows of three coefficients, got shape {v.shape}")
     # the norm of np.linalg.norm on one row, bit for bit
     norm = np.sqrt(np.vecdot(v, v))
-    bad = (v < 0).any(axis=1) | ~(np.abs(norm - 1.0) <= RENORM_TOL)
-    if bad.any():
+    if not (v.min(initial=0.0) >= 0 and np.abs(norm - 1.0).max(initial=0.0) <= RENORM_TOL):
+        bad = (v < 0).any(axis=1) | ~(np.abs(norm - 1.0) <= RENORM_TOL)
         _normalized(v[np.argmax(bad)])  # raises
     amps = np.zeros((len(v), 8), dtype=complex)
-    amps[:, [0b100, 0b010, 0b001]] = v / norm[:, None]
+    amps[:, _W_SLOTS] = v / norm[:, None]
     return amps
 
 

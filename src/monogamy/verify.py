@@ -42,6 +42,9 @@ EXAMPLE2_MEASURED = 0.75
 # values approach each other; samples with log2(ratio) below this floor are
 # skipped rather than evaluated at a degenerate exponent.
 MIN_LOG2_RATIO = 0.05
+# The step counts k of the default beta rows (see ``_default_beta_rows``).
+_BETA_STEPS = np.arange(8.0)
+_BETA_STEPS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -239,7 +242,7 @@ def _default_beta_rows(s: np.ndarray) -> np.ndarray:
     """Row k is ``np.linspace(s[k], 3.0, 8)``, by linspace's own arithmetic
     (k * step + start, then the end point), in a few array operations where
     an array call to linspace makes some thirty."""
-    rows = np.arange(8.0) * ((3.0 - s) / 7)[:, None] + s[:, None]
+    rows = _BETA_STEPS * ((3.0 - s) / 7)[:, None] + s[:, None]
     rows[:, -1] = 3.0
     return rows
 
@@ -312,17 +315,26 @@ def verify_polygamy_states(n: int, seed: int = 0, s: float | None = None,
         a_k = [2.0**s_i for s_i in s_k] if s is None else None
         s_k = np.array(s_k, dtype=float)
         grid = _default_beta_rows(s_k) if shared is None else shared
-        # a beta below its sample's s, not a NaN, is cut off: evaluated at s, dropped
-        cells = ~(grid < s_k[:, None])
-        betas = np.where(cells, grid, s_k[:, None])
+        # a beta below its sample's s is cut off: evaluated at s, dropped (a NaN
+        # beta fails the shared check above, or comes of a NaN s, which the
+        # spec rejects)
+        cells = grid >= s_k[:, None]
+        betas = np.maximum(grid, s_k[:, None])
         spec = bounds.BoundSpec("polygamy", s_k if s is None else s, betas, a=a_k)
         margins, ok = bounds.margin_rows(first, pairwise, spec)
         ok &= np.array(keep, dtype=bool)  # bool also for an empty block
         report.skipped += len(first) - int(np.count_nonzero(ok))
         cells &= ok[:, None]
-        rows, cols = np.nonzero(cells)
-        report.record(margins[cells], tol, lambda j: (
-            start + int(rows[j]), float(s_k[rows[j]]), float(betas[rows[j], cols[j]])))
+        where = None  # the checked cells' rows and columns, found on a first failure
+
+        def describe(j):
+            nonlocal where
+            if where is None:
+                where = np.nonzero(cells)
+            i, k = where[0][j], where[1][j]
+            return start + int(i), float(s_k[i]), float(betas[i, k])
+
+        report.record(margins[cells], tol, describe)
     return report
 
 

@@ -820,6 +820,83 @@ class TestBoundSpec:
             for v in layout:
                 assert v is None or not v.flags.writeable
 
+    @pytest.mark.parametrize("fields,error,text", [
+        # an array field that fails its one conversion raises there, before
+        # the base exponent's range check or the check of a
+        (dict(mode="monogamy", base_exp=1.0, target_exp=1.0, a=[1, [2]]), ValueError,
+         "setting an array element with a sequence"),
+        (dict(mode="monogamy", base_exp=2.0, target_exp=1.0, a=["x"]), ValueError,
+         "could not convert string to float: 'x'"),
+        # a scalar field that fails it raises where that field is checked
+        (dict(mode="monogamy", base_exp=2.0, target_exp=1.0, a="x"), TypeError,
+         "ufunc 'greater_equal' did not contain a loop"),
+        (dict(mode="polygamy", base_exp="x", target_exp=["y"]), ValueError,
+         "could not convert string to float: 'y'"),
+        (dict(mode="monogamy", base_exp=2.0, target_exp=None), ValueError,
+         "monogamy target exponent must be in [0, 2.0], got nan"),
+    ])
+    def test_unconvertible_fields_raise_in_field_order(self, fields, error, text):
+        with pytest.raises(error) as exc:
+            BoundSpec(**fields)
+        assert str(exc.value).startswith(text)
+
+    @staticmethod
+    def kept_bytes(spec):
+        return sum(v.nbytes for layout in spec._layouts.values() for v in layout if v is not None)
+
+    def test_layout_store_is_capped(self, monkeypatch):
+        """A 100,000-state call at m = 5 gets its layout (84 MB) built and
+        not kept, with the margins of 64-state blocks; the suite's later
+        blocks still reuse the tuples kept before it, by identity."""
+        verify._monogamy_spec.cache_clear()
+        try:
+            spec = verify._monogamy_spec(2.0, default_alpha_grid(2.0))
+            verify.verify_monogamy_states(150, seed=1, n_qubits=6)
+            kept = dict(spec._layouts)
+            assert set(kept) == {(64, 5), (22, 5)}
+            rng = np.random.default_rng(73)
+            first, pairwise = rng.uniform(0.0, 1.0, 100_000), rng.uniform(0.0, 0.4, (100_000, 5))
+            pairwise[::7, -1] = 0.0
+            margins, ok = margin_rows(first, pairwise, spec)
+            assert spec._layouts == kept and self.kept_bytes(spec) <= bounds.LAYOUT_STORE_BYTES
+            blocks = [margin_rows(first[i:i + 64], pairwise[i:i + 64], spec)
+                      for i in range(0, 100_000, 64)]
+            assert margins.tobytes() == np.concatenate([b[0] for b in blocks]).tobytes()
+            assert ok.tobytes() == np.concatenate([b[1] for b in blocks]).tobytes()
+            assert self.kept_bytes(spec) <= bounds.LAYOUT_STORE_BYTES
+            layouts, real = [], bounds._layout
+            monkeypatch.setattr(bounds, "_layout", lambda *args: layouts.append(real(*args))
+                                or layouts[-1])
+            verify.verify_monogamy_states(150, seed=2, n_qubits=6)
+            assert [id(v) for v in layouts] == [id(kept[64, 5])] * 2 + [id(kept[22, 5])]
+        finally:
+            verify._monogamy_spec.cache_clear()
+
+    def test_layouts_beyond_the_cap_are_built_for_each_block(self):
+        """Blocks of N = 1..64 at m = 5 need 1.7 MB of layouts: those that
+        fit under the cap are kept, in order, and the others give the bits of
+        a fresh spec without being kept."""
+        spec = BoundSpec("monogamy", 2.0, default_alpha_grid(2.0))
+        rng = np.random.default_rng(8)
+        for n in [*range(1, 65), 64, 1]:
+            first, pairwise = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 0.4, (n, 5))
+            got = bounds._grid(first, pairwise, spec)
+            want = bounds._grid(first, pairwise, BoundSpec("monogamy", 2.0, default_alpha_grid(2.0)))
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+            assert self.kept_bytes(spec) <= bounds.LAYOUT_STORE_BYTES
+        kept = sorted(n for n, _ in spec._layouts)
+        assert kept == list(range(1, len(kept) + 1)) and 1 < len(kept) < 64
+
+    def test_the_pairwise_exponents_are_built_for_a_resolved_a_only(self):
+        given = bounds._layout(BoundSpec("polygamy", 0.5, [1.0, 2.0], a=2.0), 3, 2)
+        resolved = bounds._layout(BoundSpec("polygamy", 0.5, [1.0, 2.0]), 3, 2)
+        assert given[2] is None
+        assert resolved[2].shape == (3, 1) and (resolved[2] == 0.5).all()
+        def others(layout):
+            return [v if v is None else v.tobytes() for i, v in enumerate(layout) if i != 2]
+
+        assert others(given) == others(resolved)
+
     def test_replace_gives_its_own_empty_store(self):
         spec = BoundSpec("monogamy", 2.0, [1.0, 2.0])
         margin_rows([0.9], [(0.5, 0.1)], spec)

@@ -150,6 +150,54 @@ def test_nan_coefficients_raise_the_norm_message(bad):
         schmidt3_state(*bad, 0.0, 0.0)
 
 
+GOOD = [0.6, 0.8, 0.0]
+
+
+@pytest.mark.parametrize("stack,want", [
+    # the least coefficient and the largest norm error sit in different rows
+    ([GOOD, [1.0, 1.0, 0.0], GOOD, [0.6, -0.8, 0.0]],
+     "coefficients have norm 1.4142135623730951, more than 1e-06 away from 1"),
+    ([GOOD, [0.6, -0.8, 0.0], GOOD, [1.0, 1.0, 0.0]],
+     "coefficients must be nonnegative, got [0.6, -0.8, 0.0]"),
+    ([GOOD, [0.6, 0.8, 0.01], GOOD, [5.0, 0.0, 0.0], [-0.1, 0.0, 1.0]],
+     "coefficients have norm 1.0000499987500624, more than 1e-06 away from 1"),
+    ([GOOD, [0.5, 0.5, 0.0], GOOD], "coefficients have norm 0.7071067811865476, more than "
+     "1e-06 away from 1"),
+    ([GOOD, GOOD, GOOD, [0.6, 0.8, math.inf]], "coefficients have norm inf, more than "
+     "1e-06 away from 1"),
+    ([GOOD, [0.0, 0.0, 1.0], [-math.inf, 0.0, 0.0]],
+     "coefficients must be nonnegative, got [-inf, 0.0, 0.0]"),
+    ([GOOD, [0.6, math.nan, 0.8], [-1.0, 0.0, 0.0]],
+     "coefficients have norm nan, more than 1e-06 away from 1"),
+])
+def test_w_class_amps_names_the_first_bad_row_whatever_holds_the_extremes(stack, want):
+    """The stack is checked by its least coefficient and largest norm error,
+    which may come from different rows, or from a row after the first bad
+    one; the error is still that of the first bad row."""
+    assert wclass_outcome(lambda: w_class_amps(stack)) == want
+    first_bad = next(row for row in stack
+                     if isinstance(wclass_outcome(lambda: w_class_state(*row)), str))
+    assert wclass_outcome(lambda: w_class_state(*first_bad)) == want
+
+
+def test_w_class_amps_checks_a_valid_stack_without_rows(monkeypatch):
+    """Valid seeded stacks, with exact and negative zeros and rows within
+    RENORM_TOL of unit norm, pass the extremes check without the row-by-row
+    check, and each amplitude has the bytes of a one-state build."""
+    monkeypatch.setattr(states, "_normalized", lambda row: pytest.fail(f"row {row} checked"))
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        rows = np.abs(rng.standard_normal((64, 3)))
+        rows[rng.random(64) < 0.2, rng.integers(3)] = 0.0
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        rows[::3] *= rng.uniform(1 - 9e-7, 1 + 9e-7, (22, 1))
+        rows[rows == 0.0] = -0.0 if seed % 2 else 0.0
+        rows = np.vstack([rows, [-0.0, 0.6, 0.8], [0.6, -0.0, 0.8], [-0.0, -0.0, 1.0]])
+        want = np.array([one_w_class_state(*row) for row in rows])
+        assert w_class_amps(rows).tobytes() == want.tobytes()
+    assert w_class_amps(np.empty((0, 3))).tobytes() == b""
+
+
 def test_w_class_amps_needs_rows_of_three():
     with pytest.raises(ValueError, match="rows of three"):
         w_class_amps([1.0, 0.0, 0.0])

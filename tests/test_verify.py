@@ -296,6 +296,74 @@ def test_polygamy_skips_degenerate_rows(monkeypatch, s):
     assert all(type(k) is int for (k, _, _), _ in rep.failure_samples)
 
 
+CUT_GRID = [0.3, 0.55, 0.8, 1.0, 1.7, 2.5]  # a shared grid with betas below some s
+
+
+def descriptor_reference(monkeypatch, n, seed, beta_grid):
+    """The report of ``verify_polygamy_states(n, seed, tol=-inf)`` and the
+    ((start + row, s, beta), margin) of every checked cell in C order, rebuilt
+    from the pairwise values, spec and results of each ``margin_rows`` call:
+    a row is checked if its ratio condition holds and its log2 ratio is at
+    least MIN_LOG2_RATIO, and a cell if its beta is at least the row's s."""
+    calls, real = [], bounds.margin_rows
+
+    def recording(one_vs_rest, pairwise, spec):
+        margins, ok = real(one_vs_rest, pairwise, spec)
+        calls.append((pairwise, spec.base_exp, margins, ok.copy()))  # the suite masks ok in place
+        return margins, ok
+
+    monkeypatch.setattr(bounds, "margin_rows", recording)
+    rep = verify_polygamy_states(n, seed, beta_grid=beta_grid, tol=-math.inf)
+    want = []
+    for block, (pairwise, s_k, margins, ok) in enumerate(calls):
+        for i, (lo, hi) in enumerate(np.sort(pairwise, axis=1).tolist()):
+            if not (ok[i] and lo != 0 and math.log2(hi / lo) >= MIN_LOG2_RATIO):
+                continue
+            s = float(s_k[i])
+            grid = np.linspace(s, 3.0, 8) if beta_grid is None else beta_grid
+            want += [((block * verify.STATE_BLOCK + i, s, float(beta)), float(margins[i, k]))
+                     for k, beta in enumerate(grid) if beta >= s]
+    return rep, want, len(calls)
+
+
+@pytest.mark.parametrize("beta_grid", [None, CUT_GRID])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_polygamy_failure_descriptors_name_the_checked_cells(monkeypatch, seed, beta_grid):
+    """At tol = -inf every checked cell fails; the descriptors of two blocks
+    are the reference cells in order, up to MAX_FAILURE_SAMPLES."""
+    rep, want, blocks = descriptor_reference(monkeypatch, 90, seed, beta_grid)
+    assert blocks == 2 and rep.failures == rep.total == len(want)
+    assert rep.failure_samples == want[:verify.MAX_FAILURE_SAMPLES]
+    if beta_grid is not None:  # some betas are cut off
+        assert len(want) < len(CUT_GRID) * (90 - rep.skipped)
+    monkeypatch.setattr(verify, "MAX_FAILURE_SAMPLES", 10**5)
+    rep, want, _ = descriptor_reference(monkeypatch, 90, seed, beta_grid)
+    assert rep.failure_samples == want and want[-1][0][0] >= verify.STATE_BLOCK
+    assert all(type(k) is int and type(s) is float and type(beta) is float
+               for (k, s, beta), _ in rep.failure_samples)
+
+
+def test_polygamy_finds_cells_on_a_failing_block_only(monkeypatch):
+    """The cells' indices are found by one np.nonzero on a block's first
+    failure: none for a passing request, one per block with failures."""
+    calls, real = [], np.nonzero
+    monkeypatch.setattr(np, "nonzero", lambda a: calls.append(a.shape) or real(a))
+    for seed in (1, 2):
+        for beta_grid in (None, CUT_GRID):
+            rep = verify_polygamy_states(90, seed, beta_grid=beta_grid)
+            assert rep.failures == 0 and rep.total > 0
+    assert calls == []
+    # the first block fills the failure samples, so the second needs no
+    # names; the (N,) calls are the report's np.flatnonzero of its margins
+    verify_polygamy_states(90, 1, tol=-math.inf)
+    assert [shape for shape in calls if len(shape) == 2] == [(64, 8)]
+    monkeypatch.setattr(verify, "MAX_FAILURE_SAMPLES", 10**5)
+    calls.clear()
+    rep = verify_polygamy_states(90, 1, tol=-math.inf)
+    assert [shape for shape in calls if len(shape) == 2] == [(64, 8), (26, 8)]
+    assert len(rep.failure_samples) == rep.failures > 90
+
+
 def counting(monkeypatch, name):
     """Wrap ``bounds.name`` so that each call appends its ``variant`` argument."""
     calls, real = [], getattr(bounds, name)
