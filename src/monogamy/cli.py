@@ -37,10 +37,10 @@ EXIT_IO = 4
 
 # Rows of a CSV table formatted and written per write call.  Larger chunks
 # make fewer NumPy calls; smaller ones keep the kernel's temporaries and its
-# per-thread buffers (64 B per field) small.  With the buffers reused, a
-# 666-903-row repro tile of a mixed scalar-surface pass takes under one
-# minor fault, against about 78 when each chunk allocated them afresh.
-CSV_CHUNK = 512
+# per-thread buffers (64 B per field) small.  At 1024 rows a 666-903-row
+# repro tile is one kernel pass, and with the buffers reused a tile of a
+# mixed scalar-surface pass takes about 0.03 minor faults.
+CSV_CHUNK = 1024
 
 # The CSV kernel writes each field into _W byte slots and then drops the
 # slots its text does not use: 0-1 are never used, 2 is a minus sign, 3-7
@@ -132,19 +132,23 @@ def _csv_codes(v: np.ndarray, quad_zeros: np.ndarray, quads: np.ndarray) -> np.n
     fast = (a >= 1e-4) & (a < 999999999999.5)
     np.copyto(a, 1.0, where=~fast)
     e = np.floor(np.log10(a)).astype(np.intp)
-    p = a * _P10.take(11 - e, mode="clip")
-    m = np.rint(p)
-    fast &= (np.abs(p - m) < 0.499) & (m >= 1e11) & (m <= 1e12)
+    a *= _P10.take(11 - e, mode="clip")  # the scaled mantissa
+    m = np.rint(a)
+    fast &= (np.abs(a - m) < 0.499) & (m >= 1e11) & (m <= 1e12)
+    del a  # each temporary goes once dead: a chunk's peak stays small
     np.copyto(m, 0.0, where=~fast)  # a zero, scaled as 1.0, has e = 0 and prints as "0"
     m = m.astype(np.intp)  # below 2^40: the groups are integer divisions
     groups = np.empty((3, len(v)), np.intp)
     high = m // 10**4
     np.subtract(m, high * 10**4, out=groups[2])
+    del m
     np.floor_divide(high, 10**4, out=groups[0])
     np.subtract(high, groups[0] * 10**4, out=groups[1])
+    del high
     for j in range(3):  # one strided copy per column beats one transposed copy
         quads[:, j] = groups[j]
     z = quad_zeros.take(groups)
+    del groups
     zeros = z[2] + (z[2] == 4) * (z[1] + (z[1] == 4) * z[0])
     code = e * 26  # ((e + 4) * 13 + zeros) * 2 + sign, the small terms in uint8
     code += zeros * np.uint8(2) + np.signbit(v)
@@ -180,7 +184,9 @@ def _csv_rows(chunk: np.ndarray) -> str:
         text[slow, 8:27] = fields
         keep.view(np.uint8)[slow, 8:27] = 255  # the zero padding is dropped as zero
     words &= keep  # no kept byte is 0: delete the dropped ones
-    return text.tobytes().translate(None, b"\0").decode("ascii")
+    half = rows // 2 * k  # by row halves: a copy and translate's scratch of half the text
+    return "".join([t.tobytes().translate(None, b"\0").decode("ascii")
+                    for t in (text[:half], text[half:])])
 
 
 def _write_csv(path: str, header: Sequence[str], table: np.ndarray):

@@ -312,10 +312,11 @@ class TestWriteCsv:
         cli._write_csv("-", self.HEADER, table)
         assert capsys.readouterr().out == self.template(table)
 
-    # every 5-column case runs before the 7-column ones, so that the 7-column
-    # chunks grow the buffers that the 5-column ones left
+    # the cases run from fewer columns to more, so that each column count's
+    # chunks grow the buffers that the one before left; one and two columns
+    # put a row separator after every field or every second one
     @pytest.mark.parametrize("extra", [-1, 0, 1])
-    @pytest.mark.parametrize("cols", [5, 7])
+    @pytest.mark.parametrize("cols", [1, 2, 5, 7])
     def test_rows_around_chunk(self, capsys, cols, extra):
         rng = np.random.default_rng(15)
         values = np.concatenate([self.values(kind, rng) for kind in ("fixed-notation", "edges")])
@@ -323,6 +324,30 @@ class TestWriteCsv:
         header = [f"c{j}" for j in range(cols)]
         cli._write_csv("-", header, table)
         assert capsys.readouterr().out == self.template(table, header)
+
+    @pytest.mark.parametrize("example, grid, shape, passes", [
+        ("example1", "0.000:0.010:0.005,2:5:0.01", (903, 5), 1),
+        ("example2", "0.600:0.604:0.002,0.6:3:0.01", (721, 7), 1),
+        (None, None, (cli.CSV_CHUNK + 1, 7), 2),
+    ], ids=["903x5", "721x7", "chunk+1"])
+    def test_chunk_passes(self, monkeypatch, tmp_path, example, grid, shape, passes):
+        # every tile of the benchmark's scalar-surface workload is one kernel
+        # pass, and one row past a chunk takes a second
+        if example is None:
+            header, table = [f"c{j}" for j in range(7)], np.ones(shape)
+        else:
+            header, table = verify.dominance_scan(example, cli._parse_grid(grid))
+        assert table.shape == shape
+        chunks = []
+        csv_rows = cli._csv_rows
+
+        def counting(chunk):
+            chunks.append(len(chunk))
+            return csv_rows(chunk)
+
+        monkeypatch.setattr(cli, "_csv_rows", counting)
+        cli._write_csv(str(tmp_path / "t.csv"), header, table)
+        assert len(chunks) == passes and sum(chunks) == shape[0]
 
     def test_threads_keep_their_own_buffers(self, tmp_path):
         # NumPy drops the GIL inside its loops, so two threads formatting at
@@ -354,10 +379,16 @@ class TestWriteCsv:
 
     @staticmethod
     def second_write_peak(tmp_path, example, grid):
-        """tracemalloc's peak over the second of two writes of a tile of the
-        benchmark's scalar-surface workload: the second write finds the
-        kernel's buffers in place and builds no index array."""
+        """The shape of a tile of the benchmark's scalar-surface workload and
+        its ``second_peak``."""
         header, table = verify.dominance_scan(example, cli._parse_grid(grid))
+        return table.shape, TestWriteCsv.second_peak(tmp_path, header, table)
+
+    @staticmethod
+    def second_peak(tmp_path, header, table):
+        """tracemalloc's peak over the second of two writes of a table: the
+        second write finds the kernel's buffers in place and builds no index
+        array."""
         path = str(tmp_path / "tile.csv")
         cli._write_csv(path, header, table)
         tracemalloc.start()
@@ -366,7 +397,7 @@ class TestWriteCsv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return table.shape, peak
+        return peak
 
     def test_repeated_tile_reuses_its_buffers(self, tmp_path):
         shape, peak = self.second_write_peak(tmp_path, "example2", "0.600:0.604:0.002,0.6:3:0.01")
@@ -374,10 +405,18 @@ class TestWriteCsv:
         assert peak < 450_000
 
     def test_repeated_example1_tile_reuses_its_buffers(self, tmp_path):
-        # measured 244 KB; the bound has the headroom of the 721 x 7 tile's
+        # measured 264 KB
         shape, peak = self.second_write_peak(tmp_path, "example1", "0.000:0.010:0.005,2:5:0.01")
         assert shape == (903, 5)
         assert peak < 300_000
+
+    def test_repeated_full_chunk_reuses_its_buffers(self, tmp_path):
+        # a whole chunk of 7 columns, the widest table the library writes;
+        # measured 415 KB, bounded with about 15% headroom
+        table = self.values("fixed-notation", np.random.default_rng(17))
+        table = table[:7 * cli.CSV_CHUNK].reshape(-1, 7)
+        assert table.shape == (cli.CSV_CHUNK, 7)
+        assert self.second_peak(tmp_path, [f"c{j}" for j in range(7)], table) < 478_000
 
 
 def test_parser_reused_after_parse_failure(capsys):
