@@ -179,7 +179,7 @@ def _check_tax(t, a, x, variants: tuple[str, ...], p, lower: bool):
             raise ValueError(f"zjz1 upper bound requires 0 < q <= 1, got {p}")
     if not a.min(initial=math.inf) >= 1:
         raise ValueError("ratio parameter a must satisfy a >= 1")
-    if not np.all(t >= a):
+    if not (t >= a).all():
         raise ValueError("t must satisfy t >= a")
     full = [variant for variant in variants if variant in ("ours", "jfq")]
     half = [variant for variant in variants if variant in ("zjz1", "zjz2")]
@@ -214,7 +214,8 @@ def _scalar_bound(t, a, x, variant: str | tuple[str, ...], p: float):
     shape = np.broadcast_shapes(*map(np.shape, (t, a, x, p)))
     t1, a1, x1 = (_full(v, shape or (1,)) for v in (t, a, x))
     tx = t1**x1
-    vals = [w_small + w_large * tx
+    # w_large is a fresh array of the full shape, so the sum is formed in it
+    vals = [np.add(w_small, np.multiply(w_large, tx, out=w_large), out=w_large)
             for w_small, w_large in _weights(_names(variant), x1, a1, p)]
     vals = vals if shape else [float(val[0]) for val in vals]
     return vals[0] if isinstance(variant, str) else tuple(vals)

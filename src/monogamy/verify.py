@@ -23,9 +23,11 @@ MAX_FAILURE_SAMPLES = 100
 STATE_BLOCK = 64
 
 # Samples drawn and checked per block in the scalar suite, so that memory stays
-# flat in n: 4096 gives 32 KB arrays and a working set of about 0.8 MB.  A
-# 2048-sample block measured slower, as it makes twice the NumPy calls; an
-# 8192-sample block ran at about the same speed with about 1 MB more RSS.
+# flat in n: 4096 gives 32 KB arrays and a working set of about 0.8 MB.  It also
+# sets the size of the suite's ten reused buffers, each below glibc's default
+# 128 KB mmap threshold (see ``verify_scalar``).  A 2048-sample block measured
+# slower, as it makes twice the NumPy calls; an 8192-sample block ran at about
+# the same speed with about 1 MB more RSS.
 SCALAR_BLOCK = 4096
 
 # Worked-example fixtures: pairwise values, the associated ratio parameter and
@@ -166,12 +168,22 @@ def verify_scalar(n: int, seed: int = 0, tol: float = 1e-12,
     They are drawn and checked in blocks of SCALAR_BLOCK samples, each array
     from its own PCG64 of one SeedSequence advanced to its segment, so that
     memory stays flat in n and the report has the bits of one unblocked pass.
+
+    Each block draws into ten buffers made once per call: the eight arrays,
+    1 + t and the exact powers (1+t)^x.  A draw is ``Generator.random`` and
+    uniform's own map low + (high - low) * u, both in place (``_uniform``),
+    so it has uniform's bits; each margin is formed in place, in the buffer
+    of the exact powers or in an array that a bound call has just returned.
+    The buffers are ten 32 KB arrays, below glibc's default 128 KB mmap
+    threshold, so no call maps them: one (10, SCALAR_BLOCK) array would be
+    mapped, and faulted in, while the threshold is at that default.
     """
     n = _sample_count(n)
     seq = np.random.SeedSequence(seed)  # the seeding of default_rng(seed)
     # uniform takes one 64-bit draw per double
     rng_a, rng_t, rng_lo, rng_half, rng_up, rng_dom, rng_p, rng_q = (
         np.random.Generator(np.random.PCG64(seq).advance(i * n)) for i in range(8))
+    buffers = [np.empty(SCALAR_BLOCK) for _ in range(10)]
     families: dict[str, VerificationReport] = {}  # the first block adds them in order
 
     def record(label: str, margins, tol: float):
@@ -180,43 +192,56 @@ def verify_scalar(n: int, seed: int = 0, tol: float = 1e-12,
 
     for start in range(0, n, SCALAR_BLOCK):
         k = min(SCALAR_BLOCK, n - start)
-        a = rng_a.uniform(1.0, 10.0, k)
-        t = rng_t.uniform(a, 100.0)
-        x_lo = rng_lo.uniform(0.0, 1.0, k)
+        a, t, x_lo, x_half, x_up, x_dom, p, q, t1, exact = (buf[:k] for buf in buffers)
+        _uniform(rng_a, a, 1.0, 10.0 - 1.0)
+        _uniform(rng_t, t, a, np.subtract(100.0, a, out=exact))
+        rng_lo.random(out=x_lo)  # uniform(0, 1) is random() itself
         x_lo[x_lo == 0.0] = 1.0
-        x_half = rng_half.uniform(0.0, 0.5, k)
+        _uniform(rng_half, x_half, 0.0, 0.5)
         x_half[x_half == 0.0] = 0.5
-        x_up = rng_up.uniform(1.0, 8.0, k)
-        x_dom = rng_dom.uniform(1.0, 6.0, k)
-        p = rng_p.uniform(0.5, 1.0, k)
-        q = rng_q.uniform(0.0, 1.0, k)
+        _uniform(rng_up, x_up, 1.0, 8.0 - 1.0)
+        _uniform(rng_dom, x_dom, 1.0, 6.0 - 1.0)
+        _uniform(rng_p, p, 0.5, 1.0 - 0.5)
+        rng_q.random(out=q)
         q[q == 0.0] = 1.0
 
         # each family's arrays replace the last ones, so that few are alive at once
-        t1 = 1 + t
+        np.add(t, 1.0, out=t1)
         ours, jfq = bounds.scalar_lower_bound(t, x_lo, a, ("ours", "jfq"))
-        record("scalar-lower", np.power(t1, x_lo) - ours, tol)
+        record("scalar-lower", np.subtract(np.power(t1, x_lo, out=exact), ours, out=exact), tol)
         ours_up = bounds.scalar_upper_bound(t, x_up, a)
-        exact = np.power(t1, x_up)
-        record("scalar-upper", (ours_up - exact) / exact, rtol)
-        record("dominance-lower-jfq", ours - jfq, tol)
+        np.power(t1, x_up, out=exact)
+        ours_up -= exact
+        ours_up /= exact
+        record("scalar-upper", ours_up, rtol)
+        record("dominance-lower-jfq", np.subtract(ours, jfq, out=jfq), tol)
         del ours_up, jfq
 
         ours, zjz1, zjz2 = bounds.scalar_lower_bound(t, x_half, a, ("ours", "zjz1", "zjz2"), p=p)
-        record("dominance-lower-zjz1", ours - zjz1, tol)
-        record("dominance-lower-zjz2", ours - zjz2, tol)
+        record("dominance-lower-zjz1", np.subtract(ours, zjz1, out=zjz1), tol)
+        record("dominance-lower-zjz2", np.subtract(ours, zjz2, out=zjz2), tol)
         del zjz1, zjz2
 
         ours, *others = bounds.scalar_upper_bound(t, x_dom, a, ("ours", "jfq", "zjz1", "zjz2"),
                                                   p=q)
-        exact = np.power(t1, x_dom)
+        np.power(t1, x_dom, out=exact)
         for name, other in zip(("jfq", "zjz1", "zjz2"), others):
-            record(f"dominance-upper-{name}", (other - ours) / exact, rtol)
+            other -= ours
+            other /= exact
+            record(f"dominance-upper-{name}", other, rtol)
 
     report = VerificationReport()
     for family in families.values():
         report.merge(family)
     return report
+
+
+def _uniform(rng: np.random.Generator, out: np.ndarray, low, width):
+    """``rng.uniform(low, low + width)`` into ``out``, by uniform's own
+    arithmetic low + (high - low) * u on one ``random`` draw u per entry."""
+    rng.random(out=out)
+    out *= width
+    out += low
 
 
 def _measured_blocks(n: int, seed: int, draw, dims: tuple[int, ...], kind: MeasureKind):

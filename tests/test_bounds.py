@@ -169,6 +169,12 @@ class TestRatioCondition:
         ((1.0, 3.0, 2.0), 1.0, 1.0, True),  # a = 1 holds for any values
         ((1.0, 0.9), 2.0, 1.0, False),
         ((1.0, 0.0), 100.0, 2.0, True),  # a zero successor passes
+        # a just above the ratio's power, 4 at e = 2 and 2 at e = 1: the
+        # condition's relative slack of 1e-12 absorbs 1e-13, not 1e-9
+        ((1.0, 0.5), 4 * (1 + 1e-9), 2.0, False),
+        ((1.0, 0.5), 4 * (1 + 1e-13), 2.0, True),
+        ((1.0, 0.5), 2 * (1 + 1e-9), 1.0, False),
+        ((1.0, 0.5), 2 * (1 + 1e-13), 1.0, True),
     ])
     def test_cases(self, values, a, e, want):
         mode = "monogamy" if e >= 2 else "polygamy"

@@ -388,11 +388,9 @@ def test_verify_scalar_makes_four_bound_calls_per_block(monkeypatch, n, blocks):
     assert upper == ["ours", ("ours", "jfq", "zjz1", "zjz2")] * blocks
 
 
-def unblocked_scalar(n, seed=0, tol=1e-12, rtol=1e-9):
-    """``verify_scalar`` as one pass over all n samples: the eight arrays are
-    drawn in turn from one ``default_rng(seed)`` stream and each family is
-    recorded once, labelled ``family[i]``."""
-    report = VerificationReport()
+def unblocked_draws(n, seed):
+    """The eight arrays of ``unblocked_scalar``: n draws each, in turn, by
+    ``uniform`` from one ``default_rng(seed)`` stream."""
     rng = np.random.default_rng(seed)
     a = rng.uniform(1.0, 10.0, n)
     t = rng.uniform(a, 100.0)
@@ -405,6 +403,46 @@ def unblocked_scalar(n, seed=0, tol=1e-12, rtol=1e-9):
     p = rng.uniform(0.5, 1.0, n)
     q = rng.uniform(0.0, 1.0, n)
     q[q == 0.0] = 1.0
+    return a, t, x_lo, x_half, x_up, x_dom, p, q
+
+
+@pytest.mark.parametrize("seed", [0, 12345])
+def test_verify_scalar_hands_the_bounds_the_uniform_draws(monkeypatch, seed):
+    # the block buffers are reused, so each argument is copied at call time;
+    # an array the bounds see must equal uniform's draws in every bit, which
+    # the report, of worst margins and failures only, would not show
+    seen = {"lower": [], "upper": []}
+    for name in seen:
+        real = getattr(bounds, f"scalar_{name}_bound")
+
+        def capture(t, x, a, variant="ours", p=0.5, real=real, calls=seen[name]):
+            calls.append([np.array(v, copy=True) for v in (t, x, a, p)])
+            return real(t, x, a, variant, p=p)
+
+        monkeypatch.setattr(bounds, f"scalar_{name}_bound", capture)
+    n = 2 * SCALAR_BLOCK + 5
+    verify_scalar(n, seed=seed)
+    lower, upper = seen["lower"], seen["upper"]
+    assert len(lower) == len(upper) == 6  # two of each per block, three blocks
+    for block in range(3):  # the four calls of a block share its t and a
+        t, _, a, _ = lower[2 * block]
+        for other in (upper[2 * block], lower[2 * block + 1], upper[2 * block + 1]):
+            assert np.array_equal(other[0], t) and np.array_equal(other[2], a)
+    got = {"a": [call[2] for call in lower[::2]], "t": [call[0] for call in lower[::2]],
+           "x_lo": [call[1] for call in lower[::2]], "x_half": [call[1] for call in lower[1::2]],
+           "x_up": [call[1] for call in upper[::2]], "x_dom": [call[1] for call in upper[1::2]],
+           "p": [call[3] for call in lower[1::2]], "q": [call[3] for call in upper[1::2]]}
+    for (name, blocks), want in zip(got.items(), unblocked_draws(n, seed)):
+        assert [len(block) for block in blocks] == [SCALAR_BLOCK, SCALAR_BLOCK, 5]
+        assert np.array_equal(np.concatenate(blocks), want), name
+
+
+def unblocked_scalar(n, seed=0, tol=1e-12, rtol=1e-9):
+    """``verify_scalar`` as one pass over all n samples: the eight arrays are
+    drawn in turn from one ``default_rng(seed)`` stream and each family is
+    recorded once, labelled ``family[i]``."""
+    report = VerificationReport()
+    a, t, x_lo, x_half, x_up, x_dom, p, q = unblocked_draws(n, seed)
 
     def record(label, margins, tol):
         report.record(margins, tol, lambda i: f"{label}[{i}]")
