@@ -108,9 +108,7 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
+    return format(value, ".12g")
 
 
 def _csv_codes(v: np.ndarray, quad_zeros: np.ndarray, quads: np.ndarray) -> np.ndarray:

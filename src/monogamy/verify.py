@@ -350,16 +350,9 @@ def verify_polygamy_states(n: int, seed: int = 0, s: float | None = None,
         ok &= np.array(keep, dtype=bool)  # bool also for an empty block
         report.skipped += len(first) - int(np.count_nonzero(ok))
         cells &= ok[:, None]
-        where = None  # the checked cells' rows and columns, found on a first failure
-
-        def describe(j):
-            nonlocal where
-            if where is None:
-                where = np.nonzero(cells)
-            i, k = where[0][j], where[1][j]
-            return start + int(i), float(s_k[i]), float(betas[i, k])
-
-        report.record(margins[cells], tol, describe)
+        rows, cols = np.nonzero(cells)  # in the order of margins[cells]
+        report.record(margins[cells], tol, lambda j: (
+            start + int(rows[j]), float(s_k[rows[j]]), float(betas[rows[j], cols[j]])))
     return report
 
 

@@ -198,6 +198,11 @@ class TestRatioCondition:
             max_admissible_a(values, 2)
         assert str(exc.value) == f"values must be finite and nonnegative, got {seen}"
 
+    @pytest.mark.parametrize("values", [[], [[0.5, 0.1]]], ids=["empty", "2-d"])
+    def test_values_must_be_one_nonempty_row(self, values):
+        with pytest.raises(ValueError, match="values must be a nonempty 1-d sequence"):
+            max_admissible_a(values, 2)
+
 
 # A reference for the bound in stdlib decimal at 50 digits, which shares no
 # arithmetic with the kernel: for descending v_1 >= ... >= v_m at x = target/s,
@@ -393,6 +398,10 @@ class TestMonogamyBound:
         with pytest.raises(ValueError, match="alpha/r"):
             monogamy_bound(ex1_mv, BoundSpec("monogamy", 2, 1.5, a=EX1_A, variant="zjz2"))
 
+    def test_mode_mismatch(self):
+        with pytest.raises(ValueError, match="monogamy_bound needs a spec in monogamy mode"):
+            monogamy_bound(ex1_mv, BoundSpec("polygamy", 0.6, 1))
+
     def test_four_party_uses_ordered_sum(self):
         mv = MeasureVector(MeasureKind.CONCURRENCE, 0.9, (0.1, 0.6, 0.3))
         rep = monogamy_bound(mv, BoundSpec("monogamy", 2, 1))
@@ -436,7 +445,7 @@ class TestPolygamyBound:
         assert abs(rep.bound_value - (0.25**0.6 + 0.5**0.6)) < 1e-12
 
     def test_mode_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="polygamy_bound needs a spec in polygamy mode"):
             polygamy_bound(ex2_mv, BoundSpec("monogamy", 2, 1))
 
     def test_base_relation_flagged_for_unverified_kind(self):
@@ -760,6 +769,10 @@ class TestBoundSpec:
          "p must be a scalar, got an array of shape (2,)"),
         (dict(mode="polygamy", base_exp=0.5, target_exp=1.0, p=[[0.5]]),
          "p must be a scalar, got an array of shape (1, 1)"),
+        (dict(mode="polygamy", base_exp=0.5, target_exp=1.0, variant="zjz1", p=0.0),
+         "zjz1 requires 0 < p <= 1 in polygamy mode, got 0.0"),
+        (dict(mode="polygamy", base_exp=0.5, target_exp=1.0, variant="zjz1", p=1.5),
+         "zjz1 requires 0 < p <= 1 in polygamy mode, got 1.5"),
     ])
     def test_messages_name_the_failing_entry(self, kwargs, seen):
         with pytest.raises(ValueError) as exc:

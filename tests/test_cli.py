@@ -220,6 +220,12 @@ class TestRepro:
         assert code == 3 and out == ""
         assert err.startswith("error: ") and seen in err
 
+    @pytest.mark.parametrize("grid", ["0:1,2:5:0.01", "0:1:a,2:5:0.01", "0:1:0.1"])
+    def test_malformed_grid_exit_2(self, capsys, grid):
+        code, out, err = run(capsys, "repro", "example1", "--grid", grid)
+        assert code == 2 and out == ""
+        assert err == f"error: cannot parse grid {grid!r}\n"
+
     def test_overflowing_grid_exit_3(self, capsys):
         # (1 + a)^x overflows a Python float at beta / s = 2000 / 0.6
         code, out, err = run(capsys, "repro", "example2", "--grid", "0.6:0.6:0.1,0.6:2000:500")

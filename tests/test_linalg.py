@@ -78,6 +78,15 @@ class TestPartialTranspose:
         pt = linalg.partial_transpose(rho, [2, 2], 0)
         assert abs(np.trace(pt) - np.trace(rho)) < 1e-14
 
+    @pytest.mark.parametrize("dims,part,seen", [
+        ((0, 4), 0, "subsystem dimensions must be positive, got (0, 4)"),
+        ((2, 2), 2, "part index 2 out of range for 2 subsystems"),
+        ((2, 2), -1, "part index -1 out of range for 2 subsystems"),
+    ])
+    def test_rejects_bad_dims_or_part(self, dims, part, seen):
+        with pytest.raises(ValueError, match=re.escape(seen)):
+            linalg.partial_transpose(random_density(4), dims, part)
+
     def test_bell_eigenvalues(self):
         pt = linalg.partial_transpose(bell_rho(), [2, 2], 0)
         ev = np.sort(np.linalg.eigvalsh(pt))

@@ -94,9 +94,15 @@ class TestConcurrencePure:
         psi = schmidt3_state(0.5, S6, S6, 0.5, S6)
         assert abs(concurrence_pure(psi, [0]) - math.sqrt(21) / 6) < 1e-12
 
-    def test_invalid_partition(self):
-        with pytest.raises(ValueError):
-            concurrence_pure(bell(), [0, 1])
+    @pytest.mark.parametrize("part,seen", [
+        ([0, 1], "part_a [0, 1] is not a proper nonempty subset of 2 subsystems"),
+        ([2], "part_a [2] out of range for 2 subsystems"),
+        ([-1], "part_a [-1] out of range for 2 subsystems"),
+    ], ids=["whole", "above", "negative"])
+    def test_invalid_partition(self, part, seen):
+        with pytest.raises(ValueError) as exc:
+            concurrence_pure(bell(), part)
+        assert str(exc.value) == seen
 
     def test_two_qubit_parts_of_product_states(self):
         # 1 - purity cancelled to up to 5e-8 here; the singular values give

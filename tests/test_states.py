@@ -212,6 +212,17 @@ def test_haar_deterministic():
     assert not np.array_equal(a.amps, c.amps)
 
 
+@pytest.mark.parametrize("make,want", [
+    (lambda: states.check_amplitudes((2, 2), np.full(4, 0.5)),
+     "expected one amplitude vector per row, got shape (4,)"),
+    (lambda: haar_random_pure((), seed=1), "dims must be nonempty"),
+], ids=["one-vector", "no-dims"])
+def test_amplitudes_reject_a_bad_shape(make, want):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == want
+
+
 def test_haar_normalized():
     psi = haar_random_pure([4, 4], seed=3)
     assert abs(np.linalg.norm(psi.amps) - 1) < 1e-12
@@ -370,18 +381,21 @@ class TestParseStateSpec:
             parse_state_spec(f"haar:{dims}:1")
         assert str(exc.value) == f"haar dims {dims!r} must all be at least 1"
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "schmidt3:1,0,0",
-            "wclass:1,0",
-            "haar:2y2:1",
-            "haar:2x2:-1",
-            "mystery:1,2",
-            "wclass:one,0,0",
-            "schmidt3",
-        ],
-    )
-    def test_rejects(self, bad):
-        with pytest.raises(StateSpecError):
+    REJECTED = [
+        ("schmidt3:1,0,0", "schmidt3 expects 5 coefficients plus optional phase, got 3"),
+        ("wclass:1,0", "wclass expects 3 coefficients, got 2"),
+        ("haar:2y2:1", "cannot parse dims '2y2'"),
+        ("haar:2x2:-1", "haar seed must be a non-negative integer, got '-1'"),
+        ("mystery:1,2", "unknown state family 'mystery'"),
+        ("wclass:one,0,0", "cannot parse number 'one'"),
+        ("schmidt3", "state spec 'schmidt3' has no ':' separator"),
+        ("wclass:1/0,0,1", "division by zero in '1/0'"),
+        ("wclass:sqrt(-1),0,1", "sqrt of negative number in 'sqrt(-1)'"),
+        ("haar:2x2:abc", "cannot parse seed 'abc'"),
+    ]
+
+    @pytest.mark.parametrize("bad,seen", REJECTED, ids=[bad for bad, _ in REJECTED])
+    def test_rejects(self, bad, seen):
+        with pytest.raises(StateSpecError) as exc:
             parse_state_spec(bad)
+        assert str(exc.value) == seen

@@ -343,27 +343,6 @@ def test_polygamy_failure_descriptors_name_the_checked_cells(monkeypatch, seed, 
                for (k, s, beta), _ in rep.failure_samples)
 
 
-def test_polygamy_finds_cells_on_a_failing_block_only(monkeypatch):
-    """The cells' indices are found by one np.nonzero on a block's first
-    failure: none for a passing request, one per block with failures."""
-    calls, real = [], np.nonzero
-    monkeypatch.setattr(np, "nonzero", lambda a: calls.append(a.shape) or real(a))
-    for seed in (1, 2):
-        for beta_grid in (None, CUT_GRID):
-            rep = verify_polygamy_states(90, seed, beta_grid=beta_grid)
-            assert rep.failures == 0 and rep.total > 0
-    assert calls == []
-    # the first block fills the failure samples, so the second needs no
-    # names; the (N,) calls are the report's np.flatnonzero of its margins
-    verify_polygamy_states(90, 1, tol=-math.inf)
-    assert [shape for shape in calls if len(shape) == 2] == [(64, 8)]
-    monkeypatch.setattr(verify, "MAX_FAILURE_SAMPLES", 10**5)
-    calls.clear()
-    rep = verify_polygamy_states(90, 1, tol=-math.inf)
-    assert [shape for shape in calls if len(shape) == 2] == [(64, 8), (26, 8)]
-    assert len(rep.failure_samples) == rep.failures > 90
-
-
 def counting(monkeypatch, name):
     """Wrap ``bounds.name`` so that each call appends its ``variant`` argument."""
     calls, real = [], getattr(bounds, name)
@@ -585,9 +564,26 @@ class TestDominance:
         with pytest.raises(FloatingPointError, match="overflow"):
             dominance_scan("example2", grid)
 
-    def test_unknown_example(self):
-        with pytest.raises(ValueError):
-            dominance_scan("example3")
+    @pytest.mark.parametrize("fn", [dominance_scan, default_grid], ids=lambda fn: fn.__name__)
+    def test_unknown_example(self, fn):
+        with pytest.raises(ValueError, match="unknown example 'example3'"):
+            fn("example3")
+
+    @pytest.mark.parametrize("slot", [0, 1], ids=["w_small", "w_large"])
+    def test_too_strong_ours_fails_example2(self, monkeypatch, slot):
+        """A planted defect: one of ours' two weights 1e-9 too large makes
+        the bound stronger than it may be, and the example 2 scan fails."""
+        real = bounds._weights
+
+        def planted(variants, x, a, p):
+            for name, weights in zip(variants, real(variants, x, a, p)):
+                if name == "ours":
+                    weights = list(weights)
+                    weights[slot] = weights[slot] * (1 + 1e-9)
+                yield tuple(weights)
+
+        monkeypatch.setattr(bounds, "_weights", planted)
+        assert verify_dominance("example2").failures == 106
 
 
 def test_report_merge_and_summary():
