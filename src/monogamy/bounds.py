@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import MeasureKind, MeasureVector
+from .measures import MeasureVector
 
 VARIANTS = ("ours", "jfq", "zjz1", "zjz2")
 
@@ -26,11 +26,6 @@ A_CAP = 1e8
 # ``_layout``): some twenty of the suites' largest layouts, 64 states x 8
 # targets at m = 5, of about 50 KB each.
 LAYOUT_STORE_BYTES = 2**20
-
-# Measure kinds whose base relation is established (CKW r=2 for concurrence
-# and SCREN in monogamy mode; assisted measures at s<=1 in polygamy mode).
-_VERIFIED_MONOGAMY = {MeasureKind.CONCURRENCE, MeasureKind.NEGATIVITY_SCREN}
-_VERIFIED_POLYGAMY = {MeasureKind.SCRENOA, MeasureKind.CONCURRENCE_ASSISTANCE}
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,11 +107,6 @@ class BoundSpec:
         if self.a is not None:
             a = np.asarray(self.a)
             _require(a >= 1, lambda *at: f"ratio parameter a must be >= 1, got {a[at]}")
-
-    @property
-    def x(self) -> float:
-        """Exponent ratio alpha/r (monogamy) or beta/s (polygamy)."""
-        return float(self.target_exp) / float(self.base_exp)
 
 
 @dataclass(frozen=True)
@@ -470,9 +460,8 @@ def _report(mv: MeasureVector, spec: BoundSpec, strict: bool) -> BoundReport:
     amax = max_admissible_a(mv.pairwise, spec.base_exp) if amax is None else float(amax[0])
     if strict and not ok[0]:
         raise ValueError(f"ratio condition fails at a={a[0]} (max admissible {amax})")
-    verified = _VERIFIED_MONOGAMY if spec.mode == "monogamy" else _VERIFIED_POLYGAMY
     return BoundReport(float(bound[0, 0]), float(measured[0, 0]), float(margin[0, 0]),
-                       bool(ok[0]), amax, float(a[0]), mv.kind not in verified)
+                       bool(ok[0]), amax, float(a[0]), mv.kind.relation != spec.mode)
 
 
 def monogamy_bound(mv: MeasureVector, spec: BoundSpec, strict: bool = True) -> BoundReport:

@@ -49,10 +49,22 @@ _BELOW_DIAGONAL = np.tri(4, k=-1, dtype=bool)
 
 
 class MeasureKind(str, Enum):
-    CONCURRENCE = "concurrence"
-    NEGATIVITY_SCREN = "negativity_scren"
-    SCRENOA = "screnoa"
-    CONCURRENCE_ASSISTANCE = "concurrence_assistance"
+    """A bipartite measure with its row of facts.  All kinds come from the
+    spin-flip roots: concurrence is max(0, mu_1 - mu_2 - ...), its
+    ``assisted`` value the sum of the roots, and SCREN / SCRENoA their
+    ``squared`` values, one-vs-rest and pairs alike.  ``relation`` is the
+    mode whose base relation is established: CKW r=2 for concurrence and
+    SCREN in monogamy mode; assisted measures at s<=1 in polygamy mode."""
+
+    CONCURRENCE = "concurrence", False, False, "monogamy"
+    NEGATIVITY_SCREN = "negativity_scren", False, True, "monogamy"
+    SCRENOA = "screnoa", True, True, "polygamy"
+    CONCURRENCE_ASSISTANCE = "concurrence_assistance", True, False, "polygamy"
+
+    def __new__(cls, value: str, assisted: bool, squared: bool, relation: str):
+        obj = str.__new__(cls, value)
+        obj._value_, obj.assisted, obj.squared, obj.relation = value, assisted, squared, relation
+        return obj
 
 
 @dataclass(frozen=True)
@@ -73,6 +85,7 @@ class MeasureVector:
                              f"{tuple(map(float, vals))}")
         object.__setattr__(self, "pairwise", tuple(float(v) for v in self.pairwise))
         object.__setattr__(self, "one_vs_rest", float(self.one_vs_rest))
+        object.__setattr__(self, "kind", MeasureKind(self.kind))  # bounds reads its row
 
 
 def _check_bipartition(n: int, part_a: Sequence[int]) -> list[int]:
@@ -224,18 +237,14 @@ def _pair_values(f: np.ndarray, kind: MeasureKind) -> np.ndarray:
     """Two-qubit values of ``kind`` on states f f^dagger, f (..., 4, k), of
     shape (...).
 
-    All four kinds come from the spin-flip roots: concurrence is
-    max(0, mu_1 - mu_2 - ...), its assisted value the sum of the roots, and
-    SCREN / SCRENoA their squares.
-
     A two-qubit state is entangled exactly when det(rho^{T_B}) < 0
     (Augusiak, Demianowicz and Horodecki, PRA 77, 030301(R) (2008)), so for
-    concurrence and SCREN a wide f (k > 4: pairs of 5- and 6-qubit states,
-    most of them separable) first takes ``_pt_det``: a row whose determinant
-    exceeds its error bound ``_PT_DET_ATOL`` has value exactly 0, the value
-    the roots give it, and only the other rows take the roots.
+    a kind that is not assisted a wide f (k > 4: pairs of 5- and 6-qubit
+    states, most of them separable) first takes ``_pt_det``: a row whose
+    determinant exceeds its error bound ``_PT_DET_ATOL`` has value exactly 0,
+    the value the roots give it, and only the other rows take the roots.
     """
-    if f.shape[-1] > 4 and kind in (MeasureKind.CONCURRENCE, MeasureKind.NEGATIVITY_SCREN):
+    if f.shape[-1] > 4 and not kind.assisted:
         live = _pt_det(f) <= _PT_DET_ATOL
         vals = np.zeros(live.shape)
         if live.any():
@@ -247,14 +256,14 @@ def _pair_values(f: np.ndarray, kind: MeasureKind) -> np.ndarray:
 def _root_values(f: np.ndarray, kind: MeasureKind) -> np.ndarray:
     """``_pair_values`` from the spin-flip roots of every row."""
     mu = _spin_flip_roots(f)
-    if kind in (MeasureKind.CONCURRENCE, MeasureKind.NEGATIVITY_SCREN):
+    if kind.assisted:
+        vals = np.add.reduce(mu, axis=-1)  # np.sum without its Python wrapper
+    else:
         d = mu[..., 0] - mu[..., 1]
         for i in range(2, mu.shape[-1]):
             d -= mu[..., i]
         vals = np.where(d > 0.0, d, 0.0)
-    else:
-        vals = np.add.reduce(mu, axis=-1)  # np.sum without its Python wrapper
-    return np.square(vals) if kind in (MeasureKind.NEGATIVITY_SCREN, MeasureKind.SCRENOA) else vals
+    return np.square(vals) if kind.squared else vals
 
 
 def _two_qubit_factor(rho: DensityMatrix) -> np.ndarray:
@@ -334,7 +343,7 @@ def _measure(amps: np.ndarray, dims: tuple[int, ...], kind: MeasureKind):
     # states the assisted value has a single-term decomposition, and a
     # qubit's negativity equals its concurrence
     first = _qubit_concurrence(amps.reshape(len(amps), 2, 2 ** (n - 1)))
-    if kind in (MeasureKind.NEGATIVITY_SCREN, MeasureKind.SCRENOA):
+    if kind.squared:
         first = np.square(first)
     return first, _pair_values(amps[:, _pair_index(n)], kind)
 

@@ -350,9 +350,10 @@ def verify_polygamy_states(n: int, seed: int = 0, s: float | None = None,
         ok &= np.array(keep, dtype=bool)  # bool also for an empty block
         report.skipped += len(first) - int(np.count_nonzero(ok))
         cells &= ok[:, None]
-        rows, cols = np.nonzero(cells)  # in the order of margins[cells]
-        report.record(margins[cells], tol, lambda j: (
-            start + int(rows[j]), float(s_k[rows[j]]), float(betas[rows[j], cols[j]])))
+        idx = np.flatnonzero(cells)  # in C order, the order of margins[cells]
+        report.record(margins.take(idx), tol, lambda j: (
+            start + int(idx[j]) // cells.shape[1], float(s_k[idx[j] // cells.shape[1]]),
+            float(betas.flat[idx[j]])))
     return report
 
 

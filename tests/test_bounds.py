@@ -448,10 +448,23 @@ class TestPolygamyBound:
         with pytest.raises(ValueError, match="polygamy_bound needs a spec in polygamy mode"):
             polygamy_bound(ex2_mv, BoundSpec("monogamy", 2, 1))
 
-    def test_base_relation_flagged_for_unverified_kind(self):
-        mv = MeasureVector(MeasureKind.CONCURRENCE, 0.9, (0.25, 0.5))
-        rep = polygamy_bound(mv, BoundSpec("polygamy", 1.0, 2.0))
-        assert rep.base_relation_assumed
+    @pytest.mark.parametrize("kind,mode,assumed", [
+        (MeasureKind.CONCURRENCE, "monogamy", False),
+        (MeasureKind.CONCURRENCE, "polygamy", True),
+        (MeasureKind.NEGATIVITY_SCREN, "monogamy", False),
+        (MeasureKind.NEGATIVITY_SCREN, "polygamy", True),
+        (MeasureKind.SCRENOA, "monogamy", True),
+        (MeasureKind.SCRENOA, "polygamy", False),
+        (MeasureKind.CONCURRENCE_ASSISTANCE, "monogamy", True),
+        (MeasureKind.CONCURRENCE_ASSISTANCE, "polygamy", False),
+    ])
+    def test_base_relation_flagged_for_unverified_kind(self, kind, mode, assumed):
+        mv = MeasureVector(kind, 0.9, (0.25, 0.5))
+        if mode == "monogamy":
+            rep = monogamy_bound(mv, BoundSpec("monogamy", 2.0, 1.0))
+        else:
+            rep = polygamy_bound(mv, BoundSpec("polygamy", 1.0, 2.0))
+        assert rep.base_relation_assumed is assumed
 
 
 class TestTripartiteBound:
@@ -925,10 +938,6 @@ class TestBoundSpec:
         assert dataclasses.replace(spec)._layouts == {}
         assert margin_rows([0.9], [(0.5, 0.1)], twin)[0].shape == (1, 1)
         assert list(spec._layouts) == [(1, 2)]
-
-    def test_x_property(self):
-        assert BoundSpec("monogamy", 2, 1).x == 0.5
-        assert abs(BoundSpec("polygamy", 0.6, 1.5).x - 2.5) < 1e-12
 
 
 class TestTightOnWClass:

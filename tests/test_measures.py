@@ -282,6 +282,12 @@ class TestMeasureVector:
                           tuple(np.array([0.5, 0.1])))
         assert str(err.value) == "measure values must be finite and nonnegative: (nan, 0.5, 0.1)"
 
+    def test_kind_given_by_value_is_the_member(self):
+        mv = MeasureVector("screnoa", 0.75, (0.25, 0.5))
+        assert mv.kind is MeasureKind.SCRENOA and mv.kind.relation == "polygamy"
+        with pytest.raises(ValueError, match="'bogus' is not a valid MeasureKind"):
+            MeasureVector("bogus", 0.75, (0.25, 0.5))
+
 
 class TestBaseRelations:
     def test_ckw_haar_states(self):
