@@ -23,8 +23,8 @@ VARIANTS = ("ours", "jfq", "zjz1", "zjz2")
 A_CAP = 1e8
 
 # Most bytes of exponent arrays a spec keeps for its later blocks (see
-# ``_layout``): some twenty of the suites' largest layouts, 64 states x 8
-# targets at m = 5, of about 50 KB each.
+# ``_layout``): some thirty of the suites' largest layouts, 64 states x 8
+# targets at m = 5, of 33,280 bytes each.
 LAYOUT_STORE_BYTES = 2**20
 
 
@@ -127,7 +127,7 @@ def _weights(variants: tuple[str, ...], x: np.ndarray, a, p: float):
     1 + a is taken once, and the powers that jfq, zjz1 and zjz2 share,
     (1+a)^x and a^x, once, by the first of them.  ``x`` is an array, which
     should have the full shape of the weights so that every power runs
-    NumPy's pow loop elementwise (see ``_power``).
+    NumPy's pow loop elementwise (see ``_full``).
     """
     a1, shared = 1.0 + a, None
     for variant in variants:
@@ -138,7 +138,7 @@ def _weights(variants: tuple[str, ...], x: np.ndarray, a, p: float):
         if variant == "jfq":
             w0 = 1.0
         elif variant in ("zjz1", "zjz2"):
-            w0 = _power(p if variant == "zjz1" else 0.5, x)
+            w0 = _full(p if variant == "zjz1" else 0.5, x.shape) ** x
         else:
             raise ValueError(f"unknown variant {variant!r}")
         if shared is None:
@@ -186,8 +186,10 @@ def _check_tax(t, a, x, variants: tuple[str, ...], p, lower: bool):
 
 def _full(v, shape) -> np.ndarray:
     """``v`` as a C-contiguous float array of ``shape``, copied only if it is
-    not one; never a broadcast view, whose stride 0 would put NumPy's pow on
-    its scalar-exponent shortcuts (see ``_power``)."""
+    not one; never a broadcast view.  Where one exponent spans a loop NumPy's
+    pow takes x * x for x^2 and sqrt(x) for x^0.5, and on a reversed view
+    the C library's pow; a pow of operands of this form gives each element
+    the bits of NumPy's pow loop on that element alone."""
     v = np.asarray(v, dtype=float)
     if v.shape == shape and v.flags.c_contiguous and 0 not in v.strides:
         return v
@@ -196,19 +198,24 @@ def _full(v, shape) -> np.ndarray:
     return out
 
 
-def _scalar_bound(t, a, x, variant: str | tuple[str, ...], p: float):
-    """The bound of ``variant``, or a tuple with the bound of each name of a
-    tuple ``variant``, taking t^x and the shared weight powers once."""
-    # operands of the full shape (1-d for scalar calls), so that every
-    # element takes NumPy's pow loop whatever the shapes passed
-    shape = np.broadcast_shapes(*map(np.shape, (t, a, x, p)))
-    t1, a1, x1 = (_full(v, shape or (1,)) for v in (t, a, x))
-    tx = t1**x1
-    # w_large is a fresh array of the full shape, so the sum is formed in it
-    vals = [np.add(w_small, np.multiply(w_large, tx, out=w_large), out=w_large)
-            for w_small, w_large in _weights(_names(variant), x1, a1, p)]
+def _two_weight(small, large, x, a, variant: str | tuple[str, ...], p, shape: tuple):
+    """The two-weight form w_small * small + w_large * large with the weights
+    of ``variant`` at exponent ratio ``x`` (an array of the full shape), or a
+    tuple with the form of each name of a tuple ``variant``; each is formed
+    in its own fresh w_large array, and a scalar call (``shape`` ()) gives
+    floats."""
+    vals = [np.add(w_small * small, np.multiply(w_large, large, out=w_large), out=w_large)
+            for w_small, w_large in _weights(_names(variant), x, a, p)]
     vals = vals if shape else [float(val[0]) for val in vals]
     return vals[0] if isinstance(variant, str) else tuple(vals)
+
+
+def _scalar_bound(t, a, x, variant: str | tuple[str, ...], p: float):
+    """The bound of ``variant``, w_small + w_large * t^x, or a tuple with the
+    bound of each name of a tuple ``variant``, taking t^x once."""
+    shape = np.broadcast_shapes(*map(np.shape, (t, a, x, p)))
+    t1, a1, x1 = (_full(v, shape or (1,)) for v in (t, a, x))
+    return _two_weight(1.0, t1**x1, x1, a1, variant, p, shape)
 
 
 def scalar_lower_bound(t, x, a, variant: str | tuple[str, ...] = "ours", p: float = 0.5):
@@ -234,17 +241,6 @@ def scalar_upper_bound(t, x, a, variant: str | tuple[str, ...] = "ours", p: floa
     return _scalar_bound(t, a, x, variant, p)
 
 
-def _power(base, exponent) -> np.ndarray:
-    """``base ** exponent`` with the bits of NumPy's pow loop on each element,
-    whatever the operands' shapes.  Where one exponent spans a loop NumPy
-    takes x * x for x^2 and sqrt(x) for x^0.5, and on a reversed view the C
-    library's pow; so the exponent is expanded to the full shape and the
-    base made contiguous, and a single element takes both in its shape."""
-    exps = _full(exponent, np.broadcast(base, exponent).shape)
-    base = np.reshape(base, exps.shape) if exps.size == 1 else np.ascontiguousarray(base)
-    return np.power(base, exps)
-
-
 def _max_a(rows: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """``max_admissible_a`` of descending rows (N, m) of finite nonnegative
     values, at ``exponents`` (N, m-1) of the full shape.  A zero successor,
@@ -261,15 +257,6 @@ def _ratio_ok(powers: np.ndarray, a) -> np.ndarray:
     a = max_admissible_a itself passes.  A zero successor passes, as nothing
     is below a * 0 (0, or NaN at a = inf)."""
     return ~(powers[:, :-1] < a * powers[:, 1:] * (1.0 - 1e-12)).any(axis=1)
-
-
-def _ordered_sums(terms: np.ndarray, xs: np.ndarray, a: np.ndarray,
-                  w_exps: np.ndarray) -> np.ndarray:
-    """(N, T) ordered weighted sums of the powers ``terms`` (N, T, m) of
-    descending rows at the exponent ratios ``xs`` (N, T), one ``a`` (N,) per
-    row; ``w_exps`` (N, T, m) holds the weights' exponents m-1, ..., 0."""
-    [(scale, w)] = _weights(("ours",), xs, a[:, None], 0.5)
-    return scale * (np.power(w[..., None], w_exps) * terms).sum(axis=-1)
 
 
 @np.errstate(all="ignore")
@@ -295,7 +282,7 @@ def tripartite_bound(smaller: float, larger: float, target: float, x: float,
 
     ``target``, ``x``, ``a`` and ``p`` may be broadcastable arrays, and an
     array call returns an array.  Every power is taken on operands expanded
-    to the full shape (see ``_power``), so an element has the bits of the
+    to the full shape (see ``_full``), so an element has the bits of the
     one-cell call, and a scalar call returns that element as a float.  An
     overflow, a division by zero or an invalid operation raises
     FloatingPointError.  A tuple of variant names returns a tuple of their
@@ -317,12 +304,9 @@ def tripartite_bound(smaller: float, larger: float, target: float, x: float,
         if not ops[name].min(initial=math.inf) >= 0:
             raise ValueError(f"{name} must be nonnegative, got {given[name]}")
     shape = np.broadcast_shapes(*(v.shape for v in ops.values()))
-    target, x, a = (_full(ops[name], shape or (1,)) for name in ("target", "x", "a"))
-    small, large = _power(ops["smaller"], target), _power(ops["larger"], target)
-    vals = [w_small * small + w_large * large
-            for w_small, w_large in _weights(_names(variant), x, a, p)]
-    vals = vals if shape else [float(val[0]) for val in vals]
-    return vals[0] if isinstance(variant, str) else tuple(vals)
+    smaller, larger, target, x, a = (_full(ops[name], shape or (1,))
+                                     for name in ("smaller", "larger", "target", "x", "a"))
+    return _two_weight(smaller**target, larger**target, x, a, variant, p, shape)
 
 
 def _exponent_message(name: str, rule: str, got) -> str:
@@ -343,25 +327,20 @@ def _require(ok: np.ndarray, message) -> None:
 def _layout(spec: BoundSpec, n: int, m: int) -> tuple:
     """The exponent arrays of ``_grid`` for n states of m pairwise values,
     which depend on nothing else: xs = targets / s (N, T), s as (N, m) and,
-    only if ``a`` is resolved by ``_max_a``, as (N, m-1), the (N, T, m+1)
-    exponents of the terms' pow and, unless m = 2, the (N, T, m) exponents
-    of the ordered sums' weights; each of the full shape of its pow (see
-    ``_power``), and None where not needed.  Built once per spec and block
-    shape, read-only, and kept in ``spec._layouts`` while the kept arrays
-    total at most LAYOUT_STORE_BYTES; a layout beyond that is built anew for
-    each block."""
+    only if ``a`` is resolved by ``_max_a``, as (N, m-1), and the targets
+    as the (N, T, m+1) exponents of the terms' pow; each of the full shape
+    of its pow (see ``_full``), and None where not needed.  Built once per
+    spec and block shape, read-only, and kept in ``spec._layouts`` while the
+    kept arrays total at most LAYOUT_STORE_BYTES; a layout beyond that is
+    built anew for each block."""
     layout = spec._layouts.get((n, m))
     if layout is None:
         targets = np.atleast_1d(np.asarray(spec.target_exp, dtype=float))  # a scalar is one target
         full = _full(targets, (n, targets.shape[-1]))
         s = _full(spec.base_exp, (n,))[:, None]
-        xs = full / s
-        exps = np.empty(full.shape + (m + 1,))
-        exps[..., 0] = full
-        exps[..., 1:] = (full if m == 2 else xs)[..., None]
-        w_exps = None if m == 2 else _full(np.arange(m - 1.0, -1.0, -1.0), full.shape + (m,))
         s_ratios = _full(s, (n, m - 1)) if spec.a is None else None
-        layout = (xs, _full(s, (n, m)), s_ratios, exps, w_exps)
+        exps = _full(full[..., None], full.shape + (m + 1,))
+        layout = (full / s, _full(s, (n, m)), s_ratios, exps)
         for v in layout:
             if v is not None:
                 v.flags.writeable = False
@@ -394,7 +373,7 @@ def _grid(one_vs_rest, pairwise, spec: BoundSpec):
         empty = np.empty(_full(targets, (n, targets.shape[-1])).shape)
         return empty, empty, empty, np.empty(0, dtype=bool), np.empty(0), np.empty(0)
     m = pairwise.shape[1]
-    xs, s_rows, s_ratios, exps, w_exps = _layout(spec, n, m)
+    xs, s_rows, s_ratios, exps = _layout(spec, n, m)
     if spec.variant != "ours" and m != 2:
         raise ValueError(f"variant {spec.variant!r} is defined for tripartite states only")
     # each state's one-vs-rest value, then its pairwise values in descending
@@ -410,20 +389,18 @@ def _grid(one_vs_rest, pairwise, spec: BoundSpec):
     rows = bases[:, 1:]
     amax = _max_a(rows, s_ratios) if spec.a is None else None
     a = np.minimum(np.maximum(amax, 1.0), A_CAP) if spec.a is None else _full(spec.a, (n,))
-    powers = np.power(rows, s_rows)  # for the ratio condition and the ordered sums
-    ok = _ratio_ok(powers, a[:, None])
-    if m != 2:  # the terms' pow takes the powers; a pow in place on one
-        rows[...] = powers  # element would take another NumPy loop, other bits
-    # one pow gives the measured values and the bound's terms: the pairwise
-    # values at the targets for two of them, their s-th powers at xs for more
-    # (alpha = 0 collapses every power to 1; 0^0 is 1 in NumPy)
+    ok = _ratio_ok(np.power(rows, s_rows), a[:, None])
+    # one pow gives the measured values and the bound's terms, every value at
+    # the targets (alpha = 0 collapses every power to 1; 0^0 is 1 in NumPy)
     terms = np.power(bases[:, None], exps)
     measured = terms[..., 0]
-    if m == 2:
-        [(w_small, w_large)] = _weights((spec.variant,), xs, a[:, None], spec.p)
-        bound = w_small * terms[..., 2] + w_large * terms[..., 1]
-    else:
-        bound = _ordered_sums(terms[..., 1:], xs, a, w_exps)
+    [(w_small, w_large)] = _weights((spec.variant,), xs, a[:, None], spec.p)
+    # the two-weight step L = w_small v_k + w_large L over the descending
+    # terms, from L = v_1 for two of them and from w_small v_1 for any other m,
+    # which gives the ordered weighted sum
+    bound = terms[..., 1] if m == 2 else w_small * terms[..., 1]
+    for k in range(2, m + 1):
+        bound = w_small * terms[..., k] + w_large * bound
     margin = measured - bound if spec.mode == "monogamy" else bound - measured
     return measured, bound, margin, ok, amax, a
 

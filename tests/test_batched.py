@@ -3,10 +3,10 @@
 ``measure_vectors``, ``margin_rows``, the block Haar draw and the blocked
 state suites must give exactly what the per-state and per-exponent paths
 give, so every comparison between them uses ``==``.  In the bound kernel every power runs
-NumPy's pow loop on an exponent array of the power's full shape (through
-``bounds._power``, or from the spec's kept ``bounds._layout``), which gives
-each element the bits of that loop on the element alone, so that a
-one-state, one-target call and a block get the same bits.  The exceptions are the references, compared within the
+NumPy's pow loop on an exponent array of the power's full shape (from the
+spec's kept ``bounds._layout``), which gives each element the bits of that
+loop on the element alone, so that a one-state, one-target call and a block
+get the same bits.  The exceptions are the references, compared within the
 bounds stated below: measures are taken from the amplitudes and factors of
 them, and are compared with the partial traces of |psi><psi|, the
 spin-flip roots of their square roots and exact closed-form values;

@@ -74,10 +74,10 @@ class TestScalarLowerBound:
     )
     @settings(max_examples=300, deadline=None)
     def test_dominates_prior_variants(self, a, tfrac, x, p):
-        from monogamy.bounds import _scalar_bound
-
         t = a + tfrac * 90
-        ours = _scalar_bound(np.float64(t), np.float64(a), np.float64(x), "ours", 0.5)
+        # ours at x = 0 too, which scalar_lower_bound rejects: the tripartite
+        # form checks no x-domain, and 1^x is exactly 1
+        ours = tripartite_bound(1.0, t, x, x, a)
         assert ours - scalar_lower_bound(t, x, a, "zjz1", p=p) >= -1e-12
         assert ours - scalar_lower_bound(t, x, a, "zjz2") >= -1e-12
         if 0 < x <= 1:
@@ -205,28 +205,32 @@ class TestRatioCondition:
 
 
 # A reference for the bound in stdlib decimal at 50 digits, which shares no
-# arithmetic with the kernel: for descending v_1 >= ... >= v_m at x = target/s,
-# m = 2 takes the two-term form (1+a)^(x-1) v_2^target + w v_1^target and
-# m >= 3 the ordered sum (1+a)^(x-1) sum_k w^(m-k) (v_k^s)^x, with
-# w = (1+1/a)^(x-1).
+# arithmetic with the kernel: for descending v_1 >= ... >= v_m at the exact
+# x = target/s, m = 2 takes the two-term form (1+a)^(x-1) v_2^target +
+# w v_1^target and any other m the ordered sum (1+a)^(x-1) sum_k w^(m-k)
+# v_k^target, with w = (1+1/a)^(x-1).
 #
-# The tolerance is relative to the bound.  The kernel rounds x = target/s, the
-# bases v^s, 1+a and 1+1/a, and each pow, product and sum, each by about half
-# an ulp u = eps/2.  A power y^x turns a relative error d of its base into
-# x d, and the error x u of x into x |ln y| u; every weight and term of the
-# bound is such a power, and all terms are positive, so to first order the
-# bound's relative error is a few u plus x u times a sum of logarithms
-# (ln(1+a) <= 2.4 at a <= 10, (m-1) ln(1+1/a) <= 2.8 at m <= 5, and the
-# |ln v^s| of the terms that carry the sum).  So the tolerance is c (1+x) eps.
-# Over 400 rows per (mode, m) and two targets each, with a from {1} and
-# U[1, 10] and the draws of ``decimal_rows``, the largest error seen was
-# 2.1 (1+x) eps (polygamy, m = 5; at most 2.9 eps in monogamy mode, where
-# x <= 1, and 9.7 eps in polygamy mode, where x <= 6); c = 4 doubles it.
+# The tolerance is relative to the bound.  The kernel rounds x = target/s,
+# 1+a and 1+1/a, and each pow, product and sum, each by about half an ulp
+# u = eps/2.  A power y^x turns a relative error d of its base into x d, and
+# the error x u of x into x |ln y| u; the weights are such powers of 1+a and
+# 1+1/a, each term v^target is one rounded pow of an exact base, and all
+# terms are positive, so to first order the bound's relative error is a few
+# u plus x u (ln(1+a) + (m-1) ln(1+1/a)).  At a <= 10, ln(1+a) <= 2.4 and
+# (m-1) ln(1+1/a) <= 2.8 for m <= 5, so the tolerance is c (1+x) eps.  A
+# larger a, which only a resolved a reaches (A_CAP = 1e8 for a single pair,
+# where ln(1+a) = 18.4), adds the rounding of x in (1+a)^(x-1) beyond that,
+# x (ln(1+a) - ln 11) u.
+# Over 400 rows per (mode, m) for m = 1..5 and two targets each, with a from
+# {1} and U[1, 10] and the draws of ``decimal_rows`` at seed m, the largest
+# error seen was 2.6 (1+x) eps (monogamy, m = 5; at most 2.6 eps in monogamy
+# mode, where x <= 1, and 10.0 eps in polygamy mode, where x <= 6); c = 4 is
+# half again as much.
 DECIMAL_EPS = np.finfo(float).eps
 
 
-def decimal_rtol(x):
-    return 4 * (1 + x) * DECIMAL_EPS
+def decimal_rtol(x, a=1.0):
+    return (4 * (1 + x) + x * max(0.0, math.log1p(a) - math.log(11)) / 2) * DECIMAL_EPS
 
 
 def decimal_bound(values, s, target, a):
@@ -242,7 +246,7 @@ def decimal_bound(values, s, target, a):
         if len(v) == 2:
             return float(scale * v[1] ** target + w * v[0] ** target)
         m = len(v)
-        return float(scale * sum(w ** (m - k) * (vk**s) ** x for k, vk in enumerate(v, 1)))
+        return float(scale * sum(w ** (m - k) * vk**target for k, vk in enumerate(v, 1)))
 
 
 def decimal_rows(mode, m, n, seed):
@@ -266,7 +270,7 @@ def decimal_rows(mode, m, n, seed):
 
 
 class TestDecimalReference:
-    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("mode", ["monogamy", "polygamy"])
     def test_margin_rows(self, mode, m):
         values, s, a, targets = decimal_rows(mode, m, 150, seed=m)
@@ -280,7 +284,7 @@ class TestDecimalReference:
                 want = decimal_bound(row, s_i, target, a_i)
                 assert abs(value - want) <= decimal_rtol(target / s_i) * want, (row, target)
 
-    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("mode", ["monogamy", "polygamy"])
     def test_single_target_reports(self, mode, m):
         """Reports at given and resolved a, and at x = 0 (alpha = 0)."""
@@ -294,7 +298,7 @@ class TestDecimalReference:
                 rep = fn(mv, BoundSpec(mode, s_i, target, a=a_i), strict=False)
                 assert a_i is None or rep.a == a_i
                 want = decimal_bound(row, s_i, target, rep.a)
-                assert abs(rep.bound_value - want) <= decimal_rtol(target / s_i) * want
+                assert abs(rep.bound_value - want) <= decimal_rtol(target / s_i, rep.a) * want
 
 
 def with_nan(kwargs, name, form):
@@ -554,6 +558,51 @@ class TestTripartiteBound:
         # (1 + a)^x overflows at x = 2000 / 0.6
         with pytest.raises(FloatingPointError, match="overflow"):
             tripartite_bound(0.25, 0.5, target, target / 0.6, 2**0.6)
+
+
+class TestOneTwoWeightForm:
+    """Every bound is the two-weight form w_small * small + w_large * large:
+    the kernel's at two pairwise values, the tripartite bound's and the
+    scalar lemma's (small = 1), with the same bits for every variant."""
+
+    @pytest.mark.parametrize("mode", ["monogamy", "polygamy"])
+    @pytest.mark.parametrize("variant,p", [("ours", 0.5), ("jfq", 0.5), ("zjz1", 0.7),
+                                           ("zjz2", 0.5)])
+    def test_kernel_at_two_values_is_the_tripartite_bound(self, mode, variant, p):
+        rng = np.random.default_rng(31)
+        rows = rng.uniform(0.01, 1.0, (300, 2))
+        a = rng.uniform(1.0, 10.0, 300)
+        a[::4] = 1.0
+        if mode == "monogamy":
+            r, targets = 2.0, [0.3, 0.5, 1.0]
+        else:
+            r, targets = 0.6, [0.6, 1.5, 2.0, 3.0]
+        spec = BoundSpec(mode, r, targets, a=a, variant=variant, p=p)
+        # a one-vs-rest value of 0 measures 0 at a positive target
+        margins, _ = margin_rows(np.zeros(300), rows, spec)
+        got = -margins if mode == "monogamy" else margins
+        v1, v2 = rows.max(axis=1)[:, None], rows.min(axis=1)[:, None]
+        alpha = np.array(targets)
+        want = tripartite_bound(v2, v1, alpha, alpha / r, a[:, None], variant, p)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fn,lo,hi", [
+        (scalar_lower_bound, 0.0, 1.0), (scalar_upper_bound, 1.0, 6.0),
+    ])
+    @pytest.mark.parametrize("variant,p", [("ours", 0.5), ("jfq", 0.5), ("zjz1", 0.7),
+                                           ("zjz2", 0.5)])
+    def test_scalar_lemma_is_the_tripartite_bound_at_one(self, fn, lo, hi, variant, p):
+        rng = np.random.default_rng(32)
+        a = rng.uniform(1.0, 10.0, 2000)
+        t = rng.uniform(a, 100.0)
+        if fn is scalar_lower_bound and variant in ("zjz1", "zjz2"):
+            hi = 0.5
+        x = rng.uniform(lo, hi, 2000)
+        x[x == 0.0] = hi  # the lower lemma needs x > 0
+        got = fn(t, x, a, variant, p)
+        assert got.tobytes() == tripartite_bound(1.0, t, x, x, a, variant, p).tobytes()
+        assert fn(t[0], x[0], a[0], variant, p) == tripartite_bound(1.0, t[0], x[0], x[0], a[0],
+                                                                    variant, p)
 
 
 def first_failure(calls):
@@ -877,7 +926,7 @@ class TestBoundSpec:
         return sum(v.nbytes for layout in spec._layouts.values() for v in layout if v is not None)
 
     def test_layout_store_is_capped(self, monkeypatch):
-        """A 100,000-state call at m = 5 gets its layout (84 MB) built and
+        """A 100,000-state call at m = 5 gets its layout (52 MB) built and
         not kept, with the margins of 64-state blocks; the suite's later
         blocks still reuse the tuples kept before it, by identity."""
         verify._monogamy_spec.cache_clear()
@@ -905,7 +954,7 @@ class TestBoundSpec:
             verify._monogamy_spec.cache_clear()
 
     def test_layouts_beyond_the_cap_are_built_for_each_block(self):
-        """Blocks of N = 1..64 at m = 5 need 1.7 MB of layouts: those that
+        """Blocks of N = 1..64 at m = 5 need 1.1 MB of layouts: those that
         fit under the cap are kept, in order, and the others give the bits of
         a fresh spec without being kept."""
         spec = BoundSpec("monogamy", 2.0, default_alpha_grid(2.0))
