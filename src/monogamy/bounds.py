@@ -111,6 +111,18 @@ class BoundSpec:
 
 @dataclass(frozen=True)
 class BoundReport:
+    """One state's bound at one target, from ``monogamy_bound`` or
+    ``polygamy_bound``: ``bound_value`` is the bound, ``measured_value`` the
+    one-vs-rest value at the target and ``margin`` measured - bound in
+    monogamy mode, bound - measured in polygamy mode (nonnegative where the
+    bound holds).  ``ratio_condition_ok`` says whether the pairwise values
+    satisfy the ratio condition at ``a``, the ratio parameter used (given,
+    or resolved as max(1, ``max_admissible_a``) capped at A_CAP), and
+    ``max_admissible_a`` is the largest a that satisfies it.
+    ``base_relation_assumed`` is true when the kind's base relation is not
+    established in the spec's mode.  Reports compare and hash by value.
+    """
+
     bound_value: float
     measured_value: float
     margin: float
@@ -396,9 +408,10 @@ def _grid(one_vs_rest, pairwise, spec: BoundSpec):
     measured = terms[..., 0]
     [(w_small, w_large)] = _weights((spec.variant,), xs, a[:, None], spec.p)
     # the two-weight step L = w_small v_k + w_large L over the descending
-    # terms, from L = v_1 for two of them and from w_small v_1 for any other m,
-    # which gives the ordered weighted sum
-    bound = terms[..., 1] if m == 2 else w_small * terms[..., 1]
+    # terms, from L = v_1 for one or two of them (a lone pair's bound is its
+    # own v_1, whatever a) and from w_small v_1 for three or more, which
+    # gives the ordered weighted sum
+    bound = terms[..., 1] if m <= 2 else w_small * terms[..., 1]
     for k in range(2, m + 1):
         bound = w_small * terms[..., k] + w_large * bound
     margin = measured - bound if spec.mode == "monogamy" else bound - measured

@@ -31,9 +31,13 @@ class StateSpecError(ValueError):
     """Raised when a state specification string cannot be parsed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized complex amplitude vector over a tensor product of subsystems."""
+    """Normalized complex amplitude vector over a tensor product of subsystems.
+
+    States compare and hash by identity, as an array field has no one truth
+    value.
+    """
 
     dims: tuple[int, ...]
     amps: np.ndarray = field(repr=False)
@@ -82,9 +86,13 @@ def check_amplitudes(dims: Sequence[int], amps) -> tuple[tuple[int, ...], np.nda
     return dims, amps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix with subsystem dimension metadata."""
+    """Hermitian, PSD, unit-trace matrix with subsystem dimension metadata.
+
+    Matrices compare and hash by identity, as an array field has no one
+    truth value.
+    """
 
     dims: tuple[int, ...]
     mat: np.ndarray = field(repr=False)

@@ -102,6 +102,15 @@ def _axis(start: float, stop: float, step: float) -> np.ndarray:
 
 @dataclass
 class VerificationReport:
+    """The tally of one suite, or of several merged: ``total`` margins
+    checked, ``failures`` among them (below ``-tol``, or not finite),
+    ``skipped`` cases left unchecked (a polygamy sample whose ratio
+    condition fails or whose pairwise ratio is degenerate, a dominance row
+    at alpha = 0), ``worst_margin`` the least finite margin (inf while there
+    is none) and ``failure_samples`` the first MAX_FAILURE_SAMPLES failures
+    as (description of the inputs, margin) pairs.  Reports compare by value.
+    """
+
     total: int = 0
     failures: int = 0
     skipped: int = 0

@@ -206,9 +206,9 @@ class TestRatioCondition:
 
 # A reference for the bound in stdlib decimal at 50 digits, which shares no
 # arithmetic with the kernel: for descending v_1 >= ... >= v_m at the exact
-# x = target/s, m = 2 takes the two-term form (1+a)^(x-1) v_2^target +
-# w v_1^target and any other m the ordered sum (1+a)^(x-1) sum_k w^(m-k)
-# v_k^target, with w = (1+1/a)^(x-1).
+# x = target/s, m = 1 takes v_1^target, m = 2 the two-term form
+# (1+a)^(x-1) v_2^target + w v_1^target and m >= 3 the ordered sum
+# (1+a)^(x-1) sum_k w^(m-k) v_k^target, with w = (1+1/a)^(x-1).
 #
 # The tolerance is relative to the bound.  The kernel rounds x = target/s,
 # 1+a and 1+1/a, and each pow, product and sum, each by about half an ulp
@@ -218,9 +218,10 @@ class TestRatioCondition:
 # terms are positive, so to first order the bound's relative error is a few
 # u plus x u (ln(1+a) + (m-1) ln(1+1/a)).  At a <= 10, ln(1+a) <= 2.4 and
 # (m-1) ln(1+1/a) <= 2.8 for m <= 5, so the tolerance is c (1+x) eps.  A
-# larger a, which only a resolved a reaches (A_CAP = 1e8 for a single pair,
-# where ln(1+a) = 18.4), adds the rounding of x in (1+a)^(x-1) beyond that,
-# x (ln(1+a) - ln 11) u.
+# larger a, which only a resolved a reaches (a small trailing value: up to
+# 3.7e4 at m = 2 in the rows of ``test_single_target_reports``), adds the
+# rounding of x in (1+a)^(x-1) beyond that, x (ln(1+a) - ln 11) u.  A single
+# pair's bound is v_1^target, one pow, whatever a.
 # Over 400 rows per (mode, m) for m = 1..5 and two targets each, with a from
 # {1} and U[1, 10] and the draws of ``decimal_rows`` at seed m, the largest
 # error seen was 2.6 (1+x) eps (monogamy, m = 5; at most 2.6 eps in monogamy
@@ -243,6 +244,8 @@ def decimal_bound(values, s, target, a):
         one = Decimal(1)
         x = target / s
         scale, w = (one + a) ** (x - one), (one + one / a) ** (x - one)
+        if len(v) == 1:
+            return float(v[0] ** target)
         if len(v) == 2:
             return float(scale * v[1] ** target + w * v[0] ** target)
         m = len(v)
@@ -299,6 +302,30 @@ class TestDecimalReference:
                 assert a_i is None or rep.a == a_i
                 want = decimal_bound(row, s_i, target, rep.a)
                 assert abs(rep.bound_value - want) <= decimal_rtol(target / s_i, rep.a) * want
+
+
+class TestLonePair:
+    """One pairwise value (a two-qubit state) bounds itself: the bound is
+    v_1^target bit for bit, at a given a and at the resolved A_CAP alike."""
+
+    @pytest.mark.parametrize("mode,s,targets", [
+        ("monogamy", 2.0, [0.0, 0.5, 1.0, 2.0]),
+        ("polygamy", 0.99, [0.99, 1.5, 2.27]),
+    ])
+    @pytest.mark.parametrize("a", [None, 1.0, 7.5])
+    def test_bound_is_the_value_at_the_target(self, mode, s, targets, a):
+        values = np.array([0.0, 1e-300, 0.08, 0.499, 0.6, 1.0])
+        want = np.power(values[:, None], np.array(targets))
+        spec = BoundSpec(mode, s, targets, a=a)
+        margins, ok = margin_rows(values, values[:, None], spec)
+        assert ok.all() and not np.any(margins)  # measured equals bound: margin 0
+        fn = monogamy_bound if mode == "monogamy" else polygamy_bound
+        for v, row in zip(values.tolist(), want):
+            mv = MeasureVector(MeasureKind.SCRENOA, v, (v,))
+            for target, w in zip(targets, row.tolist()):
+                rep = fn(mv, BoundSpec(mode, s, target, a=a), strict=False)
+                assert rep.bound_value == w and rep.margin == 0
+                assert rep.a == (A_CAP if a is None else a)
 
 
 def with_nan(kwargs, name, form):

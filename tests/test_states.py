@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -312,6 +313,25 @@ def test_density_matrix_rejects(dims, mat, want):
 def test_density_matrix_accepts_eigenvalues_at_the_psd_floor():
     rho = DensityMatrix((2,), np.diag([1 + 5e-11, -5e-11]))
     assert rho.dims == (2,) and not rho.mat.flags.writeable
+
+
+@pytest.mark.parametrize("make,field,want", [
+    (lambda: w_class_state(0.5, 0.5, math.sqrt(0.5)), "amps", "not normalized"),
+    (lambda: to_density(w_class_state(0.5, 0.5, math.sqrt(0.5))), "mat", "trace"),
+], ids=["pure-state", "density-matrix"])
+def test_states_compare_and_hash_by_identity(make, field, want):
+    """Two states of equal arrays are two objects: an array field has no one
+    truth value, so neither ``==`` nor ``hash`` reads the arrays, and
+    ``replace`` still builds a checked state."""
+    a, b = make(), make()
+    assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+    c = replace(a, **{field: getattr(a, field).conj()})
+    assert type(c) is type(a) and c != a and not getattr(c, field).flags.writeable
+    with pytest.raises(ValueError, match=want):
+        replace(a, **{field: 2 * getattr(a, field)})
 
 
 def test_schmidt3_closed_forms_random():
