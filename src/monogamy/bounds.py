@@ -24,7 +24,7 @@ A_CAP = 1e8
 
 # Most bytes of exponent arrays a spec keeps for its later blocks (see
 # ``_layout``): some thirty of the suites' largest layouts, 64 states x 8
-# targets at m = 5, of 33,280 bytes each.
+# targets at m = 5, of 30,720 bytes each.
 LAYOUT_STORE_BYTES = 2**20
 
 
@@ -115,10 +115,11 @@ class BoundReport:
     ``polygamy_bound``: ``bound_value`` is the bound, ``measured_value`` the
     one-vs-rest value at the target and ``margin`` measured - bound in
     monogamy mode, bound - measured in polygamy mode (nonnegative where the
-    bound holds).  ``ratio_condition_ok`` says whether the pairwise values
-    satisfy the ratio condition at ``a``, the ratio parameter used (given,
-    or resolved as max(1, ``max_admissible_a``) capped at A_CAP), and
-    ``max_admissible_a`` is the largest a that satisfies it.
+    bound holds).  ``max_admissible_a`` is the largest a at which the
+    pairwise values satisfy the ratio condition, and ``ratio_condition_ok``
+    says whether ``max_admissible_a >= a`` within a relative 1e-12, at
+    ``a``, the ratio parameter used (given, or resolved as
+    max(1, ``max_admissible_a``) capped at A_CAP).
     ``base_relation_assumed`` is true when the kind's base relation is not
     established in the spec's mode.  Reports compare and hash by value.
     """
@@ -262,15 +263,6 @@ def _max_a(rows: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return np.fmin.reduce(np.power(hi / np.abs(lo), exponents), axis=1, initial=math.inf)
 
 
-def _ratio_ok(powers: np.ndarray, a) -> np.ndarray:
-    """The ratio condition v_(i)^exp >= a v_(i+1)^exp of descending rows
-    (N, m) from their ``powers`` at a positive exponent; ``a`` is a scalar
-    or an (N, 1) column.  A relative 1e-12 absorbs round-off, so that
-    a = max_admissible_a itself passes.  A zero successor passes, as nothing
-    is below a * 0 (0, or NaN at a = inf)."""
-    return ~(powers[:, :-1] < a * powers[:, 1:] * (1.0 - 1e-12)).any(axis=1)
-
-
 @np.errstate(all="ignore")
 def max_admissible_a(values, exponent: float) -> float:
     """Largest a satisfying the ratio condition: min over consecutive sorted
@@ -338,26 +330,23 @@ def _require(ok: np.ndarray, message) -> None:
 
 def _layout(spec: BoundSpec, n: int, m: int) -> tuple:
     """The exponent arrays of ``_grid`` for n states of m pairwise values,
-    which depend on nothing else: xs = targets / s (N, T), s as (N, m) and,
-    only if ``a`` is resolved by ``_max_a``, as (N, m-1), and the targets
-    as the (N, T, m+1) exponents of the terms' pow; each of the full shape
-    of its pow (see ``_full``), and None where not needed.  Built once per
-    spec and block shape, read-only, and kept in ``spec._layouts`` while the
-    kept arrays total at most LAYOUT_STORE_BYTES; a layout beyond that is
-    built anew for each block."""
+    which depend on nothing else: xs = targets / s (N, T), s as the (N, m-1)
+    exponents of ``_max_a``'s pow, and the targets as the (N, T, m+1)
+    exponents of the terms' pow; each of the full shape of its pow (see
+    ``_full``).  Built once per spec and block shape, read-only, and kept in
+    ``spec._layouts`` while the kept arrays total at most
+    LAYOUT_STORE_BYTES; a layout beyond that is built anew for each block."""
     layout = spec._layouts.get((n, m))
     if layout is None:
         targets = np.atleast_1d(np.asarray(spec.target_exp, dtype=float))  # a scalar is one target
         full = _full(targets, (n, targets.shape[-1]))
         s = _full(spec.base_exp, (n,))[:, None]
-        s_ratios = _full(s, (n, m - 1)) if spec.a is None else None
         exps = _full(full[..., None], full.shape + (m + 1,))
-        layout = (full / s, _full(s, (n, m)), s_ratios, exps)
+        layout = (full / s, _full(s, (n, m - 1)), exps)
         for v in layout:
-            if v is not None:
-                v.flags.writeable = False
+            v.flags.writeable = False
         if sum(v.nbytes for kept in (layout, *spec._layouts.values())
-               for v in kept if v is not None) <= LAYOUT_STORE_BYTES:
+               for v in kept) <= LAYOUT_STORE_BYTES:
             spec._layouts[n, m] = layout
     return layout
 
@@ -368,10 +357,10 @@ def _grid(one_vs_rest, pairwise, spec: BoundSpec):
     checks what depends on the values, once, on the whole block and before
     any power; ``spec`` has checked its own fields.  Returns the measured
     values, bounds and margins as (N, T) arrays, and the (N,) arrays of
-    ratio_condition_ok, max_admissible_a (None unless ``a`` is resolved from
-    it) and a.  Each kind of power is one pow over the block, at exponents
-    of its full shape from ``_layout``, so a value's bits depend neither on
-    N nor on T.  An overflow gives inf, and no floating-point error warns.
+    ratio_condition_ok, max_admissible_a and a.  Each kind of power is one
+    pow over the block, at exponents of its full shape from ``_layout``, so
+    a value's bits depend neither on N nor on T.  An overflow gives inf, and
+    no floating-point error warns.
     """
     one_vs_rest, pairwise = np.asarray(one_vs_rest, dtype=float), np.asarray(pairwise, dtype=float)
     if one_vs_rest.ndim != 1:
@@ -385,7 +374,7 @@ def _grid(one_vs_rest, pairwise, spec: BoundSpec):
         empty = np.empty(_full(targets, (n, targets.shape[-1])).shape)
         return empty, empty, empty, np.empty(0, dtype=bool), np.empty(0), np.empty(0)
     m = pairwise.shape[1]
-    xs, s_rows, s_ratios, exps = _layout(spec, n, m)
+    xs, s_ratios, exps = _layout(spec, n, m)
     if spec.variant != "ours" and m != 2:
         raise ValueError(f"variant {spec.variant!r} is defined for tripartite states only")
     # each state's one-vs-rest value, then its pairwise values in descending
@@ -399,9 +388,11 @@ def _grid(one_vs_rest, pairwise, spec: BoundSpec):
                      str(pairwise[i].tolist()) if first_ok[i]
                      else f"one-vs-rest {one_vs_rest[i]}"))
     rows = bases[:, 1:]
-    amax = _max_a(rows, s_ratios) if spec.a is None else None
+    amax = _max_a(rows, s_ratios)
     a = np.minimum(np.maximum(amax, 1.0), A_CAP) if spec.a is None else _full(spec.a, (n,))
-    ok = _ratio_ok(np.power(rows, s_rows), a[:, None])
+    # the ratio condition v_(i)^s >= a v_(i+1)^s is a <= amax; a relative
+    # 1e-12 absorbs round-off, so that a = max_admissible_a itself passes
+    ok = ~(amax < a * (1.0 - 1e-12))
     # one pow gives the measured values and the bound's terms, every value at
     # the targets (alpha = 0 collapses every power to 1; 0^0 is 1 in NumPy)
     terms = np.power(bases[:, None], exps)
@@ -447,11 +438,10 @@ def _report(mv: MeasureVector, spec: BoundSpec, strict: bool) -> BoundReport:
     if any(np.asarray(v).ndim for v in (spec.base_exp, spec.target_exp, spec.a)):
         raise ValueError("a single-state bound needs scalar base_exp, target_exp and a")
     measured, bound, margin, ok, amax, a = _grid([mv.one_vs_rest], [mv.pairwise], spec)
-    amax = max_admissible_a(mv.pairwise, spec.base_exp) if amax is None else float(amax[0])
     if strict and not ok[0]:
-        raise ValueError(f"ratio condition fails at a={a[0]} (max admissible {amax})")
+        raise ValueError(f"ratio condition fails at a={a[0]} (max admissible {amax[0]})")
     return BoundReport(float(bound[0, 0]), float(measured[0, 0]), float(margin[0, 0]),
-                       bool(ok[0]), amax, float(a[0]), mv.kind.relation != spec.mode)
+                       bool(ok[0]), float(amax[0]), float(a[0]), mv.kind.relation != spec.mode)
 
 
 def monogamy_bound(mv: MeasureVector, spec: BoundSpec, strict: bool = True) -> BoundReport:

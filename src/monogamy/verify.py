@@ -122,8 +122,11 @@ class VerificationReport:
         not finite are failures, and ``worst_margin`` is the least finite one.
 
         ``describe(i)`` names the failing entry ``i`` of ``margins``; it is
-        called for failing entries only.
+        called for failing entries only.  A NaN ``tol`` would pass every
+        margin, and raises ValueError.
         """
+        if math.isnan(tol):
+            raise ValueError(f"tolerance tol must be a number, got {tol}")
         margins = np.asarray(margins, dtype=float).ravel()
         self.total += margins.size
         least = margins.min(initial=math.inf)
@@ -156,6 +159,8 @@ class VerificationReport:
 
 
 def _sample_count(n) -> int:
+    if n != int(n):
+        raise ValueError(f"sample count n must be an integer, got {n}")
     n = int(n)
     if n < 0:
         raise ValueError(f"sample count n must be nonnegative, got {n}")

@@ -586,6 +586,13 @@ class TestVerify:
         assert code == 3 and out == ""
         assert "sample count n must be nonnegative, got -4" in err
 
+    @pytest.mark.parametrize("suite", ["monogamy", "polygamy", "all"])
+    def test_nan_tolerance_exit_3(self, capsys, suite):
+        # a NaN tol would pass every margin and exit 0
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", "50", "--tol", "nan")
+        assert code == 3 and out == ""
+        assert err == "error: tolerance tol must be a number, got nan\n"
+
     def test_dominance_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "dominance")
         assert code == 0

@@ -505,6 +505,8 @@ def test_dominance_scan_makes_one_bound_call(monkeypatch, example):
 def test_negative_sample_count_raises(suite):
     with pytest.raises(ValueError, match="sample count n must be nonnegative, got -4"):
         suite(-4)
+    with pytest.raises(ValueError, match=r"sample count n must be an integer, got 2\.9"):
+        suite(2.9)
     assert suite(0).summary()["total"] == 0
 
 
@@ -601,6 +603,16 @@ def test_report_merge_and_summary():
         "worst_margin": -2.0,
     }
     assert math.isinf(VerificationReport().worst_margin)
+
+
+def test_nan_tolerance_raises():
+    """A NaN tol would pass every margin; +-inf keep their meaning."""
+    with pytest.raises(ValueError, match="tolerance tol must be a number, got nan"):
+        VerificationReport().record([-1.0, 0.5], math.nan, str)
+    for tol, failures in ((-math.inf, 2), (math.inf, 0)):
+        rep = VerificationReport()
+        rep.record([-1.0, 0.5], tol, str)
+        assert rep.failures == failures
 
 
 def test_record_describes_failing_entries_only():
