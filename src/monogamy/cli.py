@@ -258,6 +258,9 @@ def cmd_verify(args) -> int:
     seed = _default_seed() if args.seed is None else args.seed
     if seed < 0:
         raise StateSpecError(f"--seed must be a non-negative integer, got {seed}")
+    # a NaN --tol would pass every margin: recording no margins at it raises the
+    # suites' own error before any suite runs, the scalar and dominance ones too
+    verify.VerificationReport().record((), args.tol, None)
     selected = _SUITES[:-1] if args.suite == "all" else (args.suite,)
     summaries = {}
     failed = False
@@ -324,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-8,
                    help="margin tolerance of the monogamy and polygamy suites; the scalar "
-                   "suite keeps tol 1e-12 and rtol 1e-9, the dominance suite 1e-12")
+                   "suite keeps tol 1e-12 and rtol 1e-9, the dominance suite 1e-12; a NaN is "
+                   "refused for every suite")
     p.set_defaults(fn=cmd_verify)
     return parser
 

@@ -32,11 +32,29 @@ def _check_square(m: np.ndarray) -> int:
     return m.shape[0]
 
 
-def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
-    d = _check_square(m)
-    dims = tuple(int(x) for x in dims)
+def whole(value, what: str) -> int:
+    """``value`` as an int, when it equals one; ``what`` names it in the
+    error.  An integral float, a NumPy integer or a bool is read as the int
+    it equals; a fraction or a string raises ValueError, NaN raises
+    ``int``'s ValueError and inf its OverflowError.  ``linalg``, ``states``,
+    ``measures`` and ``verify`` read every count, subsystem dimension,
+    subsystem index and seed that a caller passes by this rule."""
+    if value != int(value):
+        raise ValueError(f"{what} must be an integer, got {value}")
+    return int(value)
+
+
+def subsystem_dims(dims: Sequence[int]) -> tuple[int, ...]:
+    """``dims`` as a tuple of positive ints, each read by ``whole``."""
+    dims = tuple(whole(x, "subsystem dimension") for x in dims)
     if any(x < 1 for x in dims):
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
+    return dims
+
+
+def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
+    d = _check_square(m)
+    dims = subsystem_dims(dims)
     if int(np.prod(dims)) != d:
         raise ValueError(f"product of dims {dims} does not match matrix side {d}")
     return dims
@@ -66,7 +84,7 @@ def partial_trace(rho, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     rho = _as_matrix(rho)
     dims = _check_dims(rho, dims)
     n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted({whole(k, "keep index") for k in keep})
     if any(k < 0 or k >= n for k in keep):
         raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
     if not keep:
@@ -86,7 +104,7 @@ def partial_transpose(rho, dims: Sequence[int], part: int) -> np.ndarray:
     rho = _as_matrix(rho)
     dims = _check_dims(rho, dims)
     n = len(dims)
-    part = int(part)
+    part = whole(part, "part index")
     if part < 0 or part >= n:
         raise ValueError(f"part index {part} out of range for {n} subsystems")
     t = rho.reshape(dims + dims)

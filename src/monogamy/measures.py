@@ -89,7 +89,7 @@ class MeasureVector:
 
 
 def _check_bipartition(n: int, part_a: Sequence[int]) -> list[int]:
-    part = sorted(set(int(i) for i in part_a))
+    part = sorted({linalg.whole(i, "part_a index") for i in part_a})
     if not part or len(part) >= n:
         raise ValueError(f"part_a {part} is not a proper nonempty subset of {n} subsystems")
     if any(i < 0 or i >= n for i in part):

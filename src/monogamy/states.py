@@ -55,20 +55,13 @@ class PureState:
         return len(self.dims)
 
 
-def _positive_dims(dims: Sequence[int]) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-    return dims
-
-
 def check_amplitudes(dims: Sequence[int], amps) -> tuple[tuple[int, ...], np.ndarray]:
     """Validate a stack of amplitude vectors, one state over ``dims`` per row.
 
     Returns ``(dims, amps)`` as a tuple of ints and an ``(N, prod(dims))``
     complex array.  Every row must be finite and normalized to ``NORM_ATOL``.
     """
-    dims = _positive_dims(dims)
+    dims = linalg.subsystem_dims(dims)
     amps = np.asarray(amps, dtype=complex)
     if amps.ndim != 2:
         raise ValueError(f"expected one amplitude vector per row, got shape {amps.shape}")
@@ -99,7 +92,7 @@ class DensityMatrix:
     check: InitVar[bool] = True
 
     def __post_init__(self, check):
-        dims = _positive_dims(self.dims)
+        dims = linalg.subsystem_dims(self.dims)
         mat = np.array(self.mat, dtype=complex)
         if check:
             w, _ = linalg.hermitian_eigen(mat)  # finite, 2-d, square and Hermitian
@@ -184,10 +177,10 @@ def w_class_amps(coeffs) -> np.ndarray:
 
 def haar_random_pure(dims: Sequence[int], seed: int) -> PureState:
     """Haar-uniform pure state: normalized complex standard-normal vector."""
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(linalg.whole(d, "subsystem dimension") for d in dims)
     if not dims:
         raise ValueError("dims must be nonempty")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(linalg.whole(seed, "seed"))
     return PureState(dims, haar_random_block(1, math.prod(dims), rng)[0])
 
 
@@ -208,7 +201,7 @@ def to_density(psi: PureState) -> DensityMatrix:
 
 def reduce_density(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Partial trace onto the ``keep`` subsystems, preserving dims metadata."""
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted({linalg.whole(k, "keep index") for k in keep})
     mat = linalg.partial_trace(rho.mat, rho.dims, keep)
     new_dims = tuple(rho.dims[k] for k in keep)
     return DensityMatrix(new_dims, mat, check=False)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bounds
+from . import bounds, linalg
 from .measures import MeasureKind, measure_vectors
 from .states import haar_random_block, w_class_amps
 
@@ -30,15 +30,11 @@ STATE_BLOCK = 64
 # the same speed with about 1 MB more RSS.
 SCALAR_BLOCK = 4096
 
-# Worked-example fixtures: pairwise values, the associated ratio parameter and
-# the measured one-vs-rest value.
+# Worked-example fixtures: pairwise values and the associated ratio parameter.
 EXAMPLE1_PAIRWISE = (math.sqrt(6) / 6, 0.5)  # concurrences C_{A1A2}, C_{A1A3}
 EXAMPLE1_A = math.sqrt(6) / 2
-EXAMPLE1_MEASURED = math.sqrt(21) / 6
 EXAMPLE2_PAIRWISE = (0.25, 0.5)  # SCRENoA values
-EXAMPLE2_S_MIN = 0.6
 EXAMPLE2_A = 2**0.6
-EXAMPLE2_MEASURED = 0.75
 
 # Polygamy sampling: ratio condition becomes vacuous as the two pairwise
 # values approach each other; samples with log2(ratio) below this floor are
@@ -159,9 +155,7 @@ class VerificationReport:
 
 
 def _sample_count(n) -> int:
-    if n != int(n):
-        raise ValueError(f"sample count n must be an integer, got {n}")
-    n = int(n)
+    n = linalg.whole(n, "sample count n")
     if n < 0:
         raise ValueError(f"sample count n must be nonnegative, got {n}")
     return n
@@ -316,7 +310,7 @@ def verify_monogamy_states(n: int, seed: int = 0, r: float = 2.0,
     alphas = (default_alpha_grid(float(r)) if alpha_grid is None
               else tuple(float(alpha) for alpha in alpha_grid))
     spec = _monogamy_spec(float(r), alphas)
-    dims = (2,) * int(n_qubits)
+    dims = (2,) * linalg.whole(n_qubits, "qubit count")
     for start, first, pairwise in _measured_blocks(
             n, seed, lambda rng, k: haar_random_block(k, 2 ** len(dims), rng), dims,
             MeasureKind.CONCURRENCE):

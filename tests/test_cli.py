@@ -586,9 +586,10 @@ class TestVerify:
         assert code == 3 and out == ""
         assert "sample count n must be nonnegative, got -4" in err
 
-    @pytest.mark.parametrize("suite", ["monogamy", "polygamy", "all"])
+    @pytest.mark.parametrize("suite", ["scalar", "monogamy", "polygamy", "dominance", "all"])
     def test_nan_tolerance_exit_3(self, capsys, suite):
-        # a NaN tol would pass every margin and exit 0
+        # a NaN tol would pass every margin and exit 0, also on the suites that
+        # keep their own tolerances
         code, out, err = run(capsys, "verify", "--suite", suite, "--n", "50", "--tol", "nan")
         assert code == 3 and out == ""
         assert err == "error: tolerance tol must be a number, got nan\n"

@@ -58,6 +58,43 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             linalg.partial_trace(np.eye(6) / 6, [2, 2], [0])
 
+    def test_fractional_keep_index(self):
+        with pytest.raises(ValueError) as exc:
+            linalg.partial_trace(np.eye(4) / 4, (2, 2), [0.5])
+        assert str(exc.value) == "keep index must be an integer, got 0.5"
+
+
+class TestWhole:
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0)])
+    def test_reads_a_whole_number_as_int(self, value):
+        got = linalg.whole(value, "count")
+        assert got == 3 and type(got) is int
+
+    def test_reads_bools_as_int(self):
+        assert linalg.whole(True, "count") == 1 and type(linalg.whole(False, "count")) is int
+
+    @pytest.mark.parametrize("value,seen", [
+        (2.9, "count must be an integer, got 2.9"),
+        (-0.5, "count must be an integer, got -0.5"),
+        ("2", "count must be an integer, got 2"),
+        (float("nan"), "cannot convert float NaN to integer"),
+    ], ids=["fraction", "negative-fraction", "string", "nan"])
+    def test_rejects_what_is_not_whole(self, value, seen):
+        with pytest.raises(ValueError) as exc:
+            linalg.whole(value, "count")
+        assert str(exc.value) == seen
+
+    def test_rejects_inf(self):
+        with pytest.raises(OverflowError):
+            linalg.whole(float("inf"), "count")
+
+    def test_subsystem_dims(self):
+        got = linalg.subsystem_dims([np.float64(2.0), np.int64(3), 4.0])
+        assert got == (2, 3, 4) and all(type(d) is int for d in got)
+        with pytest.raises(ValueError) as exc:
+            linalg.subsystem_dims((2, 0))
+        assert str(exc.value) == "subsystem dimensions must be positive, got (2, 0)"
+
 
 class TestPartialTranspose:
     def test_symmetric_product_invariant(self):
@@ -82,10 +119,17 @@ class TestPartialTranspose:
         ((0, 4), 0, "subsystem dimensions must be positive, got (0, 4)"),
         ((2, 2), 2, "part index 2 out of range for 2 subsystems"),
         ((2, 2), -1, "part index -1 out of range for 2 subsystems"),
+        ((2.5, 2), 0, "subsystem dimension must be an integer, got 2.5"),
+        ((2, 2), 0.5, "part index must be an integer, got 0.5"),
     ])
     def test_rejects_bad_dims_or_part(self, dims, part, seen):
         with pytest.raises(ValueError, match=re.escape(seen)):
             linalg.partial_transpose(random_density(4), dims, part)
+
+    def test_whole_number_dims_and_part_keep_the_result(self):
+        rho = random_density(4)
+        got = linalg.partial_transpose(rho, (np.float64(2.0), 2.0), np.int64(1))
+        assert np.array_equal(got, linalg.partial_transpose(rho, (2, 2), 1))
 
     def test_bell_eigenvalues(self):
         pt = linalg.partial_transpose(bell_rho(), [2, 2], 0)

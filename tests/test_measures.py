@@ -98,7 +98,8 @@ class TestConcurrencePure:
         ([0, 1], "part_a [0, 1] is not a proper nonempty subset of 2 subsystems"),
         ([2], "part_a [2] out of range for 2 subsystems"),
         ([-1], "part_a [-1] out of range for 2 subsystems"),
-    ], ids=["whole", "above", "negative"])
+        ([0.9], "part_a index must be an integer, got 0.9"),
+    ], ids=["whole", "above", "negative", "fractional"])
     def test_invalid_partition(self, part, seen):
         with pytest.raises(ValueError) as exc:
             concurrence_pure(bell(), part)

@@ -213,11 +213,22 @@ def test_haar_deterministic():
     assert not np.array_equal(a.amps, c.amps)
 
 
+def test_haar_reads_whole_numbers_as_today():
+    psi = haar_random_pure((np.float64(2.0), 2, 2), seed=np.int64(7))
+    assert psi.dims == (2, 2, 2) and all(type(d) is int for d in psi.dims)
+    assert np.array_equal(psi.amps, haar_random_pure([2, 2, 2], seed=7.0).amps)
+
+
 @pytest.mark.parametrize("make,want", [
     (lambda: states.check_amplitudes((2, 2), np.full(4, 0.5)),
      "expected one amplitude vector per row, got shape (4,)"),
     (lambda: haar_random_pure((), seed=1), "dims must be nonempty"),
-], ids=["one-vector", "no-dims"])
+    (lambda: haar_random_pure((2.9, 2, 2), seed=1),
+     "subsystem dimension must be an integer, got 2.9"),
+    (lambda: haar_random_pure((2, 2, 2), seed=3.7), "seed must be an integer, got 3.7"),
+    (lambda: PureState((2.9, 2, 2), np.eye(8)[0]),
+     "subsystem dimension must be an integer, got 2.9"),
+], ids=["one-vector", "no-dims", "fractional-dim", "fractional-seed", "fractional-state-dim"])
 def test_amplitudes_reject_a_bad_shape(make, want):
     with pytest.raises(ValueError) as exc:
         make()
@@ -269,6 +280,7 @@ def test_reduce_composes():
     ([-1], "keep indices [-1] out of range for 3 subsystems"),
     ([2, 0, 7], "keep indices [0, 2, 7] out of range for 3 subsystems"),
     ([], "must keep at least one subsystem"),
+    ([0.5], "keep index must be an integer, got 0.5"),
 ])
 def test_reduce_names_a_bad_keep(keep, want):
     """The keep indices are checked by ``linalg.partial_trace``."""
@@ -294,6 +306,7 @@ NAN = float("nan")
     ((2,), [[math.inf, 0], [0, 0.5]], "matrix contains NaN or Inf entries"),
     ((-2, -2), np.eye(4) / 4, "subsystem dimensions must be positive, got (-2, -2)"),
     ((0, 2), np.eye(2) / 2, "subsystem dimensions must be positive, got (0, 2)"),
+    ((2.5, 2), np.eye(4) / 4, "subsystem dimension must be an integer, got 2.5"),
     ((2,), np.full((2, 3), 0.5), "expected a square matrix, got shape (2, 3)"),
     ((2,), [0.5, 0.5], "expected a 2-d matrix, got shape (2,)"),
     ((2,), np.eye(4) / 4, "dims (2,) do not match matrix side 4"),
@@ -301,8 +314,8 @@ NAN = float("nan")
     ((2,), np.eye(2), "density matrix trace (2+0j) differs from 1"),
     ((2,), np.diag([1 + 2e-10, -2e-10]),
      "density matrix not PSD (min eigenvalue -2.000e-10)"),
-], ids=["nan", "nan-4x4", "inf", "negative-dims", "zero-dim", "not-square", "not-2d",
-        "dims-vs-side", "not-hermitian", "trace", "below-psd-floor"])
+], ids=["nan", "nan-4x4", "inf", "negative-dims", "zero-dim", "fractional-dim", "not-square",
+        "not-2d", "dims-vs-side", "not-hermitian", "trace", "below-psd-floor"])
 def test_density_matrix_rejects(dims, mat, want):
     """Finite, 2-d, square and Hermitian are linalg's checks and messages."""
     with pytest.raises(ValueError) as exc:

@@ -510,6 +510,16 @@ def test_negative_sample_count_raises(suite):
     assert suite(0).summary()["total"] == 0
 
 
+def test_qubit_count_is_read_whole():
+    with pytest.raises(ValueError) as exc:
+        verify_monogamy_states(3, seed=1, n_qubits=4.9)
+    assert str(exc.value) == "qubit count must be an integer, got 4.9"
+    want = verify_monogamy_states(3, seed=1, n_qubits=4)
+    for n_qubits in (4.0, np.int64(4)):
+        assert verify_monogamy_states(3, seed=1, n_qubits=n_qubits) == want
+    assert verify_monogamy_states(np.int64(3), seed=1, n_qubits=4) == want
+
+
 class TestDominance:
     def test_example1_rows(self):
         grid = default_grid("example1")
