@@ -36,12 +36,25 @@ def whole(value, what: str) -> int:
     """``value`` as an int, when it equals one; ``what`` names it in the
     error.  An integral float, a NumPy integer or a bool is read as the int
     it equals; a fraction or a string raises ValueError, NaN raises
-    ``int``'s ValueError and inf its OverflowError.  ``linalg``, ``states``,
-    ``measures`` and ``verify`` read every count, subsystem dimension,
-    subsystem index and seed that a caller passes by this rule."""
+    ``int``'s ValueError and inf its OverflowError; None or a sequence
+    raises ``int``'s TypeError.  ``linalg``, ``states``, ``measures`` and
+    ``verify`` read every count, subsystem dimension and subsystem index
+    that a caller passes by this rule, and every sample count and seed by
+    ``nonnegative_whole``."""
     if value != int(value):
         raise ValueError(f"{what} must be an integer, got {value}")
     return int(value)
+
+
+def nonnegative_whole(value, what: str) -> int:
+    """``value`` read by ``whole``, and refused when it is negative: the rule
+    of every sample count and seed.  A seed read by it seeds NumPy exactly
+    as its ``int`` does; None, which NumPy would take as a request for the
+    operating system's entropy, raises ``int``'s TypeError."""
+    value = whole(value, what)
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative, got {value}")
+    return value
 
 
 def subsystem_dims(dims: Sequence[int]) -> tuple[int, ...]:

@@ -99,7 +99,7 @@ class DensityMatrix:
             if math.prod(dims) != mat.shape[0]:
                 raise ValueError(f"dims {dims} do not match matrix side {mat.shape[0]}")
             tr = complex(np.trace(mat))
-            if abs(tr - 1.0) > 1e-10:
+            if abs(tr - 1.0) > 1e-10:  # an absolute tolerance on the trace
                 raise ValueError(f"density matrix trace {tr} differs from 1")
             if w[-1] < linalg.PSD_EIG_FLOOR:  # w descends, and the side is prod(dims) >= 1
                 raise ValueError(f"density matrix not PSD (min eigenvalue {w[-1]:.3e})")
@@ -176,11 +176,13 @@ def w_class_amps(coeffs) -> np.ndarray:
 
 
 def haar_random_pure(dims: Sequence[int], seed: int) -> PureState:
-    """Haar-uniform pure state: normalized complex standard-normal vector."""
-    dims = tuple(linalg.whole(d, "subsystem dimension") for d in dims)
+    """Haar-uniform pure state: normalized complex standard-normal vector.
+    ``dims`` is read by ``linalg.subsystem_dims`` and ``seed`` by
+    ``linalg.nonnegative_whole``."""
+    dims = linalg.subsystem_dims(dims)
     if not dims:
         raise ValueError("dims must be nonempty")
-    rng = np.random.default_rng(linalg.whole(seed, "seed"))
+    rng = np.random.default_rng(linalg.nonnegative_whole(seed, "seed"))
     return PureState(dims, haar_random_block(1, math.prod(dims), rng)[0])
 
 

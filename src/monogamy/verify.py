@@ -1,7 +1,10 @@
 """Random-sampling verification of the inequalities and parameter-sweep scans.
 
 Every report is deterministic for a fixed (seed, n, grid): sampling uses a
-single PCG64 generator and cells are emitted in canonical order.
+single PCG64 generator and cells are emitted in canonical order.  A sample
+count n and a seed are read by ``linalg.nonnegative_whole``: 2.0 runs as 2,
+a fraction, a string or a negative value raises ValueError, and None or a
+sequence raises ``int``'s TypeError, so no suite draws an unseeded stream.
 """
 
 from __future__ import annotations
@@ -154,13 +157,6 @@ class VerificationReport:
         }
 
 
-def _sample_count(n) -> int:
-    n = linalg.whole(n, "sample count n")
-    if n < 0:
-        raise ValueError(f"sample count n must be nonnegative, got {n}")
-    return n
-
-
 def verify_scalar(n: int, seed: int = 0, tol: float = 1e-12,
                   rtol: float = 1e-9) -> VerificationReport:
     """Sample the scalar inequality families and count violations.
@@ -186,8 +182,9 @@ def verify_scalar(n: int, seed: int = 0, tol: float = 1e-12,
     threshold, so no call maps them: one (10, SCALAR_BLOCK) array would be
     mapped, and faulted in, while the threshold is at that default.
     """
-    n = _sample_count(n)
-    seq = np.random.SeedSequence(seed)  # the seeding of default_rng(seed)
+    n = linalg.nonnegative_whole(n, "sample count n")
+    # the seeding of default_rng(seed)
+    seq = np.random.SeedSequence(linalg.nonnegative_whole(seed, "seed"))
     # uniform takes one 64-bit draw per double
     rng_a, rng_t, rng_lo, rng_half, rng_up, rng_dom, rng_p, rng_q = (
         np.random.Generator(np.random.PCG64(seq).advance(i * n)) for i in range(8))
@@ -257,8 +254,8 @@ def _measured_blocks(n: int, seed: int, draw, dims: tuple[int, ...], kind: Measu
     to STATE_BLOCK of ``n`` states, each measured by one ``measure_vectors``
     call; ``draw(rng, k)`` returns the next k states' amplitudes from the
     one ``default_rng(seed)`` stream, in the order of a per-state loop."""
-    n = _sample_count(n)
-    rng = np.random.default_rng(seed)
+    n = linalg.nonnegative_whole(n, "sample count n")
+    rng = np.random.default_rng(linalg.nonnegative_whole(seed, "seed"))
     # n = 0 gives one empty block, so that the parameters are checked at every n
     for start in range(0, max(n, 1), STATE_BLOCK):
         yield start, *measure_vectors(draw(rng, min(STATE_BLOCK, n - start)), dims, kind)
@@ -383,7 +380,7 @@ def dominance_scan(example: str, grid: SweepGrid | None = None) -> tuple[list[st
     example1 rows: (alpha, r, Z1, Z2, Z3) with Z2 NaN outside its domain
     alpha/r <= 1/2.
     example2 rows: (beta, s, W1, W2, W3, W1 - W3, W2 - W3); only cells with
-    beta >= s are listed.
+    beta >= s - 1e-12, an absolute tolerance, are listed.
     The bounds of each example are one ``tripartite_bound`` call over the
     grid, with a tuple of variants.  A cell that overflows or divides by zero
     raises FloatingPointError.
@@ -401,7 +398,7 @@ def dominance_scan(example: str, grid: SweepGrid | None = None) -> tuple[list[st
                                              ("jfq", "zjz2", "ours"))
         z2[x > 0.5] = math.nan
         return ["alpha", "r", "Z1", "Z2", "Z3"], np.column_stack((alpha, r, z1, z2, z3))
-    keep = second >= first - 1e-12
+    keep = second >= first - 1e-12  # an absolute tolerance: s and beta are O(1)
     beta, s = second[keep], first[keep]
     x = beta / s
     w1, w2, w3 = bounds.tripartite_bound(*EXAMPLE2_PAIRWISE, beta, x, EXAMPLE2_A,

@@ -369,6 +369,36 @@ class TestExactValues:
             assisted = kind in (MeasureKind.SCRENOA, MeasureKind.CONCURRENCE_ASSISTANCE)
             assert_within(pairwise, (want if assisted else 0.0 * want)[:, None], self.ATOL)
 
+    @pytest.mark.parametrize("n_qubits", [3, 4, 5, 6])
+    def test_dicke(self, n_qubits):
+        """|D_n^k>, the equal superposition of the C(n, k) basis states with
+        k excitations, for k = 1 ... n - 1 (Wang and Molmer, Eur. Phys. J. D
+        18, 385 (2002)): C(A|rest) = 2 sqrt(k (n - k)) / n, and every pair
+        has C(AB) = 2 (k (n - k) - sqrt(k (k - 1) (n - k) (n - k - 1))) /
+        (n (n - 1)).  At 2 <= k <= n - 2 a pair's state has rank 3, so up to
+        three spin-flip roots are nonzero.  The forms are evaluated in
+        50-digit decimal.  Every slot of a row holds the one rounded
+        amplitude 1/sqrt(C(n, k)), so the row is the Dicke state times 1 + d
+        with |d| <= eps/2, which the values, of degree 2, see as at most eps
+        relative.  Concurrence carries C, and ``negativity_scren`` its
+        square."""
+        n = n_qubits
+        ks = range(1, n)
+        amps = np.zeros((n - 1, 2**n), dtype=complex)
+        for row, k in zip(amps, ks):
+            row[[i for i in range(2**n) if i.bit_count() == k]] = 1 / math.sqrt(math.comb(n, k))
+        with decimal.localcontext(prec=50):
+            first = [2 * decimal.Decimal(k * (n - k)).sqrt() / n for k in ks]
+            pair = [2 * (k * (n - k) - decimal.Decimal(k * (k - 1) * (n - k) * (n - k - 1)).sqrt())
+                    / (n * (n - 1)) for k in ks]
+            squares = [v * v for v in first], [v * v for v in pair]
+        for kind in (MeasureKind.CONCURRENCE, MeasureKind.NEGATIVITY_SCREN):
+            got_first, got_pairwise = measure_vectors(amps, (2,) * n, kind)
+            want_first, want_pair = squares if squared_kind(kind) else (first, pair)
+            assert got_pairwise.shape == (n - 1, n - 1)
+            assert_within(got_first, [float(v) for v in want_first], self.ATOL)
+            assert_within(got_pairwise, [[float(v)] for v in want_pair], self.ATOL)
+
 
 class TestSpinFlipRoots:
     def test_small_root_keeps_its_digits(self):

@@ -335,6 +335,117 @@ class TestDecimalReference:
                 assert abs(rep.bound_value - want) <= decimal_rtol(target / s_i, rep.a) * want
 
 
+SURFACE_ROWS, SURFACE_BLOCK, SURFACE_TARGETS = 2048, 256, 4
+
+
+@functools.lru_cache(maxsize=None)
+def surface_rows(mode, seed):
+    """SURFACE_ROWS rows (v_0, (v_1, v_2)) on the base relation's equality
+    surface v_0^base = v_1^base + v_2^base, with their base exponents and
+    SURFACE_TARGETS targets each.  (v_1/v_2)^base is log-uniform in [1, 50]
+    and v_1 uniform in [0.1, 1].  Monogamy rows take r in [2, 8] and x in
+    (0.01, 1], polygamy rows s in [0.05, 1] and x in [1, 6]; a target is
+    x * base.  v_0 is the 50-digit value, rounded once.  Built once per
+    (mode, seed), as read-only arrays."""
+    rng = np.random.default_rng(seed)
+    if mode == "monogamy":
+        base = rng.uniform(2.0, 8.0, SURFACE_ROWS)
+        x = 1.0 - 0.99 * rng.random((SURFACE_ROWS, SURFACE_TARGETS))
+    else:
+        base = rng.uniform(0.05, 1.0, SURFACE_ROWS)
+        x = rng.uniform(1.0, 6.0, (SURFACE_ROWS, SURFACE_TARGETS))
+    v1 = rng.uniform(0.1, 1.0, SURFACE_ROWS)
+    v2 = v1 / (50.0 ** rng.random(SURFACE_ROWS)) ** (1 / base)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        v0 = np.array([float((Decimal(p) ** Decimal(b) + Decimal(q) ** Decimal(b))
+                             ** (1 / Decimal(b))) for p, q, b in zip(v1.tolist(), v2.tolist(),
+                                                                   base.tolist())])
+    rows = v0, np.column_stack((v1, v2)), base, x * base[:, None]
+    for v in rows:
+        v.flags.writeable = False
+    return rows
+
+
+class TestSurfaceRows:
+    """On the equality surface, with a = (v_1/v_2)^base = max_admissible_a,
+    the scalar lemma is an equality at t = a, so the two-term bound equals
+    the measured value in exact arithmetic at every target.  The check is
+    two-sided: a bound too strong or too weak by a few eps fails it.
+
+    The threshold |margin / measured| <= c (1 + x) eps comes from an error
+    model, in units of u = eps/2: each +, -, * and / rounds by at most u,
+    and each pow by at most one ulp, 2u (NumPy's float64 array pow was
+    within 0.65 ulp of the 50-digit value on 20,000 random operands, on an
+    AVX-512 x86-64 host).  v_1, v_2, the base
+    and the target are exact floats, and v_0 is rounded once, by u.
+    - The measured value v_0^target: target * u from v_0, and 2u from its pow.
+    - a = (v_1/v_2)^base: the bound w_s + w_l t^x is stationary in a at
+      a = t, so the error of a enters to second order only.
+    - x = target/base and x - 1 each round once: (x + |x - 1|) u.  The
+      bound's log derivative in x is the binary entropy of the two terms'
+      shares 1/(1+a) and a/(1+a), at most ln 2.
+    - 1 + a, 1/a and 1 + 1/a: at most 2u in the base of each weight's pow,
+      which its exponent x - 1 scales by |x - 1|.
+    - the two weights' pows and the two terms' pows, 2u each, the two
+      products and the sum, u each: 6u, as the terms are positive.
+    The margin measured - bound is exact (Sterbenz), so to first order
+    |margin / measured| <= (target + 8 + (2 + ln 2) |x - 1| + x ln 2) u.
+    In monogamy mode target = x r <= 8x and x <= 1: (6x + 10.7) u, within
+    5.35 (1 + x) eps.  In polygamy mode target = x s <= x and x >= 1:
+    (4.4x + 5.3) u, within 2.66 (1 + x) eps.  c = 6 is the larger rounded
+    up; the second-order terms are below 1e-28.
+    """
+
+    C = 6
+
+    @staticmethod
+    def relative_margins(mode, seed, a=None):
+        """The margins over measured values, in units of (1 + x) eps, from
+        one ``margin_rows`` call per block of SURFACE_BLOCK rows; ``a`` is
+        None (resolved as max_admissible_a) or an (N,) array."""
+        v0, pairwise, base, targets = surface_rows(mode, seed)
+        margins = []
+        for start in range(0, SURFACE_ROWS, SURFACE_BLOCK):
+            rows = slice(start, start + SURFACE_BLOCK)
+            spec = BoundSpec(mode, base[rows], targets[rows], a=None if a is None else a[rows])
+            block, ok = margin_rows(v0[rows], pairwise[rows], spec)
+            assert ok.all()
+            margins.append(block)
+        measured = v0[:, None] ** targets
+        return np.concatenate(margins) / measured / ((1 + targets / base[:, None]) * DECIMAL_EPS)
+
+    @pytest.mark.parametrize("mode,seed", [("monogamy", 28), ("polygamy", 29)])
+    def test_bound_equals_the_measured_value(self, mode, seed):
+        assert np.abs(self.relative_margins(mode, seed)).max() <= self.C
+
+    @pytest.mark.parametrize("slot,scale", [(0, 1 + 1e-12), (1, 1 - 1e-9)],
+                             ids=["w_small-too-strong", "w_large-too-weak"])
+    @pytest.mark.parametrize("mode,seed", [("monogamy", 28), ("polygamy", 29)])
+    def test_planted_weight_defect_fails(self, monkeypatch, mode, seed, slot, scale):
+        """A weight off by 1e-12 or 1e-9 relative, which passes every suite,
+        moves some row past the threshold."""
+        weights = bounds._weights
+
+        def planted(*args):
+            for pair in weights(*args):
+                pair = list(pair)
+                pair[slot] = pair[slot] * scale
+                yield tuple(pair)
+
+        monkeypatch.setattr(bounds, "_weights", planted)
+        assert np.abs(self.relative_margins(mode, seed)).max() > self.C
+
+    @pytest.mark.parametrize("mode,seed", [("monogamy", 28), ("polygamy", 29)])
+    def test_halved_a_fails(self, mode, seed):
+        """a = max(1, a_max / 2), a weaker bound that the ratio condition
+        admits, moves some row past the threshold."""
+        _, pairwise, base, _ = surface_rows(mode, seed)
+        a_max = (pairwise[:, 0] / pairwise[:, 1]) ** base
+        a = np.maximum(1.0, a_max / 2)
+        assert np.abs(self.relative_margins(mode, seed, a)).max() > self.C
+
+
 class TestLonePair:
     """One pairwise value (a two-qubit state) bounds itself: the bound is
     v_1^target bit for bit, at a given a and at the resolved A_CAP alike."""

@@ -88,6 +88,26 @@ class TestWhole:
         with pytest.raises(OverflowError):
             linalg.whole(float("inf"), "count")
 
+    @pytest.mark.parametrize("value", [0, 3, 3.0, np.int64(3), np.uint32(3), True])
+    def test_nonnegative_whole_reads_as_whole(self, value):
+        got = linalg.nonnegative_whole(value, "seed")
+        assert got == linalg.whole(value, "seed") and type(got) is int
+
+    @pytest.mark.parametrize("value,seen", [
+        (-1, "seed must be nonnegative, got -1"),
+        (-2.0, "seed must be nonnegative, got -2"),
+        (2.5, "seed must be an integer, got 2.5"),
+    ], ids=["negative", "negative-float", "fraction"])
+    def test_nonnegative_whole_rejects(self, value, seen):
+        with pytest.raises(ValueError) as exc:
+            linalg.nonnegative_whole(value, "seed")
+        assert str(exc.value) == seen
+
+    @pytest.mark.parametrize("value", [None, [1, 2]], ids=["none", "sequence"])
+    def test_nonnegative_whole_refuses_none_and_sequences(self, value):
+        with pytest.raises(TypeError):
+            linalg.nonnegative_whole(value, "seed")
+
     def test_subsystem_dims(self):
         got = linalg.subsystem_dims([np.float64(2.0), np.int64(3), 4.0])
         assert got == (2, 3, 4) and all(type(d) is int for d in got)

@@ -148,6 +148,63 @@ class TestConcurrence2q:
             concurrence_2q(DensityMatrix((2,), np.eye(2) / 2))
 
 
+EPS = np.finfo(float).eps
+SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+class TestWoottersForm:
+    """``concurrence_2q`` and ``concurrence_assistance_2q`` against Wootters'
+    own form: max(0, mu_1 - mu_2 - mu_3 - mu_4) and sum mu, for mu the
+    descending square roots of the eigenvalues of R = rho rho~, rho~ =
+    (sigma_y (x) sigma_y) rho* (sigma_y (x) sigma_y), from
+    ``np.linalg.eigvals`` here; the library takes singular values of
+    f^T YY f for a square root f of rho, so the two share no arithmetic.
+
+    The tolerance is absolute and comes from eigenvalue perturbation.  rho~
+    is exact, as sigma_y (x) sigma_y is a signed permutation.  The product R
+    is within 6 (eps/2) = 3 eps in the 2-norm, as a unit-trace PSD rho has
+    Frobenius norm <= 1, and ``eigvals`` returns the eigenvalues of R + E
+    with ||E|| <= n^2 eps ||R|| = 16 eps (n = 4, ||R|| <= 1).  R = sqrt(rho)
+    H sqrt(rho)^-1 with H = sqrt(rho) rho~ sqrt(rho) Hermitian, so R's
+    eigenvectors are sqrt(rho) times a unitary, of condition number
+    kappa = sqrt(w_max / w_min) for rho's eigenvalues w, and by Bauer-Fike
+    each lambda is within D = 19 eps kappa of a true one: mu moves by at
+    most min(sqrt(D), D / mu).  The library's f = psd_sqrt(rho) is within
+    16 eps / (2 sqrt(w_min)) + 3 eps of sqrt(rho), after eigh's backward
+    error of 16 eps, so each singular value of f^T YY f, where ||f|| <= 1,
+    moves by at most 2 ||f - sqrt(rho)|| <= 38 eps kappa (w_max >= 1/4).
+    Each value is within the sum over the four roots of both errors.
+    """
+
+    @staticmethod
+    def assert_wootters(rho):
+        m = rho.mat
+        lam = np.linalg.eigvals(m @ SIGMA_YY @ m.conj() @ SIGMA_YY).real
+        mu = np.sqrt(np.clip(np.sort(lam)[::-1], 0.0, None))
+        w = np.linalg.eigvalsh(m)
+        kappa = math.sqrt(w[-1] / w[0])
+        d = 19 * EPS * kappa
+        tol = np.sum(np.minimum(math.sqrt(d), d / np.maximum(mu, d))) + 4 * 38 * EPS * kappa
+        assert abs(concurrence_2q(rho) - max(0.0, mu[0] - mu[1:].sum())) <= tol
+        assert abs(concurrence_assistance_2q(rho) - mu.sum()) <= tol
+
+    def test_full_rank_states(self):
+        gen = np.random.default_rng(8)
+        for _ in range(200):
+            g = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
+            m = g @ g.conj().T
+            self.assert_wootters(DensityMatrix((2, 2), m / np.trace(m).real))
+
+    @pytest.mark.parametrize("n_qubits", [4, 5])
+    def test_reduced_pairs_of_haar_states(self, n_qubits):
+        """The pairs (0, i) of Haar states, full rank when the rest has two
+        qubits or more."""
+        for seed in range(20):
+            rho = to_density(haar_random_pure((2,) * n_qubits, seed))
+            for i in range(1, n_qubits):
+                self.assert_wootters(reduce_density(rho, [0, i]))
+
+
 class TestSpinFlipClosedForms:
     """Mixed two-qubit states of rank 1 to 4 with known spin-flip roots."""
 

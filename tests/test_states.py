@@ -235,6 +235,16 @@ def test_amplitudes_reject_a_bad_shape(make, want):
     assert str(exc.value) == want
 
 
+@pytest.mark.parametrize("dims,seed,want", [
+    ((-2, 2), 1, "subsystem dimensions must be positive, got (-2, 2)"),
+    ((2, 2), -5, "seed must be nonnegative, got -5"),
+], ids=["negative-dim", "negative-seed"])
+def test_haar_reads_dims_and_seed_by_the_library_rules(dims, seed, want):
+    with pytest.raises(ValueError) as exc:
+        haar_random_pure(dims, seed)
+    assert str(exc.value) == want
+
+
 def test_haar_normalized():
     psi = haar_random_pure([4, 4], seed=3)
     assert abs(np.linalg.norm(psi.amps) - 1) < 1e-12

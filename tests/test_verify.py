@@ -510,6 +510,38 @@ def test_negative_sample_count_raises(suite):
     assert suite(0).summary()["total"] == 0
 
 
+SUITES = [verify_scalar, verify_monogamy_states, verify_polygamy_states]
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_seed_is_read_by_the_seed_rule(suite):
+    """A seed equal to a whole number runs as that int, and a NumPy integer
+    or a bool keeps the int's stream."""
+    want = suite(40, seed=2)
+    assert suite(40, seed=2.0) == want and suite(40, seed=np.int64(2)) == want
+    assert suite(40, seed=True) == suite(40, seed=1)
+    assert suite(40, seed=np.uint32(7)) == suite(40, seed=7)
+
+
+@pytest.mark.parametrize("suite", SUITES)
+@pytest.mark.parametrize("seed,error,want", [
+    (2.5, ValueError, "seed must be an integer, got 2.5"),
+    ("3", ValueError, "seed must be an integer, got 3"),
+    (-1, ValueError, "seed must be nonnegative, got -1"),
+    (-1.0, ValueError, "seed must be nonnegative, got -1"),
+    (None, TypeError, None),
+    ([1, 2], TypeError, None),
+], ids=["fraction", "string", "negative", "negative-float", "none", "sequence"])
+def test_seed_that_is_not_a_nonnegative_whole_number_raises(suite, seed, error, want):
+    """At every n, and before any draw: None would draw from the operating
+    system's entropy, and a sequence would be an entropy sequence."""
+    for n in (0, 5):
+        with pytest.raises(error) as exc:
+            suite(n, seed=seed)
+        if want is not None:
+            assert str(exc.value) == want
+
+
 def test_qubit_count_is_read_whole():
     with pytest.raises(ValueError) as exc:
         verify_monogamy_states(3, seed=1, n_qubits=4.9)
