@@ -5,8 +5,11 @@ weighted bound), ``repro`` (bound-surface CSVs for the two worked
 examples), ``verify`` (random-sampling verification suites).
 
 Exit codes: 0 ok, 1 verification failure, 2 usage/parse error, 3 domain
-error or overflow, 4 I/O error.  Numbers are serialized with 12 significant
-digits and CSV output is locale-independent with ``\\n`` newlines.
+error or overflow, 4 I/O error, 141 stdout closed by its reader (nothing is
+printed).  Numbers are serialized with 12 significant digits and CSV output
+is locale-independent with ``\\n`` newlines.  Every number read from text
+(an option, a state spec, a grid or ``MONOGAMY_SEED``) is read by
+``states.read_number``: ASCII, without ``_``.
 
 The ``MONOGAMY_SEED`` environment variable supplies the default seed, a
 non-negative integer (anything else is a usage error); all other options
@@ -16,6 +19,7 @@ are flag-driven.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -27,13 +31,14 @@ import numpy as np
 
 from . import bounds, verify
 from .measures import MeasureKind, measure_vector
-from .states import StateSpecError, parse_state_spec
+from .states import StateSpecError, parse_state_spec, read_number
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
+EXIT_PIPE = 141  # the reader closed stdout: 128 + SIGPIPE, as a shell reports it
 
 # Rows of a CSV table formatted and written per write call.  Larger chunks
 # make fewer NumPy calls; smaller ones keep the kernel's temporaries and its
@@ -94,12 +99,10 @@ def _csv_tables():
 
 def _default_seed() -> int:
     text = os.environ.get("MONOGAMY_SEED", "0")
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
+    message = f"MONOGAMY_SEED must be a non-negative integer, got {text!r}"
+    seed = read_number(text, int, message)
     if seed < 0:
-        raise StateSpecError(f"MONOGAMY_SEED must be a non-negative integer, got {text!r}")
+        raise StateSpecError(message)
     return seed
 
 
@@ -206,15 +209,11 @@ def _write_csv(path: str, header: Sequence[str], table: np.ndarray):
 
 def _parse_grid(text: str) -> verify.SweepGrid:
     """Grid spec 'start:stop:step,start:stop:step', the example's two axes in order."""
-    try:
-        ax1, ax2 = text.split(",")
-        s1 = [float(v) for v in ax1.split(":")]
-        s2 = [float(v) for v in ax2.split(":")]
-        if len(s1) != 3 or len(s2) != 3:
-            raise ValueError
-    except ValueError:
-        raise StateSpecError(f"cannot parse grid {text!r}") from None
-    return verify.SweepGrid(*s1, *s2)
+    message = f"cannot parse grid {text!r}"
+    fields = [axis.split(":") for axis in text.split(",")]
+    if [len(axis) for axis in fields] != [3, 3]:
+        raise StateSpecError(message)
+    return verify.SweepGrid(*(read_number(v, float, message) for axis in fields for v in axis))
 
 
 def cmd_measure(args) -> int:
@@ -330,6 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "suite keeps tol 1e-12 and rtol 1e-9, the dominance suite 1e-12; a NaN is "
                    "refused for every suite")
     p.set_defaults(fn=cmd_verify)
+    for p in parser.commands.values():  # argparse keeps its own invalid-value text
+        p.register("type", int, functools.partial(read_number, kind=int))
+        p.register("type", float, read_number)
     return parser
 
 
@@ -351,7 +353,17 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader is seen here, not in the exit-time flush
+        return code
+    except BrokenPipeError:
+        # nothing is printed; a stdout with a file descriptor is pointed at
+        # os.devnull, so that the exit-time flush of what it buffers is quiet
+        with contextlib.suppress(AttributeError, OSError):  # none in an in-process redirect
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_PIPE
     except StateSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -112,18 +112,6 @@ class DensityMatrix:
         return len(self.dims)
 
 
-def _normalized(coeffs: Sequence[float]) -> np.ndarray:
-    v = np.asarray(coeffs, dtype=float)
-    if np.any(v < 0):
-        raise ValueError(f"coefficients must be nonnegative, got {v.tolist()}")
-    norm = float(np.linalg.norm(v))
-    if not abs(norm - 1.0) <= RENORM_TOL:
-        raise ValueError(
-            f"coefficients have norm {norm!r}, more than {RENORM_TOL} away from 1"
-        )
-    return v / norm
-
-
 def schmidt3_state(l0, l1, l2, l3, l4, phi: float = 0.0) -> PureState:
     """Three-qubit state in generalized Schmidt form.
 
@@ -133,9 +121,11 @@ def schmidt3_state(l0, l1, l2, l3, l4, phi: float = 0.0) -> PureState:
     forms C_{A1A2} = 2 l0 l2 and C_{A1A3} = 2 l0 l3 hold.
 
     The five coefficients must be nonnegative with unit square sum (inputs
-    within 1e-6 of normalization are renormalized).
+    within 1e-6 of normalization are renormalized), and the phase finite.
     """
-    l0, l1, l2, l3, l4 = _normalized([l0, l1, l2, l3, l4])
+    l0, l1, l2, l3, l4 = _unit_rows(np.array([[l0, l1, l2, l3, l4]], dtype=float))[0]
+    if not math.isfinite(phi):
+        raise ValueError(f"phase phi must be finite, got {phi}")
     amps = np.zeros(8, dtype=complex)
     amps[0b000] = l0
     amps[0b100] = l1 * np.exp(1j * float(phi))
@@ -156,23 +146,37 @@ def w_class_state(a, b, c) -> PureState:
 def w_class_amps(coeffs) -> np.ndarray:
     """(N, 8) amplitudes of the W-class states of the (N, 3) rows (a, b, c).
 
-    Each row must be nonnegative with a norm within RENORM_TOL of 1, and is
-    divided by its norm.  The stack is checked by its least coefficient and
-    its largest norm error (a NaN fails both), and only a failing stack row
-    by row: the first bad row raises the message that ``w_class_state``
-    gives for it.
+    Each row is read by ``_unit_rows``, as ``w_class_state`` reads its one
+    row.
     """
     v = np.asarray(coeffs, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3:
         raise ValueError(f"expected rows of three coefficients, got shape {v.shape}")
-    # the norm of np.linalg.norm on one row, bit for bit
-    norm = np.sqrt(np.vecdot(v, v))
+    amps = np.zeros((len(v), 8), dtype=complex)
+    amps[:, _W_SLOTS] = _unit_rows(v)
+    return amps
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """The rows of a 2-d coefficient array, each divided by its norm.
+
+    Each row must be nonnegative with a norm within RENORM_TOL of 1.  The
+    stack is checked by its least coefficient and its largest norm error (a
+    NaN fails both), and only a failing stack row by row: the first bad row
+    raises, with its sign error before its norm error.  A norm that
+    overflows is inf, and fails the norm check.
+    """
+    with np.errstate(over="ignore"):
+        # the norm of np.linalg.norm on one row, bit for bit
+        norm = np.sqrt(np.vecdot(v, v))
     if not (v.min(initial=0.0) >= 0 and np.abs(norm - 1.0).max(initial=0.0) <= RENORM_TOL):
         bad = (v < 0).any(axis=1) | ~(np.abs(norm - 1.0) <= RENORM_TOL)
-        _normalized(v[np.argmax(bad)])  # raises
-    amps = np.zeros((len(v), 8), dtype=complex)
-    amps[:, _W_SLOTS] = v / norm[:, None]
-    return amps
+        row = np.argmax(bad)
+        if (v[row] < 0).any():
+            raise ValueError(f"coefficients must be nonnegative, got {v[row].tolist()}")
+        raise ValueError(f"coefficients have norm {float(norm[row])!r}, "
+                         f"more than {RENORM_TOL} away from 1")
+    return v / norm[:, None]
 
 
 def haar_random_pure(dims: Sequence[int], seed: int) -> PureState:
@@ -212,11 +216,29 @@ def reduce_density(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
 _SQRT_RE = re.compile(r"^(-)?sqrt\(([^()]+)\)$")
 
 
+def read_number(text: str, kind=float, message=None):
+    """``kind(text)``, for ``kind`` int or float, when ``text`` is ASCII and
+    holds no ``_``; otherwise ``StateSpecError(message)``, a ValueError.
+
+    The package's one reading of a number from text: Python's own ``int``
+    and ``float`` also read ``1_0`` as 10 and the digits of other scripts.
+    """
+    if text.isascii() and "_" not in text:
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    raise StateSpecError(message)
+
+
 def _parse_number(token: str) -> float:
-    """Parse a numeric literal, allowing sqrt(n) and fractions like sqrt(6)/6."""
+    """Parse a numeric literal, allowing sqrt(n) and one fraction such as
+    sqrt(6)/6; each leaf is read by ``read_number``."""
     token = token.strip()
     if "/" in token:
         num, _, den = token.partition("/")
+        if "/" in den:
+            raise StateSpecError(f"cannot parse number {token!r}")
         d = _parse_number(den)
         if d == 0:
             raise StateSpecError(f"division by zero in {token!r}")
@@ -228,10 +250,7 @@ def _parse_number(token: str) -> float:
             raise StateSpecError(f"sqrt of negative number in {token!r}")
         val = math.sqrt(inner)
         return -val if m.group(1) else val
-    try:
-        return float(token)
-    except ValueError:
-        raise StateSpecError(f"cannot parse number {token!r}") from None
+    return read_number(token, float, f"cannot parse number {token!r}")
 
 
 def parse_state_spec(spec: str, default_seed: int = 0) -> PureState:
@@ -243,7 +262,9 @@ def parse_state_spec(spec: str, default_seed: int = 0) -> PureState:
     - ``wclass:a,b,c``
     - ``haar:d1xd2x...[:seed]``
 
-    Numeric fields accept plain decimals plus ``sqrt(6)/6``-style literals.
+    Numeric fields accept ASCII decimals without ``_`` plus ``sqrt(6)/6``-style
+    literals, with at most one fraction; every number is read by
+    ``read_number``.
     """
     spec = spec.strip()
     head, sep, rest = spec.partition(":")
@@ -269,10 +290,8 @@ def parse_state_spec(spec: str, default_seed: int = 0) -> PureState:
 
     if head == "haar":
         dim_part, sep2, seed_part = rest.partition(":")
-        try:
-            dims = tuple(int(d) for d in dim_part.strip().split("x"))
-        except ValueError:
-            raise StateSpecError(f"cannot parse dims {dim_part!r}") from None
+        message = f"cannot parse dims {dim_part!r}"
+        dims = tuple(read_number(d, int, message) for d in dim_part.strip().split("x"))
         if min(dims) < 1:
             raise StateSpecError(f"haar dims {dim_part!r} must all be at least 1")
         if math.prod(dims) > MAX_HAAR_AMPLITUDES:
@@ -281,10 +300,7 @@ def parse_state_spec(spec: str, default_seed: int = 0) -> PureState:
                 f"more than {MAX_HAAR_AMPLITUDES}"
             )
         if seed_part.strip():
-            try:
-                seed = int(seed_part)
-            except ValueError:
-                raise StateSpecError(f"cannot parse seed {seed_part!r}") from None
+            seed = read_number(seed_part, int, f"cannot parse seed {seed_part!r}")
             if seed < 0:
                 raise StateSpecError(
                     f"haar seed must be a non-negative integer, got {seed_part.strip()!r}")

@@ -1256,19 +1256,49 @@ class TestTightOnWClass:
     allows 3e-14 at alpha = 0.25.
     """
 
-    def test_margins_vanish(self):
+    @staticmethod
+    def rows_past_tolerance(halve_a=False):
+        """The number of the 2000 states with some |margin| past the
+        tolerance; ``halve_a`` evaluates at a = max(1, a_max / 2)."""
         rng = np.random.default_rng(0)
         coeffs = np.abs(rng.standard_normal((2000, 3)))
         coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
         first, pairwise = measure_vectors(w_class_amps(coeffs), (2, 2, 2), "concurrence")
         # the equality needs a = max_admissible_a, which A_CAP would cut
-        assert all(max_admissible_a(row, 2.0) <= A_CAP for row in pairwise)
+        a_max = np.array([max_admissible_a(row, 2.0) for row in pairwise])
+        assert np.all(a_max <= A_CAP)
+        a = np.maximum(1.0, a_max / 2) if halve_a else None
         alphas = np.array(default_alpha_grid(2.0))
-        margins, ok = margin_rows(first, pairwise, BoundSpec("monogamy", 2.0, alphas))
+        margins, ok = margin_rows(first, pairwise, BoundSpec("monogamy", 2.0, alphas, a=a))
         assert ok.all()
         eps = np.finfo(float).eps
         tol = 4 * eps * (alphas * first[:, None] ** (alphas - 1) + 1)
-        assert np.all(np.abs(margins) <= tol)
+        return int(np.sum((np.abs(margins) > tol).any(axis=1)))
+
+    def test_margins_vanish(self):
+        assert self.rows_past_tolerance() == 0
+
+    @pytest.mark.parametrize("slot,scale", [(0, 1 + 1e-12), (1, 1 - 1e-9)],
+                             ids=["w_small-too-strong", "w_large-too-weak"])
+    def test_planted_weight_defect_fails(self, monkeypatch, slot, scale):
+        """A weight of ours off by 1e-12 or 1e-9 relative, which passes every
+        suite (ROADMAP item 24), moves rows past the tolerance: most of the
+        2000 at either scale."""
+        weights = bounds._weights
+
+        def planted(*args):
+            for pair in weights(*args):
+                pair = list(pair)
+                pair[slot] = pair[slot] * scale
+                yield tuple(pair)
+
+        monkeypatch.setattr(bounds, "_weights", planted)
+        assert self.rows_past_tolerance() > 1000
+
+    def test_halved_a_fails(self):
+        """a = max(1, a_max / 2), a weaker bound that the ratio condition
+        admits, moves rows past the tolerance."""
+        assert self.rows_past_tolerance(halve_a=True) > 1000
 
     def test_bound_grows_with_a(self):
         """With two pairwise values the bound is w_s + w_l t^x, whose

@@ -1,6 +1,9 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -610,3 +613,110 @@ class TestVerify:
         _, out_a, _ = run(capsys, "verify", "--suite", "scalar", "--n", "500")
         _, out_b, _ = run(capsys, "verify", "--suite", "scalar", "--n", "500", "--seed", "123")
         assert out_a == out_b
+
+
+# each was read by Python's int() or float() as another number: seed 10, a
+# 22-level system, seed 3, 0.5 for 05, 1/(2/3), beta = 5 and a step of 5
+MISREAD = [
+    ({}, ["measure", "--state", "haar:2x2x2:1_0", "--kind", "concurrence"],
+     "error: cannot parse seed '1_0'\n"),
+    ({}, ["measure", "--state", "haar:2_2x2:3", "--kind", "concurrence"],
+     "error: cannot parse dims '2_2x2'\n"),
+    ({}, ["measure", "--state", "haar:2x2x2:\u0663", "--kind", "concurrence"],
+     "error: cannot parse seed '\u0663'\n"),
+    ({}, ["measure", "--state", "wclass:0_5,0_5,sqrt(2)/2", "--kind", "concurrence"],
+     "error: cannot parse number '0_5'\n"),
+    ({}, ["measure", "--state", "wclass:1/2/3,0,1", "--kind", "concurrence"],
+     "error: cannot parse number '1/2/3'\n"),
+    ({"MONOGAMY_SEED": "1_0"}, ["verify", "--suite", "scalar", "--n", "10"],
+     "error: MONOGAMY_SEED must be a non-negative integer, got '1_0'\n"),
+    ({}, ["verify", "--suite", "scalar", "--n", "10", "--seed", "1_0"],
+     "monogamy verify: error: argument --seed: invalid int value: '1_0'\n"),
+    ({}, ["verify", "--suite", "scalar", "--n", "1_0"],
+     "monogamy verify: error: argument --n: invalid int value: '1_0'\n"),
+    ({}, BOUND[:-1] + ["0_5"],
+     "monogamy bound: error: argument --target-exp: invalid float value: '0_5'\n"),
+    ({}, ["repro", "example1", "--grid", "0:1:0_5,2:3:1"],
+     "error: cannot parse grid '0:1:0_5,2:3:1'\n"),
+]
+
+
+@pytest.mark.parametrize("env,argv,err", MISREAD, ids=[
+    " ".join([f"{k}={v}" for k, v in env.items()] + argv) for env, argv, _ in MISREAD])
+def test_refuses_what_python_misreads(capsys, monkeypatch, env, argv, err):
+    """Exit 2 with the text of the number's kind: argparse's own for an
+    option, the spec's, grid's or variable's for the rest."""
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err == err or out.err.startswith("usage: ") and out.err.endswith(err)
+
+
+def test_option_numbers_keep_their_values(capsys):
+    args = cli.parse_args(BOUND[:-1] + [" 1e-1 ", "--a", "2", "--p", "-0.25"])
+    assert (args.target_exp, args.a, args.p, args.base_exp) == (0.1, 2.0, -0.25, 2.0)
+    assert all(type(v) is float for v in (args.target_exp, args.a, args.p, args.base_exp))
+    args = cli.parse_args(["verify", "--suite", "scalar", "--n", "010", "--seed", "+7"])
+    assert (args.n, args.seed) == (10, 7) and type(args.n) is type(args.seed) is int
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early gets no error text, and the exit
+    status a shell gives a process that SIGPIPE stops."""
+
+    @staticmethod
+    def spawn(argv, stdout):
+        # block-buffered stdout, as from a shell: without PYTHONUNBUFFERED
+        # what the last write leaves in the buffer is flushed at exit
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        env.pop("PYTHONUNBUFFERED", None)
+        return subprocess.Popen([sys.executable, "-m", "monogamy.cli", *argv],
+                                stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+    @staticmethod
+    def outcome(proc):
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return proc.wait(timeout=60), err
+
+    def test_reader_closing_after_one_line(self):
+        # 60,501 rows, far past a pipe's buffer: a write fails in the middle
+        proc = self.spawn(["repro", "example1", "--grid", "0:1:0.005,2:5:0.01"],
+                          subprocess.PIPE)
+        assert proc.stdout.readline() == b"alpha,r,Z1,Z2,Z3\n"
+        proc.stdout.close()
+        assert self.outcome(proc) == (cli.EXIT_PIPE, b"")
+        assert cli.EXIT_PIPE == 141
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--state", EX1, "--kind", "concurrence"],
+        ["verify", "--suite", "scalar", "--n", "10", "--seed", "1"],
+        ["repro", "example2", "--grid", "0.6:1:0.1,0.6:3:0.5"],
+    ], ids=lambda argv: argv[0])
+    def test_reader_gone_before_the_first_write(self, argv):
+        """Short output sits in stdout's buffer until ``main`` flushes it:
+        the failure is seen there, not by Python's exit-time flush."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = self.spawn(argv, write_end)
+        os.close(write_end)
+        assert self.outcome(proc) == (cli.EXIT_PIPE, b"")
+
+    def test_in_process_redirect_is_left_alone(self, capsys, monkeypatch):
+        """A stream without a file descriptor is not repointed."""
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        before = os.fstat(1)
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["measure", "--state", EX1, "--kind", "concurrence"]) == 141
+        monkeypatch.undo()
+        after = os.fstat(1)
+        assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+        assert capsys.readouterr().err == ""

@@ -12,6 +12,7 @@ from monogamy.states import (
     StateSpecError,
     haar_random_pure,
     parse_state_spec,
+    read_number,
     reduce_density,
     schmidt3_state,
     to_density,
@@ -181,11 +182,12 @@ def test_w_class_amps_names_the_first_bad_row_whatever_holds_the_extremes(stack,
     assert wclass_outcome(lambda: w_class_state(*first_bad)) == want
 
 
-def test_w_class_amps_checks_a_valid_stack_without_rows(monkeypatch):
+def test_w_class_amps_checks_a_valid_stack_without_rows():
     """Valid seeded stacks, with exact and negative zeros and rows within
     RENORM_TOL of unit norm, pass the extremes check without the row-by-row
-    check, and each amplitude has the bytes of a one-state build."""
-    monkeypatch.setattr(states, "_normalized", lambda row: pytest.fail(f"row {row} checked"))
+    check, and each amplitude has the bytes of a one-state build.  A stack
+    that fails the extremes check raises for its first flagged row (row 0
+    when none is), so a too-strict extremes check fails here."""
     for seed in range(5):
         rng = np.random.default_rng(seed)
         rows = np.abs(rng.standard_normal((64, 3)))
@@ -435,6 +437,15 @@ class TestParseStateSpec:
         ("wclass:1/0,0,1", "division by zero in '1/0'"),
         ("wclass:sqrt(-1),0,1", "sqrt of negative number in 'sqrt(-1)'"),
         ("haar:2x2:abc", "cannot parse seed 'abc'"),
+        # Python's own int() and float() read each of these as another number
+        ("haar:2x2x2:1_0", "cannot parse seed '1_0'"),
+        ("haar:2_2x2:3", "cannot parse dims '2_2x2'"),
+        ("haar:2x2x2:\u0663", "cannot parse seed '\u0663'"),
+        ("haar:2x\uff12:1", "cannot parse dims '2x\uff12'"),
+        ("wclass:0_5,0_5,sqrt(2)/2", "cannot parse number '0_5'"),
+        ("wclass:sqrt(0_5),0.5,0.5", "cannot parse number '0_5'"),
+        ("wclass:1/2/3,0,1", "cannot parse number '1/2/3'"),
+        ("schmidt3:1,0,0,0,0,\u0665", "cannot parse number '\u0665'"),
     ]
 
     @pytest.mark.parametrize("bad,seen", REJECTED, ids=[bad for bad, _ in REJECTED])
@@ -442,3 +453,54 @@ class TestParseStateSpec:
         with pytest.raises(StateSpecError) as exc:
             parse_state_spec(bad)
         assert str(exc.value) == seen
+
+    def test_whitespace_lenient(self):
+        want = parse_state_spec("haar:2x2x2:5").amps
+        assert parse_state_spec("haar: 2 x 2 x 2 : 5").amps.tobytes() == want.tobytes()
+        assert parse_state_spec(" wclass: 1/2 , 0.5 ,sqrt( 2 )/ 2 ").amps.tobytes() == \
+            parse_state_spec("wclass:0.5,0.5,sqrt(2)/2").amps.tobytes()
+
+
+class TestReadNumber:
+    @pytest.mark.parametrize("text,kind", [
+        ("7", int), (" 7 ", int), ("-3", int), ("+0", int), ("007", int),
+        ("0.5", float), ("-1e-3", float), (" 2 ", float), ("inf", float), ("nan", float),
+        ("1E+2", float), (".5", float),
+    ])
+    def test_reads_ascii_as_python_does(self, text, kind):
+        got = read_number(text, kind, "unused")
+        assert type(got) is kind and repr(got) == repr(kind(text))
+
+    @pytest.mark.parametrize("text,kind", [
+        ("1_0", int), ("1_0", float), ("0_5", float), ("1_0.5", float), ("1e1_0", float),
+        ("\u0663", int), ("\u0663", float), ("\uff11", int), ("1\u00a0", float),
+        ("2.5", int), ("", int), ("", float), ("x", float), ("0x10", int),
+    ])
+    def test_refuses_the_rest(self, text, kind):
+        with pytest.raises(StateSpecError) as exc:
+            read_number(text, kind, f"cannot parse {text!r}")
+        assert str(exc.value) == f"cannot parse {text!r}"
+        assert exc.value.__context__ is None  # no chained int() or float() error
+
+
+class TestConstructorsRaiseWithoutWarnings:
+    """Bad coefficients and phases raise their ValueError, and no NumPy
+    floating-point warning comes first (pyproject.toml makes one an error)."""
+
+    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+    def test_non_finite_phase(self, phi):
+        with pytest.raises(ValueError) as exc:
+            schmidt3_state(1, 0, 0, 0, 0, phi=phi)
+        assert str(exc.value) == f"phase phi must be finite, got {phi!r}"
+
+    @pytest.mark.parametrize("make", [
+        lambda: w_class_state(1e200, 1e200, 0),
+        lambda: w_class_amps([[0.6, 0.8, 0.0], [1e200, 0.0, 1e200]]),
+        lambda: schmidt3_state(1e200, 1e200, 0, 0, 0),
+        lambda: parse_state_spec("schmidt3:1e200,1e200,0,0,0"),
+    ], ids=["w_class_state", "w_class_amps", "schmidt3_state", "spec"])
+    def test_overflowing_norm_is_inf(self, make):
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError) as exc:
+                make()
+        assert str(exc.value) == "coefficients have norm inf, more than 1e-06 away from 1"
