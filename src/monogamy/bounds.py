@@ -335,9 +335,11 @@ def _layout(spec: BoundSpec, n: int, m: int) -> tuple:
     exponents of the terms' pow; each of the full shape of its pow (see
     ``_full``).  Built once per spec and block shape, read-only, and kept in
     ``spec._layouts`` while the kept arrays total at most
-    LAYOUT_STORE_BYTES; a layout beyond that is built anew for each block."""
+    LAYOUT_STORE_BYTES; a layout beyond that is built anew for each block.
+    Each build checks first that the spec's per-row fields fit the block."""
     layout = spec._layouts.get((n, m))
     if layout is None:
+        _check_rows(spec, n)
         targets = np.atleast_1d(np.asarray(spec.target_exp, dtype=float))  # a scalar is one target
         full = _full(targets, (n, targets.shape[-1]))
         s = _full(spec.base_exp, (n,))[:, None]
@@ -349,6 +351,17 @@ def _layout(spec: BoundSpec, n: int, m: int) -> tuple:
                for v in kept) <= LAYOUT_STORE_BYTES:
             spec._layouts[n, m] = layout
     return layout
+
+
+def _check_rows(spec: BoundSpec, n: int) -> None:
+    """Raise unless each per-row field of ``spec`` has a first axis of length
+    1, shared by every row, or of the block's n rows: ``base_exp`` and ``a``
+    as arrays, ``target_exp`` as a 2-d array."""
+    for name in ("base_exp", "a", "target_exp"):
+        shape = getattr(getattr(spec, name), "shape", ())  # the spec keeps arrays as arrays
+        if len(shape) > (name == "target_exp") and shape[0] not in (1, n):
+            raise ValueError(f"{name} has length {shape[0]}, but a block of {n} rows "
+                             f"needs 1 or {n}")
 
 
 @np.errstate(all="ignore")
@@ -369,9 +382,9 @@ def _grid(one_vs_rest, pairwise, spec: BoundSpec):
     if n and (pairwise.ndim != 2 or len(pairwise) != n or not pairwise.shape[1]):
         raise ValueError(f"pairwise must be an ({n}, m) array with m >= 1, "
                          f"got shape {pairwise.shape}")
-    if not n:  # targets of more than one row raise, as on any other block
-        targets = np.atleast_1d(np.asarray(spec.target_exp, dtype=float))
-        empty = np.empty(_full(targets, (n, targets.shape[-1])).shape)
+    if not n:  # a spec that fits no block raises, as on any other block
+        _check_rows(spec, n)
+        empty = np.empty((0, np.atleast_1d(spec.target_exp).shape[-1]))
         return empty, empty, empty, np.empty(0, dtype=bool), np.empty(0), np.empty(0)
     m = pairwise.shape[1]
     xs, s_ratios, exps = _layout(spec, n, m)

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import bounds, verify
+from . import bounds, linalg, verify
 from .measures import MeasureKind, measure_vector
 from .states import StateSpecError, parse_state_spec, read_number
 
@@ -260,6 +260,8 @@ def cmd_verify(args) -> int:
     # a NaN --tol would pass every margin: recording no margins at it raises the
     # suites' own error before any suite runs, the scalar and dominance ones too
     verify.VerificationReport().record((), args.tol, None)
+    # the suites' own rule on n, read once, so the dominance suite refuses it too
+    linalg.nonnegative_whole(args.n, "sample count n")
     selected = _SUITES[:-1] if args.suite == "all" else (args.suite,)
     summaries = {}
     failed = False

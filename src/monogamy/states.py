@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -89,20 +89,18 @@ class DensityMatrix:
 
     dims: tuple[int, ...]
     mat: np.ndarray = field(repr=False)
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check):
+    def __post_init__(self):
         dims = linalg.subsystem_dims(self.dims)
         mat = np.array(self.mat, dtype=complex)
-        if check:
-            w, _ = linalg.hermitian_eigen(mat)  # finite, 2-d, square and Hermitian
-            if math.prod(dims) != mat.shape[0]:
-                raise ValueError(f"dims {dims} do not match matrix side {mat.shape[0]}")
-            tr = complex(np.trace(mat))
-            if abs(tr - 1.0) > 1e-10:  # an absolute tolerance on the trace
-                raise ValueError(f"density matrix trace {tr} differs from 1")
-            if w[-1] < linalg.PSD_EIG_FLOOR:  # w descends, and the side is prod(dims) >= 1
-                raise ValueError(f"density matrix not PSD (min eigenvalue {w[-1]:.3e})")
+        w, _ = linalg.hermitian_eigen(mat)  # finite, 2-d, square and Hermitian
+        if math.prod(dims) != mat.shape[0]:
+            raise ValueError(f"dims {dims} do not match matrix side {mat.shape[0]}")
+        tr = complex(np.trace(mat))
+        if abs(tr - 1.0) > 1e-10:  # an absolute tolerance on the trace
+            raise ValueError(f"density matrix trace {tr} differs from 1")
+        if w[-1] < linalg.PSD_EIG_FLOOR:  # w descends, and the side is prod(dims) >= 1
+            raise ValueError(f"density matrix not PSD (min eigenvalue {w[-1]:.3e})")
         mat.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", mat)
@@ -202,7 +200,7 @@ def haar_random_block(k: int, dim: int, rng: np.random.Generator) -> np.ndarray:
 def to_density(psi: PureState) -> DensityMatrix:
     """Rank-1 projector |psi><psi| with the state's dims metadata."""
     mat = np.outer(psi.amps, psi.amps.conj())
-    return DensityMatrix(psi.dims, mat, check=False)
+    return DensityMatrix(psi.dims, mat)
 
 
 def reduce_density(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
@@ -210,10 +208,12 @@ def reduce_density(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     keep = sorted({linalg.whole(k, "keep index") for k in keep})
     mat = linalg.partial_trace(rho.mat, rho.dims, keep)
     new_dims = tuple(rho.dims[k] for k in keep)
-    return DensityMatrix(new_dims, mat, check=False)
+    return DensityMatrix(new_dims, mat)
 
 
 _SQRT_RE = re.compile(r"^(-)?sqrt\(([^()]+)\)$")
+# a fraction bar outside parentheses: a / that no ) follows before a (
+_FRACTION_BAR = re.compile(r"/(?![^(]*\))")
 
 
 def read_number(text: str, kind=float, message=None):
@@ -233,16 +233,18 @@ def read_number(text: str, kind=float, message=None):
 
 def _parse_number(token: str) -> float:
     """Parse a numeric literal, allowing sqrt(n) and one fraction such as
-    sqrt(6)/6; each leaf is read by ``read_number``."""
+    sqrt(6)/6; a / inside sqrt(...) belongs to the root, as in sqrt(1/2).
+    Each leaf is read by ``read_number``."""
     token = token.strip()
     if "/" in token:
-        num, _, den = token.partition("/")
-        if "/" in den:
+        parts = _FRACTION_BAR.split(token)
+        if len(parts) > 2:
             raise StateSpecError(f"cannot parse number {token!r}")
-        d = _parse_number(den)
-        if d == 0:
-            raise StateSpecError(f"division by zero in {token!r}")
-        return _parse_number(num) / d
+        if len(parts) == 2:
+            d = _parse_number(parts[1])
+            if d == 0:
+                raise StateSpecError(f"division by zero in {token!r}")
+            return _parse_number(parts[0]) / d
     m = _SQRT_RE.match(token)
     if m:
         inner = _parse_number(m.group(2))
@@ -263,8 +265,8 @@ def parse_state_spec(spec: str, default_seed: int = 0) -> PureState:
     - ``haar:d1xd2x...[:seed]``
 
     Numeric fields accept ASCII decimals without ``_`` plus ``sqrt(6)/6``-style
-    literals, with at most one fraction; every number is read by
-    ``read_number``.
+    literals, with at most one fraction outside a root and one inside it, as
+    in ``sqrt(1/2)/2``; every number is read by ``read_number``.
     """
     spec = spec.strip()
     head, sep, rest = spec.partition(":")

@@ -1079,8 +1079,44 @@ class TestMarginRowsErrors:
     rule, naming the first failing row, or row and target, of a block with
     more than one.  One table per rule; a call that breaks several rules
     raises the first of base exponent, target exponent, alpha/r and ratio
-    parameter (the spec's), then tripartite-only variant and values (the
-    kernel's)."""
+    parameter (the spec's), then per-row length, tripartite-only variant and
+    values (the kernel's)."""
+
+    @pytest.mark.parametrize("spec,pairwise,targets,kwargs,want", [
+        (MONO, [(0.5, 0.1)] * 3, [1.0], {"base_exp": [2.0, 2.0]},
+         "base_exp has length 2, but a block of 3 rows needs 1 or 3"),
+        (MONO, [(0.5, 0.1)] * 3, [1.0], {"a": [2.0, 2.0]},
+         "a has length 2, but a block of 3 rows needs 1 or 3"),
+        (MONO, [(0.5, 0.1)] * 3, [[1.0]] * 2, {},
+         "target_exp has length 2, but a block of 3 rows needs 1 or 3"),
+        (MONO, [(0.5, 0.1)] * 2, [[1.0]] * 3, {"base_exp": [2.0] * 3, "a": [2.0] * 4},
+         "base_exp has length 3, but a block of 2 rows needs 1 or 2"),
+        # the empty block
+        (MONO, [], [1.0], {"base_exp": [2.0, 2.0]},
+         "base_exp has length 2, but a block of 0 rows needs 1 or 0"),
+        (MONO, [], [1.0], {"a": [2.0, 2.0]}, "a has length 2, but a block of 0 rows needs 1 or 0"),
+        (MONO, [], [[1.0]] * 2, {}, "target_exp has length 2, but a block of 0 rows needs 1 or 0"),
+        # before the tripartite-only variant and the values
+        (BoundSpec("monogamy", 2.0, 0.5, variant="jfq"), [(0.5, 0.1, math.nan)] * 3, [0.5],
+         {"a": [2.0, 2.0]}, "a has length 2, but a block of 3 rows needs 1 or 3"),
+    ])
+    def test_per_row_length(self, spec, pairwise, targets, kwargs, want):
+        """A per-row field has length 1, shared by every row, or one entry per
+        row; any other length is named with the block's."""
+        assert_raises(spec, pairwise, targets, kwargs, want)
+
+    def test_per_row_length_is_checked_once_per_layout(self, monkeypatch):
+        """A block whose layout the spec keeps is not checked again, and a
+        length of 1 is shared by every row."""
+        calls, real = [], bounds._check_rows
+        monkeypatch.setattr(bounds, "_check_rows", lambda *args: calls.append(args) or real(*args))
+        spec = BoundSpec("monogamy", [2.0], [[1.0, 2.0]], a=[2.0])
+        for _ in range(3):
+            margins, _ = margin_rows([0.9] * 3, [(0.5, 0.1)] * 3, spec)
+        assert calls == [(spec, 3)]
+        shared = BoundSpec("monogamy", 2.0, [1.0, 2.0], a=2.0)
+        want, _ = margin_rows([0.9] * 3, [(0.5, 0.1)] * 3, shared)
+        assert margins.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("spec,pairwise,targets,kwargs,want", [
         # before a later row's bad target, and before the values

@@ -583,7 +583,7 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["scalar"]["total"] == 0
 
-    @pytest.mark.parametrize("suite", ["scalar", "monogamy", "polygamy", "all"])
+    @pytest.mark.parametrize("suite", ["scalar", "monogamy", "polygamy", "dominance", "all"])
     def test_negative_samples_exit_3(self, capsys, suite):
         code, out, err = run(capsys, "verify", "--suite", suite, "--n", "-4")
         assert code == 3 and out == ""

@@ -241,10 +241,11 @@ class TestSpinFlipClosedForms:
                 assert fn(rho) <= CLOSED_FORM_ATOL
 
     def test_non_psd_input_raises(self):
-        rho = DensityMatrix((2, 2), np.diag([0.6, 0.5, 0.1, -0.2]).astype(complex), check=False)
-        for fn in PAIR_FNS:
-            with pytest.raises(ValueError, match="PSD"):
-                fn(rho)
+        """A non-PSD matrix is refused where it is built, so no ``*_2q``
+        function receives one (``psd_sqrt``'s own refusal is pinned in
+        ``test_linalg``)."""
+        with pytest.raises(ValueError, match="PSD"):
+            DensityMatrix((2, 2), np.diag([0.6, 0.5, 0.1, -0.2]).astype(complex))
 
 
 class TestConcurrenceAssistance:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from monogamy import states
+from monogamy import linalg, states
 from monogamy.states import (
     MAX_HAAR_AMPLITUDES,
     DensityMatrix,
@@ -287,6 +287,32 @@ def test_reduce_composes():
     assert np.max(np.abs(twice.mat - direct.mat)) < 1e-12
 
 
+@pytest.mark.parametrize("n_qubits", range(2, 7))
+def test_reductions_are_checked_and_keep_their_bits(monkeypatch, n_qubits):
+    """``to_density`` and ``reduce_density`` build through the one checked
+    constructor: each construction takes one eigendecomposition, and the
+    matrices are the outer product and the partial trace, bit for bit."""
+    calls, real = [], linalg.hermitian_eigen
+    monkeypatch.setattr(linalg, "hermitian_eigen", lambda m: calls.append(1) or real(m))
+    for seed in range(3):
+        psi = haar_random_pure((2,) * n_qubits, seed)
+        calls.clear()
+        rho = to_density(psi)
+        assert len(calls) == 1
+        assert rho.mat.tobytes() == np.outer(psi.amps, psi.amps.conj()).tobytes()
+        for keep in ([0], [0, n_qubits - 1], list(range(1, n_qubits))):
+            calls.clear()
+            reduced = reduce_density(rho, keep)
+            assert len(calls) == 1
+            assert reduced.mat.tobytes() == linalg.partial_trace(rho.mat, rho.dims, keep).tobytes()
+            assert reduced.dims == (2,) * len(keep)
+
+
+def test_density_matrix_has_no_unchecked_path():
+    with pytest.raises(TypeError):
+        DensityMatrix((2,), np.eye(2) / 2, check=False)
+
+
 @pytest.mark.parametrize("keep,want", [
     ([5], "keep indices [5] out of range for 3 subsystems"),
     ([-1], "keep indices [-1] out of range for 3 subsystems"),
@@ -446,6 +472,10 @@ class TestParseStateSpec:
         ("wclass:sqrt(0_5),0.5,0.5", "cannot parse number '0_5'"),
         ("wclass:1/2/3,0,1", "cannot parse number '1/2/3'"),
         ("schmidt3:1,0,0,0,0,\u0665", "cannot parse number '\u0665'"),
+        # a fraction inside a root is the root's, and refused as any fraction
+        ("wclass:sqrt(1/0),0,1", "division by zero in '1/0'"),
+        ("wclass:sqrt(1/2/3),0,1", "cannot parse number '1/2/3'"),
+        ("wclass:sqrt(1/2)/2/3,0,1", "cannot parse number 'sqrt(1/2)/2/3'"),
     ]
 
     @pytest.mark.parametrize("bad,seen", REJECTED, ids=[bad for bad, _ in REJECTED])
@@ -453,6 +483,20 @@ class TestParseStateSpec:
         with pytest.raises(StateSpecError) as exc:
             parse_state_spec(bad)
         assert str(exc.value) == seen
+
+    @pytest.mark.parametrize("spec,same", [
+        ("wclass:sqrt(1/2),0.5,0.5", "wclass:sqrt(2)/2,0.5,0.5"),
+        ("wclass:0.5,sqrt(1/4),sqrt(2)/2", "wclass:0.5,0.5,sqrt(2)/2"),
+        ("wclass:sqrt(1/2)/2,sqrt(3)/2,sqrt(1/8)", "wclass:sqrt(2)/4,sqrt(3)/2,sqrt(2)/4"),
+        ("schmidt3:1,0,0,0,0,-sqrt(1/2)", "schmidt3:1,0,0,0,0,-sqrt(2)/2"),
+        ("wclass: sqrt( 1 / 2 ) ,0.5,0.5", "wclass:sqrt(2)/2,0.5,0.5"),
+    ])
+    def test_fraction_inside_a_root(self, spec, same):
+        """A / inside sqrt(...) belongs to the root; sqrt(1/2) and sqrt(2)/2
+        are both the double 0x1.6a09e667f3bcdp-1."""
+        assert parse_state_spec(spec).amps.tobytes() == parse_state_spec(same).amps.tobytes()
+        root = float.fromhex("0x1.6a09e667f3bcdp-1")
+        assert parse_state_spec("wclass:sqrt(1/2),0.5,0.5").amps[0b100] == root
 
     def test_whitespace_lenient(self):
         want = parse_state_spec("haar:2x2x2:5").amps
